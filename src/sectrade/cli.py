@@ -137,6 +137,7 @@ def _cmd_lp_solve(args) -> int:
           f"{solution.objective_value:.9f}")
     if solution.A is not None:
         print(f"A = {solution.A:.9f}")
+    print(f"pivots={solution.pivots}", file=sys.stderr)
     return 0
 
 

@@ -16,9 +16,10 @@ whose objective sum_j j y_j falls to (e^2+1)/(4e^2) as n grows.
 
 The *weak* pair adds second-best stopping variables y_{i,j} and a scalar A
 bounded by the two welfare expressions that drive the 1.76239 bound; its
-dual certificate is produced by the two backward-sweep loops of
+dual certificate comes from the two backward sweeps of
 ``weak_dual_certificate`` (one running suffix sum, assignments that hold
 the binding constraint with equality, and two break points j*, j**).
+Each sweep's recurrence telescopes, so both run as suffix cumsums.
 
 Dual variables never depend on the seller position i, so certificates
 store one value per j and all feasibility checks run in O(n); that is what
@@ -134,12 +135,16 @@ def build_weak_primal(n: int) -> LinearProgram:
 
 @dataclass
 class PrimalSolution:
-    """Named solution of either primal, with a from-scratch residual check."""
+    """Named solution of either primal, with a from-scratch residual check.
+
+    ``pivots`` is the simplex pivot count over both phases (0 for a
+    solution built by hand)."""
 
     x: dict
     y: dict
     A: float | None
     objective_value: float
+    pivots: int = 0
 
     def max_violation(self, lp: LinearProgram) -> float:
         vals = {}
@@ -172,7 +177,8 @@ def simplex_solve(lp: LinearProgram, pricing: str = "dantzig") -> PrimalSolution
         target = x if kind == "x" else y
         target[(int(i), int(j))] = float(value)
     return PrimalSolution(x=x, y=y, A=a_val,
-                          objective_value=float(result.objective))
+                          objective_value=float(result.objective),
+                          pivots=result.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -260,42 +266,57 @@ def weak_dual_certificate(n: int, w1: float, w2: float) -> WeakDualCertificate:
     """Backward-sweep dual point: assign alpha_j/beta_j so the binding
     constraint holds with equality against the running suffix sum, break to
     a second alpha-only sweep when beta would go negative (j*), and stop
-    that sweep when alpha would too (j**)."""
+    that sweep when alpha would too (j**).
+
+    Both sweeps are linear recurrences in the running sum s_j taken before
+    step j (s_n = 0), so each is a suffix cumsum rather than a loop:
+
+    * sweep 1, s_{j-1} = s_j (j-2)/j + (ru_j + rv_j)/j, telescopes in
+      s_j / (j (j-1)) for j >= 3, and s_1 = (ru_2 + rv_2)/2;
+    * sweep 2, s_{j-1} = s_j (j-1)/j + ru_j/j, telescopes in s_j / j,
+      starting from s_{j*}.
+
+    j* is the largest j with beta_j < 0 and j** the largest j <= j* with
+    alpha_j < 0 in the second sweep (0 when there is none)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if not (math.isfinite(w1) and math.isfinite(w2)):
+        raise ValueError(f"need finite w1, w2, got {w1}, {w2}")
     if w1 < 0 or w2 < 0 or abs(w1 + w2 - 1.0) > 1e-12:
         raise ValueError(f"need w1, w2 >= 0 with w1 + w2 = 1, got {w1}, {w2}")
-    ru_arr, rv_arr = _weak_rhs(n, w1, w2)
-    ru = ru_arr.tolist()
-    rv = rv_arr.tolist()
-    alpha = [0.0] * n
-    beta = [0.0] * n
-    s = 0.0
-    j_star = 0
-    for j in range(n, 0, -1):
-        aj = (ru[j - 1] - s) / j
-        bj = (rv[j - 1] - s) / j
-        if bj < 0.0:
-            # discard this sweep's alpha_j too; the next sweep reassigns it
-            j_star = j
-            break
-        alpha[j - 1] = aj
-        beta[j - 1] = bj
-        s += aj + bj
-    j_double_star = 0
-    for j in range(j_star, 0, -1):
-        aj = (ru[j - 1] - s) / j
-        if aj < 0.0:
-            j_double_star = j
-            break
-        alpha[j - 1] = aj
-        s += aj
-    alpha_arr = np.array(alpha)
-    beta_arr = np.array(beta)
+    ru, rv = _weak_rhs(n, w1, w2)
     jj = np.arange(1.0, n + 1.0)
-    objective = float(jj @ (alpha_arr + beta_arr))
+
+    s = np.zeros(n)                       # s[j-1] = s_j
+    k = jj[2:]                            # k = 3..n
+    terms = (ru[2:] + rv[2:]) / (k * (k - 1.0) * (k - 2.0))
+    m = jj[1:-1]                          # m = 2..n-1
+    s[1:-1] = m * (m - 1.0) * np.cumsum(terms[::-1])[::-1]
+    s[0] = (ru[1] + rv[1]) / 2.0
+    alpha = (ru - s) / jj
+    beta = (rv - s) / jj
+    negative = np.flatnonzero(beta < 0.0)
+    j_star = int(negative[-1]) + 1 if negative.size else 0
+    # the second sweep reassigns alpha_{j*}; beta stays 0 from j* down
+    alpha[:j_star] = 0.0
+    beta[:j_star] = 0.0
+
+    j_double_star = 0
+    if j_star:
+        k = jj[1:j_star]                  # k = 2..j*
+        terms = np.empty(j_star)
+        terms[:-1] = ru[1:j_star] / (k * (k - 1.0))
+        terms[-1] = s[j_star - 1] / j_star
+        js = jj[:j_star]
+        s2 = js * np.cumsum(terms[::-1])[::-1]
+        alpha2 = (ru[:j_star] - s2) / js
+        negative = np.flatnonzero(alpha2 < 0.0)
+        j_double_star = int(negative[-1]) + 1 if negative.size else 0
+        alpha[j_double_star:j_star] = alpha2[j_double_star:]
+
+    objective = float(jj @ (alpha + beta))
     cert = WeakDualCertificate(
-        n=n, w1=w1, w2=w2, alpha=alpha_arr, beta=beta_arr, j_star=j_star,
+        n=n, w1=w1, w2=w2, alpha=alpha, beta=beta, j_star=j_star,
         j_double_star=j_double_star, objective=objective,
         min_residual_u=math.nan, min_residual_v=math.nan)
     report = verify_dual_feasibility(cert)

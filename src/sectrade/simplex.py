@@ -1,7 +1,11 @@
 """Dense two-phase simplex for small, well-scaled linear programs.
 
 Solves max/min c.x subject to rows of A x (<=|=|>=) b and x >= 0 on a
-dense numpy tableau.  Entering variables use Dantzig pricing by default
+dense numpy tableau.  A pivot updates only the rows where the pivot column
+is non-zero and the columns where the pivot row is non-zero; every other
+cell would only have 0 * x subtracted, so the result equals a full
+rank-one update of the tableau while touching a few percent of it on the
+stopping LPs.  Entering variables use Dantzig pricing by default
 and switch permanently to Bland's rule after a run of degenerate pivots,
 which keeps the anti-cycling guarantee without Bland's usual slowness;
 ``pricing="bland"`` forces the pure rule.  Leaving-variable ties always
@@ -29,9 +33,11 @@ class SimplexResult:
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    rows = np.flatnonzero(T[:, col])
+    rows = rows[rows != row]
+    cols = np.flatnonzero(T[row])
+    # cells outside rows x cols would only have 0 * x subtracted
+    T[np.ix_(rows, cols)] -= np.outer(T[rows, col], T[row, cols])
     basis[row] = col
 
 

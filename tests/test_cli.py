@@ -115,6 +115,15 @@ class TestCertify:
                                "--w1", "0.9", "--w2", "0.2")
         assert code == 2
 
+    def test_weak_nan_weights(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        code, out, err = run_cli(capsys, "certify", "weak", "--n", "10",
+                                 "--w1", "nan", "--w2", "nan",
+                                 "--out", str(path))
+        assert code == 2
+        assert "finite" in err
+        assert not path.exists()
+
 
 class TestLpSolve:
     def test_strong(self, capsys):
@@ -128,6 +137,15 @@ class TestLpSolve:
                                "--n", "1")
         assert code == 0
         assert "0.75" in out
+
+    def test_pivots_on_stderr_only(self, capsys, tmp_path):
+        path = tmp_path / "lp.json"
+        code, out, err = run_cli(capsys, "lp", "solve", "--which", "weak",
+                                 "--n", "3", "--out", str(path))
+        assert code == 0
+        assert "pivots=" in err and "pivots" not in out
+        assert set(json.loads(path.read_text())) == {
+            "which", "n", "objective", "max_violation", "A"}
 
     def test_over_cap(self, capsys):
         code, _, err = run_cli(capsys, "lp", "solve", "--which", "strong",

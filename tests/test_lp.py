@@ -1,13 +1,59 @@
+import math
+
 import numpy as np
 import pytest
 
+from sectrade import simplex
 from sectrade.errors import InfeasibleProblem, SizeCapError, UnboundedProblem
-from sectrade.lp import (build_strong_primal, build_weak_primal,
+from sectrade.lp import (_weak_rhs, build_strong_primal, build_weak_primal,
                          simplex_solve, strong_dual_certificate,
                          verify_dual_feasibility, weak_dual_certificate)
 from sectrade.simplex import simplex_solve_arrays
 
 W1, W2 = 0.970659, 0.029341
+
+
+def dense_pivot(T, basis, row, col):
+    """Reference pivot: a rank-one update of the whole tableau."""
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    basis[row] = col
+
+
+def loop_sweep(n, w1, w2):
+    """Reference weak certificate: the two backward sweeps as scalar loops.
+    Returns alpha, beta, j*, j**."""
+    ru_arr, rv_arr = _weak_rhs(n, w1, w2)
+    ru, rv = ru_arr.tolist(), rv_arr.tolist()
+    alpha, beta = [0.0] * n, [0.0] * n
+    s = 0.0
+    j_star = 0
+    for j in range(n, 0, -1):
+        aj = (ru[j - 1] - s) / j
+        bj = (rv[j - 1] - s) / j
+        if bj < 0.0:
+            j_star = j
+            break
+        alpha[j - 1] = aj
+        beta[j - 1] = bj
+        s += aj + bj
+    j_double_star = 0
+    for j in range(j_star, 0, -1):
+        aj = (ru[j - 1] - s) / j
+        if aj < 0.0:
+            j_double_star = j
+            break
+        alpha[j - 1] = aj
+        s += aj
+    return np.array(alpha), np.array(beta), j_star, j_double_star
+
+
+def same_result(a, b):
+    return (a.values.tobytes() == b.values.tobytes()
+            and a.objective.hex() == b.objective.hex()
+            and a.iterations == b.iterations)
 
 
 class TestSimplexCore:
@@ -48,6 +94,50 @@ class TestSimplexCore:
             mine = simplex_solve(lp)
             assert abs(mine.objective_value + ref.fun) < 1e-8
             assert mine.max_violation(lp) < 1e-9
+
+
+class TestSparsePivot:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_dense_pivot_bytes(self, seed):
+        # random tableaus a few percent to half non-zero, pivoted on a
+        # positive element as the ratio test guarantees
+        rng = np.random.default_rng(seed)
+        m, width = rng.integers(2, 40), rng.integers(2, 60)
+        density = rng.uniform(0.03, 0.5)
+        T = np.where(rng.random((m + 1, width)) < density,
+                     rng.normal(size=(m + 1, width)), 0.0)
+        basis = rng.integers(0, width, size=m)
+        row, col = rng.integers(0, m), rng.integers(0, width)
+        T[row, col] = rng.uniform(0.1, 2.0)
+        ref_T, ref_basis = T.copy(), basis.copy()
+        for _ in range(3):
+            dense_pivot(ref_T, ref_basis, row, col)
+            simplex._pivot(T, basis, row, col)
+            assert T.tobytes() == ref_T.tobytes()
+            assert basis.tobytes() == ref_basis.tobytes()
+            positive = np.argwhere(T[:m] > 0.1)
+            if not positive.size:
+                break
+            row, col = positive[rng.integers(len(positive))]
+
+    @pytest.mark.parametrize("builder,sizes", [
+        (build_weak_primal, range(1, 13)),
+        (build_strong_primal, (1, 2, 5, 9, 14, 20)),
+    ])
+    def test_solve_matches_dense_pivot_bytes(self, monkeypatch, builder, sizes):
+        for n in sizes:
+            c, A, b, rels = builder(n).to_arrays()
+            sparse = simplex_solve_arrays(c, A, b, rels)
+            with monkeypatch.context() as patch:
+                patch.setattr(simplex, "_pivot", dense_pivot)
+                dense = simplex_solve_arrays(c, A, b, rels)
+            assert same_result(sparse, dense), n
+
+    def test_pivot_count_carried(self):
+        lp = build_weak_primal(6)
+        sol = simplex_solve(lp)
+        assert sol.pivots == simplex_solve_arrays(*lp.to_arrays()).iterations
+        assert sol.pivots > 0
 
 
 class TestStrongPrimal:
@@ -194,6 +284,25 @@ class TestWeakCertificate:
             weak_dual_certificate(100, 0.7, 0.2)
         with pytest.raises(ValueError):
             weak_dual_certificate(100, -0.5, 1.5)
+
+    @pytest.mark.parametrize("w1,w2", [(math.nan, math.nan), (math.nan, 0.5),
+                                       (math.inf, 0.0), (1.0, math.nan)])
+    def test_non_finite_weights(self, w1, w2):
+        with pytest.raises(ValueError):
+            weak_dual_certificate(10, w1, w2)
+
+    @pytest.mark.parametrize("w1,w2", [(W1, W2), (1.0, 0.0), (0.5, 0.5),
+                                       (0.0, 1.0), (0.2, 0.8)])
+    def test_sweep_matches_loop(self, w1, w2):
+        # summation order differs from the loop, so alpha and beta agree to
+        # rounding relative to their largest entry, break points exactly
+        for n in list(range(2, 301)) + [10 ** 5]:
+            alpha, beta, j_star, j_double_star = loop_sweep(n, w1, w2)
+            cert = weak_dual_certificate(n, w1, w2)
+            assert (cert.j_star, cert.j_double_star) == (j_star, j_double_star)
+            for mine, ref in ((cert.alpha, alpha), (cert.beta, beta)):
+                scale = max(np.max(np.abs(ref)), 1e-300)
+                assert np.max(np.abs(mine - ref)) <= 1e-12 * scale, n
 
     def test_csv_dump_capped(self, tmp_path):
         cert = weak_dual_certificate(50, W1, W2)
