@@ -17,19 +17,21 @@ import sys
 from . import exact, lp, oracle
 from .errors import (InfeasibleProblem, InvalidInstanceError, NumericError,
                      SizeCapError, UnboundedProblem)
-from .model import Thresholds, load_instance, parse_family_spec
+from .model import _FAMILIES, Thresholds, load_instance, parse_family_spec
 from .simulate import POLICY_IDS, simulate as run_simulation
 
 _VALIDATION_ERRORS = (ValueError, InvalidInstanceError, SizeCapError,
                       KeyError, OSError, json.JSONDecodeError)
 _NUMERIC_ERRORS = (NumericError, InfeasibleProblem, UnboundedProblem,
                    ArithmeticError)
+# the double thresholds of ``optimize thresholds --objective upper``
+_TUNED = Thresholds(0.296151, 0.805018)
 
 
 def _resolve_instance(spec: str):
     if ":" in spec and not spec.lstrip().startswith("{"):
         name = spec.split(":", 1)[0]
-        if name in ("spike", "flat_k", "seller_spike", "geometric"):
+        if name in _FAMILIES:
             return parse_family_spec(spec)
     return load_instance(spec)
 
@@ -45,8 +47,8 @@ def _cmd_simulate(args) -> int:
     instance = _resolve_instance(args.instance)
     th = None
     if args.policy == "alg3" or args.t1 is not None:
-        th = Thresholds(args.t1 if args.t1 is not None else 0.296151,
-                        args.t2 if args.t2 is not None else 0.805018)
+        th = Thresholds(args.t1 if args.t1 is not None else _TUNED.t1,
+                        args.t2 if args.t2 is not None else _TUNED.t2)
     report = run_simulation(args.policy, instance, args.trials, args.seed,
                                workers=args.workers, thresholds=th)
     _write_out(args.out, report.to_json_dict())
@@ -192,9 +194,8 @@ def _cmd_report_constants(args) -> int:
         load_instance({"buyer_prices": ["1", "1/2", "1/4"], "seller_price": "1/8"}))
     rows.append(("coin-flip policy weak ratio", 2.0,
                  float(weak / alg2.expected_welfare)))
-    th_u = Thresholds(0.296151, 0.805018)
     rows.append(("double-threshold ratio bound", 1.83683,
-                 exact.alg3_ratio(th_u).bound))
+                 exact.alg3_ratio(_TUNED).bound))
     th_l, value = exact.optimize_thresholds("lower_bound_family")
     rows.append(("threshold family lower bound", 1.76239, value))
     cert = lp.weak_dual_certificate(2_000_000, 0.970659, 0.029341)
@@ -221,6 +222,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
+    if at + 1 == len(argv):
+        raise ValueError("--config needs a file path")
     path = argv[at + 1]
     rest = argv[:at] + argv[at + 2:]
     defaults = {}

@@ -36,11 +36,10 @@ from fractions import Fraction
 import numpy as np
 
 from .model import Thresholds
+from .policies import SELL_CUTOFF, SKIP_CUTOFF
 from .quadrature import integrate_rect, integrate_wedge
 
 E = math.e
-INV_E = 1.0 / E
-SKIP_CUTOFF = (E - 1.0) / E
 
 
 def pow1m(t, m: int):
@@ -95,9 +94,10 @@ def delta_mu(mu: int, tol: float = 1e-9) -> StrongExactReport:
     def f_gamma(s, t):
         return s * (1.0 - pow1m(t, mu - 1)) / t
 
-    alpha = integrate_rect(f_alpha, 0.0, INV_E, INV_E, 1.0, tol=rtol)
-    beta = integrate_wedge(f_beta, INV_E, SKIP_CUTOFF, 1.0, tol=rtol)
-    gamma = integrate_wedge(f_gamma, INV_E, 1.0, 1.0, tol=rtol)
+    alpha = integrate_rect(f_alpha, 0.0, SELL_CUTOFF, SELL_CUTOFF, 1.0,
+                           tol=rtol)
+    beta = integrate_wedge(f_beta, SELL_CUTOFF, SKIP_CUTOFF, 1.0, tol=rtol)
+    gamma = integrate_wedge(f_gamma, SELL_CUTOFF, 1.0, 1.0, tol=rtol)
     return StrongExactReport(mu=mu, alpha=alpha, beta=beta, gamma=gamma,
                              delta=alpha + beta + gamma)
 
@@ -110,8 +110,9 @@ def delta_limit() -> float:
 def delta_limit_quadrature(tol: float = 1e-10) -> float:
     """The same limit by quadrature of its two defining integrals."""
     part1 = integrate_rect(lambda s, t: 1.0 / (E * t) + 0.0 * s,
-                           0.0, INV_E, INV_E, 1.0, tol=tol / 2)
-    part2 = integrate_wedge(lambda s, t: s / t, INV_E, 1.0, 1.0, tol=tol / 2)
+                           0.0, SELL_CUTOFF, SELL_CUTOFF, 1.0, tol=tol / 2)
+    part2 = integrate_wedge(lambda s, t: s / t, SELL_CUTOFF, 1.0, 1.0,
+                            tol=tol / 2)
     return part1 + part2
 
 
@@ -357,6 +358,8 @@ class Alg3ExactReport:
 
 
 def alg3_report(n: int, th: Thresholds, tol: float = 1e-8) -> Alg3ExactReport:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     p = tuple(alg3_pi_finite(i, n, th, tol=tol) for i in range(1, n + 1))
     rep = alg3_ratio(th)
     return Alg3ExactReport(n=n, th=th, p=p, p1_limit=alg3_p1_limit(th),

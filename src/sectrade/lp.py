@@ -21,6 +21,11 @@ dual certificate comes from the two backward sweeps of
 the binding constraint with equality, and two break points j*, j**).
 Each sweep's recurrence telescopes, so both run as suffix cumsums.
 
+Both primals are built as numpy arrays c, A, b (maximise c v subject to
+A v <= b, v >= 0): row and column r belong to the r-th pair (i, j) of
+``np.triu_indices(n)``, shifted to 1-based, and the simplex solution is
+mapped back to dicts keyed by (i, j) through the same pairs.
+
 Dual variables never depend on the seller position i, so certificates
 store one value per j and all feasibility checks run in O(n); that is what
 makes n = 2 * 10^6 routine.
@@ -42,33 +47,26 @@ SIZE_CAP = 60
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Sparse named-variable LP container."""
+    """max c @ v subject to A @ v <= b and v >= 0, for one of the primals.
 
-    sense: str
-    objective: dict
-    constraints: tuple  # of (coefs: dict, rel: str, rhs: float)
-    variables: tuple    # ordered registry; all variables are >= 0
+    Row r and column r belong to the r-th pair (i, j) of ``_pairs(n)``.
+    The weak primal interleaves x_{i,j} and y_{i,j} (rows and columns 2r
+    and 2r+1), then has A as its last column and the two welfare rows
+    last."""
+
+    n: int
+    c: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
 
     def n_variables(self) -> int:
-        return len(self.variables)
+        return self.c.size
 
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return self.b.size
 
     def to_arrays(self):
-        index = {v: k for k, v in enumerate(self.variables)}
-        c = np.zeros(len(self.variables))
-        for v, coef in self.objective.items():
-            c[index[v]] = coef
-        A = np.zeros((len(self.constraints), len(self.variables)))
-        b = np.zeros(len(self.constraints))
-        rels = []
-        for row, (coefs, rel, rhs) in enumerate(self.constraints):
-            for v, coef in coefs.items():
-                A[row, index[v]] = coef
-            b[row] = rhs
-            rels.append(rel)
-        return c, A, b, rels
+        return self.c, self.A, self.b, ["<="] * self.b.size
 
 
 def _check_cap(n: int) -> None:
@@ -76,66 +74,53 @@ def _check_cap(n: int) -> None:
         raise SizeCapError(f"need 1 <= n <= {SIZE_CAP}, got {n}")
 
 
+def _pairs(n: int) -> list:
+    """The pairs (i, j), 1 <= i <= j <= n, in row and column order."""
+    i, j = np.triu_indices(n)
+    return list(zip((i + 1).tolist(), (j + 1).tolist()))
+
+
+def _stopping_rows(n: int, width: int):
+    """Stopping rows for ``width`` variables per pair (i, j), side by side:
+    the row of a variable v_{i,j} has j on v_{i,j} and 1 on every variable
+    of the pairs (i, k), i <= k < j.  Also returns j as floats."""
+    i, j = np.triu_indices(n)
+    r = np.arange(i.size)
+    earlier = (i[:, None] == i) & (r[:, None] > r)
+    rows = np.kron(earlier, np.ones((width, width)))
+    j = j + 1.0
+    np.fill_diagonal(rows, np.repeat(j, width))
+    return rows, j
+
+
 def build_strong_primal(n: int) -> LinearProgram:
     """Stopping LP for the best-buyer objective; n(n+1)/2 variables."""
     _check_cap(n)
-    variables = []
-    objective = {}
-    constraints = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            variables.append(f"x_{i}_{j}")
-            objective[f"x_{i}_{j}"] = j / (n * (n + 1))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            coefs = {f"x_{i}_{k}": 1.0 for k in range(i, j)}
-            coefs[f"x_{i}_{j}"] = coefs.get(f"x_{i}_{j}", 0.0) + float(j)
-            constraints.append((coefs, "<=", 1.0))
-    return LinearProgram(sense="max", objective=objective,
-                         constraints=tuple(constraints),
-                         variables=tuple(variables))
+    rows, j = _stopping_rows(n, 1)
+    return LinearProgram(n=n, c=j / (n * (n + 1)), A=rows, b=np.ones(j.size))
 
 
 def build_weak_primal(n: int) -> LinearProgram:
     """Max-min LP behind the weak lower bound; 2 n(n+1)/2 + 1 variables."""
     _check_cap(n)
-    variables = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            variables.append(f"x_{i}_{j}")
-            variables.append(f"y_{i}_{j}")
-    variables.append("A")
-    constraints = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            drag = {}
-            for k in range(i, j):
-                drag[f"x_{i}_{k}"] = 1.0
-                drag[f"y_{i}_{k}"] = 1.0
-            cx = dict(drag)
-            cx[f"x_{i}_{j}"] = cx.get(f"x_{i}_{j}", 0.0) + float(j)
-            constraints.append((cx, "<=", 1.0))
-            cy = dict(drag)
-            cy[f"y_{i}_{j}"] = cy.get(f"y_{i}_{j}", 0.0) + float(j)
-            constraints.append((cy, "<=", 1.0))
-    top = {"A": 1.0}
-    second = {"A": 1.0}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            w = j / (n * n + n)
-            top[f"x_{i}_{j}"] = -2.0 * w
-            second[f"x_{i}_{j}"] = -1.5 * w * (2 * n - j) / n
-            second[f"y_{i}_{j}"] = -1.5 * w * (j - 1) / n
-    constraints.append((top, "<=", 0.0))
-    constraints.append((second, "<=", 0.0))
-    return LinearProgram(sense="max", objective={"A": 1.0},
-                         constraints=tuple(constraints),
-                         variables=tuple(variables))
+    rows, j = _stopping_rows(n, 2)
+    m = rows.shape[0]
+    A = np.zeros((m + 2, m + 1))
+    A[:m, :m] = rows
+    w = j / (n * n + n)
+    A[m, :m:2] = -2.0 * w
+    A[m + 1, :m:2] = -1.5 * w * (2 * n - j) / n
+    A[m + 1, 1:m:2] = -1.5 * w * (j - 1) / n
+    A[m:, m] = 1.0
+    c = np.zeros(m + 1)
+    c[m] = 1.0
+    return LinearProgram(n=n, c=c, A=A, b=np.r_[np.ones(m), 0.0, 0.0])
 
 
 @dataclass
 class PrimalSolution:
-    """Named solution of either primal, with a from-scratch residual check.
+    """Solution of either primal, keyed by pair (i, j), with a
+    from-scratch residual check.
 
     ``pivots`` is the simplex pivot count over both phases (0 for a
     solution built by hand)."""
@@ -147,35 +132,26 @@ class PrimalSolution:
     pivots: int = 0
 
     def max_violation(self, lp: LinearProgram) -> float:
-        vals = {}
-        for (i, j), v in self.x.items():
-            vals[f"x_{i}_{j}"] = v
-        for (i, j), v in self.y.items():
-            vals[f"y_{i}_{j}"] = v
-        if self.A is not None:
-            vals["A"] = self.A
-        worst = 0.0
-        for coefs, rel, rhs in lp.constraints:
-            lhs = sum(coef * vals.get(v, 0.0) for v, coef in coefs.items())
-            gap = lhs - rhs if rel == "<=" else rhs - lhs
-            worst = max(worst, gap)
-        worst = max(worst, max((-v for v in vals.values()), default=0.0))
-        return worst
+        pairs = _pairs(lp.n)
+        v = np.array([self.x.get(p, 0.0) for p in pairs])
+        if lp.n_variables() > len(pairs):
+            y = [self.y.get(p, 0.0) for p in pairs]
+            v = np.r_[np.column_stack((v, y)).ravel(), self.A or 0.0]
+        return float(max(np.max(lp.A @ v - lp.b), np.max(-v), 0.0))
 
 
 def simplex_solve(lp: LinearProgram, pricing: str = "dantzig") -> PrimalSolution:
-    """Solve an LP built here and map the solution back to named variables."""
-    c, A, b, rels = lp.to_arrays()
-    result: SimplexResult = simplex_solve_arrays(c, A, b, rels,
-                                                 sense=lp.sense, pricing=pricing)
-    x, y, a_val = {}, {}, None
-    for name, value in zip(lp.variables, result.values):
-        if name == "A":
-            a_val = float(value)
-            continue
-        kind, i, j = name.split("_")
-        target = x if kind == "x" else y
-        target[(int(i), int(j))] = float(value)
+    """Solve an LP built here and map the solution back to the pairs."""
+    result: SimplexResult = simplex_solve_arrays(*lp.to_arrays(),
+                                                 pricing=pricing)
+    pairs = _pairs(lp.n)
+    values = result.values.tolist()
+    if len(values) == len(pairs):
+        x, y, a_val = dict(zip(pairs, values)), {}, None
+    else:
+        x = dict(zip(pairs, values[:-1:2]))
+        y = dict(zip(pairs, values[1::2]))
+        a_val = values[-1]
     return PrimalSolution(x=x, y=y, A=a_val,
                           objective_value=float(result.objective),
                           pivots=result.iterations)

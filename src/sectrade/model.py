@@ -36,7 +36,9 @@ def tiebreak_key(price: Price, agent_index: int) -> tuple:
 
 
 def _check_price(p: Price, what: str) -> None:
-    if isinstance(p, float) and not math.isfinite(p):
+    if isinstance(p, (bool, np.bool_)):
+        raise InvalidInstanceError(f"{what} must be a number, got {p!r}")
+    if not isinstance(p, (int, Fraction)) and not math.isfinite(p):
         raise InvalidInstanceError(f"{what} must be finite, got {p!r}")
     if p < 0:
         raise InvalidInstanceError(f"{what} must be >= 0, got {p!r}")

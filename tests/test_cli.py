@@ -39,6 +39,13 @@ class TestExact:
         assert code == 0
         assert "p_i=" in out
 
+    def test_alg3_zero_buyers(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "alg3", "--n", "0",
+                                 "--t1", "0.3", "--t2", "0.8")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_alg3_table_csv(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
         code, out, _ = run_cli(capsys, "exact", "alg3", "--n", "4",
@@ -233,3 +240,9 @@ class TestConfig:
                                "exact", "delta", "--mu", "2")
         assert code == 0
         assert "mu=2" in out
+
+    def test_config_without_path(self, capsys):
+        code, out, err = run_cli(capsys, "report", "constants", "--config")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")

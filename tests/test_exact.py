@@ -181,6 +181,11 @@ class TestAlg3FiniteN:
         with pytest.raises(ValueError):
             alg3_pi_finite(4, 3, TUNED_TH)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_report_rejects_empty_market(self, n):
+        with pytest.raises(ValueError):
+            alg3_report(n, TUNED_TH)
+
     def test_report_csv(self, tmp_path):
         rep = alg3_report(3, TUNED_TH)
         path = tmp_path / "alg3.csv"

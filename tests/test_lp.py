@@ -50,6 +50,48 @@ def loop_sweep(n, w1, w2):
     return np.array(alpha), np.array(beta), j_star, j_double_star
 
 
+def pair_list(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+
+
+def reference_strong(n):
+    """Strong primal c, A, b written one coefficient at a time."""
+    pairs = pair_list(n)
+    col = {p: r for r, p in enumerate(pairs)}
+    A = np.zeros((len(pairs), len(pairs)))
+    for row, (i, j) in enumerate(pairs):
+        for k in range(i, j):
+            A[row, col[(i, k)]] = 1.0
+        A[row, col[(i, j)]] = float(j)
+    c = np.array([j / (n * (n + 1)) for i, j in pairs])
+    return c, A, np.ones(len(pairs))
+
+
+def reference_weak(n):
+    """Weak primal c, A, b one coefficient at a time: x_p in column 2r,
+    y_p in 2r + 1, A last; the x and y rows of pair r are 2r and 2r + 1."""
+    pairs = pair_list(n)
+    m = len(pairs)
+    col = {p: 2 * r for r, p in enumerate(pairs)}
+    A = np.zeros((2 * m + 2, 2 * m + 1))
+    for row, (i, j) in enumerate(pairs):
+        for v in (0, 1):
+            for k in range(i, j):
+                A[2 * row + v, col[(i, k)]] = 1.0
+                A[2 * row + v, col[(i, k)] + 1] = 1.0
+            A[2 * row + v, col[(i, j)] + v] = float(j)
+        w = j / (n * n + n)
+        A[-2, col[(i, j)]] = -2.0 * w
+        A[-1, col[(i, j)]] = -1.5 * w * (2 * n - j) / n
+        A[-1, col[(i, j)] + 1] = -1.5 * w * (j - 1) / n
+    A[-2:, -1] = 1.0
+    c = np.zeros(2 * m + 1)
+    c[-1] = 1.0
+    b = np.zeros(2 * m + 2)
+    b[:2 * m] = 1.0
+    return c, A, b
+
+
 def same_result(a, b):
     return (a.values.tobytes() == b.values.tobytes()
             and a.objective.hex() == b.objective.hex()
@@ -140,12 +182,71 @@ class TestSparsePivot:
         assert sol.pivots > 0
 
 
+class TestBuilders:
+    @pytest.mark.parametrize("builder,reference", [
+        (build_strong_primal, reference_strong),
+        (build_weak_primal, reference_weak),
+    ])
+    def test_arrays_match_loop_reference_bytes(self, builder, reference):
+        for n in range(1, 31):
+            c, A, b, rels = builder(n).to_arrays()
+            for mine, ref in zip((c, A, b), reference(n)):
+                assert mine.shape == ref.shape, n
+                assert mine.tobytes() == ref.tobytes(), n
+            assert rels == ["<="] * b.size
+
+    def test_solution_keyed_by_pairs(self):
+        n = 5
+        strong = simplex_solve(build_strong_primal(n))
+        weak = simplex_solve(build_weak_primal(n))
+        assert list(strong.x) == pair_list(n)
+        assert strong.y == {} and strong.A is None
+        assert list(weak.x) == list(weak.y) == pair_list(n)
+        assert weak.A == weak.objective_value
+
+    @pytest.mark.parametrize("builder", [build_strong_primal,
+                                         build_weak_primal])
+    def test_max_violation_matches_row_sums(self, builder):
+        # the matrix product sums each row in another order than a loop,
+        # so the two agree to a few ulps of the right-hand side 1
+        for n in range(1, 13):
+            lp = builder(n)
+            sol = simplex_solve(lp)
+            pairs = pair_list(n)
+            if lp.n_variables() == len(pairs):
+                v = [sol.x[p] for p in pairs]
+            else:
+                v = [val for p in pairs for val in (sol.x[p], sol.y[p])]
+                v.append(sol.A)
+            c, A, b, rels = lp.to_arrays()
+            worst = max(0.0, max(-val for val in v))
+            for row, rhs in zip(A.tolist(), b.tolist()):
+                worst = max(worst, sum(a * val for a, val in zip(row, v)) - rhs)
+            assert abs(sol.max_violation(lp) - worst) <= 64 * np.finfo(float).eps
+
+    def test_max_violation_flags_bad_points(self):
+        from sectrade.lp import PrimalSolution
+        strong, weak = build_strong_primal(3), build_weak_primal(3)
+        # row (1, 2): 2 x_{1,2} + x_{1,1} <= 1
+        sol = PrimalSolution(x={(1, 1): 0.5, (1, 2): 0.5}, y={}, A=None,
+                             objective_value=0.0)
+        assert sol.max_violation(strong) == 0.5
+        sol = PrimalSolution(x={}, y={(2, 3): -0.25}, A=None,
+                             objective_value=0.0)
+        assert sol.max_violation(weak) == 0.25
+        # A above both welfare rows, everything else 0
+        sol = PrimalSolution(x={}, y={}, A=0.125, objective_value=0.125)
+        assert sol.max_violation(weak) == 0.125
+
+
 class TestStrongPrimal:
     def test_n1_structure(self):
         lp = build_strong_primal(1)
-        assert lp.variables == ("x_1_1",)
-        assert lp.objective["x_1_1"] == 0.5
-        assert lp.constraints[0] == ({"x_1_1": 1.0}, "<=", 1.0)
+        c, A, b, rels = lp.to_arrays()
+        assert c.tolist() == [0.5]
+        assert A.tolist() == [[1.0]]
+        assert b.tolist() == [1.0]
+        assert rels == ["<="]
         sol = simplex_solve(lp)
         assert abs(sol.objective_value - 0.5) < 1e-12
         assert abs(sol.x[(1, 1)] - 1.0) < 1e-12

@@ -42,6 +42,25 @@ class TestCanonicalize:
         with pytest.raises(InvalidInstanceError):
             Instance((1, math.inf), 0)
 
+    @pytest.mark.parametrize("price", [np.float32("nan"), np.float32("inf"),
+                                       np.float64("nan"), -math.inf])
+    def test_non_finite_numpy_prices_rejected(self, price):
+        with pytest.raises(InvalidInstanceError):
+            Instance((1, price), 0)
+        with pytest.raises(InvalidInstanceError):
+            Instance((1,), price)
+
+    @pytest.mark.parametrize("price", [True, False, np.True_])
+    def test_bool_prices_rejected(self, price):
+        with pytest.raises(InvalidInstanceError):
+            Instance((price, 2), 0)
+        with pytest.raises(InvalidInstanceError):
+            Instance((1,), price)
+
+    def test_int_float_fraction_prices_accepted(self):
+        inst = Instance((3, 0.5, Fraction(1, 3), 10 ** 400), Fraction(1, 8))
+        assert inst.buyer_prices == (3, 0.5, Fraction(1, 3), 10 ** 400)
+
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=7),
            st.integers(0, 6))
     @settings(max_examples=200, deadline=None)
