@@ -519,6 +519,9 @@ def _objective_arr(name: str, t1, t2):
     return np.maximum(a, b)
 
 
+_GRID_CELLS_MAX = 2000 * 2000  # coarse scan: 1e6 cells at the default 1e-3
+
+
 def optimize_thresholds(objective: str, grid_step: float = 1e-3,
                         refine_to: float = 1e-6) -> tuple[Thresholds, float]:
     """Minimise a ratio objective over the triangle 0 <= t1 <= t2 <= 1.
@@ -527,7 +530,18 @@ def optimize_thresholds(objective: str, grid_step: float = 1e-3,
     against the all-ones instance; "lower_bound_family" balances the
     one-high-bid family against the two-high-bids family.  A coarse grid
     scan is followed by shrinking local grids down to ``refine_to``.
+    ``grid_step`` must lie in (0, 1] and keep the coarse grid within
+    ``_GRID_CELLS_MAX`` cells.
     """
+    if not (math.isfinite(grid_step) and 0.0 < grid_step <= 1.0):
+        raise ValueError(f"grid_step must be a finite number in (0, 1], "
+                         f"got {grid_step!r}")
+    side = math.ceil((1.0 + grid_step / 2) / grid_step)  # len of the arange
+    if side * side > _GRID_CELLS_MAX:
+        smallest = 1.0 / (math.isqrt(_GRID_CELLS_MAX) - 0.5)
+        raise ValueError(f"grid_step {grid_step!r} needs {side}^2 coarse grid "
+                         f"cells (cap {_GRID_CELLS_MAX}); the smallest "
+                         f"allowed step is {smallest!r}")
     ts = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
     t1g, t2g = np.meshgrid(ts, ts, indexing="ij")
     vals = _objective_arr(objective, t1g, t2g)

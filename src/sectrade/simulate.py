@@ -12,12 +12,22 @@ blocks and the per-block partial sums are reduced in block order with
 compensated addition, so the report is byte-identical for any worker
 count.
 
-Policy evaluation is vectorized over a block: per-agent arrival times are
-ranked against the canonical strength order, best-so-far flags come from
-prefix minima along that order, and second-best-so-far flags from a
-running (min, second-min) scan.  The state machines in
-:mod:`sectrade.policies` stay the behavioural reference; the kernels here
-are cross-checked against them trial by trial in the test suite.
+Policy evaluation is vectorized over the trials of a block, on row-major
+arrays.  The arrival times are gathered into the canonical strength order
+with ``take``, which keeps each trial's times contiguous (strongest agent
+first).  Best-so-far flags are strict prefix minima along that order, so
+their times fall strictly along it and the earliest record past a time
+cutoff is the last record past it; second-best-so-far flags come from the
+running minimum of max(t_k, min before k) and fall the same way.  Weak OPT
+reads the same array: buyer prices fall along the strength order, so the
+best buyer arriving after the seller is the first one in it.  A block is
+drawn and evaluated in sub-chunks that keep every draw array within
+``_BLOCK_BUDGET`` doubles (one trial when a trial alone is larger); the
+block layout, each trial's window and the order of every sum stay those
+of the whole block, so the sub-chunk size changes no output bit.  The
+state machines in :mod:`sectrade.policies` stay the behavioural
+reference; the kernel here is cross-checked against them trial by trial
+in the test suite.
 
 Competitive ratios divide the mean benchmark by the mean policy welfare
 (never per-trial ratios), matching the expectation-based definitions.
@@ -37,7 +47,7 @@ from .model import Instance, RankedInstance, Thresholds, canonicalize
 from .policies import SELL_CUTOFF, SKIP_CUTOFF
 
 BLOCK = 1 << 14
-_BLOCK_BUDGET = 1 << 22  # max doubles drawn per block
+_BLOCK_BUDGET = 1 << 22  # max doubles per draw array (or one trial's)
 
 POLICY_IDS = ("alg1", "alg2", "alg3", "secretary-baseline")
 
@@ -50,6 +60,7 @@ class _Market:
     mu: int
     prices: np.ndarray          # price by holder id 0..n+1 (0 = intermediary)
     strength_cols: np.ndarray   # agent time-columns, strongest first
+    buyer_cols: np.ndarray      # strength_cols without the seller's
     seller_strength_pos: int    # seller's index within strength_cols
     seller_price: float
 
@@ -66,6 +77,7 @@ def _market(instance: Instance | RankedInstance) -> _Market:
                              dtype=np.int64)
     return _Market(n=n, mu=ranked.mu, prices=prices,
                    strength_cols=strength_cols,
+                   buyer_cols=np.array(buyer_cols, dtype=np.int64),
                    seller_strength_pos=ranked.mu,
                    seller_price=float(inst.seller_price))
 
@@ -75,8 +87,13 @@ def _stride(n: int) -> int:
 
 
 def _block_size(n: int) -> int:
-    """Trials per block: BLOCK, shrunk so a block stays within the draw
-    budget for large n (a deterministic function of n alone)."""
+    """Trials per block: BLOCK, shrunk toward the draw budget for large n
+    but never below 256 trials (a deterministic function of n alone).
+
+    The block fixes which trials share a partial sum and so the reduction
+    order.  Memory is bounded separately: ``_block_partials`` draws a
+    block in sub-chunks of at most ``_BLOCK_BUDGET`` doubles, which leaves
+    this layout unchanged."""
     return max(256, min(BLOCK, _BLOCK_BUDGET // _stride(n)))
 
 
@@ -102,80 +119,96 @@ def _prefix_min(ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _earliest(qualify: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    masked = np.where(qualify, ts, np.inf)
-    idx = np.argmin(masked, axis=1)
-    found = masked[np.arange(ts.shape[0]), idx] < np.inf
-    return idx, found
+def _last_true(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column of the last True in each row, and whether the row has one."""
+    rev = mask[:, ::-1]
+    j = rev.argmax(axis=1)
+    return mask.shape[1] - 1 - j, rev[np.arange(mask.shape[0]), j]
+
+
+def _evaluate(policy_id: str, mk: _Market, u: np.ndarray,
+              th: Thresholds | None) -> tuple[np.ndarray, np.ndarray]:
+    """Final holder id (0 = intermediary) and weak-OPT value per trial of
+    one array of draws."""
+    n = mk.n
+    rows = np.arange(u.shape[0])
+    seller_t = u[:, n]
+    with_seller = policy_id in ("alg1", "alg2")
+    cols = mk.strength_cols if with_seller else mk.buyer_cols
+    ts = u.take(cols, axis=1)  # C order: trial-major, strongest agent first
+
+    # Weak OPT: buyer prices fall along the strength order, so the best
+    # buyer arriving after the seller is the first one in that order (the
+    # seller's own column never arrives after itself).
+    after = ts > seller_t[:, None]
+    first = after.argmax(axis=1)
+    weak = np.where(after[rows, first], mk.prices[cols[first] + 1], -np.inf)
+    weak = np.maximum(weak, mk.seller_price)
+
+    # Best-so-far records are strict prefix minima, so their times fall
+    # strictly along the strength order: the earliest record past a time
+    # cutoff is the last one past it.
+    stronger_before = _prefix_min(ts)
+    record = ts < stronger_before
+
+    if with_seller:
+        pos = mk.seller_strength_pos
+        if policy_id == "alg1":
+            no_buy = (seller_t > SKIP_CUTOFF) & record[:, pos]
+            cutoff = np.maximum(seller_t, SELL_CUTOFF)
+        else:
+            no_buy = record[:, pos] & (u[:, n + 1] >= 0.5)
+            cutoff = seller_t
+        record &= ts > cutoff[:, None]  # never the seller: cutoff >= seller_t
+        idx, sold = _last_true(record)
+        return np.where(no_buy, n + 1, np.where(sold, cols[idx] + 1, 0)), weak
+
+    record &= after
+    if policy_id == "secretary-baseline":
+        record &= ts > SELL_CUTOFF
+        idx, sold = _last_true(record)
+        return np.where(sold, cols[idx] + 1, 0), weak
+
+    # alg3 also sells to second-best-so-far buyers.  The second-smallest
+    # time so far is the running minimum of max(t_k, min before k), and a
+    # second-best time undercuts it, so those times fall strictly along the
+    # order as well: the earliest qualifier is the earlier of the last
+    # qualifying record and the last qualifying second-best.
+    second = stronger_before < ts
+    np.maximum(ts, stronger_before, out=stronger_before)
+    second &= ts < _prefix_min(stronger_before)
+    second &= after
+    second &= ts > th.t2
+    record &= ts > th.t1
+    idx1, sold1 = _last_true(record)
+    idx2, sold2 = _last_true(second)
+    idx = np.where(sold1 & ~(sold2 & (ts[rows, idx2] < ts[rows, idx1])),
+                   idx1, idx2)
+    return np.where(sold1 | sold2, cols[idx] + 1, 0), weak
 
 
 def _holders(policy_id: str, mk: _Market, u: np.ndarray,
              th: Thresholds | None) -> np.ndarray:
-    """Final holder id (0 = intermediary) per trial for one block."""
-    n = mk.n
-    times = u[:, :n + 1]
-    seller_t = times[:, n]
-    by_strength = times[:, mk.strength_cols]
-    stronger_before = _prefix_min(by_strength)
-    record = by_strength < stronger_before  # best-so-far over all agents
-    pos = mk.seller_strength_pos
-
-    if policy_id in ("alg1", "alg2"):
-        seller_record = record[:, pos]
-        if policy_id == "alg1":
-            no_buy = (seller_t > SKIP_CUTOFF) & seller_record
-            cutoff = np.maximum(seller_t, SELL_CUTOFF)
-        else:
-            coin = u[:, n + 1]
-            no_buy = seller_record & (coin >= 0.5)
-            cutoff = seller_t
-        qualify = record & (by_strength > cutoff[:, None])
-        qualify[:, pos] = False
-        idx, sold = _earliest(qualify, by_strength)
-        buyer_id = mk.strength_cols[idx] + 1
-        holders = np.where(no_buy, n + 1, np.where(sold, buyer_id, 0))
-        return holders
-
-    # zero-seller policies: the seller is the weakest agent, so the buyer
-    # strength order is simply the first n strength columns
-    buyer_ts = by_strength[:, :n] if pos == n else np.delete(by_strength, pos, axis=1)
-    first_min = np.full(u.shape[0], np.inf)
-    second_min = np.full(u.shape[0], np.inf)
-    best_flag = np.empty((u.shape[0], n), dtype=bool)
-    second_flag = np.empty((u.shape[0], n), dtype=bool)
-    for k in range(n):
-        tk = buyer_ts[:, k]
-        best_flag[:, k] = tk < first_min
-        second_flag[:, k] = (first_min < tk) & (tk < second_min)
-        newly_second = np.minimum(np.maximum(first_min, tk), second_min)
-        first_min = np.minimum(first_min, tk)
-        second_min = newly_second
-
-    held = buyer_ts > seller_t[:, None]
-    if policy_id == "alg3":
-        qualify = held & ((best_flag & (buyer_ts > th.t1))
-                          | (second_flag & (buyer_ts > th.t2)))
-    elif policy_id == "secretary-baseline":
-        qualify = held & best_flag & (buyer_ts > SELL_CUTOFF)
-    else:
-        raise ValueError(f"unknown policy id {policy_id!r}")
-    idx, sold = _earliest(qualify, buyer_ts)
-    buyer_cols = mk.strength_cols[mk.strength_cols != n]
-    buyer_id = buyer_cols[idx] + 1
-    return np.where(sold, buyer_id, 0)
+    """Final holder id (0 = intermediary) per trial of one array of draws."""
+    return _evaluate(policy_id, mk, u, th)[0]
 
 
 def _block_partials(policy_id: str, mk: _Market, seed: int, start: int,
                     count: int, th: Thresholds | None) -> dict:
-    u = block_draws(seed, mk.n, start, count)
-    holders = _holders(policy_id, mk, u, th)
+    # Draw and evaluate the block in sub-chunks that keep each draw array
+    # within _BLOCK_BUDGET doubles (one trial when a trial alone exceeds
+    # it).  Trials keep their Philox windows and the block's sums run over
+    # the concatenated per-trial values, so the partials do not depend on
+    # the sub-chunk size.
     n = mk.n
+    step = max(1, _BLOCK_BUDGET // _stride(n))
+    end = start + count
+    parts = [_evaluate(policy_id, mk,
+                       block_draws(seed, n, s, min(step, end - s)), th)
+             for s in range(start, end, step)]
+    holders = np.concatenate([h for h, _ in parts])
+    weak = np.concatenate([w for _, w in parts])
     welfare = mk.prices[holders]
-    times = u[:, :n + 1]
-    after_seller = times[:, :n] > times[:, n][:, None]
-    buyer_prices = mk.prices[1:n + 1]
-    weak = np.max(np.where(after_seller, buyer_prices[None, :], -np.inf), axis=1)
-    weak = np.maximum(weak, mk.seller_price)
     return {
         "counts": np.bincount(holders, minlength=n + 2),
         "sum_w": float(welfare.sum()),
@@ -247,6 +280,9 @@ def simulate(policy_id: str, instance: Instance | RankedInstance, trials: int,
         raise ValueError(f"need trials >= 1, got {trials}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 2 ** 128):
+        raise ValueError(f"need an integer seed in [0, 2**128), got {seed!r}")
     if policy_id not in POLICY_IDS:
         raise ValueError(f"unknown policy id {policy_id!r}")
     if policy_id == "alg3" and thresholds is None:
@@ -301,7 +337,7 @@ def simulate(policy_id: str, instance: Instance | RankedInstance, trials: int,
         policy=policy_id,
         instance_digest=ranked.instance.digest(),
         trials=trials,
-        seed=seed,
+        seed=int(seed),  # numpy integers are not JSON-serialisable
         holder_freq={int(h): c / n_t for h, c in enumerate(counts) if c},
         mean_alg_welfare=mean_w,
         se_alg=se_w,

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sectrade.cli import main
 
 
@@ -101,6 +103,15 @@ class TestSimulate:
         assert code == 2
         assert "error" in err
 
+    def test_negative_seed(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--policy", "alg1",
+                                 "--instance", "spike:n=3",
+                                 "--trials", "10", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "seed" in err and "key" not in err
+
 
 class TestCertify:
     def test_strong(self, capsys, tmp_path):
@@ -172,6 +183,14 @@ class TestOptimize:
                                "--objective", "lowerfamily", "--grid", "0.005")
         assert code == 0
         assert "value=1.7623" in out
+
+    @pytest.mark.parametrize("grid", ["0", "-0.5", "nan", "inf", "1.5", "1e-5"])
+    def test_bad_grid(self, capsys, grid):
+        code, out, err = run_cli(capsys, "optimize", "thresholds",
+                                 "--objective", "upper", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "grid_step" in err
 
 
 class TestOracle:

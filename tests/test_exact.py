@@ -261,6 +261,30 @@ class TestOptimizeThresholds:
         with pytest.raises(ValueError):
             optimize_thresholds("sideways")
 
+    @pytest.mark.parametrize("step", [0.0, -0.5, math.nan, math.inf, 1.5,
+                                      1e-5, 4e-4])
+    def test_bad_grid_step_rejected_before_allocating(self, step):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="grid_step"):
+                optimize_thresholds("upper_bound", grid_step=step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000  # an arange of 1001 doubles alone is 8 kB
+
+    def test_grid_cap_names_smallest_step(self):
+        from sectrade.exact import _GRID_CELLS_MAX
+        with pytest.raises(ValueError) as err:
+            optimize_thresholds("upper_bound", grid_step=1e-5)
+        smallest = float(str(err.value).rsplit(" ", 1)[1])
+        side = math.ceil((1.0 + smallest / 2) / smallest)
+        assert side * side <= _GRID_CELLS_MAX < (side + 1) ** 2
+        th, _ = optimize_thresholds("upper_bound", grid_step=1.0,
+                                    refine_to=1.0)
+        assert (th.t1, th.t2) in {(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
+
 
 def test_pow1m_edge_cases():
     import numpy as np

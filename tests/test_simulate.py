@@ -1,3 +1,5 @@
+import importlib
+import json
 import math
 
 import numpy as np
@@ -7,12 +9,15 @@ from sectrade.benchmarks import weak_opt_expected
 from sectrade.model import (ArrivalSample, Instance, Thresholds, canonicalize,
                             gen_instance)
 from sectrade.oracle import enumerate_alg2_exact
-from sectrade.policies import run_episode
-from sectrade.simulate import (BLOCK, SimulationReport, _holders, _market,
-                               block_draws, curve_to_csv, estimate_ratio_curve,
-                               simulate)
+from sectrade.policies import SELL_CUTOFF, SKIP_CUTOFF, run_episode
+from sectrade.simulate import (_BLOCK_BUDGET, BLOCK, POLICY_IDS,
+                               SimulationReport, _evaluate, _holders, _market,
+                               _stride, block_draws, curve_to_csv,
+                               estimate_ratio_curve, simulate)
 
 TH = Thresholds(0.296151, 0.805018)
+# the module itself: the package namespace binds ``simulate`` to the function
+SIM = importlib.import_module("sectrade.simulate")
 
 
 class _FixedCoin:
@@ -80,6 +85,142 @@ class TestKernelAgainstStateMachines:
                 assert out.holder == vec[k]
 
 
+def reference_holders(policy_id, mk, u, th):
+    """The column-major kernel the package used before: a fancy-indexed
+    strength gather, a float masked argmin for the earliest qualifier, and
+    a Python loop over the buyers for the second-best scan."""
+    def prefix_min(ts):
+        out = np.empty_like(ts)
+        out[:, 0] = np.inf
+        np.minimum.accumulate(ts[:, :-1], axis=1, out=out[:, 1:])
+        return out
+
+    def earliest(qualify, ts):
+        masked = np.where(qualify, ts, np.inf)
+        idx = np.argmin(masked, axis=1)
+        found = masked[np.arange(ts.shape[0]), idx] < np.inf
+        return idx, found
+
+    n = mk.n
+    times = u[:, :n + 1]
+    seller_t = times[:, n]
+    by_strength = times[:, mk.strength_cols]
+    record = by_strength < prefix_min(by_strength)
+    pos = mk.seller_strength_pos
+
+    if policy_id in ("alg1", "alg2"):
+        seller_record = record[:, pos]
+        if policy_id == "alg1":
+            no_buy = (seller_t > SKIP_CUTOFF) & seller_record
+            cutoff = np.maximum(seller_t, SELL_CUTOFF)
+        else:
+            no_buy = seller_record & (u[:, n + 1] >= 0.5)
+            cutoff = seller_t
+        qualify = record & (by_strength > cutoff[:, None])
+        qualify[:, pos] = False
+        idx, sold = earliest(qualify, by_strength)
+        buyer_id = mk.strength_cols[idx] + 1
+        return np.where(no_buy, n + 1, np.where(sold, buyer_id, 0))
+
+    buyer_ts = (by_strength[:, :n] if pos == n
+                else np.delete(by_strength, pos, axis=1))
+    first_min = np.full(u.shape[0], np.inf)
+    second_min = np.full(u.shape[0], np.inf)
+    best_flag = np.empty((u.shape[0], n), dtype=bool)
+    second_flag = np.empty((u.shape[0], n), dtype=bool)
+    for k in range(n):
+        tk = buyer_ts[:, k]
+        best_flag[:, k] = tk < first_min
+        second_flag[:, k] = (first_min < tk) & (tk < second_min)
+        newly_second = np.minimum(np.maximum(first_min, tk), second_min)
+        first_min = np.minimum(first_min, tk)
+        second_min = newly_second
+
+    held = buyer_ts > seller_t[:, None]
+    if policy_id == "alg3":
+        qualify = held & ((best_flag & (buyer_ts > th.t1))
+                          | (second_flag & (buyer_ts > th.t2)))
+    else:
+        qualify = held & best_flag & (buyer_ts > SELL_CUTOFF)
+    idx, sold = earliest(qualify, buyer_ts)
+    buyer_cols = mk.strength_cols[mk.strength_cols != n]
+    return np.where(sold, buyer_cols[idx] + 1, 0)
+
+
+def reference_weak_opt(mk, u):
+    """Weak OPT as the package computed it before: the largest price among
+    buyers arriving after the seller, floored at the seller's price."""
+    n = mk.n
+    times = u[:, :n + 1]
+    after_seller = times[:, :n] > times[:, n][:, None]
+    buyer_prices = mk.prices[1:n + 1]
+    weak = np.max(np.where(after_seller, buyer_prices[None, :], -np.inf), axis=1)
+    return np.maximum(weak, mk.seller_price)
+
+
+def _reference_instances(policy_id, n):
+    """Distinct and tied prices; paid sellers at every strength position
+    for the policies that allow them, zero-price sellers for the others."""
+    distinct = tuple(float(n - i) for i in range(n))
+    tied = tuple(float((n - i) // 2) for i in range(n))
+    if policy_id in ("alg3", "secretary-baseline"):
+        return [Instance(distinct, 0), Instance(tied, 0)]
+    instances = [Instance(distinct, p + 0.5) for p in range(n + 1)]
+    instances += [Instance(tied, float(p)) for p in sorted(set(tied))]
+    instances += [Instance(tied, 0), Instance((0.0,) * n, 0)]
+    return instances
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize("policy_id", POLICY_IDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 37])
+    def test_same_arrays_as_reference(self, policy_id, n):
+        for k, inst in enumerate(_reference_instances(policy_id, n)):
+            mk = _market(inst)
+            u = block_draws(seed=900 + k, n=n, start=17 * k, count=500)
+            holders, weak = _evaluate(policy_id, mk, u, TH)
+            assert np.array_equal(holders, reference_holders(policy_id, mk, u, TH))
+            assert np.array_equal(weak, reference_weak_opt(mk, u))
+            assert np.array_equal(_holders(policy_id, mk, u, TH), holders)
+
+    def test_seller_covers_every_position(self):
+        positions = {_market(inst).seller_strength_pos
+                     for inst in _reference_instances("alg1", 10)}
+        assert positions == set(range(11))
+
+
+class TestMemoryBound:
+    def test_draws_stay_within_budget(self, monkeypatch):
+        n = 100_000
+        per_chunk = _BLOCK_BUDGET // _stride(n)
+        trials = 2 * per_chunk + 1  # one block: two full sub-chunks and one trial
+        calls = []
+
+        def spy(seed, n, start, count):
+            u = block_draws(seed, n, start, count)
+            calls.append((start, count, u.size))
+            return u
+
+        monkeypatch.setattr(SIM, "block_draws", spy)
+        simulate("alg1", gen_instance("seller_spike", n=n), trials, seed=3)
+        assert [c[:2] for c in calls] == [(0, per_chunk), (per_chunk, per_chunk),
+                                          (2 * per_chunk, 1)]
+        assert max(size for _, _, size in calls) <= _BLOCK_BUDGET
+
+    @pytest.mark.parametrize("policy_id", ["alg2", "alg3"])
+    def test_sub_chunks_do_not_change_bytes(self, monkeypatch, policy_id):
+        # at n = 20000 a block is 256 trials whatever the budget, so a
+        # smaller budget shrinks only the sub-chunks (209 -> 3 trials)
+        inst = gen_instance("spike", n=20_000)
+        base = simulate(policy_id, inst, 300, seed=21, thresholds=TH).to_json()
+        monkeypatch.setattr(SIM, "_BLOCK_BUDGET", 1 << 16)
+        assert SIM._block_size(20_000) == 256
+        for workers in (1, 2):
+            again = simulate(policy_id, inst, 300, seed=21, workers=workers,
+                             thresholds=TH)
+            assert again.to_json() == base
+
+
 class TestStatisticalAgreement:
     def test_alg2_matches_exact_distribution(self):
         inst = gen_instance("geometric", n=5, r=0.5)
@@ -141,6 +282,16 @@ class TestValidation:
             simulate("nope", inst, 10, seed=1)
         with pytest.raises(ValueError):
             simulate("alg3", inst, 10, seed=1)  # thresholds missing
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, True, 1.5, "7"])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            simulate("alg1", gen_instance("spike", n=3), 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, np.int64(9), 2 ** 128 - 1])
+    def test_seed_range_ends_accepted(self, seed):
+        rep = simulate("alg1", gen_instance("spike", n=3), 10, seed=seed)
+        assert json.loads(rep.to_json())["seed"] == seed
 
     def test_alg3_rejects_paid_seller(self):
         inst = Instance((1, 0.5), 0.3)
