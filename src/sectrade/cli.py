@@ -15,15 +15,14 @@ import json
 import sys
 
 from . import exact, lp, oracle
-from .errors import (InfeasibleProblem, InvalidInstanceError, NumericError,
-                     SizeCapError, UnboundedProblem)
+from .errors import (InvalidInstanceError, NumericError, SizeCapError,
+                     UnboundedProblem)
 from .model import _FAMILIES, Thresholds, load_instance, parse_family_spec
 from .simulate import POLICY_IDS, simulate as run_simulation
 
 _VALIDATION_ERRORS = (ValueError, InvalidInstanceError, SizeCapError,
                       KeyError, OSError, json.JSONDecodeError)
-_NUMERIC_ERRORS = (NumericError, InfeasibleProblem, UnboundedProblem,
-                   ArithmeticError)
+_NUMERIC_ERRORS = (NumericError, UnboundedProblem, ArithmeticError)
 # the double thresholds of ``optimize thresholds --objective upper``
 _TUNED = Thresholds(0.296151, 0.805018)
 

@@ -18,9 +18,5 @@ class NumericError(ArithmeticError):
     """Raised when an iterative numeric routine fails to converge."""
 
 
-class InfeasibleProblem(RuntimeError):
-    """Raised by the simplex solver for infeasible programs."""
-
-
 class UnboundedProblem(RuntimeError):
     """Raised by the simplex solver for unbounded programs."""

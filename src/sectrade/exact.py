@@ -28,7 +28,6 @@ exp(m log1p(-t)) so large exponents underflow cleanly to zero.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -531,8 +530,11 @@ def optimize_thresholds(objective: str, grid_step: float = 1e-3,
     one-high-bid family against the two-high-bids family.  A coarse grid
     scan is followed by shrinking local grids down to ``refine_to``.
     ``grid_step`` must lie in (0, 1] and keep the coarse grid within
-    ``_GRID_CELLS_MAX`` cells.
+    ``_GRID_CELLS_MAX`` cells; ``refine_to`` must be finite and > 0.
     """
+    if not (math.isfinite(refine_to) and refine_to > 0.0):
+        raise ValueError(f"refine_to must be a finite number > 0, "
+                         f"got {refine_to!r}")
     if not (math.isfinite(grid_step) and 0.0 < grid_step <= 1.0):
         raise ValueError(f"grid_step must be a finite number in (0, 1], "
                          f"got {grid_step!r}")
@@ -568,11 +570,3 @@ def optimize_thresholds(objective: str, grid_step: float = 1e-3,
             b1, b2, bval = float(g1[loc]), float(g2[loc]), float(lv[loc])
     return Thresholds(t1=b1, t2=b2), bval
 
-
-def report_to_json(report, path=None) -> str:
-    """Serialize any report object exposing ``to_json_dict``."""
-    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text

@@ -122,8 +122,8 @@ class PrimalSolution:
     """Solution of either primal, keyed by pair (i, j), with a
     from-scratch residual check.
 
-    ``pivots`` is the simplex pivot count over both phases (0 for a
-    solution built by hand)."""
+    ``pivots`` is the simplex pivot count (0 for a solution built by
+    hand)."""
 
     x: dict
     y: dict

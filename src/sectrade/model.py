@@ -93,9 +93,16 @@ def _price_to_json(p: Price):
     return p
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InvalidInstanceError(f"zero denominator in {text!r}") from None
+
+
 def _price_from_json(v) -> Price:
     if isinstance(v, str):
-        return Fraction(v)
+        return _fraction(v)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise InvalidInstanceError(f"bad price value {v!r}")
     return v
@@ -239,7 +246,9 @@ class TradeOutcome:
     decisions: tuple
 
 
-_FAMILIES = ("spike", "flat_k", "seller_spike", "geometric")
+# family name -> the parameters it takes
+_FAMILIES = {"spike": ("n",), "flat_k": ("n", "k"), "seller_spike": ("n",),
+             "geometric": ("n", "r")}
 
 
 def gen_instance(family: str, **params) -> Instance:
@@ -250,32 +259,33 @@ def gen_instance(family: str, **params) -> Instance:
     seller_spike(n): all buyers 0, seller 1
     geometric(n, r): buyer i priced r**(i-1), seller 0
     """
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; "
+                         f"choose from {tuple(_FAMILIES)}")
+    keys = _FAMILIES[family]
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise ValueError(f"{family} takes only {', '.join(keys)}; unknown "
+                         f"parameter {', '.join(unknown)}")
+    missing = [k for k in keys if k not in params]
+    if missing:
+        raise ValueError(f"{family} needs parameter {', '.join(missing)}")
+    n = int(params["n"])
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if family == "spike":
-        n = _need_n(params)
         return Instance((1,) + (0,) * (n - 1), 0)
     if family == "flat_k":
-        n = _need_n(params)
         k = int(params["k"])
         if not (1 <= k <= n):
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         return Instance((1,) * k + (0,) * (n - k), 0)
     if family == "seller_spike":
-        n = _need_n(params)
         return Instance((0,) * n, 1)
-    if family == "geometric":
-        n = _need_n(params)
-        r = params["r"]
-        if not (0 < r < 1):
-            raise ValueError(f"need ratio in (0,1), got {r}")
-        return Instance(tuple(r ** i for i in range(n)), 0)
-    raise ValueError(f"unknown family {family!r}; choose from {_FAMILIES}")
-
-
-def _need_n(params) -> int:
-    n = int(params["n"])
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return n
+    r = params["r"]
+    if not (0 < r < 1):
+        raise ValueError(f"need ratio in (0,1), got {r}")
+    return Instance(tuple(r ** i for i in range(n)), 0)
 
 
 def parse_family_spec(spec: str) -> Instance:
@@ -291,7 +301,7 @@ def parse_family_spec(spec: str) -> Instance:
             if key in ("n", "k"):
                 params[key] = int(val)
             elif "/" in val:
-                params[key] = Fraction(val)
+                params[key] = _fraction(val)
             else:
                 params[key] = float(val)
     return gen_instance(name.strip(), **params)

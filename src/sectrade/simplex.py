@@ -1,13 +1,18 @@
-"""Dense two-phase simplex for small, well-scaled linear programs.
+"""Dense single-phase simplex for the stopping LPs.
 
-Solves max/min c.x subject to rows of A x (<=|=|>=) b and x >= 0 on a
-dense numpy tableau.  A pivot updates only the rows where the pivot column
-is non-zero and the columns where the pivot row is non-zero; every other
-cell would only have 0 * x subtracted, so the result equals a full
-rank-one update of the tableau while touching a few percent of it on the
-stopping LPs.  Entering variables use Dantzig pricing by default
-and switch permanently to Bland's rule after a run of degenerate pivots,
-which keeps the anti-cycling guarantee without Bland's usual slowness;
+Solves max c.v subject to A v <= b and v >= 0 with b >= 0, the one form
+every primal in ``lp`` takes: the stopping rows are <= 1 and the welfare
+rows <= 0.  Because b >= 0, v = 0 is feasible and the slack columns form
+a feasible starting basis, so one simplex run from that basis solves the
+LP; any other form is rejected with ``ValueError``.
+
+A pivot updates only the rows where the pivot column is non-zero and the
+columns where the pivot row is non-zero; every other cell would only have
+0 * x subtracted, so the result equals a full rank-one update of the
+tableau while touching a few percent of it on the stopping LPs.  Entering
+variables use Dantzig pricing by default and switch permanently to
+Bland's rule after a run of degenerate pivots, which keeps the
+anti-cycling guarantee without Bland's usual slowness;
 ``pricing="bland"`` forces the pure rule.  Leaving-variable ties always
 break toward the smallest basis index.
 """
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleProblem, NumericError, UnboundedProblem
+from .errors import NumericError, UnboundedProblem
 
 _EPS = 1e-9
 _PIVOT_EPS = 1e-11
@@ -41,15 +46,15 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
-         pricing: str, max_iter: int) -> int:
+def _run(T: np.ndarray, basis: np.ndarray, pricing: str,
+         max_iter: int) -> int:
     m = T.shape[0] - 1
     bland = pricing == "bland"
     stall = 0
     iters = 0
     while True:
         red = T[-1, :-1]
-        cand = np.flatnonzero(allowed & (red < -_EPS))
+        cand = np.flatnonzero(red < -_EPS)
         if cand.size == 0:
             return iters
         col = int(cand[0]) if bland else int(cand[np.argmin(red[cand])])
@@ -75,94 +80,27 @@ def _run(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
 
 
 def simplex_solve_arrays(c: np.ndarray, A: np.ndarray, b: np.ndarray,
-                         rels, sense: str = "max",
-                         pricing: str = "dantzig") -> SimplexResult:
-    """Solve the LP; ``rels`` is one of "<=", "==", ">=" per row."""
+                         rels, pricing: str = "dantzig") -> SimplexResult:
+    """Maximise c.v subject to A v <= b, v >= 0; every ``rels`` entry
+    must be "<=" and every b_i >= 0."""
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
+    b = np.asarray(b, dtype=float)
     m, nvar = A.shape
-    rels = list(rels)
-    if sense == "max":
-        c = -c
-    elif sense != "min":
-        raise ValueError(f"sense must be max or min, got {sense!r}")
+    if list(rels) != ["<="] * m or not np.all(b >= 0):
+        raise ValueError("simplex_solve_arrays accepts only max c.v subject "
+                         "to A v <= b, v >= 0, with every b_i >= 0")
 
-    # normalise to b >= 0
-    rows = A.copy()
-    flip = {"<=": ">=", ">=": "<=", "==": "=="}
-    for i in range(m):
-        if b[i] < 0:
-            rows[i] = -rows[i]
-            b[i] = -b[i]
-            rels[i] = flip[rels[i]]
-
-    n_slack = sum(1 for r in rels if r in ("<=", ">="))
-    n_art = sum(1 for r in rels if r in ("==", ">="))
-    total = nvar + n_slack + n_art
-    T = np.zeros((m + 1, total + 1))
-    T[:m, :nvar] = rows
+    # [A | I | b] over [-c | 0 | 0]: the slack columns are the basis
+    T = np.zeros((m + 1, nvar + m + 1))
+    T[:m, :nvar] = A
+    basis = nvar + np.arange(m)
+    T[np.arange(m), basis] = 1.0
     T[:m, -1] = b
-    basis = np.empty(m, dtype=int)
-    s_off, a_off = nvar, nvar + n_slack
-    si = ai = 0
-    art_cols = []
-    for i, rel in enumerate(rels):
-        if rel == "<=":
-            T[i, s_off + si] = 1.0
-            basis[i] = s_off + si
-            si += 1
-        elif rel == ">=":
-            T[i, s_off + si] = -1.0
-            si += 1
-            T[i, a_off + ai] = 1.0
-            basis[i] = a_off + ai
-            art_cols.append(a_off + ai)
-            ai += 1
-        else:
-            T[i, a_off + ai] = 1.0
-            basis[i] = a_off + ai
-            art_cols.append(a_off + ai)
-            ai += 1
+    T[-1, :nvar] = -c
+    iters = _run(T, basis, pricing, 2000 + 60 * (m + nvar + m))
 
-    max_iter = 2000 + 60 * (m + total)
-    iters = 0
-    art_cols = np.array(art_cols, dtype=int)
-    allowed = np.ones(total, dtype=bool)
-
-    if n_art:
-        # phase 1: minimise the artificial sum
-        phase1 = np.zeros(total)
-        phase1[a_off:a_off + n_art] = 1.0
-        T[-1, :-1] = phase1
-        T[-1, -1] = 0.0
-        for i in range(m):
-            if T[-1, basis[i]] != 0.0:
-                T[-1] -= T[-1, basis[i]] * T[i]
-        iters += _run(T, basis, allowed, pricing, max_iter)
-        if T[-1, -1] < -1e-7:
-            raise InfeasibleProblem(f"phase-1 optimum {-T[-1, -1]:.3e} > 0")
-        # drive any zero-level artificials out of the basis
-        for i in range(m):
-            if basis[i] in art_cols:
-                pivots = np.flatnonzero(np.abs(T[i, :a_off]) > _PIVOT_EPS)
-                if pivots.size:
-                    _pivot(T, basis, i, int(pivots[0]))
-        allowed[a_off:a_off + n_art] = False
-
-    # phase 2
-    full_c = np.zeros(total)
-    full_c[:nvar] = c
-    T[-1, :-1] = full_c
-    T[-1, -1] = 0.0
-    for i in range(m):
-        if T[-1, basis[i]] != 0.0:
-            T[-1] -= T[-1, basis[i]] * T[i]
-    iters += _run(T, basis, allowed, pricing, max_iter)
-
-    values = np.zeros(total)
+    values = np.zeros(nvar + m)
     values[basis] = T[:m, -1]
-    obj = -T[-1, -1]
-    if sense == "max":
-        obj = -obj
-    return SimplexResult(values=values[:nvar], objective=obj, iterations=iters)
+    return SimplexResult(values=values[:nvar], objective=T[-1, -1],
+                         iterations=iters)

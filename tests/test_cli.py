@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectrade.cli import main
 
@@ -111,6 +113,21 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error:")
         assert "seed" in err and "key" not in err
+
+    @pytest.mark.parametrize("instance,message", [
+        ("geometric:n=3,r=1/0", "zero denominator"),
+        (json.dumps({"buyer_prices": [1, 2], "seller_price": "1/0"}),
+         "zero denominator"),
+        ("spike:n=3,zz=1", "unknown parameter zz"),
+        ("flat_k:n=3", "needs parameter k"),
+    ])
+    def test_malformed_instance(self, capsys, instance, message):
+        code, out, err = run_cli(capsys, "simulate", "--policy", "alg1",
+                                 "--instance", instance,
+                                 "--trials", "10", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
 
 
 class TestCertify:
@@ -265,3 +282,90 @@ class TestConfig:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+# Bounded argv grammar for the fuzz: every size stays small enough that
+# one example runs in milliseconds (n <= 8, trials <= 200, lp n <= 6,
+# oracle instances n <= 4 or above the enumeration caps).
+_BAD = ["-1", "0", "nan", "inf", "-inf", "1/0", "x", ""]
+_UNIT = ["0", "0.3", "0.8", "1"]
+_UNIT_BAD = ["-0.5", "1.5", "nan", "inf", "1/0", "x"]
+
+
+def _family_spec(sizes):
+    family = st.sampled_from(["spike", "flat_k", "seller_spike", "geometric",
+                              "nosuch"])
+    key = st.sampled_from(["n", "k", "r", "zz"])
+    value = st.sampled_from(["1", "3", "1/2", "0.5"] + _BAD)
+    params = st.lists(st.tuples(key, value), max_size=2).map(
+        lambda kv: "".join(f",{k}={v}" for k, v in kv))
+    return st.builds(lambda f, n, p: f"{f}:n={n}{p}", family,
+                     st.sampled_from(sizes), params)
+
+
+def _instance(sizes):
+    price = st.sampled_from([0, 1, 0.5, -1, "1/2", "1/0", "x", None, True])
+    doc = st.fixed_dictionaries(
+        {"buyer_prices": st.lists(price, max_size=4), "seller_price": price})
+    return st.one_of(
+        _family_spec(sizes),
+        doc.map(json.dumps),
+        st.sampled_from(['{"buyer_prices": [1,', "{}", "[]", "null",
+                         "spike:", "/nonexistent/inst.json"]))
+
+
+def _flags(**choices):
+    """``choices`` maps a flag to (good values, bad values).  A flag gets a
+    good value seven times in ten, a bad one once, no value once, and is
+    left out once."""
+    def one(flag, good, bad):
+        if isinstance(good, list):
+            good = st.sampled_from(good)
+        return st.tuples(st.integers(0, 9), good, st.sampled_from(bad)).map(
+            lambda d: [] if d[0] == 0 else [flag] if d[0] == 1
+            else [flag, d[2]] if d[0] == 2 else [flag, d[1]])
+    return st.tuples(*(one(f"--{k}", *v) for k, v in choices.items())).map(
+        lambda parts: [tok for part in parts for tok in part])
+
+
+_COMMANDS = st.one_of(
+    st.tuples(st.just(["simulate"]), _flags(
+        policy=(["alg1", "alg2", "alg3", "secretary-baseline"], ["nosuch"]),
+        instance=(_instance(["1", "3", "8"]), ["", "spike:n=-1"]),
+        trials=(["1", "50", "200"], _BAD),
+        seed=(["0", "7"], [str(2**128)] + _BAD),
+        workers=(["1", "2"], _BAD),
+        t1=(_UNIT, _UNIT_BAD), t2=(_UNIT, _UNIT_BAD))),
+    st.tuples(st.just(["exact", "delta"]), _flags(mu=(["1", "5", "8"], _BAD))),
+    st.tuples(st.just(["exact", "alg3"]), _flags(
+        n=(["1", "5", "8"], _BAD), t1=(_UNIT, _UNIT_BAD),
+        t2=(_UNIT, _UNIT_BAD), i=(["1", "3", "9"], _BAD))),
+    st.tuples(st.just(["exact", "limits"]), _flags()),
+    st.tuples(st.just(["certify", "strong"]), _flags(n=(["1", "8"], _BAD))),
+    st.tuples(st.just(["certify", "weak"]), _flags(
+        n=(["1", "8"], _BAD), w1=(["0.9", "1"], _UNIT_BAD),
+        w2=(["0.1", "0"], _UNIT_BAD))),
+    st.tuples(st.just(["lp", "solve"]), _flags(
+        which=(["strong", "weak"], ["nosuch"]),
+        n=(["1", "3", "6"], ["61"] + _BAD))),
+    st.tuples(st.just(["optimize", "thresholds"]), _flags(
+        objective=(["upper", "lowerfamily"], ["nosuch"]),
+        grid=(["0.25", "0.5", "1"], ["1e-5"] + _BAD))),
+    st.tuples(st.sampled_from([["oracle", "weakopt"], ["oracle", "alg2"]]),
+              _flags(instance=(_instance(["1", "2", "4"]),
+                               ["spike:n=8", "seller_spike:n=9"]))),
+    st.tuples(st.sampled_from([["report"], ["nosuch"], []]), _flags()),
+).map(lambda parts: parts[0] + parts[1])
+
+# one argv in ten ends in a stray token
+_EXTRA = st.tuples(st.integers(0, 9), st.sampled_from(
+    [["--help"], ["--out", "/nonexistent/out.json"], ["--config"], ["-x"]])
+).map(lambda d: d[1] if d[0] == 0 else [])
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(argv=_COMMANDS, extra=_EXTRA)
+    def test_exit_code_is_documented(self, argv, extra):
+        code = main(argv + extra)
+        assert code in (0, 2, 3), (argv + extra, code)

@@ -274,6 +274,12 @@ class TestOptimizeThresholds:
             tracemalloc.stop()
         assert peak < 8_000  # an arange of 1001 doubles alone is 8 kB
 
+    @pytest.mark.parametrize("refine_to", [-1.0, 0.0, math.nan, math.inf,
+                                           -math.inf])
+    def test_bad_refine_to_rejected(self, refine_to):
+        with pytest.raises(ValueError, match="refine_to"):
+            optimize_thresholds("upper_bound", refine_to=refine_to)
+
     def test_grid_cap_names_smallest_step(self):
         from sectrade.exact import _GRID_CELLS_MAX
         with pytest.raises(ValueError) as err:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sectrade import simplex
-from sectrade.errors import InfeasibleProblem, SizeCapError, UnboundedProblem
+from sectrade.errors import SizeCapError, UnboundedProblem
 from sectrade.lp import (_weak_rhs, build_strong_primal, build_weak_primal,
                          simplex_solve, strong_dual_certificate,
                          verify_dual_feasibility, weak_dual_certificate)
@@ -105,16 +105,15 @@ class TestSimplexCore:
                                    ["<=", "<="])
         assert abs(res.objective - 1.0) < 1e-12
 
-    def test_equality_and_geq(self):
-        # min 2x + 3y st x + y = 4, x >= 1: x is cheaper, so x = 4, y = 0
-        res = simplex_solve_arrays([2, 3], [[1, 1], [1, 0]], [4, 1],
-                                   ["==", ">="], sense="min")
-        assert abs(res.objective - 8.0) < 1e-9
-        assert np.allclose(res.values, [4, 0])
-
-    def test_infeasible(self):
-        with pytest.raises(InfeasibleProblem):
-            simplex_solve_arrays([1], [[1], [-1]], [1, -2], ["<=", "<="])
+    @pytest.mark.parametrize("rels,b", [
+        (["<=", "=="], [1, 1]),
+        ([">=", "<="], [1, 1]),
+        (["<=", "<="], [1, -2]),
+        (["<=", "<="], [math.nan, 1]),
+    ])
+    def test_rejects_other_forms(self, rels, b):
+        with pytest.raises(ValueError, match="A v <= b"):
+            simplex_solve_arrays([1, 1], [[1, 1], [1, 0]], b, rels)
 
     def test_unbounded(self):
         with pytest.raises(UnboundedProblem):

@@ -150,6 +150,29 @@ class TestGenerators:
         inst = parse_family_spec("flat_k:n=10,k=3")
         assert inst.buyer_prices == (1,) * 3 + (0,) * 7
 
+    @pytest.mark.parametrize("family,params", [
+        ("spike", {"n": 3, "zz": 1}),
+        ("seller_spike", {"n": 3, "k": 1}),
+        ("flat_k", {"n": 3, "k": 1, "r": 0.5}),
+        ("geometric", {"n": 3, "r": 0.5, "k": 2}),
+    ])
+    def test_unknown_key_rejected(self, family, params):
+        with pytest.raises(ValueError, match="unknown parameter"):
+            gen_instance(family, **params)
+
+    @pytest.mark.parametrize("family,params,missing", [
+        ("spike", {}, "n"),
+        ("flat_k", {"n": 3}, "k"),
+        ("geometric", {"r": 0.5}, "n"),
+    ])
+    def test_missing_key_named(self, family, params, missing):
+        with pytest.raises(ValueError, match=f"needs parameter {missing}$"):
+            gen_instance(family, **params)
+
+    def test_zero_denominator_parameter(self):
+        with pytest.raises(InvalidInstanceError, match="zero denominator"):
+            parse_family_spec("geometric:n=3,r=1/0")
+
 
 class TestInstanceJson:
     def test_round_trip_with_fractions(self):
@@ -166,6 +189,10 @@ class TestInstanceJson:
         inst = load_instance(str(path))
         assert inst.buyer_prices == (2, 1)
         assert inst.seller_price == 0.5
+
+    def test_zero_denominator_price(self):
+        with pytest.raises(InvalidInstanceError, match="zero denominator"):
+            load_instance({"buyer_prices": [1], "seller_price": "1/0"})
 
     def test_missing_field(self):
         with pytest.raises(InvalidInstanceError):
