@@ -13,8 +13,8 @@ covers four groups of quantities:
 * the double-threshold policy's success probabilities: asymptotic
   best-buyer and second-buyer limits, the n-independent sale probability
   1 - (1/3 + t2^3/6 + t1^2 t2 / 2), and the finite-n per-rank
-  probabilities p_i obtained by 2D quadrature over the five smooth pieces
-  of the (seller time, buyer time) square;
+  probabilities p_i of all ranks at once, as 1D integrals in the buyer's
+  time once the seller's is integrated out in closed form;
 
 * threshold analysis: the rank-monotonicity cutoffs I1/I2, the
   f(i, n) = i (i+1) p_i unimodality table, and the grid-plus-refine
@@ -36,19 +36,18 @@ import numpy as np
 
 from .model import Thresholds
 from .policies import SELL_CUTOFF, SKIP_CUTOFF
-from .quadrature import integrate_rect, integrate_wedge
+from .quadrature import integrate_graded, integrate_rect, integrate_wedge
 
 E = math.e
 
 
-def pow1m(t, m: int):
-    """(1 - t)**m for array t in [0, 1], stable for large m."""
+def pow1m(t, m):
+    """(1 - t)**m for t in [0, 1] and integer m >= 0, elementwise over the
+    broadcast of the arrays t and m; stable for large m."""
     t = np.asarray(t, dtype=float)
-    if m == 0:
-        return np.ones_like(t)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.exp(m * np.log1p(-t))
-    return np.where(t >= 1.0, 0.0, out)
+    return np.where(m == 0, 1.0, np.where(t >= 1.0, 0.0, out))
 
 
 # ---------------------------------------------------------------------------
@@ -242,36 +241,79 @@ def alg3_ratio(th: Thresholds) -> Alg3Ratio:
 
 
 # ---------------------------------------------------------------------------
-# Double-threshold policy: finite-n probabilities by quadrature
+# Double-threshold policy: finite-n probabilities
 # ---------------------------------------------------------------------------
 #
-# With s the seller's time and t the rank-i buyer's, the plane splits into
-# five regions with smooth integrands (kinks only at the thresholds and at
-# t = s).  Each region carries a "record" factor F(s, t) (probability that
-# the stronger early buyers cleared out in time), and regions with t > t2
-# additionally a second-chance factor G (sell as second-best) and the
-# late-runner factor H.
+# With s the seller's time and t the rank-i buyer's, the (s, t) square
+# splits at the thresholds and at t = s into five regions k.  Each carries
+# a "record" factor F (probability that the stronger early buyers cleared
+# out in time); regions with t > t2 also carry a second-chance factor
+# G = t F (sell as second-best) and a late-runner factor H.  Every factor
+# is a polynomial in s, so the s-integral is done by hand:
+#
+#   k  t range       s range    int F ds                    int H ds
+#   1  t1 < t < t2   [0, t1]    t1^2 / t                    -
+#   2  t1 < t < t2   [t1, t]    (t^2 - t1^2) / (2t)         -
+#   3  t2 < t < 1    [0, t1]    t1^2 t2 / t^2               t1^2 (1 - t2/t)
+#   4  t2 < t < 1    [t1, t2]   t2 (t2^2 - t1^2) / (2t^2)   (t2^2 - t1^2)(1 - t2/t)/2
+#   5  t2 < t < 1    [t2, t]    (t^3 - t2^3) / (3t^2)       (t^2 - t2^2)/2 - (t^3 - t2^3)/(3t)
+#
+# With q = 1 - t, F_k and H_k these s-integrals and L_k the length of the
+# s range, f(i, n) = i (i+1) p_i is the sum of eight (b_k1, b_k2) pairs,
+# one per region k = 1..5 and one per second chance on r = 3, 4, 5:
+#   b_k1 = i(i+1) int F_k q^(i-1),         b_k2 = i(i+1) int (L_k - F_k) q^(n-1)
+#   b_k1 = i(i+1)(i-1) int t F_r q^(i-2),  b_k2 = i(i+1)(n-1) int H_r q^(n-2).
+# The second-best share p_i2 = (i-1) int_t2^1 q^(i-2) [q^(n-i) (t^2+t1^2)/2
+# + (1 - q^(n-i)) t (F_3 + F_4 + F_5)] splits, as q^(i-2) q^(n-i) = q^(n-2),
+# into those second-chance b_k1 / (i(i+1)) and (i-1) times a rank-free
+# integral.  So only q^(i-1) (and q^(i-2) = q^(i-1) / q) depends on the
+# rank: all ranks come from one (rank x node) power table and a product.
 
-def _regions(t1: float, t2: float):
-    # (kind, bounds, F, G, H); kind "rect" = (slo, shi, tlo, thi),
-    # "wedge" = (slo, shi, thi) with t from s to thi.  G/H are None for the
-    # no-second-chance regions.
-    return (
-        ("rect", (0.0, t1, t1, t2), lambda s, t: t1 / t, None, None),
-        ("wedge", (t1, t2, t2), lambda s, t: s / t, None, None),
-        ("rect", (0.0, t1, t2, 1.0), lambda s, t: t1 * t2 / t ** 2,
-         lambda s, t: t1 * t2 / t, lambda s, t: t1 * (1.0 - t2 / t)),
-        ("rect", (t1, t2, t2, 1.0), lambda s, t: s * t2 / t ** 2,
-         lambda s, t: s * t2 / t, lambda s, t: s * (1.0 - t2 / t)),
-        ("wedge", (t2, 1.0, 1.0), lambda s, t: (s / t) ** 2,
-         lambda s, t: s * s / t, lambda s, t: s * (1.0 - s / t)),
-    )
+def _alg3_pieces(ranks, n: int, th: Thresholds, tol: float):
+    """(b_k1, b_k2, p_i2) at the given ranks: two (8, ranks) arrays and one
+    (ranks,) array.  Ranks above n are allowed for the b pieces."""
+    ranks = np.asarray(ranks)
+    t1, t2 = th.t1, th.t2
+    i1 = ranks - 1.0
 
+    def estimate(rules):
+        (ta, wa), (tb, wb) = rules
+        t, w = np.concatenate((ta, tb)), np.concatenate((wa, wb))
+        hi = np.arange(t.size) >= ta.size  # the nodes of [t2, 1]
+        # per node (rows) and region (columns): int F ds, the length L of
+        # the s range and int H ds, zero off the region's t range
+        on = hi[:, None] == (np.arange(5) >= 2)
+        F = on * np.column_stack((
+            t1 * t1 / t, (t * t - t1 * t1) / (2.0 * t), t1 * t1 * t2 / t ** 2,
+            t2 * (t2 * t2 - t1 * t1) / (2.0 * t * t),
+            (t ** 3 - t2 ** 3) / (3.0 * t * t)))
+        L = on * np.column_stack(np.broadcast_arrays(t1, t - t1, t1, t2 - t1,
+                                                     t - t2))
+        H = hi[:, None] * np.column_stack((
+            t1 * t1 * (1.0 - t2 / t), (t2 * t2 - t1 * t1) * (1.0 - t2 / t) / 2,
+            (t * t - t2 * t2) / 2.0 - (t ** 3 - t2 ** 3) / (3.0 * t)))
+        late = hi * ((t * t + t1 * t1) / 2.0 - t * F[:, 2:].sum(axis=1))
+        # rank-free parts; q^(n-2) enters only with the factor n - 1
+        wq1 = w * pow1m(t, n - 1)
+        wq2 = w * pow1m(t, max(n - 2, 0))
+        b2 = np.concatenate((wq1 @ (L - F), (n - 1) * (wq2 @ H)))
+        # rank parts: q^(i-1) for chunks of at most 2^16 (rank x node) cells
+        W = np.column_stack((w[:, None] * F,
+                             (w * t / (1.0 - t))[:, None] * F[:, 2:]))
+        b1 = np.empty((ranks.size, 8))
+        step = max(1, (1 << 16) // max(t.size, 1))
+        for first in range(0, ranks.size, step):
+            rows = slice(first, first + step)
+            b1[rows] = pow1m(t, i1[rows, None]) @ W
+        b1[:, 5:] *= i1[:, None]
+        p2 = b1[:, 5:].sum(axis=1) + i1 * (wq2 @ late)
+        # row 0: the rank-free b_k2; then per rank the b_k1 and p_i2
+        return np.vstack((np.append(b2, 0.0), np.column_stack((b1, p2))))
 
-def _integrate_region(kind, bounds, f, tol):
-    if kind == "rect":
-        return integrate_rect(f, *bounds, tol=tol)
-    return integrate_wedge(f, *bounds, tol=tol)
+    # refined on the p scale (pieces over i (i+1)), 16 pieces to a p_i
+    table = integrate_graded(estimate, ((t1, t2), (t2, 1.0)), n, tol / 16.0)
+    scale = ranks * (ranks + 1.0)
+    return scale * table[1:, :8].T, np.outer(table[0, :8], scale), table[1:, 8]
 
 
 def alg3_pi_finite(i: int, n: int, th: Thresholds, tol: float = 1e-8) -> float:
@@ -284,47 +326,14 @@ def alg3_pi_parts(i: int, n: int, th: Thresholds,
                   tol: float = 1e-8) -> tuple[float, float, float]:
     """(p_i, p_i1, p_i2): total and the best-so-far / second-best split.
 
-    p_i2 (sold as the second-best-so-far buyer) is identically 0 for the
-    top buyer and is enforced as such without quadrature.
+    p_i2 (sold as the second-best-so-far buyer) carries the factor i - 1,
+    so it is exactly 0 for the top buyer.
     """
     if not (1 <= i <= n):
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    t1, t2 = th.t1, th.t2
-    rtol = tol / 8.0
-
-    def combined(F, G, H):
-        def f(s, t):
-            val = (F(s, t) * pow1m(t, i - 1)
-                   + (1.0 - F(s, t)) * pow1m(t, n - 1))
-            if G is not None:
-                if i >= 2:
-                    val = val + (i - 1) * G(s, t) * pow1m(t, i - 2)
-                if n >= 2:
-                    val = val + (n - 1) * H(s, t) * pow1m(t, n - 2)
-            return val
-        return f
-
-    total = 0.0
-    for kind, bounds, F, G, H in _regions(t1, t2):
-        total += _integrate_region(kind, bounds, combined(F, G, H), rtol)
-
-    if i == 1:
-        return total, total, 0.0
-
-    def second_chance(lead, r_factor):
-        def f(s, t):
-            tail = pow1m(t, n - i)
-            return ((i - 1) * lead(s, t) * pow1m(t, i - 2)
-                    * (tail + (1.0 - tail) * r_factor(s, t) / t))
-        return f
-
-    p2 = (_integrate_region("rect", (0.0, t1, t2, 1.0),
-                            second_chance(lambda s, t: t1, lambda s, t: t2), rtol)
-          + _integrate_region("rect", (t1, t2, t2, 1.0),
-                              second_chance(lambda s, t: s, lambda s, t: t2), rtol)
-          + _integrate_region("wedge", (t2, 1.0, 1.0),
-                              second_chance(lambda s, t: s, lambda s, t: s), rtol))
-    return total, total - p2, p2
+    b1, b2, p2 = _alg3_pieces([i], n, th, tol)
+    p, p2 = float(b1.sum() + b2.sum()) / (i * (i + 1)), float(p2[0])
+    return p, p - p2, p2
 
 
 @dataclass(frozen=True)
@@ -359,7 +368,10 @@ class Alg3ExactReport:
 def alg3_report(n: int, th: Thresholds, tol: float = 1e-8) -> Alg3ExactReport:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    p = tuple(alg3_pi_finite(i, n, th, tol=tol) for i in range(1, n + 1))
+    ranks = np.arange(1, n + 1)
+    b1, b2, _ = _alg3_pieces(ranks, n, th, tol)
+    p = tuple(((b1.sum(axis=0) + b2.sum(axis=0)) / (ranks * (ranks + 1.0)))
+              .tolist())
     rep = alg3_ratio(th)
     return Alg3ExactReport(n=n, th=th, p=p, p1_limit=alg3_p1_limit(th),
                            p2_limit=alg3_p2_limit(th),
@@ -391,53 +403,17 @@ class UnimodalityReport:
                 "f": list(self.f), "unimodal": self.unimodal}
 
 
-def _beta_tables(i: int, n: int, th: Thresholds, tol: float):
-    """The eight (b_k1, b_k2) pairs at rank i."""
-    t1, t2 = th.t1, th.t2
-    regions = _regions(t1, t2)
-    b1, b2 = [], []
-    scale = i * (i + 1)
-    # k = 1..5: record-factor pieces on each region
-    for kind, bounds, F, _, _ in regions:
-        b1.append(scale * _integrate_region(
-            kind, bounds, lambda s, t, F=F: F(s, t) * pow1m(t, i - 1), tol))
-        b2.append(scale * _integrate_region(
-            kind, bounds,
-            lambda s, t, F=F: (1.0 - F(s, t)) * pow1m(t, n - 1), tol))
-    # k = 6..8: second-chance pieces on the three t > t2 regions
-    for kind, bounds, _, G, H in regions[2:]:
-        if i >= 2:
-            b1.append(scale * (i - 1) * _integrate_region(
-                kind, bounds, lambda s, t, G=G: G(s, t) * pow1m(t, i - 2), tol))
-        else:
-            b1.append(0.0)
-        if n >= 2:
-            b2.append(scale * (n - 1) * _integrate_region(
-                kind, bounds, lambda s, t, H=H: H(s, t) * pow1m(t, n - 2), tol))
-        else:
-            b2.append(0.0)
-    return b1, b2
-
-
 def unimodality_f(n: int, th: Thresholds, tol: float = 1e-8) -> UnimodalityReport:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rtol = tol / 8.0
-    k1_rows = [[] for _ in range(8)]
-    k2_rows = [[] for _ in range(8)]
-    f_vals = []
-    for i in range(1, n + 1):
-        b1, b2 = _beta_tables(i, n, th, rtol)
-        for k in range(8):
-            k1_rows[k].append(b1[k])
-            k2_rows[k].append(b2[k])
-        f_vals.append(sum(b1) + sum(b2))
+    b1, b2, _ = _alg3_pieces(np.arange(1, n + 1), n, th, tol)
+    f_vals = (b1.sum(axis=0) + b2.sum(axis=0)).tolist()
     unimodal = f_vals[0] < f_vals[1] and all(
         f_vals[j] > f_vals[j + 1] for j in range(1, n - 1))
     return UnimodalityReport(
         n=n, th=th, f=tuple(f_vals),
-        beta_k1=tuple(tuple(row) for row in k1_rows),
-        beta_k2=tuple(tuple(row) for row in k2_rows),
+        beta_k1=tuple(map(tuple, b1.tolist())),
+        beta_k2=tuple(map(tuple, b2.tolist())),
         unimodal=unimodal)
 
 
@@ -462,14 +438,12 @@ class RankComparisonConstants:
 
 def rank_comparison_constants(th: Thresholds,
                               tol: float = 1e-8) -> RankComparisonConstants:
-    rtol = tol / 8.0
-    b1_1, _ = _beta_tables(1, 2, th, rtol)
-    b1_2, b2_2 = _beta_tables(2, 2, th, rtol)
-    b1_3, b2_3 = _beta_tables(3, 2, th, rtol)
+    b1, b2, _ = _alg3_pieces([1, 2, 3], 2, th, tol)
+    f1, f2 = b1.sum(axis=0).tolist(), b2.sum(axis=0).tolist()
     return RankComparisonConstants(
-        gain_2_vs_1=sum(b1_2) - sum(b1_1),
-        drop_2_vs_3=sum(b1_2) - sum(b1_3),
-        tail_gain_3_vs_2_at_n2=sum(b2_3) - sum(b2_2))
+        gain_2_vs_1=f1[1] - f1[0],
+        drop_2_vs_3=f1[1] - f1[2],
+        tail_gain_3_vs_2_at_n2=f2[2] - f2[1])
 
 
 # ---------------------------------------------------------------------------

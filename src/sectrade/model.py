@@ -156,10 +156,6 @@ class RankedInstance:
     def seller_id(self) -> int:
         return self.instance.seller_id
 
-    def rank_of_agent(self) -> dict:
-        """Map raw agent id -> canonical rank (1 = strongest buyer)."""
-        return {b: r + 1 for r, b in enumerate(self.original_index_of_rank)}
-
 
 def canonicalize(instance: Instance | RankedInstance) -> RankedInstance:
     """Rank the buyers under the universal tie-break and count mu.
@@ -198,9 +194,6 @@ class ArrivalSample:
     @property
     def size(self) -> int:
         return len(self.order)
-
-    def position_of(self, agent_id: int) -> int:
-        return self.order.index(agent_id)
 
 
 def sample_arrival(n: int, rng: np.random.Generator) -> ArrivalSample:
@@ -270,6 +263,10 @@ def gen_instance(family: str, **params) -> Instance:
     missing = [k for k in keys if k not in params]
     if missing:
         raise ValueError(f"{family} needs parameter {', '.join(missing)}")
+    for key in ("n", "k"):
+        val = params.get(key, 0)
+        if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+            raise ValueError(f"{family} needs an integer {key}, got {val!r}")
     n = int(params["n"])
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

@@ -1,8 +1,7 @@
-"""Composite Gauss-Legendre quadrature for piecewise-smooth 2D integrands.
+"""Composite Gauss-Legendre quadrature.
 
-The probability integrals in this package are double integrals whose
-integrands are smooth except for kinks along fixed lines (the thresholds)
-and the diagonal t = s.  Regions are therefore set up so that every panel
+Double integrals in (s, t) are smooth except for kinks along the threshold
+lines and the diagonal t = s, so regions are set up so that every panel
 sees a smooth integrand:
 
 * ``integrate_rect``  handles  s in [sa, sb], t in [ta, tb];
@@ -10,8 +9,10 @@ sees a smooth integrand:
   wedge to the unit square via t = s + (thi - s) v so that panels never
   straddle the diagonal.
 
-Both routines double the panel count per axis until two successive
-estimates agree to the requested absolute tolerance.
+``integrate_graded`` handles 1D integrands in t with factors (1 - t)^m,
+m <= n, on cells that shrink geometrically toward the left end of each
+span.  Every routine doubles its panel count until two successive
+estimates agree to the requested absolute tolerance in every entry.
 """
 
 from __future__ import annotations
@@ -32,15 +33,19 @@ def _base_rule(order: int):
     return x, w
 
 
-def panel_rule(a: float, b: float, panels: int, order: int = _NODES_PER_PANEL):
-    """Composite Gauss-Legendre nodes/weights over [a, b] with equal panels."""
+def _edge_rule(edges, order: int = _NODES_PER_PANEL):
+    """Composite Gauss-Legendre nodes/weights on the panels between edges."""
     x, w = _base_rule(order)
-    edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     wts = (half[:, None] * w[None, :]).ravel()
     return pts, wts
+
+
+def panel_rule(a: float, b: float, panels: int, order: int = _NODES_PER_PANEL):
+    """Composite Gauss-Legendre nodes/weights over [a, b] with equal panels."""
+    return _edge_rule(np.linspace(a, b, panels + 1), order)
 
 
 def _tensor_estimate(f, s_pts, s_wts, t_pts, t_wts):
@@ -49,12 +54,12 @@ def _tensor_estimate(f, s_pts, s_wts, t_pts, t_wts):
     return float(s_wts @ vals @ t_wts)
 
 
-def _refine(estimate, tol: float) -> float:
+def _refine(estimate, tol: float):
     prev = estimate(1)
     panels = 2
     while panels <= _MAX_PANELS:
         cur = estimate(panels)
-        if abs(cur - prev) < tol:
+        if np.max(np.abs(cur - prev)) < tol:
             return cur
         prev = cur
         panels *= 2
@@ -92,3 +97,22 @@ def integrate_wedge(f, sa: float, sb: float, thi: float,
         return float(s_wts @ vals @ v_wts)
 
     return _refine(estimate, tol)
+
+
+def integrate_graded(estimate, spans, n: int, tol: float = 1e-10):
+    """Refine ``estimate(rules)``, where ``rules[j]`` holds the nodes and
+    weights over ``spans[j] = (a, b)``; the estimate may be an array.
+
+    Cells end at a + (b - a) 2^-k, k = K, ..., 0, each cut into equal panels;
+    K = ceil(log2(n + 1)) + 1 makes the first cell narrower than the 1/n
+    scale on which (1 - t)^m, m <= n, falls off from t = a."""
+    ends = 2.0 ** -np.arange(int(n).bit_length() + 1, -1, -1)
+
+    def rule(a, b, panels):
+        cells = np.append(a, a + (b - a) * ends) if a < b else np.array([a])
+        edges = cells[:-1, None] + np.diff(cells)[:, None] * (
+            np.arange(panels) / panels)
+        return _edge_rule(np.append(edges, cells[-1]))
+
+    return _refine(lambda panels: estimate(
+        [rule(a, b, panels) for a, b in spans]), tol)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -274,7 +275,8 @@ def simulate(policy_id: str, instance: Instance | RankedInstance, trials: int,
 
     Deterministic given (seed, trials): the block layout and per-trial
     draw windows depend only on those, and per-block partials are reduced
-    in block order, so ``workers`` cannot change any output bit.
+    in block order, so ``workers`` cannot change any output bit.  At most
+    min(workers, blocks, cores) threads run.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -300,10 +302,11 @@ def simulate(policy_id: str, instance: Instance | RankedInstance, trials: int,
         start, count = args
         return _block_partials(policy_id, mk, seed, start, count, thresholds)
 
-    if workers == 1:
+    threads = min(workers, len(blocks), os.cpu_count() or 1)
+    if threads == 1:
         partials = [work(b) for b in blocks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(work, blocks))
 
     counts = np.zeros(mk.n + 2, dtype=np.int64)

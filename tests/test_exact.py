@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sectrade.exact import (alg2_holder_prob, alg3_p1_limit, alg3_p2_limit,
@@ -10,7 +12,9 @@ from sectrade.exact import (alg2_holder_prob, alg3_p1_limit, alg3_p2_limit,
                             mono_thresholds, optimize_thresholds, pow1m,
                             rank_comparison_constants, strong_ratio_limit,
                             unimodality_f, _objective_arr)
+from sectrade.errors import NumericError
 from sectrade.model import Thresholds
+from sectrade.quadrature import integrate_rect, integrate_wedge
 
 E = math.e
 TUNED_TH = Thresholds(0.296151, 0.805018)
@@ -300,3 +304,163 @@ def test_pow1m_edge_cases():
     assert abs(pow1m(t, 3)[1] - 0.125) < 1e-15
     big = pow1m(np.array([0.9]), 5000)
     assert big[0] == 0.0  # clean underflow, not garbage
+
+
+# ---------------------------------------------------------------------------
+# The 2D route that the 1D engine replaced, kept as an independent reference
+# ---------------------------------------------------------------------------
+
+def _ref_regions(t1, t2):
+    # (kind, bounds, F, G, H); kind "rect" = (slo, shi, tlo, thi),
+    # "wedge" = (slo, shi, thi) with t from s to thi
+    return (
+        ("rect", (0.0, t1, t1, t2), lambda s, t: t1 / t, None, None),
+        ("wedge", (t1, t2, t2), lambda s, t: s / t, None, None),
+        ("rect", (0.0, t1, t2, 1.0), lambda s, t: t1 * t2 / t ** 2,
+         lambda s, t: t1 * t2 / t, lambda s, t: t1 * (1.0 - t2 / t)),
+        ("rect", (t1, t2, t2, 1.0), lambda s, t: s * t2 / t ** 2,
+         lambda s, t: s * t2 / t, lambda s, t: s * (1.0 - t2 / t)),
+        ("wedge", (t2, 1.0, 1.0), lambda s, t: (s / t) ** 2,
+         lambda s, t: s * s / t, lambda s, t: s * (1.0 - s / t)),
+    )
+
+
+def _ref_integrate_region(kind, bounds, f, tol):
+    if kind == "rect":
+        return integrate_rect(f, *bounds, tol=tol)
+    return integrate_wedge(f, *bounds, tol=tol)
+
+
+def _ref_pi_parts(i, n, th, tol):
+    """(p_i, p_i1, p_i2) by eight 2D quadratures."""
+    t1, t2 = th.t1, th.t2
+    rtol = tol / 8.0
+
+    def combined(F, G, H):
+        def f(s, t):
+            val = (F(s, t) * pow1m(t, i - 1)
+                   + (1.0 - F(s, t)) * pow1m(t, n - 1))
+            if G is not None:
+                if i >= 2:
+                    val = val + (i - 1) * G(s, t) * pow1m(t, i - 2)
+                if n >= 2:
+                    val = val + (n - 1) * H(s, t) * pow1m(t, n - 2)
+            return val
+        return f
+
+    total = 0.0
+    for kind, bounds, F, G, H in _ref_regions(t1, t2):
+        total += _ref_integrate_region(kind, bounds, combined(F, G, H), rtol)
+    if i == 1:
+        return total, total, 0.0
+
+    def second_chance(lead, r_factor):
+        def f(s, t):
+            tail = pow1m(t, n - i)
+            return ((i - 1) * lead(s, t) * pow1m(t, i - 2)
+                    * (tail + (1.0 - tail) * r_factor(s, t) / t))
+        return f
+
+    p2 = (_ref_integrate_region("rect", (0.0, t1, t2, 1.0),
+                                second_chance(lambda s, t: t1,
+                                              lambda s, t: t2), rtol)
+          + _ref_integrate_region("rect", (t1, t2, t2, 1.0),
+                                  second_chance(lambda s, t: s,
+                                                lambda s, t: t2), rtol)
+          + _ref_integrate_region("wedge", (t2, 1.0, 1.0),
+                                  second_chance(lambda s, t: s,
+                                                lambda s, t: s), rtol))
+    return total, total - p2, p2
+
+
+def _ref_beta_tables(i, n, th, tol):
+    """The eight (b_k1, b_k2) pairs at rank i by up to 16 2D quadratures."""
+    regions = _ref_regions(th.t1, th.t2)
+    b1, b2 = [], []
+    scale = i * (i + 1)
+    for kind, bounds, F, _, _ in regions:
+        b1.append(scale * _ref_integrate_region(
+            kind, bounds, lambda s, t, F=F: F(s, t) * pow1m(t, i - 1), tol))
+        b2.append(scale * _ref_integrate_region(
+            kind, bounds,
+            lambda s, t, F=F: (1.0 - F(s, t)) * pow1m(t, n - 1), tol))
+    for kind, bounds, _, G, H in regions[2:]:
+        if i >= 2:
+            b1.append(scale * (i - 1) * _ref_integrate_region(
+                kind, bounds, lambda s, t, G=G: G(s, t) * pow1m(t, i - 2),
+                tol))
+        else:
+            b1.append(0.0)
+        if n >= 2:
+            b2.append(scale * (n - 1) * _ref_integrate_region(
+                kind, bounds, lambda s, t, H=H: H(s, t) * pow1m(t, n - 2),
+                tol))
+        else:
+            b2.append(0.0)
+    return b1, b2
+
+
+# t1 = 0, t1 = t2 and (1, 1) included.  At (0, 0) the 2D route does not
+# converge (see TestOneDimensionalEngine.test_both_thresholds_zero).
+REFERENCE_TH = (TUNED_TH, FAMILY_TH, Thresholds(0.0, 0.805018),
+                Thresholds(0.0, 0.4), Thresholds(0.1, 0.9),
+                Thresholds(0.5, 0.5), Thresholds(0.2, 1.0),
+                Thresholds(1.0, 1.0))
+# per-integral tolerance of the reference: at its default (1e-8 / 8) the
+# 2D route is itself up to 1.2e-10 off at t1 = 0, where s / t has a corner
+REFERENCE_TOL = 2e-11
+
+
+class TestOneDimensionalEngine:
+    @pytest.mark.parametrize("th", REFERENCE_TH,
+                             ids=lambda th: f"t1={th.t1},t2={th.t2}")
+    def test_matches_2d_reference(self, th):
+        for n in (1, 2, 3, 10, 50, 200):
+            ranks = range(1, n + 1) if n <= 10 else (1, 2, 3, 4, n // 2,
+                                                     n - 1, n)
+            rep = unimodality_f(n, th) if n >= 2 else None
+            for i in ranks:
+                got = alg3_pi_parts(i, n, th)
+                want = _ref_pi_parts(i, n, th, 8 * REFERENCE_TOL)
+                assert np.max(np.abs(np.subtract(got, want))) < 1e-10, (n, i)
+                if rep is None:
+                    continue
+                # the pieces carry the factor i (i+1); compare on the p scale
+                b1, b2 = _ref_beta_tables(i, n, th, REFERENCE_TOL)
+                for ours, ref in ((rep.beta_k1, b1), (rep.beta_k2, b2)):
+                    for k in range(8):
+                        diff = abs(ours[k][i - 1] - ref[k])
+                        assert diff < 1e-10 * i * (i + 1), (n, i, k)
+
+    def test_top_rank_gap_at_t1_zero(self):
+        # at t1 = 0, p_1 approaches its limit as 0.5 / n^2
+        th = Thresholds(0.0, 0.805018)
+        for n in (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5):
+            gap = alg3_pi_finite(1, n, th) - alg3_p1_limit(th)
+            assert abs(gap / (0.5 / n ** 2) - 1.0) < 0.02, n
+
+    def test_report_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            rep = alg3_report(5000, TUNED_TH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.p) == 5000
+        assert peak < 8 * 2 ** 20
+
+    def test_both_thresholds_zero(self):
+        # outside the 2D route's reach; the sale probability is exact n >= 2
+        th = Thresholds(0.0, 0.0)
+        for n in (2, 5, 50):
+            assert abs(sum(alg3_report(n, th).p) - alg3_sale_prob(th)) < 1e-12
+        with pytest.raises(NumericError):
+            _ref_beta_tables(1, 2, th, 1e-9)
+
+    def test_pow1m_array_exponents(self):
+        t = np.array([0.0, 0.3, 0.999, 1.0])
+        m = np.array([0, 1, 7, 4000])
+        table = pow1m(t[None, :], m[:, None])
+        for row, mi in zip(table, m):
+            assert np.array_equal(row, pow1m(t, int(mi)))
+        assert np.array_equal(table[0], np.ones(4))

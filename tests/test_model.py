@@ -169,6 +169,22 @@ class TestGenerators:
         with pytest.raises(ValueError, match=f"needs parameter {missing}$"):
             gen_instance(family, **params)
 
+    @pytest.mark.parametrize("family,params,key", [
+        ("flat_k", {"n": 3, "k": 1.5}, "k"),
+        ("spike", {"n": 2.9}, "n"),
+        ("spike", {"n": True}, "n"),
+        ("flat_k", {"n": 3, "k": True}, "k"),
+        ("geometric", {"n": 3.0, "r": 0.5}, "n"),
+        ("seller_spike", {"n": "4"}, "n"),
+    ])
+    def test_non_integer_size_rejected(self, family, params, key):
+        with pytest.raises(ValueError, match=f"needs an integer {key}"):
+            gen_instance(family, **params)
+
+    def test_numpy_integer_sizes_accepted(self):
+        inst = gen_instance("flat_k", n=np.int64(4), k=np.int32(2))
+        assert inst == gen_instance("flat_k", n=4, k=2)
+
     def test_zero_denominator_parameter(self):
         with pytest.raises(InvalidInstanceError, match="zero denominator"):
             parse_family_spec("geometric:n=3,r=1/0")

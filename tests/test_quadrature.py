@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sectrade.errors import NumericError
-from sectrade.quadrature import integrate_rect, integrate_wedge, panel_rule
+from sectrade.quadrature import (integrate_graded, integrate_rect,
+                                 integrate_wedge, panel_rule)
 
 
 def test_panel_rule_weights_sum_to_length():
@@ -53,3 +54,35 @@ def test_nonconvergent_integrand_raises():
 
     with pytest.raises(NumericError):
         integrate_rect(noisy, 0, 1, 0, 1, tol=1e-12)
+
+
+def test_graded_powers_of_one_minus_t():
+    # int_a^1 (1 - t)^m dt = (1 - a)^(m+1) / (m + 1) for every m <= n at once
+    n = 10 ** 4
+    m = np.arange(n + 1)
+
+    def estimate(rules):
+        (t, w), = rules
+        return np.exp(m[:, None] * np.log1p(-t)[None, :]) @ w
+
+    for a in (0.0, 0.3):
+        got = integrate_graded(estimate, ((a, 1.0),), n, tol=1e-13)
+        want = np.exp((m + 1) * math.log1p(-a)) / (m + 1)
+        assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_graded_cells_and_empty_span():
+    seen = []
+
+    def estimate(rules):
+        seen.append(rules)
+        (t, w), (te, we) = rules
+        return np.array([w.sum(), te.size + we.size])
+
+    length, empty = integrate_graded(estimate, ((0.25, 0.75), (0.5, 0.5)), 3)
+    assert abs(length - 0.5) < 1e-14 and empty == 0
+    # n = 3: cells end at 0.25 + 0.5 * 2^-k for k = 3..0, four cells of 8
+    # nodes at one panel each, the first below 0.25 + 0.5 / 8
+    (t, _), _ = seen[0]
+    assert [rules[0][0].size for rules in seen] == [32, 64]
+    assert 0.25 < t.min() and np.sum(t < 0.3125) == 8 and t.max() < 0.75

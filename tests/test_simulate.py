@@ -48,6 +48,37 @@ class TestDeterminism:
         assert reports[0] == reports[1]
         assert reports[0].to_json() == reports[1].to_json()
 
+    @pytest.mark.parametrize("workers,cpus,trials,threads", [
+        (64, 3, 5 * BLOCK, 3),      # capped by the cores
+        (64, 16, 2 * BLOCK, 2),     # capped by the blocks
+        (2, 16, 5 * BLOCK, 2),      # as asked
+        (8, 16, BLOCK, None),       # one block: no pool at all
+    ])
+    def test_worker_threads_capped(self, monkeypatch, workers, cpus, trials,
+                                   threads):
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        inst = gen_instance("spike", n=4)
+        serial = simulate("alg1", inst, trials, seed=5)
+        monkeypatch.setattr(SIM, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(SIM.os, "cpu_count", lambda: cpus)
+        capped = simulate("alg1", inst, trials, seed=5, workers=workers)
+        assert asked == ([] if threads is None else [threads])
+        assert capped.to_json() == serial.to_json()
+
     def test_repeat_runs_identical(self):
         inst = gen_instance("spike", n=5)
         a = simulate("alg1", inst, 20_000, seed=3)
