@@ -14,7 +14,8 @@ import math
 
 from sectrade import (Instance, canonicalize, delta_limit,
                       delta_limit_quadrature, delta_mu, gen_instance,
-                      simulate, strong_dual_certificate, strong_ratio_limit)
+                      strong_dual_certificate, strong_ratio_limit)
+from sectrade.simulate import simulate
 
 
 def main():

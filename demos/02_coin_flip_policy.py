@@ -14,7 +14,8 @@ and the seller-keeps case halves identically.
 from fractions import Fraction
 
 from sectrade import (enumerate_alg2_exact, enumerate_weak_opt_exact,
-                      gen_instance, simulate, weak_opt_expected)
+                      gen_instance, weak_opt_expected)
+from sectrade.simulate import simulate
 
 
 def main():

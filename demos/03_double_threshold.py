@@ -17,7 +17,8 @@ import math
 
 from sectrade import (Thresholds, alg3_pi_finite, alg3_ratio, alg3_sale_prob,
                       gen_instance, mono_thresholds, optimize_thresholds,
-                      simulate, unimodality_f)
+                      unimodality_f)
+from sectrade.simulate import simulate
 
 
 def main():

@@ -28,7 +28,10 @@ from .oracle import (Alg2Distribution, enumerate_alg2_exact,
                      enumerate_weak_opt_exact)
 from .policies import (PolicyEvent, PolicyState, alg1_step, alg2_step,
                        alg3_step, make_policy, run_episode)
-from .simulate import SimulationReport, estimate_ratio_curve, simulate
+from .simulate import SimulationReport, estimate_ratio_curve
+
+# ``sectrade.simulate`` stays the module: import the function itself with
+# ``from sectrade.simulate import simulate``.
 
 __version__ = "0.1.0"
 
@@ -45,7 +48,7 @@ __all__ = [
     "delta_limit_quadrature", "delta_mu", "enumerate_alg2_exact",
     "enumerate_weak_opt_exact", "estimate_ratio_curve", "gen_instance",
     "load_instance", "make_policy", "mono_thresholds", "optimize_thresholds",
-    "run_episode", "sample_arrival", "simplex_solve", "simulate",
+    "run_episode", "sample_arrival", "simplex_solve",
     "strong_dual_certificate", "strong_opt", "strong_ratio_limit",
     "unimodality_f", "verify_dual_feasibility", "weak_dual_certificate",
     "weak_opt_expected", "weak_opt_given_order",

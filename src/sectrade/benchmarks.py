@@ -38,14 +38,19 @@ def weak_opt_given_order(instance: Instance | RankedInstance, order):
     ``order`` is a permutation of the agent ids 1..n+1.
     """
     ranked = canonicalize(instance)
-    inst = ranked.instance
     ids = tuple(order)
     if sorted(ids) != list(range(1, ranked.n + 2)):
         raise ValueError(f"order is not a permutation of 1..{ranked.n + 1}")
+    return _weak_opt_of_order(ranked.instance, ids)
+
+
+def _weak_opt_of_order(inst: Instance, ids: tuple):
+    """``weak_opt_given_order`` for an order already known to be a
+    permutation: the seller's price, or the best buyer price after it."""
     seller_pos = ids.index(inst.seller_id)
     best = inst.seller_price
-    for agent in ids[seller_pos + 1:]:
-        price = inst.price_of(agent)
+    for agent in ids[seller_pos + 1:]:  # only buyers follow the seller
+        price = inst.buyer_prices[agent - 1]
         if price > best:
             best = price
     return best

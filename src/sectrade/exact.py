@@ -34,11 +34,17 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import SizeCapError
 from .model import Thresholds
 from .policies import SELL_CUTOFF, SKIP_CUTOFF
 from .quadrature import integrate_graded, integrate_rect, integrate_wedge
 
 E = math.e
+
+#: Largest n for the full per-rank table of ``alg3_report`` and
+#: ``unimodality_f``: refining it keeps about 0.3 kB per rank.  A single
+#: rank (``alg3_pi_parts``) has no cap.
+ALG3_TABLE_CAP = 100_000
 
 
 def pow1m(t, m):
@@ -365,9 +371,16 @@ class Alg3ExactReport:
                 writer.writerow([i, repr(pi), repr(fi)])
 
 
+def _check_table_size(n: int) -> None:
+    if n > ALG3_TABLE_CAP:
+        raise SizeCapError(f"full per-rank table capped at n={ALG3_TABLE_CAP}, "
+                           f"got {n}; a single rank (--i) has no cap")
+
+
 def alg3_report(n: int, th: Thresholds, tol: float = 1e-8) -> Alg3ExactReport:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _check_table_size(n)
     ranks = np.arange(1, n + 1)
     b1, b2, _ = _alg3_pieces(ranks, n, th, tol)
     p = tuple(((b1.sum(axis=0) + b2.sum(axis=0)) / (ranks * (ranks + 1.0)))
@@ -406,6 +419,7 @@ class UnimodalityReport:
 def unimodality_f(n: int, th: Thresholds, tol: float = 1e-8) -> UnimodalityReport:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    _check_table_size(n)
     b1, b2, _ = _alg3_pieces(np.arange(1, n + 1), n, th, tol)
     f_vals = (b1.sum(axis=0) + b2.sum(axis=0)).tolist()
     unimodal = f_vals[0] < f_vals[1] and all(

@@ -6,6 +6,11 @@ small n we can enumerate all (n+1)! orders with ``fractions.Fraction``
 prices and obtain exact expectations.  These enumerations are the
 reference oracles for the closed forms elsewhere in the package.
 
+The weak optimum of each order is the per-order rule of
+:func:`sectrade.benchmarks.weak_opt_given_order`.  The coin-flip policy is
+replayed through the state machine of :mod:`sectrade.policies`, on an
+instance canonicalized once for all its orders.
+
 The time-threshold policies are excluded on purpose: their outcomes depend
 on the continuous arrival times beyond the order, so their ground truth is
 the quadrature engine, not enumeration.
@@ -13,13 +18,15 @@ the quadrature engine, not enumeration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
+from .benchmarks import _weak_opt_of_order
 from .errors import SizeCapError
 from .model import ArrivalSample, Instance, RankedInstance, canonicalize
-from .policies import make_policy, run_episode
+from .policies import run_episode
 
 WEAK_OPT_CAP = 7
 ALG2_CAP = 6
@@ -52,18 +59,9 @@ def enumerate_weak_opt_exact(instance: Instance | RankedInstance) -> Fraction:
     n = inst.n
     if n > WEAK_OPT_CAP:
         raise SizeCapError(f"weak-opt enumeration capped at n={WEAK_OPT_CAP}")
-    total = Fraction(0)
-    count = 0
-    for order in permutations(range(1, n + 2)):
-        seller_pos = order.index(inst.seller_id)
-        best = inst.seller_price
-        for agent in order[seller_pos + 1:]:
-            price = inst.buyer_prices[agent - 1]
-            if price > best:
-                best = price
-        total += best
-        count += 1
-    return total / count
+    total = sum((_weak_opt_of_order(inst, order)
+                 for order in permutations(range(1, n + 2))), Fraction(0))
+    return total / math.factorial(n + 1)
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ def enumerate_alg2_exact(instance: Instance | RankedInstance) -> Alg2Distributio
     n = inst.n
     if n > ALG2_CAP:
         raise SizeCapError(f"coin-flip enumeration capped at n={ALG2_CAP}")
-    policy = make_policy("alg2")
+    ranked = canonicalize(inst)  # once, not once per replayed order
     times = tuple((k + 1) / (n + 2) for k in range(n + 1))
     holder_prob: dict[int, Fraction] = {}
     welfare = Fraction(0)
@@ -118,12 +116,12 @@ def enumerate_alg2_exact(instance: Instance | RankedInstance) -> Alg2Distributio
         n_orders += 1
         sample = ArrivalSample(order=order, times=times)
         buy_coin = _FixedCoin(0.0)   # coin says buy
-        outcome_buy = run_episode(policy, inst, sample, rng=buy_coin)
+        outcome_buy = run_episode("alg2", ranked, sample, rng=buy_coin)
         if buy_coin.calls == 0:
             branches = ((outcome_buy, Fraction(1)),)
         else:
             skip_coin = _FixedCoin(1.0)  # coin says skip
-            outcome_skip = run_episode(policy, inst, sample, rng=skip_coin)
+            outcome_skip = run_episode("alg2", ranked, sample, rng=skip_coin)
             branches = ((outcome_buy, Fraction(1, 2)),
                         (outcome_skip, Fraction(1, 2)))
         for outcome, weight in branches:

@@ -6,26 +6,28 @@ comparisons use the universal tie-break key, so the policies inherit the
 strict total order from :func:`sectrade.model.canonicalize` without ever
 observing offline information.
 
-The three main policies:
+A policy makes two kinds of irrevocable decision: whether to buy when the
+seller arrives (declining stops the episode), and whether to sell the held
+item when a buyer arrives.  ``_step`` alone does that deal/stop
+bookkeeping, so each policy is just its buy test and its sell test:
 
-* ``alg1`` (random transaction).  Buy from the seller unless the seller
-  arrives after time (e-1)/e while holding the best price seen so far, in
-  which case skip and stop.  After buying, sell to the earliest buyer whose
-  arrival time exceeds 1/e and whose price beats every agent seen before it
-  (the inventory rule already forces the sale after the seller's arrival,
-  so the effective cutoff is max(seller time, 1/e)).
+* ``alg1`` (random transaction).  Buy unless the seller arrives after
+  (e-1)/e holding the best price so far.  Sell to the first buyer after
+  1/e who beats every agent seen before it.
 
-* ``alg2`` (simple random transaction).  Buy from the seller outright when
-  the seller is not the best offer so far; buy with probability 1/2 when it
-  is (one fair coin per episode).  Sell to the first buyer whose price
-  beats every agent seen so far, the seller included.
+* ``alg2`` (simple random transaction).  Buy unless the seller is the best
+  offer so far and a fair coin (at most one per episode) says no.  Sell
+  to the first buyer who beats every agent seen so far.
 
-* ``alg3`` (double threshold, zero-price seller only).  Always buy.  Sell
-  to the earliest buyer that either arrives after t1 as the best-so-far
-  buyer, or arrives after t2 as the second-best-so-far buyer.
+* ``alg3`` (double threshold, zero-price seller only; a paid seller raises
+  ``ValueError``).  Always buy.  Sell to the first buyer who is the
+  best-so-far buyer after t1, or the second-best-so-far buyer after t2.
 
-``secretary-baseline`` runs the classical observe-until-1/e stopping rule
-on the buyers after always buying; it exists purely as a comparison curve.
+* ``secretary-baseline``: always buy, then the classical 1/e rule on the
+  buyers; a comparison curve only.
+
+They share no code with :mod:`sectrade.simulate`, whose vectorized kernel
+they check.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ class PolicyState:
     best_buyer_key: tuple | None = None
     second_best_buyer_key: tuple | None = None
     best_agent_key: tuple | None = None
-    seller_seen: bool = False
     stopped: bool = False
     rng: object = None  # coin source, algorithm 2 only
     last_position: int = 0
@@ -81,9 +82,7 @@ def _ingest(state: PolicyState, event: PolicyEvent) -> None:
     key = event.sort_key
     if state.best_agent_key is None or key > state.best_agent_key:
         state.best_agent_key = key
-    if event.is_seller:
-        state.seller_seen = True
-    else:
+    if not event.is_seller:
         if state.best_buyer_key is None or key > state.best_buyer_key:
             state.second_best_buyer_key = state.best_buyer_key
             state.best_buyer_key = key
@@ -92,49 +91,31 @@ def _ingest(state: PolicyState, event: PolicyEvent) -> None:
             state.second_best_buyer_key = key
 
 
+def _step(state: PolicyState, event: PolicyEvent, buys, sells) -> str:
+    """The one deal/stop routine; returns "deal" or "pass".
+
+    ``buys()`` decides a seller arrival: yes holds the item, no stops the
+    episode.  ``sells()`` decides a buyer arrival while the item is held.
+    Neither is called once the episode has stopped.
+    """
+    decision = "pass"
+    if not state.stopped:
+        if event.is_seller:
+            if buys():
+                state.inventory = HELD
+                decision = "deal"
+            else:
+                state.stopped = True
+        elif state.inventory == HELD and sells():
+            state.inventory = SOLD
+            state.stopped = True
+            decision = "deal"
+    _ingest(state, event)
+    return decision
+
+
 def _beats_all_agents(state: PolicyState, key: tuple) -> bool:
     return state.best_agent_key is None or key > state.best_agent_key
-
-
-def alg1_step(state: PolicyState, event: PolicyEvent) -> str:
-    """Random-transaction step; returns "deal" or "pass"."""
-    decision = "pass"
-    if not state.stopped:
-        if event.is_seller:
-            if event.time > SKIP_CUTOFF and _beats_all_agents(state, event.sort_key):
-                state.stopped = True
-            else:
-                state.inventory = HELD
-                decision = "deal"
-        elif (state.inventory == HELD and event.time > SELL_CUTOFF
-              and _beats_all_agents(state, event.sort_key)):
-            state.inventory = SOLD
-            state.stopped = True
-            decision = "deal"
-    _ingest(state, event)
-    return decision
-
-
-def alg2_step(state: PolicyState, event: PolicyEvent) -> str:
-    """Simple-random-transaction step; flips at most one coin per episode."""
-    decision = "pass"
-    if not state.stopped:
-        if event.is_seller:
-            if _beats_all_agents(state, event.sort_key):
-                if state.rng.random() < 0.5:
-                    state.inventory = HELD
-                    decision = "deal"
-                else:
-                    state.stopped = True
-            else:
-                state.inventory = HELD
-                decision = "deal"
-        elif state.inventory == HELD and _beats_all_agents(state, event.sort_key):
-            state.inventory = SOLD
-            state.stopped = True
-            decision = "deal"
-    _ingest(state, event)
-    return decision
 
 
 def _is_best_so_far_buyer(state: PolicyState, key: tuple) -> bool:
@@ -148,135 +129,97 @@ def _is_second_best_so_far_buyer(state: PolicyState, key: tuple) -> bool:
                  or key > state.second_best_buyer_key))
 
 
+def alg1_step(state: PolicyState, event: PolicyEvent) -> str:
+    """Random-transaction step; returns "deal" or "pass"."""
+    record = _beats_all_agents(state, event.sort_key)
+    return _step(state, event,
+                 lambda: not (event.time > SKIP_CUTOFF and record),
+                 lambda: event.time > SELL_CUTOFF and record)
+
+
+def alg2_step(state: PolicyState, event: PolicyEvent) -> str:
+    """Simple-random-transaction step; flips at most one coin per episode."""
+    record = _beats_all_agents(state, event.sort_key)
+    return _step(state, event,
+                 lambda: not record or state.rng.random() < 0.5,
+                 lambda: record)
+
+
 def alg3_step(state: PolicyState, event: PolicyEvent, th: Thresholds) -> str:
     """Double-threshold step for a zero-price seller."""
-    decision = "pass"
-    if not state.stopped:
-        if event.is_seller:
-            if event.price != 0:
-                raise ValueError("double-threshold policy requires seller price 0")
-            state.inventory = HELD
-            decision = "deal"
-        elif state.inventory == HELD:
-            qualifies = (
-                (event.time > th.t1 and _is_best_so_far_buyer(state, event.sort_key))
-                or (event.time > th.t2
-                    and _is_second_best_so_far_buyer(state, event.sort_key)))
-            if qualifies:
-                state.inventory = SOLD
-                state.stopped = True
-                decision = "deal"
-    _ingest(state, event)
-    return decision
+    def buys() -> bool:
+        if event.price != 0:
+            raise ValueError("double-threshold policy requires seller price 0")
+        return True
+
+    key = event.sort_key
+    return _step(state, event, buys, lambda: (
+        (event.time > th.t1 and _is_best_so_far_buyer(state, key))
+        or (event.time > th.t2 and _is_second_best_so_far_buyer(state, key))))
 
 
 def secretary_baseline_step(state: PolicyState, event: PolicyEvent) -> str:
     """Always buy; then run the classical 1/e rule over the buyers."""
-    decision = "pass"
-    if not state.stopped:
-        if event.is_seller:
-            state.inventory = HELD
-            decision = "deal"
-        elif (state.inventory == HELD and event.time > SELL_CUTOFF
-              and _is_best_so_far_buyer(state, event.sort_key)):
-            state.inventory = SOLD
-            state.stopped = True
-            decision = "deal"
-    _ingest(state, event)
-    return decision
+    return _step(state, event, lambda: True, lambda: (
+        event.time > SELL_CUTOFF
+        and _is_best_so_far_buyer(state, event.sort_key)))
 
 
-class Policy:
-    """Wraps a step function with a fresh-state constructor."""
-
-    def __init__(self, policy_id: str, step, needs_rng: bool = False,
-                 zero_seller_only: bool = False):
-        self.policy_id = policy_id
-        self._step = step
-        self.needs_rng = needs_rng
-        self.zero_seller_only = zero_seller_only
-
-    def fresh_state(self, rng=None) -> PolicyState:
-        return PolicyState(rng=rng)
-
-    def step(self, state: PolicyState, event: PolicyEvent) -> str:
-        return self._step(state, event)
+_STEPS = {"alg1": alg1_step, "alg2": alg2_step,
+          "secretary-baseline": secretary_baseline_step}
 
 
-def make_policy(policy_id: str, thresholds: Thresholds | None = None) -> Policy:
-    """Policy registry keyed by string id.
+def make_policy(policy_id: str, thresholds: Thresholds | None = None):
+    """Step function ``(state, event) -> "deal" | "pass"`` of a policy id.
 
     Ids: "alg1" | "alg2" | "alg3" | "secretary-baseline".  "alg3" requires
-    thresholds.
+    thresholds, which its step function binds.
     """
-    if policy_id == "alg1":
-        return Policy("alg1", alg1_step)
-    if policy_id == "alg2":
-        return Policy("alg2", alg2_step, needs_rng=True)
     if policy_id == "alg3":
         if thresholds is None:
             raise ValueError("alg3 needs thresholds")
-        return Policy("alg3", lambda s, e: alg3_step(s, e, thresholds),
-                      zero_seller_only=True)
-    if policy_id == "secretary-baseline":
-        return Policy("secretary-baseline", secretary_baseline_step)
-    raise ValueError(f"unknown policy id {policy_id!r}")
+        return lambda state, event: alg3_step(state, event, thresholds)
+    if policy_id not in _STEPS:
+        raise ValueError(f"unknown policy id {policy_id!r}")
+    return _STEPS[policy_id]
 
 
-def run_episode(policy: Policy | str, instance: Instance | RankedInstance,
+def run_episode(policy_id: str, instance: Instance | RankedInstance,
                 sample: ArrivalSample, rng=None,
                 thresholds: Thresholds | None = None) -> TradeOutcome:
     """Replay one arrival sample through a policy and score the outcome.
 
-    Enforces inventory feasibility (a sale needs a held item, a purchase
-    needs an empty inventory) and returns the final holder: the seller if
-    the intermediary never bought, 0 if it bought and never resold, else
-    the buyer it sold to.  Deterministic given (policy, instance, sample,
-    rng state).
+    The sample's order must be a permutation of the agent ids 1..n+1;
+    "alg2" needs an ``rng`` (its coin source) and "alg3" a zero-price
+    seller.  Returns the final holder: the seller if the intermediary never
+    bought, 0 if it bought and never resold, else the buyer it sold to.
+    Deterministic given (policy, instance, sample, rng state).
     """
-    if isinstance(policy, str):
-        policy = make_policy(policy, thresholds)
+    step = make_policy(policy_id, thresholds)
     ranked = canonicalize(instance)
     inst = ranked.instance
     n = ranked.n
     if sample.size != n + 1:
         raise ValueError(f"sample has {sample.size} arrivals, instance needs {n + 1}")
-    if policy.zero_seller_only and inst.seller_price != 0:
-        raise ValueError(f"policy {policy.policy_id!r} requires seller price 0")
-    if policy.needs_rng and rng is None:
-        raise ValueError(f"policy {policy.policy_id!r} needs an rng")
+    if sorted(sample.order) != list(range(1, n + 2)):
+        raise ValueError(f"sample order is not a permutation of 1..{n + 1}")
+    if policy_id == "alg3" and inst.seller_price != 0:
+        raise ValueError(f"policy {policy_id!r} requires seller price 0")
+    if policy_id == "alg2" and rng is None:
+        raise ValueError(f"policy {policy_id!r} needs an rng")
 
-    state = policy.fresh_state(rng=rng)
-    bought = False
+    state = PolicyState(rng=rng)
     sold_to = 0
     decisions = []
-    for pos in range(n + 1):
-        agent = sample.order[pos]
-        is_seller = agent == inst.seller_id
+    for pos, agent in enumerate(sample.order):
         price = inst.price_of(agent)
-        event = PolicyEvent(time=sample.times[pos], is_seller=is_seller,
-                            price=price, position=pos + 1,
-                            sort_key=tiebreak_key(price, agent))
-        decision = policy.step(state, event)
-        deal = decision == "deal"
+        event = PolicyEvent(time=sample.times[pos],
+                            is_seller=agent == inst.seller_id, price=price,
+                            position=pos + 1, sort_key=tiebreak_key(price, agent))
+        deal = step(state, event) == "deal"
         decisions.append(deal)
-        if deal:
-            if is_seller:
-                if bought:
-                    raise ProtocolError("second purchase in one episode")
-                bought = True
-            else:
-                if not bought or sold_to:
-                    raise ProtocolError("sale without a held item")
-                sold_to = agent
-
-    if not bought:
-        holder = inst.seller_id
-        welfare = inst.seller_price
-    elif sold_to:
-        holder = sold_to
-        welfare = inst.price_of(sold_to)
-    else:
-        holder = 0
-        welfare = 0
+        if deal and not event.is_seller:
+            sold_to = agent
+    holder = {NONE: inst.seller_id, HELD: 0, SOLD: sold_to}[state.inventory]
+    welfare = inst.price_of(holder) if holder else 0
     return TradeOutcome(holder=holder, welfare=welfare, decisions=tuple(decisions))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,25 @@ class TestExact:
                                "--out", str(path))
         assert code == 0
         assert path.read_text().startswith("i,p_i,f_i")
+
+    def test_alg3_table_over_cap_allocates_nothing(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "exact", "alg3", "--n", "100001",
+                                     "--t1", "0.3", "--t2", "0.8")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "capped" in err
+        assert peak < 2 ** 20
+
+    def test_alg3_single_rank_has_no_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "exact", "alg3", "--n", "10000000",
+                               "--i", "1", "--t1", "0.3", "--t2", "0.8")
+        assert code == 0
+        assert out.startswith("i=1 n=10000000:")
 
 
 class TestSimulate:

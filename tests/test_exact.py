@@ -11,8 +11,8 @@ from sectrade.exact import (alg2_holder_prob, alg3_p1_limit, alg3_p2_limit,
                             delta_limit, delta_limit_quadrature, delta_mu,
                             mono_thresholds, optimize_thresholds, pow1m,
                             rank_comparison_constants, strong_ratio_limit,
-                            unimodality_f, _objective_arr)
-from sectrade.errors import NumericError
+                            unimodality_f, _objective_arr, ALG3_TABLE_CAP)
+from sectrade.errors import NumericError, SizeCapError
 from sectrade.model import Thresholds
 from sectrade.quadrature import integrate_rect, integrate_wedge
 
@@ -189,6 +189,11 @@ class TestAlg3FiniteN:
     def test_report_rejects_empty_market(self, n):
         with pytest.raises(ValueError):
             alg3_report(n, TUNED_TH)
+
+    def test_full_table_capped(self):
+        for table in (alg3_report, unimodality_f):
+            with pytest.raises(SizeCapError, match="capped at n=100000"):
+                table(ALG3_TABLE_CAP + 1, TUNED_TH)
 
     def test_report_csv(self, tmp_path):
         rep = alg3_report(3, TUNED_TH)

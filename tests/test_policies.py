@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,10 +8,14 @@ import pytest
 
 from sectrade.errors import ProtocolError
 from sectrade.model import (ArrivalSample, Instance, Thresholds,
-                            gen_instance, sample_arrival, tiebreak_key)
-from sectrade.policies import (PolicyEvent, PolicyState, SELL_CUTOFF,
-                               SKIP_CUTOFF, alg1_step, alg2_step, alg3_step,
-                               make_policy, run_episode)
+                            canonicalize, gen_instance, sample_arrival,
+                            tiebreak_key)
+from sectrade.policies import (HELD, SELL_CUTOFF, SKIP_CUTOFF, SOLD,
+                               PolicyEvent, PolicyState, _beats_all_agents,
+                               _ingest, _is_best_so_far_buyer,
+                               _is_second_best_so_far_buyer, alg1_step,
+                               alg2_step, alg3_step, make_policy, run_episode,
+                               secretary_baseline_step)
 
 
 def ev(time, price, position, *, seller=False, index=1):
@@ -266,3 +272,185 @@ class TestRunEpisode:
     def test_cutoff_constants_full_precision(self):
         assert SELL_CUTOFF == 1.0 / math.e
         assert SKIP_CUTOFF == (math.e - 1.0) / math.e
+
+    def test_order_must_be_a_permutation(self):
+        inst = Instance((1, 0.5), 0.25)
+        times = (0.1, 0.5, 0.9)
+        for order in ((1, 1, 2),   # the seller never arrives
+                      (3, 1, 3),   # the seller arrives twice
+                      (1, 2, 4)):  # no such agent
+            with pytest.raises(ValueError, match="permutation"):
+                run_episode("alg1", inst, ArrivalSample(order, times))
+
+    def test_ranked_instance_gives_same_outcome(self):
+        rng = np.random.default_rng(41)
+        th = Thresholds(0.3, 0.7)
+        for k in range(40):
+            inst = Instance(tuple(rng.integers(0, 4, size=4)), 0)
+            ranked = canonicalize(inst)
+            sample = sample_arrival(4, rng)
+            for pid in ("alg1", "alg2", "alg3", "secretary-baseline"):
+                a, b = (run_episode(pid, x, sample, rng=FixedCoin(k % 2),
+                                    thresholds=th) for x in (inst, ranked))
+                assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Reference: the four step functions as they were written before the one
+# deal/stop routine, each with its own inventory and stop bookkeeping.
+# ---------------------------------------------------------------------------
+
+def reference_alg1_step(state: PolicyState, event: PolicyEvent) -> str:
+    decision = "pass"
+    if not state.stopped:
+        if event.is_seller:
+            if event.time > SKIP_CUTOFF and _beats_all_agents(state, event.sort_key):
+                state.stopped = True
+            else:
+                state.inventory = HELD
+                decision = "deal"
+        elif (state.inventory == HELD and event.time > SELL_CUTOFF
+              and _beats_all_agents(state, event.sort_key)):
+            state.inventory = SOLD
+            state.stopped = True
+            decision = "deal"
+    _ingest(state, event)
+    return decision
+
+
+def reference_alg2_step(state: PolicyState, event: PolicyEvent) -> str:
+    decision = "pass"
+    if not state.stopped:
+        if event.is_seller:
+            if _beats_all_agents(state, event.sort_key):
+                if state.rng.random() < 0.5:
+                    state.inventory = HELD
+                    decision = "deal"
+                else:
+                    state.stopped = True
+            else:
+                state.inventory = HELD
+                decision = "deal"
+        elif state.inventory == HELD and _beats_all_agents(state, event.sort_key):
+            state.inventory = SOLD
+            state.stopped = True
+            decision = "deal"
+    _ingest(state, event)
+    return decision
+
+
+def reference_alg3_step(state: PolicyState, event: PolicyEvent,
+                        th: Thresholds) -> str:
+    decision = "pass"
+    if not state.stopped:
+        if event.is_seller:
+            if event.price != 0:
+                raise ValueError("double-threshold policy requires seller price 0")
+            state.inventory = HELD
+            decision = "deal"
+        elif state.inventory == HELD:
+            qualifies = (
+                (event.time > th.t1 and _is_best_so_far_buyer(state, event.sort_key))
+                or (event.time > th.t2
+                    and _is_second_best_so_far_buyer(state, event.sort_key)))
+            if qualifies:
+                state.inventory = SOLD
+                state.stopped = True
+                decision = "deal"
+    _ingest(state, event)
+    return decision
+
+
+def reference_secretary_baseline_step(state: PolicyState,
+                                      event: PolicyEvent) -> str:
+    decision = "pass"
+    if not state.stopped:
+        if event.is_seller:
+            state.inventory = HELD
+            decision = "deal"
+        elif (state.inventory == HELD and event.time > SELL_CUTOFF
+              and _is_best_so_far_buyer(state, event.sort_key)):
+            state.inventory = SOLD
+            state.stopped = True
+            decision = "deal"
+    _ingest(state, event)
+    return decision
+
+
+def _replay(step, inst, order, times, coin):
+    """Feed one arrival order to a step function, as run_episode does."""
+    state = PolicyState(rng=coin)
+    decisions = []
+    for pos, agent in enumerate(order):
+        price = inst.price_of(agent)
+        decisions.append(step(state, PolicyEvent(
+            time=times[pos], is_seller=agent == inst.seller_id, price=price,
+            position=pos + 1, sort_key=tiebreak_key(price, agent))))
+    fields = {f.name: getattr(state, f.name)
+              for f in dataclasses.fields(state) if f.name != "rng"}
+    return decisions, fields
+
+
+def _reference_outcome(inst, order, decisions):
+    deals = [agent for agent, d in zip(order, decisions) if d == "deal"]
+    assert len(deals) <= 2 and all(a == inst.seller_id for a in deals[:1])
+    holder = (inst.seller_id if not deals
+              else deals[1] if len(deals) == 2 else 0)
+    return holder, inst.price_of(holder) if holder else 0
+
+
+class TestMatchesReference:
+    """Every arrival order of small instances, on a time grid that
+    straddles 1/e, (e-1)/e and every t1, t2 below, hits each cutoff
+    exactly, and includes 0 and 1."""
+
+    THRESHOLDS = (Thresholds(0.3, 0.7), Thresholds(0.0, 0.8),
+                  Thresholds(0.5, 0.5), Thresholds(1.0, 1.0))
+    GRID = (0.0, 0.2, 0.3, SELL_CUTOFF, 0.4, 0.5, 0.6, SKIP_CUTOFF, 0.7, 0.75,
+            0.8, 0.9, 1.0)
+    INSTANCES = (
+        Instance((1,), 0), Instance((1,), 1),
+        Instance((2, 2), 0), Instance((1, 3), 2),
+        Instance((1, 1, 0.5), 0), Instance((3, 1, 2), 2),
+        Instance((Fraction(1, 2), 1, 1, Fraction(1, 4)), 0),
+        Instance((4, 1, 3, 1), 3),
+        Instance((1, 1, 1, 0.5, 0.25), 0), Instance((5, 2, 4, 2, 1), 2),
+    )
+
+    def _cases(self, inst):
+        yield "alg1", reference_alg1_step, alg1_step, None, None
+        for value in (0.0, 0.9):  # coin says buy / skip
+            yield "alg2", reference_alg2_step, alg2_step, value, None
+        yield ("secretary-baseline", reference_secretary_baseline_step,
+               secretary_baseline_step, None, None)
+        if inst.seller_price == 0:
+            for th in self.THRESHOLDS:
+                yield ("alg3", lambda s, e, th=th: reference_alg3_step(s, e, th),
+                       lambda s, e, th=th: alg3_step(s, e, th), None, th)
+
+    @pytest.mark.parametrize("inst", INSTANCES, ids=lambda i: f"n{i.n}")
+    def test_same_decisions_states_and_outcomes(self, inst):
+        m = inst.n + 1
+        # n = 4 and 5 (120 and 720 orders) skip windows to stay cheap
+        windows = range(0, len(self.GRID) - m + 1, max(1, m - 3))
+        for order in itertools.permutations(range(1, m + 1)):
+            for w in windows:
+                times = self.GRID[w:w + m]
+                sample = ArrivalSample(order, times)
+                for pid, ref, new, coin, th in self._cases(inst):
+                    ref_coin, new_coin = FixedCoin(coin), FixedCoin(coin)
+                    expected = _replay(ref, inst, order, times, ref_coin)
+                    assert _replay(new, inst, order, times, new_coin) == expected
+                    assert new_coin.calls == ref_coin.calls <= 1
+                    outcome = run_episode(pid, inst, sample,
+                                          rng=FixedCoin(coin), thresholds=th)
+                    assert outcome.decisions == tuple(
+                        d == "deal" for d in expected[0])
+                    assert (outcome.holder, outcome.welfare) == \
+                        _reference_outcome(inst, order, expected[0])
+
+    def test_paid_seller_raises_in_both(self):
+        th = Thresholds(0.3, 0.7)
+        for step in (reference_alg3_step, alg3_step):
+            with pytest.raises(ValueError):
+                step(PolicyState(), ev(0.5, 1, 1, seller=True, index=3), th)

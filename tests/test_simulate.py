@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from sectrade.simulate import (_BLOCK_BUDGET, BLOCK, POLICY_IDS,
                                estimate_ratio_curve, simulate)
 
 TH = Thresholds(0.296151, 0.805018)
-# the module itself: the package namespace binds ``simulate`` to the function
+# the module itself, whose globals the tests patch
 SIM = importlib.import_module("sectrade.simulate")
 
 
@@ -374,3 +375,12 @@ def test_report_json_shape():
                 "strong_opt", "ratio_strong", "ratio_weak"):
         assert key in doc
     assert isinstance(rep, SimulationReport)
+
+
+def test_package_attribute_is_the_module():
+    import sectrade
+    assert isinstance(sectrade.simulate, types.ModuleType)
+    assert sectrade.simulate is SIM
+    assert "simulate" not in sectrade.__all__
+    assert sectrade.SimulationReport is SimulationReport
+    assert sectrade.estimate_ratio_curve is estimate_ratio_curve
