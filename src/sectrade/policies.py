@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import ProtocolError
 from .model import (ArrivalSample, Instance, RankedInstance, Thresholds,
-                    TradeOutcome, canonicalize, tiebreak_key)
+                    TradeOutcome, tiebreak_key)
 
 #: Observation cutoff 1/e and the seller skip cutoff (e-1)/e, full precision.
 SELL_CUTOFF = 1.0 / math.e
@@ -189,20 +190,29 @@ def run_episode(policy_id: str, instance: Instance | RankedInstance,
                 thresholds: Thresholds | None = None) -> TradeOutcome:
     """Replay one arrival sample through a policy and score the outcome.
 
-    The sample's order must be a permutation of the agent ids 1..n+1;
-    "alg2" needs an ``rng`` (its coin source) and "alg3" a zero-price
-    seller.  Returns the final holder: the seller if the intermediary never
-    bought, 0 if it bought and never resold, else the buyer it sold to.
+    The sample's order must be a permutation of the agent ids 1..n+1, with
+    one arrival time in [0, 1] per agent; "alg2" needs an ``rng`` (its coin
+    source) and "alg3" a zero-price seller.  Returns the final holder: the
+    seller if the intermediary never bought, 0 if it bought and never
+    resold, else the buyer it sold to.
     Deterministic given (policy, instance, sample, rng state).
     """
     step = make_policy(policy_id, thresholds)
-    ranked = canonicalize(instance)
-    inst = ranked.instance
-    n = ranked.n
+    inst = instance.instance if isinstance(instance, RankedInstance) else instance
+    n = inst.n
     if sample.size != n + 1:
         raise ValueError(f"sample has {sample.size} arrivals, instance needs {n + 1}")
     if sorted(sample.order) != list(range(1, n + 2)):
         raise ValueError(f"sample order is not a permutation of 1..{n + 1}")
+    if len(sample.times) != sample.size:
+        raise ValueError(f"sample has {len(sample.times)} times for "
+                         f"{sample.size} arrivals")
+    for t in sample.times:
+        # a float skips the much slower abstract-base-class check
+        real = type(t) is float or (isinstance(t, Real)
+                                    and not isinstance(t, bool))
+        if not real or not 0 <= t <= 1:
+            raise ValueError(f"arrival time {t!r} is not a real number in [0, 1]")
     if policy_id == "alg3" and inst.seller_price != 0:
         raise ValueError(f"policy {policy_id!r} requires seller price 0")
     if policy_id == "alg2" and rng is None:

@@ -20,11 +20,29 @@ their times fall strictly along it and the earliest record past a time
 cutoff is the last record past it; second-best-so-far flags come from the
 running minimum of max(t_k, min before k) and fall the same way.  Weak OPT
 reads the same array: buyer prices fall along the strength order, so the
-best buyer arriving after the seller is the first one in it.  A block is
-drawn and evaluated in sub-chunks that keep every draw array within
-``_BLOCK_BUDGET`` doubles (one trial when a trial alone is larger); the
-block layout, each trial's window and the order of every sum stay those
-of the whole block, so the sub-chunk size changes no output bit.  The
+best buyer arriving after the seller is the first one in it.
+
+The kernel gathers only the first ``_PREFIX`` strength columns of each
+trial.  A column further down the order is a record only if its time
+undercuts every prefix time, and a second-best only if it undercuts all
+but one, so a trial is settled by its prefix when
+
+* weak OPT: some prefix column arrived after the seller;
+* alg1 / alg2: some prefix time is within the cutoff, max(seller, 1/e)
+  for alg1 and the seller's time for alg2;
+* alg3: one prefix time is within max(seller, t1) and two are within
+  max(seller, t2);
+* secretary baseline: one prefix time is within max(seller, 1/e).
+
+The unsettled trials are evaluated again on a prefix 8x as wide, until it
+covers every column (at once for n < 32).  Each trial's result is exactly
+that of a scan over all n+1 columns, so the prefix width changes no output
+bit.
+
+A block is drawn and evaluated in sub-chunks that keep every draw array
+within ``_BLOCK_BUDGET`` doubles (one trial when a trial alone is larger);
+the block layout, each trial's window and the order of every sum stay
+those of the whole block, so the sub-chunk size changes no output bit.  The
 state machines in :mod:`sectrade.policies` stay the behavioural
 reference; the kernel here is cross-checked against them trial by trial
 in the test suite.
@@ -49,6 +67,7 @@ from .policies import SELL_CUTOFF, SKIP_CUTOFF
 
 BLOCK = 1 << 14
 _BLOCK_BUDGET = 1 << 22  # max doubles per draw array (or one trial's)
+_PREFIX = 32  # strength columns the kernel reads in its first round
 
 POLICY_IDS = ("alg1", "alg2", "alg3", "secretary-baseline")
 
@@ -128,14 +147,23 @@ def _last_true(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evaluate(policy_id: str, mk: _Market, u: np.ndarray,
-              th: Thresholds | None) -> tuple[np.ndarray, np.ndarray]:
+              th: Thresholds | None,
+              width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Final holder id (0 = intermediary) and weak-OPT value per trial of
-    one array of draws."""
+    one array of draws.
+
+    Reads only the first ``width`` strength columns (``_PREFIX`` when
+    None).  Rows that this prefix does not settle are evaluated again at
+    8x the width, until the prefix covers every column."""
+    if width is None:
+        width = _PREFIX
     n = mk.n
     rows = np.arange(u.shape[0])
     seller_t = u[:, n]
     with_seller = policy_id in ("alg1", "alg2")
     cols = mk.strength_cols if with_seller else mk.buyer_cols
+    whole = width >= len(cols)
+    cols = cols[:width]
     ts = u.take(cols, axis=1)  # C order: trial-major, strongest agent first
 
     # Weak OPT: buyer prices fall along the strength order, so the best
@@ -143,49 +171,74 @@ def _evaluate(policy_id: str, mk: _Market, u: np.ndarray,
     # seller's own column never arrives after itself).
     after = ts > seller_t[:, None]
     first = after.argmax(axis=1)
-    weak = np.where(after[rows, first], mk.prices[cols[first] + 1], -np.inf)
+    settled = after[rows, first]
+    weak = np.where(settled, mk.prices[cols[first] + 1], -np.inf)
     weak = np.maximum(weak, mk.seller_price)
 
     # Best-so-far records are strict prefix minima, so their times fall
     # strictly along the strength order: the earliest record past a time
-    # cutoff is the last one past it.
+    # cutoff is the last one past it.  For the same reason no column past
+    # the prefix is a record past a cutoff that some prefix time is within.
     stronger_before = _prefix_min(ts)
     record = ts < stronger_before
+    if not whole:
+        earliest = ts.min(axis=1)
 
     if with_seller:
         pos = mk.seller_strength_pos
         if policy_id == "alg1":
-            no_buy = (seller_t > SKIP_CUTOFF) & record[:, pos]
+            skip = seller_t > SKIP_CUTOFF
             cutoff = np.maximum(seller_t, SELL_CUTOFF)
         else:
-            no_buy = record[:, pos] & (u[:, n + 1] >= 0.5)
+            skip = u[:, n + 1] >= 0.5
             cutoff = seller_t
+        # Wherever ``skip`` holds the cutoff is the seller's own time (alg1
+        # skips only past (e-1)/e > 1/e), so in a settled row some prefix
+        # time beats the seller's, and a seller past the prefix is no record.
+        no_buy = skip & record[:, pos] if pos < width else False
+        if not whole:
+            settled &= earliest <= cutoff
         record &= ts > cutoff[:, None]  # never the seller: cutoff >= seller_t
         idx, sold = _last_true(record)
-        return np.where(no_buy, n + 1, np.where(sold, cols[idx] + 1, 0)), weak
-
-    record &= after
-    if policy_id == "secretary-baseline":
+        holders = np.where(no_buy, n + 1, np.where(sold, cols[idx] + 1, 0))
+    elif policy_id == "secretary-baseline":
+        record &= after
         record &= ts > SELL_CUTOFF
         idx, sold = _last_true(record)
-        return np.where(sold, cols[idx] + 1, 0), weak
+        holders = np.where(sold, cols[idx] + 1, 0)
+        if not whole:
+            settled &= earliest <= np.maximum(seller_t, SELL_CUTOFF)
+    else:
+        # alg3 also sells to second-best-so-far buyers.  The second-smallest
+        # time so far is the running minimum of max(t_k, min before k), and
+        # a second-best time undercuts it, so those times fall strictly
+        # along the order as well: the earliest qualifier is the earlier of
+        # the last qualifying record and the last qualifying second-best.
+        # A second-best past the prefix undercuts all prefix times but one.
+        record &= after
+        second = stronger_before < ts
+        np.maximum(ts, stronger_before, out=stronger_before)
+        second &= ts < _prefix_min(stronger_before)
+        second &= after
+        second &= ts > th.t2
+        record &= ts > th.t1
+        idx1, sold1 = _last_true(record)
+        idx2, sold2 = _last_true(second)
+        idx = np.where(sold1 & ~(sold2 & (ts[rows, idx2] < ts[rows, idx1])),
+                       idx1, idx2)
+        holders = np.where(sold1 | sold2, cols[idx] + 1, 0)
+        if not whole:
+            # the least max(t_k, min before k) is the second-smallest time
+            second_earliest = stronger_before.min(axis=1)
+            settled &= earliest <= np.maximum(seller_t, th.t1)
+            settled &= second_earliest <= np.maximum(seller_t, th.t2)
 
-    # alg3 also sells to second-best-so-far buyers.  The second-smallest
-    # time so far is the running minimum of max(t_k, min before k), and a
-    # second-best time undercuts it, so those times fall strictly along the
-    # order as well: the earliest qualifier is the earlier of the last
-    # qualifying record and the last qualifying second-best.
-    second = stronger_before < ts
-    np.maximum(ts, stronger_before, out=stronger_before)
-    second &= ts < _prefix_min(stronger_before)
-    second &= after
-    second &= ts > th.t2
-    record &= ts > th.t1
-    idx1, sold1 = _last_true(record)
-    idx2, sold2 = _last_true(second)
-    idx = np.where(sold1 & ~(sold2 & (ts[rows, idx2] < ts[rows, idx1])),
-                   idx1, idx2)
-    return np.where(sold1 | sold2, cols[idx] + 1, 0), weak
+    if not whole:
+        rest = np.flatnonzero(~settled)
+        if rest.size:
+            holders[rest], weak[rest] = _evaluate(policy_id, mk, u[rest], th,
+                                                  8 * width)
+    return holders, weak
 
 
 def _holders(policy_id: str, mk: _Market, u: np.ndarray,

@@ -282,6 +282,26 @@ class TestRunEpisode:
             with pytest.raises(ValueError, match="permutation"):
                 run_episode("alg1", inst, ArrivalSample(order, times))
 
+    @pytest.mark.parametrize("times,match", [
+        ((0.1, 0.5), "2 times for 3 arrivals"),             # one time short
+        ((0.1, 0.5, 0.9, 0.95), "4 times for 3 arrivals"),  # one time extra
+        ((0.1, math.nan, 0.9), "nan is not a real number"),
+        ((0.1, 0.5, math.inf), "inf is not a real number"),
+        ((-0.1, 0.5, 0.9), "-0.1 is not a real number"),
+        ((0.1, 0.5, 1.5), "1.5 is not a real number"),
+        ((0.1, True, 0.9), "True is not a real number"),
+        ((0.1, "0.5", 0.9), "'0.5' is not a real number"),
+    ])
+    def test_times_are_validated(self, times, match):
+        inst = Instance((1, 0.5), 0.25)
+        with pytest.raises(ValueError, match=match):
+            run_episode("alg1", inst, ArrivalSample((3, 1, 2), times))
+
+    def test_time_range_ends_accepted(self):
+        inst = Instance((1, 0.5), 0.25)
+        sample = ArrivalSample((3, 1, 2), (0, Fraction(1, 2), np.float64(1)))
+        assert run_episode("alg1", inst, sample).holder == 1
+
     def test_ranked_instance_gives_same_outcome(self):
         rng = np.random.default_rng(41)
         th = Thresholds(0.3, 0.7)

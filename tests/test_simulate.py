@@ -11,7 +11,7 @@ from sectrade.model import (ArrivalSample, Instance, Thresholds, canonicalize,
                             gen_instance)
 from sectrade.oracle import enumerate_alg2_exact
 from sectrade.policies import SELL_CUTOFF, SKIP_CUTOFF, run_episode
-from sectrade.simulate import (_BLOCK_BUDGET, BLOCK, POLICY_IDS,
+from sectrade.simulate import (_BLOCK_BUDGET, _PREFIX, BLOCK, POLICY_IDS,
                                SimulationReport, _evaluate, _holders, _market,
                                _stride, block_draws, curve_to_csv,
                                estimate_ratio_curve, simulate)
@@ -203,22 +203,64 @@ def _reference_instances(policy_id, n):
     return instances
 
 
+def _check_against_reference(policy_id, n):
+    for k, inst in enumerate(_reference_instances(policy_id, n)):
+        mk = _market(inst)
+        u = block_draws(seed=900 + k, n=n, start=17 * k, count=500)
+        holders, weak = _evaluate(policy_id, mk, u, TH)
+        assert np.array_equal(holders, reference_holders(policy_id, mk, u, TH))
+        assert np.array_equal(weak, reference_weak_opt(mk, u))
+        assert np.array_equal(_holders(policy_id, mk, u, TH), holders)
+
+
 class TestKernelAgainstReference:
     @pytest.mark.parametrize("policy_id", POLICY_IDS)
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 37])
     def test_same_arrays_as_reference(self, policy_id, n):
-        for k, inst in enumerate(_reference_instances(policy_id, n)):
-            mk = _market(inst)
-            u = block_draws(seed=900 + k, n=n, start=17 * k, count=500)
-            holders, weak = _evaluate(policy_id, mk, u, TH)
-            assert np.array_equal(holders, reference_holders(policy_id, mk, u, TH))
-            assert np.array_equal(weak, reference_weak_opt(mk, u))
-            assert np.array_equal(_holders(policy_id, mk, u, TH), holders)
+        _check_against_reference(policy_id, n)
+
+    @pytest.mark.parametrize("policy_id", POLICY_IDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 37])
+    @pytest.mark.parametrize("prefix", [1, 2, 5])
+    def test_narrow_prefix_same_arrays_as_reference(self, monkeypatch,
+                                                     policy_id, n, prefix):
+        # narrow prefixes send most rows through one or more rescans
+        monkeypatch.setattr(SIM, "_PREFIX", prefix)
+        _check_against_reference(policy_id, n)
 
     def test_seller_covers_every_position(self):
         positions = {_market(inst).seller_strength_pos
                      for inst in _reference_instances("alg1", 10)}
         assert positions == set(range(11))
+
+    @pytest.mark.parametrize("policy_id,inst", [
+        ("alg1", gen_instance("spike", n=1000)),
+        ("alg1", Instance(tuple(float(1000 - i) for i in range(1000)), 960.5)),
+        ("alg2", gen_instance("seller_spike", n=1000)),
+        ("alg2", Instance(tuple(float(1000 - i) for i in range(1000)), 960.5)),
+        ("alg3", gen_instance("spike", n=1000)),
+        ("secretary-baseline", gen_instance("geometric", n=1000, r=0.99)),
+    ])
+    def test_rescans_match_whole_width(self, monkeypatch, policy_id, inst):
+        # n = 1000 takes rounds of 32, 256 and 2048 columns; the paid
+        # seller of 960.5 sits at strength position 40, past the first
+        mk = _market(inst)
+        u = block_draws(seed=77, n=mk.n, start=0, count=2000)
+        whole = _evaluate(policy_id, mk, u, TH, width=mk.n + 1)
+        widths = []
+        evaluate = SIM._evaluate
+
+        def spy(policy_id, mk, u, th, width=None):
+            widths.append(width)
+            return evaluate(policy_id, mk, u, th, width)
+
+        monkeypatch.setattr(SIM, "_evaluate", spy)
+        holders, weak = evaluate(policy_id, mk, u, TH)
+        assert widths and widths[0] == 8 * _PREFIX  # at least one rescan
+        assert np.array_equal(holders, whole[0])
+        assert np.array_equal(weak, whole[1])
+        assert np.array_equal(holders, reference_holders(policy_id, mk, u, TH))
+        assert np.array_equal(weak, reference_weak_opt(mk, u))
 
 
 class TestMemoryBound:
