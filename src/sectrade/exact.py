@@ -41,6 +41,9 @@ from .quadrature import integrate_graded, integrate_rect, integrate_wedge
 
 E = math.e
 
+#: Absolute tolerance of every double-threshold probability p_i.
+_ALG3_TOL = 1e-8
+
 #: Largest n for the full per-rank table of ``alg3_report`` and
 #: ``unimodality_f``: refining it keeps about 0.3 kB per rank.  A single
 #: rank (``alg3_pi_parts``) has no cap.
@@ -75,7 +78,7 @@ class StrongExactReport:
                 "gamma": self.gamma, "delta": self.delta}
 
 
-def delta_mu(mu: int, tol: float = 1e-9) -> StrongExactReport:
+def delta_mu(mu: int) -> StrongExactReport:
     """Probability that the buy-then-resell policy ends with the top buyer.
 
     With s the seller's arrival time and t the top buyer's, the success
@@ -86,7 +89,7 @@ def delta_mu(mu: int, tol: float = 1e-9) -> StrongExactReport:
     """
     if mu < 1:
         raise ValueError(f"need mu >= 1, got {mu}")
-    rtol = tol / 3.0
+    rtol = 1e-9 / 3.0
 
     def f_alpha(s, t):
         q = pow1m(t, mu - 1)
@@ -111,12 +114,12 @@ def delta_limit() -> float:
     return (E * E + 1.0) / (4.0 * E * E)
 
 
-def delta_limit_quadrature(tol: float = 1e-10) -> float:
+def delta_limit_quadrature() -> float:
     """The same limit by quadrature of its two defining integrals."""
     part1 = integrate_rect(lambda s, t: 1.0 / (E * t) + 0.0 * s,
-                           0.0, SELL_CUTOFF, SELL_CUTOFF, 1.0, tol=tol / 2)
+                           0.0, SELL_CUTOFF, SELL_CUTOFF, 1.0, tol=1e-10 / 2)
     part2 = integrate_wedge(lambda s, t: s / t, SELL_CUTOFF, 1.0, 1.0,
-                            tol=tol / 2)
+                            tol=1e-10 / 2)
     return part1 + part2
 
 
@@ -275,7 +278,7 @@ def alg3_ratio(th: Thresholds) -> Alg3Ratio:
 # integral.  So only q^(i-1) (and q^(i-2) = q^(i-1) / q) depends on the
 # rank: all ranks come from one (rank x node) power table and a product.
 
-def _alg3_pieces(ranks, n: int, th: Thresholds, tol: float):
+def _alg3_pieces(ranks, n: int, th: Thresholds):
     """(b_k1, b_k2, p_i2) at the given ranks: two (8, ranks) arrays and one
     (ranks,) array.  Ranks above n are allowed for the b pieces."""
     ranks = np.asarray(ranks)
@@ -317,19 +320,20 @@ def _alg3_pieces(ranks, n: int, th: Thresholds, tol: float):
         return np.vstack((np.append(b2, 0.0), np.column_stack((b1, p2))))
 
     # refined on the p scale (pieces over i (i+1)), 16 pieces to a p_i
-    table = integrate_graded(estimate, ((t1, t2), (t2, 1.0)), n, tol / 16.0)
+    table = integrate_graded(estimate, ((t1, t2), (t2, 1.0)), n,
+                             _ALG3_TOL / 16.0)
     scale = ranks * (ranks + 1.0)
     return scale * table[1:, :8].T, np.outer(table[0, :8], scale), table[1:, 8]
 
 
-def alg3_pi_finite(i: int, n: int, th: Thresholds, tol: float = 1e-8) -> float:
+def alg3_pi_finite(i: int, n: int, th: Thresholds) -> float:
     """Finite-n probability that the rank-i buyer ends up with the item."""
-    p, _, _ = alg3_pi_parts(i, n, th, tol=tol)
+    p, _, _ = alg3_pi_parts(i, n, th)
     return p
 
 
-def alg3_pi_parts(i: int, n: int, th: Thresholds,
-                  tol: float = 1e-8) -> tuple[float, float, float]:
+def alg3_pi_parts(i: int, n: int,
+                  th: Thresholds) -> tuple[float, float, float]:
     """(p_i, p_i1, p_i2): total and the best-so-far / second-best split.
 
     p_i2 (sold as the second-best-so-far buyer) carries the factor i - 1,
@@ -337,7 +341,7 @@ def alg3_pi_parts(i: int, n: int, th: Thresholds,
     """
     if not (1 <= i <= n):
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    b1, b2, p2 = _alg3_pieces([i], n, th, tol)
+    b1, b2, p2 = _alg3_pieces([i], n, th)
     p, p2 = float(b1.sum() + b2.sum()) / (i * (i + 1)), float(p2[0])
     return p, p - p2, p2
 
@@ -377,12 +381,12 @@ def _check_table_size(n: int) -> None:
                            f"got {n}; a single rank (--i) has no cap")
 
 
-def alg3_report(n: int, th: Thresholds, tol: float = 1e-8) -> Alg3ExactReport:
+def alg3_report(n: int, th: Thresholds) -> Alg3ExactReport:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_table_size(n)
     ranks = np.arange(1, n + 1)
-    b1, b2, _ = _alg3_pieces(ranks, n, th, tol)
+    b1, b2, _ = _alg3_pieces(ranks, n, th)
     p = tuple(((b1.sum(axis=0) + b2.sum(axis=0)) / (ranks * (ranks + 1.0)))
               .tolist())
     rep = alg3_ratio(th)
@@ -416,11 +420,11 @@ class UnimodalityReport:
                 "f": list(self.f), "unimodal": self.unimodal}
 
 
-def unimodality_f(n: int, th: Thresholds, tol: float = 1e-8) -> UnimodalityReport:
+def unimodality_f(n: int, th: Thresholds) -> UnimodalityReport:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     _check_table_size(n)
-    b1, b2, _ = _alg3_pieces(np.arange(1, n + 1), n, th, tol)
+    b1, b2, _ = _alg3_pieces(np.arange(1, n + 1), n, th)
     f_vals = (b1.sum(axis=0) + b2.sum(axis=0)).tolist()
     unimodal = f_vals[0] < f_vals[1] and all(
         f_vals[j] > f_vals[j + 1] for j in range(1, n - 1))
@@ -450,9 +454,8 @@ class RankComparisonConstants:
     tail_gain_3_vs_2_at_n2: float
 
 
-def rank_comparison_constants(th: Thresholds,
-                              tol: float = 1e-8) -> RankComparisonConstants:
-    b1, b2, _ = _alg3_pieces([1, 2, 3], 2, th, tol)
+def rank_comparison_constants(th: Thresholds) -> RankComparisonConstants:
+    b1, b2, _ = _alg3_pieces([1, 2, 3], 2, th)
     f1, f2 = b1.sum(axis=0).tolist(), b2.sum(axis=0).tolist()
     return RankComparisonConstants(
         gain_2_vs_1=f1[1] - f1[0],
@@ -509,20 +512,17 @@ def _objective_arr(name: str, t1, t2):
 _GRID_CELLS_MAX = 2000 * 2000  # coarse scan: 1e6 cells at the default 1e-3
 
 
-def optimize_thresholds(objective: str, grid_step: float = 1e-3,
-                        refine_to: float = 1e-6) -> tuple[Thresholds, float]:
+def optimize_thresholds(objective: str,
+                        grid_step: float = 1e-3) -> tuple[Thresholds, float]:
     """Minimise a ratio objective over the triangle 0 <= t1 <= t2 <= 1.
 
     objective "upper_bound" balances the worst single-spike instance
     against the all-ones instance; "lower_bound_family" balances the
     one-high-bid family against the two-high-bids family.  A coarse grid
-    scan is followed by shrinking local grids down to ``refine_to``.
+    scan is followed by shrinking local grids down to a step of 1e-6.
     ``grid_step`` must lie in (0, 1] and keep the coarse grid within
-    ``_GRID_CELLS_MAX`` cells; ``refine_to`` must be finite and > 0.
+    ``_GRID_CELLS_MAX`` cells.
     """
-    if not (math.isfinite(refine_to) and refine_to > 0.0):
-        raise ValueError(f"refine_to must be a finite number > 0, "
-                         f"got {refine_to!r}")
     if not (math.isfinite(grid_step) and 0.0 < grid_step <= 1.0):
         raise ValueError(f"grid_step must be a finite number in (0, 1], "
                          f"got {grid_step!r}")
@@ -544,7 +544,7 @@ def optimize_thresholds(objective: str, grid_step: float = 1e-3,
     # The objective's valley is far thinner across than along (the balance
     # curve between the two max branches), so t2 is sampled 100x finer.
     step = grid_step
-    while step > refine_to:
+    while step > 1e-6:
         step /= 10.0
         for _ in range(200):
             l1 = np.clip(b1 + np.arange(-10, 11) * step, 0.0, 1.0)

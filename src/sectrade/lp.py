@@ -43,6 +43,8 @@ from .errors import SizeCapError
 from .simplex import SimplexResult, simplex_solve_arrays
 
 SIZE_CAP = 60
+#: Largest n whose weak certificate ``to_csv`` writes in full.
+CSV_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -140,10 +142,9 @@ class PrimalSolution:
         return float(max(np.max(lp.A @ v - lp.b), np.max(-v), 0.0))
 
 
-def simplex_solve(lp: LinearProgram, pricing: str = "dantzig") -> PrimalSolution:
+def simplex_solve(lp: LinearProgram) -> PrimalSolution:
     """Solve an LP built here and map the solution back to the pairs."""
-    result: SimplexResult = simplex_solve_arrays(*lp.to_arrays(),
-                                                 pricing=pricing)
+    result: SimplexResult = simplex_solve_arrays(*lp.to_arrays())
     pairs = _pairs(lp.n)
     values = result.values.tolist()
     if len(values) == len(pairs):
@@ -219,9 +220,9 @@ class WeakDualCertificate:
                 "min_residuals": {"u": self.min_residual_u,
                                   "v": self.min_residual_v}}
 
-    def to_csv(self, path, cap: int = 10_000) -> None:
-        if self.n > cap:
-            raise SizeCapError(f"full alpha/beta dump capped at n={cap}")
+    def to_csv(self, path) -> None:
+        if self.n > CSV_CAP:
+            raise SizeCapError(f"full alpha/beta dump capped at n={CSV_CAP}")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["j", "alpha_j", "beta_j"])

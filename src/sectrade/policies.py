@@ -191,10 +191,10 @@ def run_episode(policy_id: str, instance: Instance | RankedInstance,
     """Replay one arrival sample through a policy and score the outcome.
 
     The sample's order must be a permutation of the agent ids 1..n+1, with
-    one arrival time in [0, 1] per agent; "alg2" needs an ``rng`` (its coin
-    source) and "alg3" a zero-price seller.  Returns the final holder: the
-    seller if the intermediary never bought, 0 if it bought and never
-    resold, else the buyer it sold to.
+    one arrival time in [0, 1] per agent, strictly increasing; "alg2" needs
+    an ``rng`` (its coin source) and "alg3" a zero-price seller.  Returns
+    the final holder: the seller if the intermediary never bought, 0 if it
+    bought and never resold, else the buyer it sold to.
     Deterministic given (policy, instance, sample, rng state).
     """
     step = make_policy(policy_id, thresholds)
@@ -207,12 +207,17 @@ def run_episode(policy_id: str, instance: Instance | RankedInstance,
     if len(sample.times) != sample.size:
         raise ValueError(f"sample has {len(sample.times)} times for "
                          f"{sample.size} arrivals")
+    last = -1.0
     for t in sample.times:
         # a float skips the much slower abstract-base-class check
         real = type(t) is float or (isinstance(t, Real)
                                     and not isinstance(t, bool))
         if not real or not 0 <= t <= 1:
             raise ValueError(f"arrival time {t!r} is not a real number in [0, 1]")
+        if t <= last:
+            raise ValueError(f"arrival times must strictly increase, "
+                             f"got {t!r} after {last!r}")
+        last = t
     if policy_id == "alg3" and inst.seller_price != 0:
         raise ValueError(f"policy {policy_id!r} requires seller price 0")
     if policy_id == "alg2" and rng is None:

@@ -17,35 +17,27 @@ estimates agree to the requested absolute tolerance in every entry.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import NumericError
 
 _NODES_PER_PANEL = 8
 _MAX_PANELS = 256
+_X, _W = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)  # on [-1, 1]
 
 
-@lru_cache(maxsize=None)
-def _base_rule(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def _edge_rule(edges, order: int = _NODES_PER_PANEL):
+def _edge_rule(edges):
     """Composite Gauss-Legendre nodes/weights on the panels between edges."""
-    x, w = _base_rule(order)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
+    pts = (mid[:, None] + half[:, None] * _X[None, :]).ravel()
+    wts = (half[:, None] * _W[None, :]).ravel()
     return pts, wts
 
 
-def panel_rule(a: float, b: float, panels: int, order: int = _NODES_PER_PANEL):
+def panel_rule(a: float, b: float, panels: int):
     """Composite Gauss-Legendre nodes/weights over [a, b] with equal panels."""
-    return _edge_rule(np.linspace(a, b, panels + 1), order)
+    return _edge_rule(np.linspace(a, b, panels + 1))
 
 
 def _tensor_estimate(f, s_pts, s_wts, t_pts, t_wts):

@@ -10,11 +10,10 @@ A pivot updates only the rows where the pivot column is non-zero and the
 columns where the pivot row is non-zero; every other cell would only have
 0 * x subtracted, so the result equals a full rank-one update of the
 tableau while touching a few percent of it on the stopping LPs.  Entering
-variables use Dantzig pricing by default and switch permanently to
-Bland's rule after a run of degenerate pivots, which keeps the
-anti-cycling guarantee without Bland's usual slowness;
-``pricing="bland"`` forces the pure rule.  Leaving-variable ties always
-break toward the smallest basis index.
+variables use Dantzig pricing and switch permanently to Bland's rule after
+a run of degenerate pivots, which keeps the anti-cycling guarantee without
+Bland's usual slowness.  Leaving-variable ties always break toward the
+smallest basis index.
 """
 
 from __future__ import annotations
@@ -46,10 +45,9 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run(T: np.ndarray, basis: np.ndarray, pricing: str,
-         max_iter: int) -> int:
+def _run(T: np.ndarray, basis: np.ndarray, max_iter: int) -> int:
     m = T.shape[0] - 1
-    bland = pricing == "bland"
+    bland = False
     stall = 0
     iters = 0
     while True:
@@ -80,7 +78,7 @@ def _run(T: np.ndarray, basis: np.ndarray, pricing: str,
 
 
 def simplex_solve_arrays(c: np.ndarray, A: np.ndarray, b: np.ndarray,
-                         rels, pricing: str = "dantzig") -> SimplexResult:
+                         rels) -> SimplexResult:
     """Maximise c.v subject to A v <= b, v >= 0; every ``rels`` entry
     must be "<=" and every b_i >= 0."""
     c = np.asarray(c, dtype=float)
@@ -98,7 +96,7 @@ def simplex_solve_arrays(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     T[np.arange(m), basis] = 1.0
     T[:m, -1] = b
     T[-1, :nvar] = -c
-    iters = _run(T, basis, pricing, 2000 + 60 * (m + nvar + m))
+    iters = _run(T, basis, 2000 + 60 * (m + nvar + m))
 
     values = np.zeros(nvar + m)
     values[basis] = T[:m, -1]

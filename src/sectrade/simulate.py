@@ -77,7 +77,6 @@ class _Market:
     """Instance facts the kernels need, in array form."""
 
     n: int
-    mu: int
     prices: np.ndarray          # price by holder id 0..n+1 (0 = intermediary)
     strength_cols: np.ndarray   # agent time-columns, strongest first
     buyer_cols: np.ndarray      # strength_cols without the seller's
@@ -95,7 +94,7 @@ def _market(instance: Instance | RankedInstance) -> _Market:
     buyer_cols = [b - 1 for b in ranked.original_index_of_rank]
     strength_cols = np.array(buyer_cols[:ranked.mu] + [n] + buyer_cols[ranked.mu:],
                              dtype=np.int64)
-    return _Market(n=n, mu=ranked.mu, prices=prices,
+    return _Market(n=n, prices=prices,
                    strength_cols=strength_cols,
                    buyer_cols=np.array(buyer_cols, dtype=np.int64),
                    seller_strength_pos=ranked.mu,
@@ -239,12 +238,6 @@ def _evaluate(policy_id: str, mk: _Market, u: np.ndarray,
             holders[rest], weak[rest] = _evaluate(policy_id, mk, u[rest], th,
                                                   8 * width)
     return holders, weak
-
-
-def _holders(policy_id: str, mk: _Market, u: np.ndarray,
-             th: Thresholds | None) -> np.ndarray:
-    """Final holder id (0 = intermediary) per trial of one array of draws."""
-    return _evaluate(policy_id, mk, u, th)[0]
 
 
 def _block_partials(policy_id: str, mk: _Market, seed: int, start: int,

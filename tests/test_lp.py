@@ -5,8 +5,8 @@ import pytest
 
 from sectrade import simplex
 from sectrade.errors import SizeCapError, UnboundedProblem
-from sectrade.lp import (_weak_rhs, build_strong_primal, build_weak_primal,
-                         simplex_solve, strong_dual_certificate,
+from sectrade.lp import (CSV_CAP, _weak_rhs, build_strong_primal,
+                         build_weak_primal, simplex_solve, strong_dual_certificate,
                          verify_dual_feasibility, weak_dual_certificate)
 from sectrade.simplex import simplex_solve_arrays
 
@@ -119,11 +119,26 @@ class TestSimplexCore:
         with pytest.raises(UnboundedProblem):
             simplex_solve_arrays([1], [[-1]], [1], ["<="])
 
-    def test_bland_pricing_agrees(self):
-        lp = build_strong_primal(6)
-        a = simplex_solve(lp, pricing="dantzig").objective_value
-        b = simplex_solve(lp, pricing="bland").objective_value
-        assert abs(a - b) < 1e-9
+    def test_cycling_lp_reaches_bland_fallback(self):
+        # Beale-type LP on which Dantzig pricing with smallest-index ties
+        # cycles through degenerate pivots; only the switch to Bland's rule
+        # after 2m + 20 of them lets the solver finish
+        c = [0.75, -20.0, 0.5, -6.0]
+        A = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0],
+             [0.0, 0.0, 1.0, 0.0]]
+        b = [0.0, 0.0, 1.0]
+        res = simplex_solve_arrays(c, A, b, ["<="] * 3)
+        assert abs(res.objective - 1.25) < 1e-12
+        assert np.allclose(res.values, [1.0, 0.0, 1.0, 0.0], rtol=0,
+                           atol=1e-12)
+        assert res.iterations > 2 * 3 + 20
+        try:
+            from scipy.optimize import linprog
+        except ImportError:
+            return
+        ref = linprog(-np.array(c), A_ub=A, b_ub=b, bounds=(0, None),
+                      method="highs")
+        assert abs(res.objective + ref.fun) < 1e-9
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_matches_scipy_on_both_primals(self, n):
@@ -357,6 +372,18 @@ class TestWeakCertificate:
             cert = weak_dual_certificate(n, W1, W2)
             assert cert.min_residual_u >= -1e-12
             assert cert.min_residual_v >= -1e-12
+
+    def test_csv_dump_capped_at_csv_cap(self, tmp_path):
+        path = tmp_path / "cert.csv"
+        weak_dual_certificate(CSV_CAP, W1, W2).to_csv(path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "j,alpha_j,beta_j"
+        assert len(lines) == CSV_CAP + 1
+        assert lines[-1].startswith(f"{CSV_CAP},")
+        over = tmp_path / "over.csv"
+        with pytest.raises(SizeCapError, match=f"capped at n={CSV_CAP}$"):
+            weak_dual_certificate(CSV_CAP + 1, W1, W2).to_csv(over)
+        assert not over.exists()
 
     def test_u_constraint_tight_where_alpha_positive(self):
         cert = weak_dual_certificate(5000, W1, W2)

@@ -291,11 +291,25 @@ class TestRunEpisode:
         ((0.1, 0.5, 1.5), "1.5 is not a real number"),
         ((0.1, True, 0.9), "True is not a real number"),
         ((0.1, "0.5", 0.9), "'0.5' is not a real number"),
+        ((0.1, 0.1, 0.9), "got 0.1 after 0.1"),            # a tie
+        ((0.1, 0.9, 0.5), "got 0.5 after 0.9"),
     ])
     def test_times_are_validated(self, times, match):
         inst = Instance((1, 0.5), 0.25)
         with pytest.raises(ValueError, match=match):
             run_episode("alg1", inst, ArrivalSample((3, 1, 2), times))
+
+    def test_out_of_order_times_rejected_before_any_step(self):
+        inst = Instance((1, 0.5), 0.25)
+        sample = ArrivalSample((3, 1, 2), (0.5, 0.1, 0.9))
+        with pytest.raises(ValueError, match="0.1 after 0.5"):
+            run_episode("alg1", inst, sample)
+        # the seller arrives first as the best offer, so a first step
+        # would draw the coin
+        coin = FixedCoin(0.0)
+        with pytest.raises(ValueError, match="strictly increase"):
+            run_episode("alg2", inst, sample, rng=coin)
+        assert coin.calls == 0
 
     def test_time_range_ends_accepted(self):
         inst = Instance((1, 0.5), 0.25)

@@ -14,6 +14,15 @@ def test_panel_rule_weights_sum_to_length():
     assert pts.min() > 0.25 and pts.max() < 0.75
 
 
+def test_panel_rule_exact_through_degree_15():
+    # 8 Gauss-Legendre nodes per panel integrate degree <= 15 exactly
+    pts, wts = panel_rule(0.0, 1.0, 1)
+    assert len(pts) == 8
+    for k in range(16):
+        assert abs(wts @ pts ** k - 1.0 / (k + 1)) < 1e-14
+    assert abs(wts @ pts ** 16 - 1.0 / 17) > 1e-12
+
+
 def test_rect_polynomial_exact():
     # separable cubic: integral of s^3 t^2 over [0,1]x[1,2]
     val = integrate_rect(lambda s, t: s ** 3 * t ** 2, 0, 1, 1, 2)

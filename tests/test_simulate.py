@@ -12,7 +12,7 @@ from sectrade.model import (ArrivalSample, Instance, Thresholds, canonicalize,
 from sectrade.oracle import enumerate_alg2_exact
 from sectrade.policies import SELL_CUTOFF, SKIP_CUTOFF, run_episode
 from sectrade.simulate import (_BLOCK_BUDGET, _PREFIX, BLOCK, POLICY_IDS,
-                               SimulationReport, _evaluate, _holders, _market,
+                               SimulationReport, _evaluate, _market,
                                _stride, block_draws, curve_to_csv,
                                estimate_ratio_curve, simulate)
 
@@ -105,7 +105,7 @@ class TestKernelAgainstStateMachines:
             n = ranked.n
             mk = _market(ranked)
             u = block_draws(seed=555, n=n, start=0, count=200)
-            vec = _holders(policy_id, mk, u, TH)
+            vec = _evaluate(policy_id, mk, u, TH)[0]
             for k in range(200):
                 row = u[k, :n + 1]
                 perm = np.argsort(row, kind="stable")
@@ -210,7 +210,6 @@ def _check_against_reference(policy_id, n):
         holders, weak = _evaluate(policy_id, mk, u, TH)
         assert np.array_equal(holders, reference_holders(policy_id, mk, u, TH))
         assert np.array_equal(weak, reference_weak_opt(mk, u))
-        assert np.array_equal(_holders(policy_id, mk, u, TH), holders)
 
 
 class TestKernelAgainstReference:
