@@ -3,9 +3,8 @@
 Structured results go to ``--out`` files (JSON, or CSV where a table is
 natural); stdout carries a short human-readable summary.  Exit codes:
 0 success, 2 argument/validation error, 3 internal numeric failure.
-
-An optional ``--config FILE`` (key=value lines, mirroring flag names with
-dashes or underscores) supplies defaults; explicit flags always win.
+Sizes above a cap (``lp solve`` n > 60, an ``exact alg3`` table n > 1e5,
+family instances and certificates n > 1e7) exit 2 before any allocation.
 """
 
 from __future__ import annotations
@@ -208,40 +207,6 @@ def _cmd_report_constants(args) -> int:
     return 0
 
 
-def _walk_parsers(parser: argparse.ArgumentParser):
-    yield parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for child in action.choices.values():
-                yield from _walk_parsers(child)
-
-
-def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
-    """Pull key=value defaults from --config; explicit flags still win."""
-    if "--config" not in argv:
-        return argv
-    at = argv.index("--config")
-    if at + 1 == len(argv):
-        raise ValueError("--config needs a file path")
-    path = argv[at + 1]
-    rest = argv[:at] + argv[at + 2:]
-    defaults = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            defaults[key.strip().replace("-", "_")] = value.strip()
-    for sub in _walk_parsers(parser):
-        for action in sub._actions:
-            if action.dest in defaults:
-                raw = defaults[action.dest]
-                action.default = action.type(raw) if action.type else raw
-                action.required = False
-    return rest
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sectrade",
@@ -330,15 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports its own usage errors
         return int(exc.code or 0)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except _NUMERIC_ERRORS as exc:

@@ -152,10 +152,6 @@ class Alg2HolderProb:
     p1: Fraction  # an early middle buyer forced the purchase
     p2: Fraction  # the coin forced the purchase
 
-    def to_json_dict(self) -> dict:
-        return {"i": self.i, "mu": self.mu, "p": str(self.p),
-                "p1": str(self.p1), "p2": str(self.p2)}
-
 
 def alg2_holder_prob(i: int, mu: int) -> Alg2HolderProb:
     """p_i = 1/(2 i (i+1)) for the coin-flip policy, exactly.
@@ -233,11 +229,6 @@ class Alg3Ratio:
     via_p1: float     # 1 / (2 p1_limit): all value on the top buyer
     via_sale: float   # 1 / sale_prob:   all buyers equally valuable
     bound: float      # max of the two
-
-    def to_json_dict(self) -> dict:
-        return {"t1": self.thresholds.t1, "t2": self.thresholds.t2,
-                "via_p1": self.via_p1, "via_sale": self.via_sale,
-                "bound": self.bound}
 
 
 def alg3_ratio(th: Thresholds) -> Alg3Ratio:
@@ -415,10 +406,6 @@ class UnimodalityReport:
     beta_k2: tuple
     unimodal: bool
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "t1": self.th.t1, "t2": self.th.t2,
-                "f": list(self.f), "unimodal": self.unimodal}
-
 
 def unimodality_f(n: int, th: Thresholds) -> UnimodalityReport:
     if n < 2:
@@ -474,9 +461,6 @@ class MonotonicityThresholds:
     t_star: float
     I1: int
     I2: int
-
-    def to_json_dict(self) -> dict:
-        return {"t_star": self.t_star, "I1": self.I1, "I2": self.I2}
 
 
 def mono_thresholds(t_star: float) -> MonotonicityThresholds:

@@ -33,7 +33,6 @@ makes n = 2 * 10^6 routine.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -43,8 +42,8 @@ from .errors import SizeCapError
 from .simplex import SimplexResult, simplex_solve_arrays
 
 SIZE_CAP = 60
-#: Largest n whose weak certificate ``to_csv`` writes in full.
-CSV_CAP = 10_000
+#: Largest n of either dual certificate; the weak one peaks near 130 B per n.
+CERT_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -61,12 +60,6 @@ class LinearProgram:
     A: np.ndarray
     b: np.ndarray
 
-    def n_variables(self) -> int:
-        return self.c.size
-
-    def n_constraints(self) -> int:
-        return self.b.size
-
     def to_arrays(self):
         return self.c, self.A, self.b, ["<="] * self.b.size
 
@@ -74,6 +67,13 @@ class LinearProgram:
 def _check_cap(n: int) -> None:
     if not (1 <= n <= SIZE_CAP):
         raise SizeCapError(f"need 1 <= n <= {SIZE_CAP}, got {n}")
+
+
+def _check_cert_n(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if n > CERT_CAP:
+        raise SizeCapError(f"dual certificates capped at n={CERT_CAP}, got {n}")
 
 
 def _pairs(n: int) -> list:
@@ -136,7 +136,7 @@ class PrimalSolution:
     def max_violation(self, lp: LinearProgram) -> float:
         pairs = _pairs(lp.n)
         v = np.array([self.x.get(p, 0.0) for p in pairs])
-        if lp.n_variables() > len(pairs):
+        if lp.c.size > len(pairs):
             y = [self.y.get(p, 0.0) for p in pairs]
             v = np.r_[np.column_stack((v, y)).ravel(), self.A or 0.0]
         return float(max(np.max(lp.A @ v - lp.b), np.max(-v), 0.0))
@@ -179,8 +179,7 @@ class StrongDualCertificate:
 
 def strong_dual_certificate(n: int) -> StrongDualCertificate:
     """O(n) closed-form dual-feasible point via suffix harmonic sums."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_cert_n(n)
     inv_k = 1.0 / np.arange(1.0, float(n))        # 1/k for k = 1..n-1
     suffix = np.zeros(n)
     suffix[:n - 1] = np.cumsum(inv_k[::-1])[::-1]  # sum_{k=j}^{n-1} 1/k
@@ -220,16 +219,6 @@ class WeakDualCertificate:
                 "min_residuals": {"u": self.min_residual_u,
                                   "v": self.min_residual_v}}
 
-    def to_csv(self, path) -> None:
-        if self.n > CSV_CAP:
-            raise SizeCapError(f"full alpha/beta dump capped at n={CSV_CAP}")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["j", "alpha_j", "beta_j"])
-            for j in range(1, self.n + 1):
-                writer.writerow([j, repr(self.alpha[j - 1]),
-                                 repr(self.beta[j - 1])])
-
 
 def _weak_rhs(n: int, w1: float, w2: float):
     j = np.arange(1.0, n + 1.0)
@@ -255,8 +244,7 @@ def weak_dual_certificate(n: int, w1: float, w2: float) -> WeakDualCertificate:
 
     j* is the largest j with beta_j < 0 and j** the largest j <= j* with
     alpha_j < 0 in the second sweep (0 when there is none)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_cert_n(n)
     if not (math.isfinite(w1) and math.isfinite(w2)):
         raise ValueError(f"need finite w1, w2, got {w1}, {w2}")
     if w1 < 0 or w2 < 0 or abs(w1 + w2 - 1.0) > 1e-12:
@@ -308,7 +296,6 @@ def weak_dual_certificate(n: int, w1: float, w2: float) -> WeakDualCertificate:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    kind: str
     min_residual: float
     argmin_j: int
     min_residual_u: float | None = None
@@ -332,8 +319,7 @@ def verify_dual_feasibility(cert) -> FeasibilityReport:
         suffix[:-1] = np.cumsum(y[:0:-1])[::-1]   # sum_{k>j} y_k
         residual = j * y + suffix - j / ((n + 1.0) * n)
         arg = int(np.argmin(residual))
-        return FeasibilityReport(kind="strong",
-                                 min_residual=float(residual[arg]),
+        return FeasibilityReport(min_residual=float(residual[arg]),
                                  argmin_j=arg + 1)
     if isinstance(cert, WeakDualCertificate):
         n = cert.n
@@ -347,7 +333,7 @@ def verify_dual_feasibility(cert) -> FeasibilityReport:
         au, av = int(np.argmin(res_u)), int(np.argmin(res_v))
         worst = min(res_u[au], res_v[av])
         return FeasibilityReport(
-            kind="weak", min_residual=float(worst),
+            min_residual=float(worst),
             argmin_j=(au if res_u[au] <= res_v[av] else av) + 1,
             min_residual_u=float(res_u[au]), argmin_j_u=au + 1,
             min_residual_v=float(res_v[av]), argmin_j_v=av + 1)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInstanceError
+from .errors import InvalidInstanceError, SizeCapError
 
 Price = int | float | Fraction
 
@@ -239,6 +239,8 @@ class TradeOutcome:
     decisions: tuple
 
 
+#: Largest n of a generated family instance (about 144 B per buyer to simulate).
+FAMILY_CAP = 10**7
 # family name -> the parameters it takes
 _FAMILIES = {"spike": ("n",), "flat_k": ("n", "k"), "seller_spike": ("n",),
              "geometric": ("n", "r")}
@@ -270,6 +272,9 @@ def gen_instance(family: str, **params) -> Instance:
     n = int(params["n"])
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if n > FAMILY_CAP:
+        raise SizeCapError(f"family instances capped at n={FAMILY_CAP}, "
+                           f"got {n}")
     if family == "spike":
         return Instance((1,) + (0,) * (n - 1), 0)
     if family == "flat_k":

@@ -23,7 +23,13 @@ from .errors import NumericError
 
 _NODES_PER_PANEL = 8
 _MAX_PANELS = 256
-_X, _W = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)  # on [-1, 1]
+# numpy's leggauss(8) on [-1, 1], bit for bit: its nodes and weights are
+# exactly symmetric, so the positive half is mirrored
+_X = np.array([0.18343464249564978, 0.525532409916329,
+               0.7966664774136267, 0.9602898564975362])
+_W = np.array([0.36268378337836166, 0.3137066458778869,
+               0.22238103445337443, 0.10122853629037706])
+_X, _W = np.r_[-_X[::-1], _X], np.r_[_W[::-1], _W]
 
 
 def _edge_rule(edges):

@@ -62,6 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import strong_opt
+from .errors import NumericError
 from .model import Instance, RankedInstance, Thresholds, canonicalize
 from .policies import SELL_CUTOFF, SKIP_CUTOFF
 
@@ -256,14 +257,15 @@ def _block_partials(policy_id: str, mk: _Market, seed: int, start: int,
     holders = np.concatenate([h for h, _ in parts])
     weak = np.concatenate([w for _, w in parts])
     welfare = mk.prices[holders]
-    return {
-        "counts": np.bincount(holders, minlength=n + 2),
-        "sum_w": float(welfare.sum()),
-        "sum_w2": float((welfare * welfare).sum()),
-        "sum_o": float(weak.sum()),
-        "sum_o2": float((weak * weak).sum()),
-        "sum_wo": float((welfare * weak).sum()),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # ``simulate`` checks
+        return {
+            "counts": np.bincount(holders, minlength=n + 2),
+            "sum_w": float(welfare.sum()),
+            "sum_w2": float((welfare * welfare).sum()),
+            "sum_o": float(weak.sum()),
+            "sum_o2": float((weak * weak).sum()),
+            "sum_wo": float((welfare * weak).sum()),
+        }
 
 
 def _kahan_total(values) -> float:
@@ -322,7 +324,8 @@ def simulate(policy_id: str, instance: Instance | RankedInstance, trials: int,
     Deterministic given (seed, trials): the block layout and per-trial
     draw windows depend only on those, and per-block partials are reduced
     in block order, so ``workers`` cannot change any output bit.  At most
-    min(workers, blocks, cores) threads run.
+    min(workers, blocks, cores) threads run.  Raises ``NumericError`` when
+    a welfare sum overflows float64.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -360,6 +363,10 @@ def simulate(policy_id: str, instance: Instance | RankedInstance, trials: int,
         counts += p["counts"]
     sums = {key: _kahan_total(p[key] for p in partials)
             for key in ("sum_w", "sum_w2", "sum_o", "sum_o2", "sum_wo")}
+    overflow = [key for key, total in sums.items() if not math.isfinite(total)]
+    if overflow:
+        raise NumericError(f"{', '.join(overflow)} overflowed float64; the "
+                           f"prices are too large for welfare moments")
 
     n_t = float(trials)
     mean_w = sums["sum_w"] / n_t
@@ -397,45 +404,3 @@ def simulate(policy_id: str, instance: Instance | RankedInstance, trials: int,
         ratio_weak=ratio_weak,
         ratio_weak_se=ratio_weak_se,
     )
-
-
-@dataclass(frozen=True)
-class CurveRow:
-    family: str
-    param: object
-    report: SimulationReport
-
-
-def estimate_ratio_curve(policy_id: str, family: str, param_name: str,
-                         values, fixed_params: dict, trials: int, seed: int,
-                         workers: int = 1,
-                         thresholds: Thresholds | None = None) -> list:
-    """One SimulationReport per value of a swept family parameter."""
-    from .model import gen_instance
-
-    rows = []
-    for value in values:
-        params = dict(fixed_params)
-        params[param_name] = value
-        inst = gen_instance(family, **params)
-        rows.append(CurveRow(
-            family=family, param=value,
-            report=simulate(policy_id, inst, trials, seed, workers=workers,
-                            thresholds=thresholds)))
-    return rows
-
-
-def curve_to_csv(rows, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "family", "param", "trials", "mean_alg",
-                         "se_alg", "mean_opt_weak", "opt_strong",
-                         "ratio_weak", "ratio_strong"])
-        for row in rows:
-            r = row.report
-            writer.writerow([r.policy, row.family, row.param, r.trials,
-                             repr(r.mean_alg_welfare), repr(r.se_alg),
-                             repr(r.mean_weak_opt), repr(r.strong_opt),
-                             repr(r.ratio_weak), repr(r.ratio_strong)])

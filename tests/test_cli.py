@@ -1,11 +1,16 @@
 import json
+import re
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectrade.cli import main
+from sectrade.cli import build_parser, main
+from sectrade.lp import CERT_CAP
+from sectrade.model import FAMILY_CAP
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +138,17 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error:")
         assert "seed" in err and "key" not in err
+
+    def test_overflowing_welfare_is_numeric_failure(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, out, err = run_cli(
+            capsys, "simulate", "--policy", "alg1", "--instance",
+            json.dumps({"buyer_prices": [1e308, 1e308], "seller_price": 0}),
+            "--trials", "100", "--seed", "1", "--out", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric failure:") and "sum_w" in err
+        assert not path.exists()
 
     @pytest.mark.parametrize("instance,message", [
         ("geometric:n=3,r=1/0", "zero denominator"),
@@ -284,24 +300,50 @@ class TestExitCodes:
         assert "simulate" in out
 
 
-class TestConfig:
-    def test_config_defaults_flags_win(self, capsys, tmp_path):
-        cfg = tmp_path / "conf"
-        cfg.write_text("mu=1\n")
-        code, out, _ = run_cli(capsys, "--config", str(cfg),
-                               "exact", "delta")
-        assert code == 0
-        assert "mu=1" in out
-        code, out, _ = run_cli(capsys, "--config", str(cfg),
-                               "exact", "delta", "--mu", "2")
-        assert code == 0
-        assert "mu=2" in out
-
-    def test_config_without_path(self, capsys):
-        code, out, err = run_cli(capsys, "report", "constants", "--config")
+class TestSizeCaps:
+    @pytest.mark.parametrize("argv", [
+        ["certify", "strong", "--n", str(CERT_CAP + 1)],
+        ["certify", "weak", "--n", str(CERT_CAP + 1), "--w1", "1", "--w2", "0"],
+        ["simulate", "--policy", "alg1", "--instance",
+         f"spike:n={FAMILY_CAP + 1}", "--trials", "1", "--seed", "1"],
+    ])
+    def test_over_cap_allocates_nothing(self, capsys, argv):
+        assert CERT_CAP == FAMILY_CAP == 10 ** 7
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error:") and "capped" in err
+        assert peak < 2 ** 20
+
+
+def _readme_commands() -> list:
+    """The ``sectrade`` lines of the README's "Command line" bash block,
+    continuations joined, comments and optional ``[...]`` groups dropped."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.replace("\\\n", " ").splitlines():
+        line = re.sub(r"\[[^]]*\]", "", line.split("#", 1)[0]).strip()
+        if line.startswith("sectrade"):
+            lines.append(shlex.split(line)[1:])
+    return lines
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 13
+    parser = build_parser()
+    for tokens in commands:
+        try:
+            parser.parse_args(tokens)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(tokens)}")
 
 
 # Bounded argv grammar for the fuzz: every size stays small enough that

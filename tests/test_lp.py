@@ -5,7 +5,7 @@ import pytest
 
 from sectrade import simplex
 from sectrade.errors import SizeCapError, UnboundedProblem
-from sectrade.lp import (CSV_CAP, _weak_rhs, build_strong_primal,
+from sectrade.lp import (_weak_rhs, build_strong_primal,
                          build_weak_primal, simplex_solve, strong_dual_certificate,
                          verify_dual_feasibility, weak_dual_certificate)
 from sectrade.simplex import simplex_solve_arrays
@@ -227,7 +227,7 @@ class TestBuilders:
             lp = builder(n)
             sol = simplex_solve(lp)
             pairs = pair_list(n)
-            if lp.n_variables() == len(pairs):
+            if lp.c.size == len(pairs):
                 v = [sol.x[p] for p in pairs]
             else:
                 v = [val for p in pairs for val in (sol.x[p], sol.y[p])]
@@ -268,8 +268,8 @@ class TestStrongPrimal:
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_counts(self, n):
         lp = build_strong_primal(n)
-        assert lp.n_variables() == n * (n + 1) // 2
-        assert lp.n_constraints() == n * (n + 1) // 2
+        assert lp.c.size == n * (n + 1) // 2
+        assert lp.b.size == n * (n + 1) // 2
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
@@ -302,8 +302,8 @@ class TestWeakPrimal:
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_counts(self, n):
         lp = build_weak_primal(n)
-        assert lp.n_variables() == n * (n + 1) + 1
-        assert lp.n_constraints() == n * (n + 1) + 2
+        assert lp.c.size == n * (n + 1) + 1
+        assert lp.b.size == n * (n + 1) + 2
 
     def test_discrete_threshold_policy_is_feasible(self):
         # stopping rule "pass the first r-1 buyers, then take the first
@@ -373,18 +373,6 @@ class TestWeakCertificate:
             assert cert.min_residual_u >= -1e-12
             assert cert.min_residual_v >= -1e-12
 
-    def test_csv_dump_capped_at_csv_cap(self, tmp_path):
-        path = tmp_path / "cert.csv"
-        weak_dual_certificate(CSV_CAP, W1, W2).to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "j,alpha_j,beta_j"
-        assert len(lines) == CSV_CAP + 1
-        assert lines[-1].startswith(f"{CSV_CAP},")
-        over = tmp_path / "over.csv"
-        with pytest.raises(SizeCapError, match=f"capped at n={CSV_CAP}$"):
-            weak_dual_certificate(CSV_CAP + 1, W1, W2).to_csv(over)
-        assert not over.exists()
-
     def test_u_constraint_tight_where_alpha_positive(self):
         cert = weak_dual_certificate(5000, W1, W2)
         n = cert.n
@@ -430,15 +418,6 @@ class TestWeakCertificate:
             for mine, ref in ((cert.alpha, alpha), (cert.beta, beta)):
                 scale = max(np.max(np.abs(ref)), 1e-300)
                 assert np.max(np.abs(mine - ref)) <= 1e-12 * scale, n
-
-    def test_csv_dump_capped(self, tmp_path):
-        cert = weak_dual_certificate(50, W1, W2)
-        path = tmp_path / "cert.csv"
-        cert.to_csv(path)
-        assert len(path.read_text().strip().splitlines()) == 51
-        big = weak_dual_certificate(20_000, W1, W2)
-        with pytest.raises(SizeCapError):
-            big.to_csv(tmp_path / "big.csv")
 
 
 class TestWeakDuality:

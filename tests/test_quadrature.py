@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sectrade
 from sectrade.errors import NumericError
-from sectrade.quadrature import (integrate_graded, integrate_rect,
-                                 integrate_wedge, panel_rule)
+from sectrade.quadrature import (_NODES_PER_PANEL, _W, _X, integrate_graded,
+                                 integrate_rect, integrate_wedge, panel_rule)
 
 
 def test_panel_rule_weights_sum_to_length():
@@ -21,6 +26,24 @@ def test_panel_rule_exact_through_degree_15():
     for k in range(16):
         assert abs(wts @ pts ** k - 1.0 / (k + 1)) < 1e-14
     assert abs(wts @ pts ** 16 - 1.0 / 17) > 1e-12
+
+
+def test_rule_literals_are_leggauss_8():
+    x, w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
+    assert np.array_equal(_X, x)
+    assert np.array_equal(_W, w)
+
+
+def test_cli_import_skips_numpy_polynomial():
+    src = str(Path(sectrade.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, sectrade.cli; "
+         "print('numpy.polynomial' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_rect_polynomial_exact():

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from sectrade.benchmarks import weak_opt_expected
+from sectrade.errors import NumericError
 from sectrade.model import (ArrivalSample, Instance, Thresholds, canonicalize,
                             gen_instance)
 from sectrade.oracle import enumerate_alg2_exact
 from sectrade.policies import SELL_CUTOFF, SKIP_CUTOFF, run_episode
 from sectrade.simulate import (_BLOCK_BUDGET, _PREFIX, BLOCK, POLICY_IDS,
                                SimulationReport, _evaluate, _market,
-                               _stride, block_draws, curve_to_csv,
-                               estimate_ratio_curve, simulate)
+                               _stride, block_draws, simulate)
 
 TH = Thresholds(0.296151, 0.805018)
 # the module itself, whose globals the tests patch
@@ -373,19 +373,13 @@ class TestValidation:
 
 
 class TestCurve:
-    def test_flat_k_ratio_grows_toward_bound(self, tmp_path):
+    def test_flat_k_ratio_grows_toward_bound(self):
         # the weak ratio of the buy-then-resell policy on flat instances
         # climbs toward 2 e^2/(e^2-1) ~ 2.3130 as k grows
-        rows = estimate_ratio_curve("alg1", "flat_k", "k", (1, 8, 40),
-                                    {"n": 40}, trials=60_000, seed=12)
-        ratios = [r.report.ratio_weak for r in rows]
+        ratios = [simulate("alg1", gen_instance("flat_k", n=40, k=k), 60_000,
+                           seed=12).ratio_weak for k in (1, 8, 40)]
         assert ratios[0] < ratios[1] < ratios[2]
         assert ratios[2] > 2.05
-        path = tmp_path / "curve.csv"
-        curve_to_csv(rows, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("policy,family,param")
-        assert len(lines) == 4
 
     def test_alg3_p1_cross_check(self):
         from sectrade.exact import alg3_pi_finite
@@ -408,6 +402,16 @@ class TestCurve:
         assert abs(rep.holder_freq.get(1, 0.0) - p1) < 3.5 * sigma
 
 
+def test_overflowing_sums_raise_numeric_error():
+    inst = Instance((1e308, 1e308), 0)
+    with pytest.raises(NumericError, match="sum_w"):
+        simulate("alg1", inst, 100, seed=1)
+    # zero welfare is no overflow: the ratios keep the inf convention
+    rep = simulate("alg1", Instance((0, 0), 0), 100, seed=1)
+    assert rep.mean_alg_welfare == 0.0
+    assert rep.ratio_weak == rep.ratio_strong == math.inf
+
+
 def test_report_json_shape():
     rep = simulate("alg1", gen_instance("spike", n=3), 1000, seed=2)
     doc = rep.to_json_dict()
@@ -424,4 +428,3 @@ def test_package_attribute_is_the_module():
     assert sectrade.simulate is SIM
     assert "simulate" not in sectrade.__all__
     assert sectrade.SimulationReport is SimulationReport
-    assert sectrade.estimate_ratio_curve is estimate_ratio_curve
