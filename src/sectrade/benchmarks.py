@@ -23,25 +23,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import Instance, RankedInstance, canonicalize
+from .model import Instance, canonicalize
 
 
-def strong_opt(instance: Instance | RankedInstance):
+def strong_opt(instance: Instance):
     """Best price over all n+1 agents."""
-    ranked = canonicalize(instance)
-    return max(ranked.sorted_buyer_prices[0], ranked.seller_price)
+    return max(max(instance.buyer_prices), instance.seller_price)
 
 
-def weak_opt_given_order(instance: Instance | RankedInstance, order):
+def weak_opt_given_order(instance: Instance, order):
     """Best achievable welfare for one fixed arrival order.
 
     ``order`` is a permutation of the agent ids 1..n+1.
     """
-    ranked = canonicalize(instance)
     ids = tuple(order)
-    if sorted(ids) != list(range(1, ranked.n + 2)):
-        raise ValueError(f"order is not a permutation of 1..{ranked.n + 1}")
-    return _weak_opt_of_order(ranked.instance, ids)
+    if sorted(ids) != list(range(1, instance.n + 2)):
+        raise ValueError(f"order is not a permutation of 1..{instance.n + 1}")
+    return _weak_opt_of_order(instance, ids)
 
 
 def _weak_opt_of_order(inst: Instance, ids: tuple):
@@ -56,10 +54,10 @@ def _weak_opt_of_order(inst: Instance, ids: tuple):
     return best
 
 
-def weak_opt_expected(instance: Instance | RankedInstance):
+def weak_opt_expected(instance: Instance):
     """Expected weak optimum over the uniform arrival order (closed form)."""
     ranked = canonicalize(instance)
-    total = ranked.seller_price * Fraction(1, ranked.mu + 1)
+    total = instance.seller_price * Fraction(1, ranked.mu + 1)
     for i in range(1, ranked.mu + 1):
         total += ranked.sorted_buyer_prices[i - 1] * Fraction(1, i * (i + 1))
     return total

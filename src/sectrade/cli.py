@@ -186,10 +186,10 @@ def _cmd_report_constants(args) -> int:
     rows.append(("strong ratio 4e^2/(e^2+1)", 3.523188, exact.strong_ratio_limit()))
     rows.append(("best-buyer probability limit", 0.283834, closed))
     rows.append(("  same, by quadrature", 0.283834, quad))
-    alg2 = oracle.enumerate_alg2_exact(
-        load_instance({"buyer_prices": ["1", "1/2", "1/4"], "seller_price": "1/8"}))
-    weak = oracle.enumerate_weak_opt_exact(
-        load_instance({"buyer_prices": ["1", "1/2", "1/4"], "seller_price": "1/8"}))
+    rational = load_instance({"buyer_prices": ["1", "1/2", "1/4"],
+                              "seller_price": "1/8"})
+    alg2 = oracle.enumerate_alg2_exact(rational)
+    weak = oracle.enumerate_weak_opt_exact(rational)
     rows.append(("coin-flip policy weak ratio", 2.0,
                  float(weak / alg2.expected_welfare)))
     rows.append(("double-threshold ratio bound", 1.83683,

@@ -7,8 +7,9 @@ Each agent carries a price; prices may be ints, floats, or
 Ties are resolved by one universal rule used everywhere in the package:
 agents are ordered by (price descending, agent index ascending).  The
 seller carries the largest index, so it loses every price tie to a buyer.
-``tiebreak_key`` returns a tuple whose natural ordering realises this rule,
-with larger keys ranking higher.
+``canonicalize`` realises the rule with a stable sort of the buyers by
+price alone; ``tiebreak_key`` is the key the policies compare, a tuple
+whose natural ordering is the same rule, with larger keys ranking higher.
 
 Randomness is pinned to numpy's Philox counter-based generator so that
 every sampled quantity is reproducible across platforms and worker counts;
@@ -114,8 +115,6 @@ def load_instance(source) -> Instance:
     The JSON schema is ``{"buyer_prices": [num|"p/q", ...], "seller_price":
     num|"p/q"}``; string prices are parsed as exact fractions.
     """
-    if isinstance(source, Instance):
-        return source
     if isinstance(source, dict):
         doc = source
     else:
@@ -135,48 +134,33 @@ def load_instance(source) -> Instance:
 
 @dataclass(frozen=True)
 class RankedInstance:
-    """Canonical view of an instance under the universal tie-break.
+    """Canonical ranking of an instance's buyers under the universal tie-break.
 
     ``sorted_buyer_prices[r]`` is the price of the rank-(r+1) buyer,
     ``original_index_of_rank[r]`` its raw agent id, and ``mu`` counts the
     buyers ranked strictly above the seller.
     """
 
-    instance: Instance
     sorted_buyer_prices: tuple
     original_index_of_rank: tuple
     mu: int
-    n: int
-
-    @property
-    def seller_price(self) -> Price:
-        return self.instance.seller_price
-
-    @property
-    def seller_id(self) -> int:
-        return self.instance.seller_id
 
 
-def canonicalize(instance: Instance | RankedInstance) -> RankedInstance:
+def canonicalize(instance: Instance) -> RankedInstance:
     """Rank the buyers under the universal tie-break and count mu.
 
-    Pure and idempotent: a RankedInstance passes through unchanged.
+    Python's sort stays stable under ``reverse=True``, so sorting the buyer
+    ids by price alone keeps equal prices in ascending id order, which is
+    ``tiebreak_key``'s order.  The seller loses every tie, so mu counts the
+    buyers priced at or above it.
     """
-    if isinstance(instance, RankedInstance):
-        return instance
-    n = instance.n
-    ranked_ids = sorted(range(1, n + 1),
-                        key=lambda b: tiebreak_key(instance.buyer_prices[b - 1], b),
-                        reverse=True)
-    seller_key = tiebreak_key(instance.seller_price, instance.seller_id)
-    mu = sum(1 for b in ranked_ids
-             if tiebreak_key(instance.buyer_prices[b - 1], b) > seller_key)
+    prices = instance.buyer_prices
+    ranked = sorted(range(instance.n), key=prices.__getitem__, reverse=True)
+    seller = instance.seller_price
     return RankedInstance(
-        instance=instance,
-        sorted_buyer_prices=tuple(instance.buyer_prices[b - 1] for b in ranked_ids),
-        original_index_of_rank=tuple(ranked_ids),
-        mu=mu,
-        n=n,
+        sorted_buyer_prices=tuple(prices[b] for b in ranked),
+        original_index_of_rank=tuple(b + 1 for b in ranked),
+        mu=sum(1 for p in prices if p >= seller),
     )
 
 

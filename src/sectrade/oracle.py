@@ -8,8 +8,7 @@ reference oracles for the closed forms elsewhere in the package.
 
 The weak optimum of each order is the per-order rule of
 :func:`sectrade.benchmarks.weak_opt_given_order`.  The coin-flip policy is
-replayed through the state machine of :mod:`sectrade.policies`, on an
-instance canonicalized once for all its orders.
+replayed through the state machine of :mod:`sectrade.policies`.
 
 The time-threshold policies are excluded on purpose: their outcomes depend
 on the continuous arrival times beyond the order, so their ground truth is
@@ -25,7 +24,7 @@ from itertools import permutations
 
 from .benchmarks import _weak_opt_of_order
 from .errors import SizeCapError
-from .model import ArrivalSample, Instance, RankedInstance, canonicalize
+from .model import ArrivalSample, Instance, canonicalize
 from .policies import run_episode
 
 WEAK_OPT_CAP = 7
@@ -46,13 +45,12 @@ def _as_fraction(p) -> Fraction:
     raise ValueError(f"unsupported price type {type(p)}")
 
 
-def _exact_instance(instance: Instance | RankedInstance) -> Instance:
-    inst = canonicalize(instance).instance
-    return Instance(tuple(_as_fraction(p) for p in inst.buyer_prices),
-                    _as_fraction(inst.seller_price))
+def _exact_instance(instance: Instance) -> Instance:
+    return Instance(tuple(_as_fraction(p) for p in instance.buyer_prices),
+                    _as_fraction(instance.seller_price))
 
 
-def enumerate_weak_opt_exact(instance: Instance | RankedInstance) -> Fraction:
+def enumerate_weak_opt_exact(instance: Instance) -> Fraction:
     """Exact expected weak optimum: average the per-order optimum over all
     (n+1)! arrival orders."""
     inst = _exact_instance(instance)
@@ -96,7 +94,7 @@ class _FixedCoin:
         return self.value
 
 
-def enumerate_alg2_exact(instance: Instance | RankedInstance) -> Alg2Distribution:
+def enumerate_alg2_exact(instance: Instance) -> Alg2Distribution:
     """Replay the coin-flip policy on every order, branching on the coin.
 
     Each order flips at most one coin (the seller arrives once); orders
@@ -107,7 +105,6 @@ def enumerate_alg2_exact(instance: Instance | RankedInstance) -> Alg2Distributio
     n = inst.n
     if n > ALG2_CAP:
         raise SizeCapError(f"coin-flip enumeration capped at n={ALG2_CAP}")
-    ranked = canonicalize(inst)  # once, not once per replayed order
     times = tuple((k + 1) / (n + 2) for k in range(n + 1))
     holder_prob: dict[int, Fraction] = {}
     welfare = Fraction(0)
@@ -116,12 +113,12 @@ def enumerate_alg2_exact(instance: Instance | RankedInstance) -> Alg2Distributio
         n_orders += 1
         sample = ArrivalSample(order=order, times=times)
         buy_coin = _FixedCoin(0.0)   # coin says buy
-        outcome_buy = run_episode("alg2", ranked, sample, rng=buy_coin)
+        outcome_buy = run_episode("alg2", inst, sample, rng=buy_coin)
         if buy_coin.calls == 0:
             branches = ((outcome_buy, Fraction(1)),)
         else:
             skip_coin = _FixedCoin(1.0)  # coin says skip
-            outcome_skip = run_episode("alg2", ranked, sample, rng=skip_coin)
+            outcome_skip = run_episode("alg2", inst, sample, rng=skip_coin)
             branches = ((outcome_buy, Fraction(1, 2)),
                         (outcome_skip, Fraction(1, 2)))
         for outcome, weight in branches:

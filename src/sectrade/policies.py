@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from numbers import Real
 
 from .errors import ProtocolError
-from .model import (ArrivalSample, Instance, RankedInstance, Thresholds,
-                    TradeOutcome, tiebreak_key)
+from .model import (ArrivalSample, Instance, Thresholds, TradeOutcome,
+                    tiebreak_key)
 
 #: Observation cutoff 1/e and the seller skip cutoff (e-1)/e, full precision.
 SELL_CUTOFF = 1.0 / math.e
@@ -185,7 +185,7 @@ def make_policy(policy_id: str, thresholds: Thresholds | None = None):
     return _STEPS[policy_id]
 
 
-def run_episode(policy_id: str, instance: Instance | RankedInstance,
+def run_episode(policy_id: str, instance: Instance,
                 sample: ArrivalSample, rng=None,
                 thresholds: Thresholds | None = None) -> TradeOutcome:
     """Replay one arrival sample through a policy and score the outcome.
@@ -198,8 +198,7 @@ def run_episode(policy_id: str, instance: Instance | RankedInstance,
     Deterministic given (policy, instance, sample, rng state).
     """
     step = make_policy(policy_id, thresholds)
-    inst = instance.instance if isinstance(instance, RankedInstance) else instance
-    n = inst.n
+    n = instance.n
     if sample.size != n + 1:
         raise ValueError(f"sample has {sample.size} arrivals, instance needs {n + 1}")
     if sorted(sample.order) != list(range(1, n + 2)):
@@ -218,7 +217,7 @@ def run_episode(policy_id: str, instance: Instance | RankedInstance,
             raise ValueError(f"arrival times must strictly increase, "
                              f"got {t!r} after {last!r}")
         last = t
-    if policy_id == "alg3" and inst.seller_price != 0:
+    if policy_id == "alg3" and instance.seller_price != 0:
         raise ValueError(f"policy {policy_id!r} requires seller price 0")
     if policy_id == "alg2" and rng is None:
         raise ValueError(f"policy {policy_id!r} needs an rng")
@@ -227,14 +226,14 @@ def run_episode(policy_id: str, instance: Instance | RankedInstance,
     sold_to = 0
     decisions = []
     for pos, agent in enumerate(sample.order):
-        price = inst.price_of(agent)
+        price = instance.price_of(agent)
         event = PolicyEvent(time=sample.times[pos],
-                            is_seller=agent == inst.seller_id, price=price,
+                            is_seller=agent == instance.seller_id, price=price,
                             position=pos + 1, sort_key=tiebreak_key(price, agent))
         deal = step(state, event) == "deal"
         decisions.append(deal)
         if deal and not event.is_seller:
             sold_to = agent
-    holder = {NONE: inst.seller_id, HELD: 0, SOLD: sold_to}[state.inventory]
-    welfare = inst.price_of(holder) if holder else 0
+    holder = {NONE: instance.seller_id, HELD: 0, SOLD: sold_to}[state.inventory]
+    welfare = instance.price_of(holder) if holder else 0
     return TradeOutcome(holder=holder, welfare=welfare, decisions=tuple(decisions))

@@ -63,7 +63,7 @@ import numpy as np
 
 from .benchmarks import strong_opt
 from .errors import NumericError
-from .model import Instance, RankedInstance, Thresholds, canonicalize
+from .model import Instance, Thresholds, canonicalize
 from .policies import SELL_CUTOFF, SKIP_CUTOFF
 
 BLOCK = 1 << 14
@@ -85,13 +85,12 @@ class _Market:
     seller_price: float
 
 
-def _market(instance: Instance | RankedInstance) -> _Market:
+def _market(instance: Instance) -> _Market:
     ranked = canonicalize(instance)
-    inst = ranked.instance
-    n = ranked.n
+    n = instance.n
     prices = np.zeros(n + 2)
-    prices[1:n + 1] = [float(p) for p in inst.buyer_prices]
-    prices[n + 1] = float(inst.seller_price)
+    prices[1:n + 1] = [float(p) for p in instance.buyer_prices]
+    prices[n + 1] = float(instance.seller_price)
     buyer_cols = [b - 1 for b in ranked.original_index_of_rank]
     strength_cols = np.array(buyer_cols[:ranked.mu] + [n] + buyer_cols[ranked.mu:],
                              dtype=np.int64)
@@ -99,7 +98,7 @@ def _market(instance: Instance | RankedInstance) -> _Market:
                    strength_cols=strength_cols,
                    buyer_cols=np.array(buyer_cols, dtype=np.int64),
                    seller_strength_pos=ranked.mu,
-                   seller_price=float(inst.seller_price))
+                   seller_price=float(instance.seller_price))
 
 
 def _stride(n: int) -> int:
@@ -316,7 +315,7 @@ class SimulationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def simulate(policy_id: str, instance: Instance | RankedInstance, trials: int,
+def simulate(policy_id: str, instance: Instance, trials: int,
              seed: int, workers: int = 1,
              thresholds: Thresholds | None = None) -> SimulationReport:
     """Estimate holder frequencies, welfare, and competitive ratios.
@@ -338,10 +337,9 @@ def simulate(policy_id: str, instance: Instance | RankedInstance, trials: int,
         raise ValueError(f"unknown policy id {policy_id!r}")
     if policy_id == "alg3" and thresholds is None:
         raise ValueError("alg3 needs thresholds")
-    ranked = canonicalize(instance)
-    if policy_id == "alg3" and ranked.seller_price != 0:
+    if policy_id == "alg3" and instance.seller_price != 0:
         raise ValueError("alg3 requires seller price 0")
-    mk = _market(ranked)
+    mk = _market(instance)
 
     block = _block_size(mk.n)
     starts = list(range(0, trials, block))
@@ -377,21 +375,21 @@ def simulate(policy_id: str, instance: Instance | RankedInstance, trials: int,
     cov = (sums["sum_wo"] - n_t * mean_w * mean_o) / ddof
     se_w = math.sqrt(var_w / n_t)
     se_o = math.sqrt(var_o / n_t)
-    s_opt = float(strong_opt(ranked))
+    s_opt = float(strong_opt(instance))
     if mean_w > 0:
         ratio_weak = mean_o / mean_w
         ratio_strong = s_opt / mean_w
-        # delta method for the ratio of two correlated means
-        ratio_var = (var_o / mean_w ** 2
-                     + mean_o ** 2 * var_w / mean_w ** 4
-                     - 2.0 * mean_o * cov / mean_w ** 3)
+        # delta method for the ratio r of two correlated means; dividing
+        # by mean_w**2 alone keeps every power finite when the sums are
+        r = ratio_weak
+        ratio_var = (var_o - 2.0 * r * cov + r ** 2 * var_w) / mean_w ** 2
         ratio_weak_se = math.sqrt(max(ratio_var, 0.0) / n_t)
     else:
         ratio_weak = ratio_strong = ratio_weak_se = math.inf
 
     return SimulationReport(
         policy=policy_id,
-        instance_digest=ranked.instance.digest(),
+        instance_digest=instance.digest(),
         trials=trials,
         seed=int(seed),  # numpy integers are not JSON-serialisable
         holder_freq={int(h): c / n_t for h, c in enumerate(counts) if c},

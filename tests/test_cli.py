@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 import tracemalloc
@@ -149,6 +150,16 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("numeric failure:") and "sum_w" in err
         assert not path.exists()
+
+    def test_huge_finite_welfare_succeeds(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, _, err = run_cli(
+            capsys, "simulate", "--policy", "alg1", "--instance",
+            json.dumps({"buyer_prices": [1e100, 1e99], "seller_price": 0}),
+            "--trials", "100", "--seed", "1", "--out", str(path))
+        assert code == 0
+        assert err == ""
+        assert math.isfinite(json.loads(path.read_text())["ratio_weak_se"])
 
     @pytest.mark.parametrize("instance,message", [
         ("geometric:n=3,r=1/0", "zero denominator"),

@@ -7,9 +7,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sectrade.benchmarks import strong_opt
 from sectrade.errors import InvalidInstanceError
 from sectrade.model import (Instance, Thresholds, canonicalize, gen_instance,
-                            load_instance, parse_family_spec, sample_arrival)
+                            load_instance, parse_family_spec, sample_arrival,
+                            tiebreak_key)
+
+
+def _ref_canonicalize(instance):
+    """canonicalize as it was before the stable price-only sort: a sort on
+    ``tiebreak_key`` tuples, and mu counted by comparing every buyer's key
+    with the seller's.  Returns (sorted prices, ids by rank, mu)."""
+    n = instance.n
+    ranked_ids = sorted(range(1, n + 1),
+                        key=lambda b: tiebreak_key(instance.buyer_prices[b - 1], b),
+                        reverse=True)
+    seller_key = tiebreak_key(instance.seller_price, instance.seller_id)
+    mu = sum(1 for b in ranked_ids
+             if tiebreak_key(instance.buyer_prices[b - 1], b) > seller_key)
+    return (tuple(instance.buyer_prices[b - 1] for b in ranked_ids),
+            tuple(ranked_ids), mu)
+
+
+@st.composite
+def _mixed_price(draw):
+    """A price k/2 for k = 0..4 as a float, np.float64 or Fraction, or, when
+    whole, also as an int or np.int64: equal values in mixed types."""
+    k = draw(st.integers(0, 4))
+    kinds = [float, np.float64, Fraction] + ([int, np.int64] if k % 2 == 0 else [])
+    kind = draw(st.sampled_from(kinds))
+    return Fraction(k, 2) if kind is Fraction else kind(k / 2)
 
 
 class TestCanonicalize:
@@ -27,10 +54,6 @@ class TestCanonicalize:
 
     def test_all_buyers_below_seller(self):
         assert canonicalize(Instance((0, 0, 0), 1)).mu == 0
-
-    def test_idempotent(self):
-        ranked = canonicalize(Instance((2, 7, 7), 3))
-        assert canonicalize(ranked) is ranked
 
     def test_empty_buyer_list_rejected(self):
         with pytest.raises(InvalidInstanceError):
@@ -74,6 +97,20 @@ class TestCanonicalize:
                 assert (ranked.original_index_of_rank[r]
                         < ranked.original_index_of_rank[r + 1])
         assert ranked.mu == sum(1 for p in buyers if p >= seller)
+
+    @given(st.lists(_mixed_price(), min_size=1, max_size=8), _mixed_price())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_tuple_key_reference(self, buyers, seller):
+        inst = Instance(buyers, seller)
+        ranked = canonicalize(inst)
+        prices, ids, mu = _ref_canonicalize(inst)
+        assert ranked.original_index_of_rank == ids
+        assert type(ranked.mu) is int and ranked.mu == mu
+        assert [type(p) for p in ranked.sorted_buyer_prices] == [type(p) for p in prices]
+        assert ranked.sorted_buyer_prices == prices
+        # the old strong_opt read the top of the ranking; max keeps the
+        # first maximum, so both return the same object
+        assert strong_opt(inst) is max(prices[0], seller)
 
 
 class TestSampleArrival:

@@ -73,7 +73,7 @@ class TestAlg2Enumeration:
         for _ in range(15):
             inst = random_rational_instance(rng, max_n=4)
             ranked = canonicalize(inst)
-            if ranked.mu == 0 or ranked.seller_price == 0:
+            if ranked.mu == 0 or inst.seller_price == 0:
                 continue
             dist = enumerate_alg2_exact(inst)
             assert dist.holder_prob.get(0, Fraction(0)) == Fraction(1, 2)

@@ -8,8 +8,7 @@ import pytest
 
 from sectrade.benchmarks import weak_opt_expected
 from sectrade.errors import NumericError
-from sectrade.model import (ArrivalSample, Instance, Thresholds, canonicalize,
-                            gen_instance)
+from sectrade.model import ArrivalSample, Instance, Thresholds, gen_instance
 from sectrade.oracle import enumerate_alg2_exact
 from sectrade.policies import SELL_CUTOFF, SKIP_CUTOFF, run_episode
 from sectrade.simulate import (_BLOCK_BUDGET, _PREFIX, BLOCK, POLICY_IDS,
@@ -101,9 +100,8 @@ class TestKernelAgainstStateMachines:
         for inst in instances:
             if policy_id == "alg3" and inst.seller_price != 0:
                 continue
-            ranked = canonicalize(inst)
-            n = ranked.n
-            mk = _market(ranked)
+            n = inst.n
+            mk = _market(inst)
             u = block_draws(seed=555, n=n, start=0, count=200)
             vec = _evaluate(policy_id, mk, u, TH)[0]
             for k in range(200):
@@ -112,7 +110,7 @@ class TestKernelAgainstStateMachines:
                 sample = ArrivalSample(
                     order=tuple(int(a) + 1 for a in perm),
                     times=tuple(float(t) for t in row[perm]))
-                out = run_episode(policy_id, ranked, sample,
+                out = run_episode(policy_id, inst, sample,
                                   rng=_FixedCoin(u[k, n + 1]), thresholds=TH)
                 assert out.holder == vec[k]
 
@@ -410,6 +408,15 @@ def test_overflowing_sums_raise_numeric_error():
     rep = simulate("alg1", Instance((0, 0), 0), 100, seed=1)
     assert rep.mean_alg_welfare == 0.0
     assert rep.ratio_weak == rep.ratio_strong == math.inf
+
+
+def test_ratio_se_is_scale_free_for_huge_finite_prices():
+    # the delta-method variance divides by mean welfare squared only, so
+    # prices near 1e100 (fourth power past float64) still give a finite SE
+    big = simulate("alg1", Instance((1e100, 1e99), 0), 2000, seed=1)
+    small = simulate("alg1", Instance((1.0, 0.1), 0), 2000, seed=1)
+    assert math.isfinite(big.ratio_weak_se)
+    assert big.ratio_weak_se == pytest.approx(small.ratio_weak_se, rel=1e-12)
 
 
 def test_report_json_shape():
