@@ -1,7 +1,10 @@
 """Command-line interface exposing every capability of the package.
 
-Structured results go to ``--out`` files (JSON, or CSV where a table is
-natural); stdout carries a short human-readable summary.  Exit codes:
+Each command prints a short human-readable summary to stdout and returns
+its JSON payload; ``main`` writes that payload to ``--out`` only after the
+command returned, so a failed command writes no file.  The one exception
+is ``exact alg3`` given a ``.csv`` path, which writes its own table and
+returns no payload.  Exit codes:
 0 success, 2 argument/validation error, 3 internal numeric failure.
 Sizes above a cap (``lp solve`` n > 60, an ``exact alg3`` table n > 1e5,
 family instances and certificates n > 1e7) exit 2 before any allocation.
@@ -34,79 +37,74 @@ def _resolve_instance(spec: str):
     return load_instance(spec)
 
 
-def _write_out(path, payload: dict) -> None:
-    if path:
+def _write_out(path, payload: dict | None) -> None:
+    if path and payload is not None:
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
 
 
-def _cmd_simulate(args) -> int:
-    instance = _resolve_instance(args.instance)
+def _cmd_simulate(args) -> dict:
     th = None
-    if args.policy == "alg3" or args.t1 is not None:
+    if args.policy == "alg3":
         th = Thresholds(args.t1 if args.t1 is not None else _TUNED.t1,
                         args.t2 if args.t2 is not None else _TUNED.t2)
+    elif args.t1 is not None or args.t2 is not None:
+        raise ValueError("--t1/--t2 apply only to --policy alg3")
+    instance = _resolve_instance(args.instance)
     report = run_simulation(args.policy, instance, args.trials, args.seed,
-                               workers=args.workers, thresholds=th)
-    _write_out(args.out, report.to_json_dict())
+                            workers=args.workers, thresholds=th)
     print(f"policy={report.policy} trials={report.trials} seed={report.seed}")
     print(f"mean welfare = {report.mean_alg_welfare:.6f} +- {report.se_alg:.6f}")
     print(f"mean weak opt = {report.mean_weak_opt:.6f} +- {report.se_weak:.6f}")
     print(f"strong opt = {report.strong_opt:.6f}")
     print(f"ratio_weak = {report.ratio_weak:.6f}  ratio_strong = {report.ratio_strong:.6f}")
-    return 0
+    return report.to_json_dict()
 
 
-def _cmd_exact_delta(args) -> int:
+def _cmd_exact_delta(args) -> dict:
     report = exact.delta_mu(args.mu)
-    _write_out(args.out, report.to_json_dict())
     print(f"mu={report.mu}: alpha={report.alpha:.9f} beta={report.beta:.9f} "
           f"gamma={report.gamma:.9f} delta={report.delta:.9f}")
-    return 0
+    return report.to_json_dict()
 
 
-def _cmd_exact_alg3(args) -> int:
+def _cmd_exact_alg3(args) -> dict | None:
     th = Thresholds(args.t1, args.t2)
     if args.i is not None:
         p, p1, p2 = exact.alg3_pi_parts(args.i, args.n, th)
-        payload = {"n": args.n, "i": args.i, "t1": th.t1, "t2": th.t2,
-                   "p_i": p, "p_i1": p1, "p_i2": p2}
-        _write_out(args.out, payload)
         print(f"i={args.i} n={args.n}: p_i={p:.9f} (best-so-far {p1:.9f}, "
               f"second {p2:.9f})")
-        return 0
+        return {"n": args.n, "i": args.i, "t1": th.t1, "t2": th.t2,
+                "p_i": p, "p_i1": p1, "p_i2": p2}
     report = exact.alg3_report(args.n, th)
-    if args.out and args.out.endswith(".csv"):
-        report.to_csv(args.out)
-    else:
-        _write_out(args.out, report.to_json_dict())
     print(f"n={args.n} t1={th.t1} t2={th.t2}")
     print(f"sale probability = {report.sale_prob:.9f}")
     print(f"p1 limit = {report.p1_limit:.9f}  p2 limit = {report.p2_limit:.9f}")
     print(f"asymptotic ratio bound = {report.ratio:.6f}")
     for i, p in enumerate(report.p, start=1):
         print(f"  p_{i} = {p:.9f}")
-    return 0
+    if args.out and args.out.endswith(".csv"):
+        report.to_csv(args.out)
+        return None
+    return report.to_json_dict()
 
 
-def _cmd_exact_limits(args) -> int:
+def _cmd_exact_limits(args) -> dict:
     closed = exact.delta_limit()
     quad = exact.delta_limit_quadrature()
     ratio = exact.strong_ratio_limit()
-    payload = {"delta_limit_closed_form": closed,
-               "delta_limit_quadrature": quad,
-               "agreement": abs(closed - quad),
-               "strong_ratio": ratio}
-    _write_out(args.out, payload)
     print(f"4e^2/(e^2+1) = {ratio:.9f}")
     print(f"(e^2+1)/(4e^2) = {closed:.9f} (closed form)")
     print(f"(e^2+1)/(4e^2) = {quad:.9f} (quadrature)")
     print(f"|closed - quadrature| = {abs(closed - quad):.3e}")
-    return 0
+    return {"delta_limit_closed_form": closed,
+            "delta_limit_quadrature": quad,
+            "agreement": abs(closed - quad),
+            "strong_ratio": ratio}
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> dict:
     if args.kind == "strong":
         cert = lp.strong_dual_certificate(args.n)
         print(f"n={cert.n}: objective={cert.objective:.9f} j*={cert.j_star} "
@@ -118,11 +116,10 @@ def _cmd_certify(args) -> int:
         print(f"j*={cert.j_star} j**={cert.j_double_star} "
               f"residuals: u={cert.min_residual_u:.3e} "
               f"v={cert.min_residual_v:.3e}")
-    _write_out(args.out, cert.to_json_dict())
-    return 0
+    return cert.to_json_dict()
 
 
-def _cmd_lp_solve(args) -> int:
+def _cmd_lp_solve(args) -> dict:
     builder = (lp.build_strong_primal if args.which == "strong"
                else lp.build_weak_primal)
     program = builder(args.n)
@@ -130,45 +127,32 @@ def _cmd_lp_solve(args) -> int:
     payload = {"which": args.which, "n": args.n,
                "objective": solution.objective_value,
                "max_violation": solution.max_violation(program)}
-    if solution.A is not None:
-        payload["A"] = solution.A
-    _write_out(args.out, payload)
     print(f"{args.which} primal n={args.n}: optimum = "
           f"{solution.objective_value:.9f}")
-    if solution.A is not None:
-        print(f"A = {solution.A:.9f}")
+    if args.which == "weak":
+        # the weak primal's last column is the scalar A
+        payload["A"] = float(solution.v[-1])
+        print(f"A = {payload['A']:.9f}")
     print(f"pivots={solution.pivots}", file=sys.stderr)
-    return 0
+    return payload
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> dict:
     objective = {"upper": "upper_bound", "lowerfamily": "lower_bound_family"}
     th, value = exact.optimize_thresholds(objective[args.objective],
                                           grid_step=args.grid)
-    payload = {"objective": args.objective, "t1": th.t1, "t2": th.t2,
-               "value": value}
-    _write_out(args.out, payload)
     print(f"{args.objective}: t1={th.t1:.6f} t2={th.t2:.6f} value={value:.6f}")
-    return 0
+    return {"objective": args.objective, "t1": th.t1, "t2": th.t2,
+            "value": value}
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> dict:
     instance = _resolve_instance(args.instance)
     if args.kind == "weakopt":
         result = oracle.enumerate_weak_opt_exact(instance)
-        _write_out(args.out, {"weak_opt": str(result),
-                              "weak_opt_float": float(result)})
         print(f"expected weak optimum = {result} (= {float(result):.9f})")
-        return 0
+        return {"weak_opt": str(result), "weak_opt_float": float(result)}
     dist = oracle.enumerate_alg2_exact(instance)
-    payload = {
-        "holder_prob": {str(h): str(p) for h, p in dist.holder_prob.items()},
-        "holder_prob_float": {str(h): float(p)
-                              for h, p in dist.holder_prob.items()},
-        "expected_welfare": str(dist.expected_welfare),
-        "expected_welfare_float": float(dist.expected_welfare),
-    }
-    _write_out(args.out, payload)
     for holder, prob in dist.holder_prob.items():
         label = ("intermediary" if holder == 0
                  else "seller" if holder == dist.instance.seller_id
@@ -176,10 +160,16 @@ def _cmd_oracle(args) -> int:
         print(f"P(holder = {label}) = {prob} (= {float(prob):.9f})")
     print(f"expected welfare = {dist.expected_welfare} "
           f"(= {float(dist.expected_welfare):.9f})")
-    return 0
+    return {
+        "holder_prob": {str(h): str(p) for h, p in dist.holder_prob.items()},
+        "holder_prob_float": {str(h): float(p)
+                              for h, p in dist.holder_prob.items()},
+        "expected_welfare": str(dist.expected_welfare),
+        "expected_welfare_float": float(dist.expected_welfare),
+    }
 
 
-def _cmd_report_constants(args) -> int:
+def _cmd_report_constants(args) -> dict:
     rows = []
     closed = exact.delta_limit()
     quad = exact.delta_limit_quadrature()
@@ -201,10 +191,8 @@ def _cmd_report_constants(args) -> int:
     print(f"{'quantity':<38} {'target':>10} {'computed':>14}")
     for name, target, value in rows:
         print(f"{name:<38} {target:>10.6f} {value:>14.9f}")
-    payload = {name: {"target": target, "computed": value}
-               for name, target, value in rows}
-    _write_out(args.out, payload)
-    return 0
+    return {name: {"target": target, "computed": value}
+            for name, target, value in rows}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,81 +201,73 @@ def build_parser() -> argparse.ArgumentParser:
         description="Online-trading lab: policies, exact probabilities, "
                     "Monte Carlo, and dual certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo estimate for a policy")
+    p_sim = sub.add_parser("simulate", parents=[out],
+                           help="Monte Carlo estimate for a policy")
     p_sim.add_argument("--policy", required=True, choices=POLICY_IDS)
     p_sim.add_argument("--instance", required=True,
                        help="JSON file or inline family:params spec")
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--out", default=None)
     p_sim.add_argument("--t1", type=float, default=None)
     p_sim.add_argument("--t2", type=float, default=None)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_exact = sub.add_parser("exact", help="closed-form/quadrature reports")
     ex_sub = p_exact.add_subparsers(dest="exact_command", required=True)
-    p_delta = ex_sub.add_parser("delta")
+    p_delta = ex_sub.add_parser("delta", parents=[out])
     p_delta.add_argument("--mu", type=int, required=True)
-    p_delta.add_argument("--out", default=None)
     p_delta.set_defaults(func=_cmd_exact_delta)
-    p_a3 = ex_sub.add_parser("alg3")
+    p_a3 = ex_sub.add_parser("alg3", parents=[out])
     p_a3.add_argument("--n", type=int, required=True)
     p_a3.add_argument("--t1", type=float, required=True)
     p_a3.add_argument("--t2", type=float, required=True)
     p_a3.add_argument("--i", type=int, default=None)
-    p_a3.add_argument("--out", default=None)
     p_a3.set_defaults(func=_cmd_exact_alg3)
-    p_lim = ex_sub.add_parser("limits")
-    p_lim.add_argument("--out", default=None)
+    p_lim = ex_sub.add_parser("limits", parents=[out])
     p_lim.set_defaults(func=_cmd_exact_limits)
 
     p_cert = sub.add_parser("certify", help="dual-feasible certificates")
     cert_sub = p_cert.add_subparsers(dest="certify_command", required=True)
-    p_cs = cert_sub.add_parser("strong")
+    p_cs = cert_sub.add_parser("strong", parents=[out])
     p_cs.add_argument("--n", type=int, required=True)
-    p_cs.add_argument("--out", default=None)
     p_cs.set_defaults(func=_cmd_certify, kind="strong")
-    p_cw = cert_sub.add_parser("weak")
+    p_cw = cert_sub.add_parser("weak", parents=[out])
     p_cw.add_argument("--n", type=int, required=True)
     p_cw.add_argument("--w1", type=float, required=True)
     p_cw.add_argument("--w2", type=float, required=True)
-    p_cw.add_argument("--out", default=None)
     p_cw.set_defaults(func=_cmd_certify, kind="weak")
 
     p_lp = sub.add_parser("lp", help="solve the small primals")
     lp_sub = p_lp.add_subparsers(dest="lp_command", required=True)
-    p_solve = lp_sub.add_parser("solve")
+    p_solve = lp_sub.add_parser("solve", parents=[out])
     p_solve.add_argument("--which", required=True, choices=("strong", "weak"))
     p_solve.add_argument("--n", type=int, required=True)
-    p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=_cmd_lp_solve)
 
     p_opt = sub.add_parser("optimize", help="threshold optimisation")
     opt_sub = p_opt.add_subparsers(dest="optimize_command", required=True)
-    p_th = opt_sub.add_parser("thresholds")
+    p_th = opt_sub.add_parser("thresholds", parents=[out])
     p_th.add_argument("--objective", required=True,
                       choices=("upper", "lowerfamily"))
     p_th.add_argument("--grid", type=float, default=1e-3)
-    p_th.add_argument("--out", default=None)
     p_th.set_defaults(func=_cmd_optimize)
 
     p_oracle = sub.add_parser("oracle", help="exact small-n enumeration")
     or_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
-    p_wo = or_sub.add_parser("weakopt")
+    p_wo = or_sub.add_parser("weakopt", parents=[out])
     p_wo.add_argument("--instance", required=True)
-    p_wo.add_argument("--out", default=None)
     p_wo.set_defaults(func=_cmd_oracle, kind="weakopt")
-    p_a2 = or_sub.add_parser("alg2")
+    p_a2 = or_sub.add_parser("alg2", parents=[out])
     p_a2.add_argument("--instance", required=True)
-    p_a2.add_argument("--out", default=None)
     p_a2.set_defaults(func=_cmd_oracle, kind="alg2")
 
     p_rep = sub.add_parser("report", help="summary tables")
     rep_sub = p_rep.add_subparsers(dest="report_command", required=True)
-    p_const = rep_sub.add_parser("constants")
-    p_const.add_argument("--out", default=None)
+    p_const = rep_sub.add_parser("constants", parents=[out])
     p_const.set_defaults(func=_cmd_report_constants)
 
     return parser
@@ -300,7 +280,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse reports its own usage errors
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        _write_out(args.out, args.func(args))
+        return 0
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

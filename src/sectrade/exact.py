@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -74,8 +74,7 @@ class StrongExactReport:
     delta: float
 
     def to_json_dict(self) -> dict:
-        return {"mu": self.mu, "alpha": self.alpha, "beta": self.beta,
-                "gamma": self.gamma, "delta": self.delta}
+        return asdict(self)
 
 
 def delta_mu(mu: int) -> StrongExactReport:

@@ -23,8 +23,8 @@ Each sweep's recurrence telescopes, so both run as suffix cumsums.
 
 Both primals are built as numpy arrays c, A, b (maximise c v subject to
 A v <= b, v >= 0): row and column r belong to the r-th pair (i, j) of
-``np.triu_indices(n)``, shifted to 1-based, and the simplex solution is
-mapped back to dicts keyed by (i, j) through the same pairs.
+``np.triu_indices(n)``, shifted to 1-based, and a solution is the point v
+the simplex returns, in that column order.
 
 Dual variables never depend on the seller position i, so certificates
 store one value per j and all feasibility checks run in O(n); that is what
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeCapError
-from .simplex import SimplexResult, simplex_solve_arrays
+from .simplex import simplex_solve_arrays
 
 SIZE_CAP = 60
 #: Largest n of either dual certificate; the weak one peaks near 130 B per n.
@@ -50,10 +50,10 @@ CERT_CAP = 10**7
 class LinearProgram:
     """max c @ v subject to A @ v <= b and v >= 0, for one of the primals.
 
-    Row r and column r belong to the r-th pair (i, j) of ``_pairs(n)``.
-    The weak primal interleaves x_{i,j} and y_{i,j} (rows and columns 2r
-    and 2r+1), then has A as its last column and the two welfare rows
-    last."""
+    Row r and column r belong to the r-th pair (i, j), i <= j, in
+    row-major order (``np.triu_indices(n)``, 1-based).  The weak primal
+    interleaves x_{i,j} and y_{i,j} (rows and columns 2r and 2r+1), then
+    has A as its last column and the two welfare rows last."""
 
     n: int
     c: np.ndarray
@@ -74,12 +74,6 @@ def _check_cert_n(n: int) -> None:
         raise ValueError(f"need n >= 2, got {n}")
     if n > CERT_CAP:
         raise SizeCapError(f"dual certificates capped at n={CERT_CAP}, got {n}")
-
-
-def _pairs(n: int) -> list:
-    """The pairs (i, j), 1 <= i <= j <= n, in row and column order."""
-    i, j = np.triu_indices(n)
-    return list(zip((i + 1).tolist(), (j + 1).tolist()))
 
 
 def _stopping_rows(n: int, width: int):
@@ -121,39 +115,23 @@ def build_weak_primal(n: int) -> LinearProgram:
 
 @dataclass
 class PrimalSolution:
-    """Solution of either primal, keyed by pair (i, j), with a
-    from-scratch residual check.
+    """A point v of either primal, in the column order of ``LinearProgram``,
+    with a from-scratch residual check.
 
-    ``pivots`` is the simplex pivot count (0 for a solution built by
-    hand)."""
+    ``pivots`` is the simplex pivot count (0 for a point built by hand)."""
 
-    x: dict
-    y: dict
-    A: float | None
+    v: np.ndarray
     objective_value: float
     pivots: int = 0
 
     def max_violation(self, lp: LinearProgram) -> float:
-        pairs = _pairs(lp.n)
-        v = np.array([self.x.get(p, 0.0) for p in pairs])
-        if lp.c.size > len(pairs):
-            y = [self.y.get(p, 0.0) for p in pairs]
-            v = np.r_[np.column_stack((v, y)).ravel(), self.A or 0.0]
-        return float(max(np.max(lp.A @ v - lp.b), np.max(-v), 0.0))
+        return float(max(np.max(lp.A @ self.v - lp.b), np.max(-self.v), 0.0))
 
 
 def simplex_solve(lp: LinearProgram) -> PrimalSolution:
-    """Solve an LP built here and map the solution back to the pairs."""
-    result: SimplexResult = simplex_solve_arrays(*lp.to_arrays())
-    pairs = _pairs(lp.n)
-    values = result.values.tolist()
-    if len(values) == len(pairs):
-        x, y, a_val = dict(zip(pairs, values)), {}, None
-    else:
-        x = dict(zip(pairs, values[:-1:2]))
-        y = dict(zip(pairs, values[1::2]))
-        a_val = values[-1]
-    return PrimalSolution(x=x, y=y, A=a_val,
+    """Solve an LP built here; the solution is the simplex's point."""
+    result = simplex_solve_arrays(*lp.to_arrays())
+    return PrimalSolution(v=result.values,
                           objective_value=float(result.objective),
                           pivots=result.iterations)
 

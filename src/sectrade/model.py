@@ -113,7 +113,8 @@ def load_instance(source) -> Instance:
     """Build an Instance from a dict, JSON text, or a file path.
 
     The JSON schema is ``{"buyer_prices": [num|"p/q", ...], "seller_price":
-    num|"p/q"}``; string prices are parsed as exact fractions.
+    num|"p/q"}``; string prices are parsed as exact fractions.  Any other
+    document raises ``InvalidInstanceError``.
     """
     if isinstance(source, dict):
         doc = source
@@ -124,6 +125,10 @@ def load_instance(source) -> Instance:
         else:
             with open(text) as fh:
                 doc = json.load(fh)
+    if not (isinstance(doc, dict)
+            and isinstance(doc.get("buyer_prices", []), list)):
+        raise InvalidInstanceError(
+            'an instance is a JSON object whose "buyer_prices" is a list')
     try:
         buyers = [_price_from_json(v) for v in doc["buyer_prices"]]
         seller = _price_from_json(doc["seller_price"])
@@ -284,6 +289,8 @@ def parse_family_spec(spec: str) -> Instance:
             if not val:
                 raise ValueError(f"bad family parameter {item!r}")
             key = key.strip()
+            if key in params:
+                raise ValueError(f"repeated family parameter {key!r}")
             if key in ("n", "k"):
                 params[key] = int(val)
             elif "/" in val:

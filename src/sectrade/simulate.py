@@ -57,7 +57,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -295,21 +295,9 @@ class SimulationReport:
     ratio_weak_se: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "instance_digest": self.instance_digest,
-            "trials": self.trials,
-            "seed": self.seed,
-            "holder_freq": {str(k): v for k, v in self.holder_freq.items()},
-            "mean_alg_welfare": self.mean_alg_welfare,
-            "se_alg": self.se_alg,
-            "mean_weak_opt": self.mean_weak_opt,
-            "se_weak": self.se_weak,
-            "strong_opt": self.strong_opt,
-            "ratio_strong": self.ratio_strong,
-            "ratio_weak": self.ratio_weak,
-            "ratio_weak_se": self.ratio_weak_se,
-        }
+        # string holder keys: sort_keys would order int keys numerically
+        freq = {str(k): v for k, v in self.holder_freq.items()}
+        return {**asdict(self), "holder_freq": freq}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)

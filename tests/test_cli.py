@@ -167,6 +167,10 @@ class TestSimulate:
          "zero denominator"),
         ("spike:n=3,zz=1", "unknown parameter zz"),
         ("flat_k:n=3", "needs parameter k"),
+        ("spike:n=5,n=6", "repeated family parameter 'n'"),
+        ("flat_k:k=2,n=5,k=3", "repeated family parameter 'k'"),
+        *((json.dumps({"buyer_prices": prices, "seller_price": 0}),
+           '"buyer_prices" is a list') for prices in (5, "12", None)),
     ])
     def test_malformed_instance(self, capsys, instance, message):
         code, out, err = run_cli(capsys, "simulate", "--policy", "alg1",
@@ -175,6 +179,16 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("flags", [["--t1", "0.2"], ["--t1", "0.9"],
+                                       ["--t2", "0.5"]])
+    def test_thresholds_only_for_alg3(self, capsys, flags):
+        code, out, err = run_cli(capsys, "simulate", "--policy", "alg1",
+                                 "--instance", "spike:n=5",
+                                 "--trials", "10", "--seed", "1", *flags)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --t1/--t2 apply only to --policy alg3\n"
 
 
 class TestCertify:
@@ -278,6 +292,18 @@ class TestOracle:
                                "--instance", "spike:n=7")
         assert code == 2
 
+    @pytest.mark.parametrize("doc", [
+        [1, 2], None, "x", {"buyer_prices": None, "seller_price": 0},
+    ])
+    def test_malformed_instance_file(self, capsys, tmp_path, doc):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "oracle", "weakopt",
+                                 "--instance", str(inst))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestReportConstants:
     def test_table(self, capsys, tmp_path):
@@ -290,6 +316,47 @@ class TestReportConstants:
             tol = 5e-4 if "0.567411" not in name else 1e-3
             assert abs(row["computed"] - row["target"]) < max(
                 tol, abs(row["target"]) * 2e-4), name
+
+
+_TH = ["--t1", "0.296151", "--t2", "0.805018"]
+_LEAVES = {
+    "simulate": ["simulate", "--policy", "alg1", "--instance", "spike:n=3",
+                 "--trials", "10", "--seed", "1"],
+    "exact delta": ["exact", "delta", "--mu", "1"],
+    "exact alg3": ["exact", "alg3", "--n", "4", *_TH],
+    "exact alg3 --i": ["exact", "alg3", "--n", "4", "--i", "2", *_TH],
+    "exact limits": ["exact", "limits"],
+    "certify strong": ["certify", "strong", "--n", "10"],
+    "certify weak": ["certify", "weak", "--n", "10",
+                     "--w1", "0.970659", "--w2", "0.029341"],
+    "lp solve": ["lp", "solve", "--which", "weak", "--n", "2"],
+    "optimize thresholds": ["optimize", "thresholds", "--objective", "upper",
+                            "--grid", "0.25"],
+    "oracle weakopt": ["oracle", "weakopt", "--instance", "spike:n=3"],
+    "oracle alg2": ["oracle", "alg2", "--instance", "spike:n=3"],
+    "report constants": ["report", "constants"],
+}
+
+
+class TestOut:
+    @pytest.mark.parametrize("leaf", list(_LEAVES))
+    def test_writes_json_object(self, capsys, tmp_path, leaf):
+        path = tmp_path / "out.json"
+        code, out, _ = run_cli(capsys, *_LEAVES[leaf], "--out", str(path))
+        assert code == 0
+        assert out
+        assert isinstance(json.loads(path.read_text()), dict)
+
+    @pytest.mark.parametrize("leaf,name", [
+        *((leaf, "out.json") for leaf in _LEAVES), ("exact alg3", "t.csv")])
+    def test_missing_directory_exits_2(self, capsys, tmp_path, leaf, name):
+        path = tmp_path / "missing" / name
+        code, out, err = run_cli(capsys, *_LEAVES[leaf], "--out", str(path))
+        assert code == 2
+        # the summary is printed before the payload is written
+        assert out
+        assert err.splitlines()[-1].startswith("error:")
+        assert not path.parent.exists()
 
 
 class TestExitCodes:
@@ -384,7 +451,10 @@ def _instance(sizes):
         _family_spec(sizes),
         doc.map(json.dumps),
         st.sampled_from(['{"buyer_prices": [1,', "{}", "[]", "null",
-                         "spike:", "/nonexistent/inst.json"]))
+                         "spike:", "/nonexistent/inst.json",
+                         '{"buyer_prices": 5, "seller_price": 0}',
+                         '{"buyer_prices": "12", "seller_price": 0}',
+                         '{"buyer_prices": null, "seller_price": 0}']))
 
 
 def _flags(**choices):

@@ -209,14 +209,14 @@ class TestBuilders:
                 assert mine.tobytes() == ref.tobytes(), n
             assert rels == ["<="] * b.size
 
-    def test_solution_keyed_by_pairs(self):
-        n = 5
-        strong = simplex_solve(build_strong_primal(n))
-        weak = simplex_solve(build_weak_primal(n))
-        assert list(strong.x) == pair_list(n)
-        assert strong.y == {} and strong.A is None
-        assert list(weak.x) == list(weak.y) == pair_list(n)
-        assert weak.A == weak.objective_value
+    def test_solution_is_the_simplex_point(self):
+        for lp in (build_strong_primal(5), build_weak_primal(5)):
+            sol = simplex_solve(lp)
+            ref = simplex_solve_arrays(*lp.to_arrays()).values
+            assert sol.v.tobytes() == ref.tobytes()
+            assert sol.v.size == lp.c.size
+        # A is the weak primal's last column and its objective
+        assert sol.v[-1] == sol.objective_value
 
     @pytest.mark.parametrize("builder", [build_strong_primal,
                                          build_weak_primal])
@@ -226,12 +226,7 @@ class TestBuilders:
         for n in range(1, 13):
             lp = builder(n)
             sol = simplex_solve(lp)
-            pairs = pair_list(n)
-            if lp.c.size == len(pairs):
-                v = [sol.x[p] for p in pairs]
-            else:
-                v = [val for p in pairs for val in (sol.x[p], sol.y[p])]
-                v.append(sol.A)
+            v = sol.v.tolist()
             c, A, b, rels = lp.to_arrays()
             worst = max(0.0, max(-val for val in v))
             for row, rhs in zip(A.tolist(), b.tolist()):
@@ -241,15 +236,21 @@ class TestBuilders:
     def test_max_violation_flags_bad_points(self):
         from sectrade.lp import PrimalSolution
         strong, weak = build_strong_primal(3), build_weak_primal(3)
-        # row (1, 2): 2 x_{1,2} + x_{1,1} <= 1
-        sol = PrimalSolution(x={(1, 1): 0.5, (1, 2): 0.5}, y={}, A=None,
-                             objective_value=0.0)
+        # row (1, 2): 2 x_{1,2} + x_{1,1} <= 1; (1, 1) and (1, 2) are
+        # columns 0 and 1
+        v = np.zeros(strong.c.size)
+        v[[0, 1]] = 0.5
+        sol = PrimalSolution(v=v, objective_value=0.0)
         assert sol.max_violation(strong) == 0.5
-        sol = PrimalSolution(x={}, y={(2, 3): -0.25}, A=None,
-                             objective_value=0.0)
+        # y_{2,3} is column 2 * 4 + 1: (2, 3) is the fifth pair at n = 3
+        v = np.zeros(weak.c.size)
+        v[9] = -0.25
+        sol = PrimalSolution(v=v, objective_value=0.0)
         assert sol.max_violation(weak) == 0.25
-        # A above both welfare rows, everything else 0
-        sol = PrimalSolution(x={}, y={}, A=0.125, objective_value=0.125)
+        # A (the last column) above both welfare rows, everything else 0
+        v = np.zeros(weak.c.size)
+        v[-1] = 0.125
+        sol = PrimalSolution(v=v, objective_value=0.125)
         assert sol.max_violation(weak) == 0.125
 
 
@@ -263,7 +264,7 @@ class TestStrongPrimal:
         assert rels == ["<="]
         sol = simplex_solve(lp)
         assert abs(sol.objective_value - 0.5) < 1e-12
-        assert abs(sol.x[(1, 1)] - 1.0) < 1e-12
+        assert abs(sol.v[0] - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_counts(self, n):
@@ -297,7 +298,7 @@ class TestWeakPrimal:
     def test_n1_optimum(self):
         sol = simplex_solve(build_weak_primal(1))
         assert abs(sol.objective_value - 0.75) < 1e-9
-        assert abs(sol.A - 0.75) < 1e-9
+        assert abs(sol.v[-1] - 0.75) < 1e-9
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_counts(self, n):
@@ -323,8 +324,12 @@ class TestWeakPrimal:
         p1 = sum(j / (n * (n + 1)) * v for (i, j), v in x.items())
         p2 = sum(j * (n - j) / (n * n) / (n + 1) * v for (i, j), v in x.items())
         A = min(2 * p1, 1.5 * (p1 + p2))
+        # x_p in column 2r for the r-th pair p, y = 0, A last
+        v = np.zeros(lp.c.size)
+        v[:-1:2] = [x.get(p, 0.0) for p in pair_list(n)]
+        v[-1] = A
         from sectrade.lp import PrimalSolution
-        sol = PrimalSolution(x=x, y={}, A=A, objective_value=A)
+        sol = PrimalSolution(v=v, objective_value=A)
         assert sol.max_violation(lp) < 1e-12
 
 
