@@ -12,6 +12,8 @@ simplex, checks the certificates dominate them (weak duality), and then
 pushes the certificates to n where the simplex could never go.
 """
 
+import numpy as np
+
 from sectrade import (build_strong_primal, build_weak_primal, simplex_solve,
                       strong_dual_certificate, verify_dual_feasibility,
                       weak_dual_certificate)
@@ -51,10 +53,12 @@ def main():
     print("=" * 64)
     print("3. The verifier is not a rubber stamp")
     print("=" * 64)
-    broken = strong_dual_certificate(200)
+    n = 200
+    broken = strong_dual_certificate(n)
     broken.y_pos[80] += 1.0
     broken.y_pos[81:] -= 0.01
-    report = verify_dual_feasibility(broken)
+    rhs = np.arange(1.0, n + 1.0) / ((n + 1.0) * n)   # j / ((n+1) n)
+    report = verify_dual_feasibility((broken.y_pos,), (rhs,))
     print(f"corrupted certificate: min slack = {report.min_residual:.3e} "
           f"at j = {report.argmin_j} (flagged infeasible)")
 

@@ -4,7 +4,7 @@ Each command prints a short human-readable summary to stdout and returns
 its JSON payload; ``main`` writes that payload to ``--out`` only after the
 command returned, so a failed command writes no file.  The one exception
 is ``exact alg3`` given a ``.csv`` path, which writes its own table and
-returns no payload.  Exit codes:
+returns no payload (with ``--i`` such a path exits 2).  Exit codes:
 0 success, 2 argument/validation error, 3 internal numeric failure.
 Sizes above a cap (``lp solve`` n > 60, an ``exact alg3`` table n > 1e5,
 family instances and certificates n > 1e7) exit 2 before any allocation.
@@ -70,6 +70,8 @@ def _cmd_exact_delta(args) -> dict:
 
 
 def _cmd_exact_alg3(args) -> dict | None:
+    if args.i is not None and (args.out or "").endswith(".csv"):
+        raise ValueError("--i reports one rank as JSON, not to a .csv --out")
     th = Thresholds(args.t1, args.t2)
     if args.i is not None:
         p, p1, p2 = exact.alg3_pi_parts(args.i, args.n, th)

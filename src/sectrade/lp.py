@@ -27,8 +27,9 @@ A v <= b, v >= 0): row and column r belong to the r-th pair (i, j) of
 the simplex returns, in that column order.
 
 Dual variables never depend on the seller position i, so certificates
-store one value per j and all feasibility checks run in O(n); that is what
-makes n = 2 * 10^6 routine.
+store one array over j per variable of a pair, and one O(n) verifier
+checks either kind; that is what makes n = 2 * 10^6 routine.  A
+constructor whose own point fails that check raises ``NumericError``.
 """
 
 from __future__ import annotations
@@ -38,12 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeCapError
+from .errors import NumericError, SizeCapError
 from .simplex import simplex_solve_arrays
 
 SIZE_CAP = 60
 #: Largest n of either dual certificate; the weak one peaks near 130 B per n.
 CERT_CAP = 10**7
+#: How far below 0 a certificate's slack may fall to roundoff before it fails.
+SLACK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -165,12 +168,10 @@ def strong_dual_certificate(n: int) -> StrongDualCertificate:
     y = np.maximum(a, 0.0)
     j = np.arange(1.0, n + 1.0)
     objective = float(j @ y)
-    cert = StrongDualCertificate(
+    report = verify_dual_feasibility((y,), (j / ((n + 1.0) * n),))
+    return StrongDualCertificate(
         n=n, a=a, y_pos=y, j_star=math.ceil(1.0 + (n - 1.0) / math.e),
-        objective=objective, min_residual=math.nan)
-    report = verify_dual_feasibility(cert)
-    object.__setattr__(cert, "min_residual", report.min_residual)
-    return cert
+        objective=objective, min_residual=_enforce(report, ("dual",))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +259,12 @@ def weak_dual_certificate(n: int, w1: float, w2: float) -> WeakDualCertificate:
         alpha[j_double_star:j_star] = alpha2[j_double_star:]
 
     objective = float(jj @ (alpha + beta))
-    cert = WeakDualCertificate(
+    report = verify_dual_feasibility((alpha, beta), (ru, rv))
+    res_u, res_v = _enforce(report, ("u", "v"))
+    return WeakDualCertificate(
         n=n, w1=w1, w2=w2, alpha=alpha, beta=beta, j_star=j_star,
         j_double_star=j_double_star, objective=objective,
-        min_residual_u=math.nan, min_residual_v=math.nan)
-    report = verify_dual_feasibility(cert)
-    object.__setattr__(cert, "min_residual_u", report.min_residual_u)
-    object.__setattr__(cert, "min_residual_v", report.min_residual_v)
-    return cert
+        min_residual_u=res_u, min_residual_v=res_v)
 
 
 # ---------------------------------------------------------------------------
@@ -274,45 +273,36 @@ def weak_dual_certificate(n: int, w1: float, w2: float) -> WeakDualCertificate:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    min_residual: float
+    min_residuals: tuple    # per family, the smallest slack
+    argmins: tuple          # per family, the (1-based) j where it falls
+    min_residual: float     # overall, the earlier family winning a tie
     argmin_j: int
-    min_residual_u: float | None = None
-    argmin_j_u: int | None = None
-    min_residual_v: float | None = None
-    argmin_j_v: int | None = None
 
 
-def verify_dual_feasibility(cert) -> FeasibilityReport:
-    """Recompute all dual constraint slacks of a certificate.
+def verify_dual_feasibility(z, rhs) -> FeasibilityReport:
+    """Recompute every slack of a dual point given as one array z[r] over j
+    per variable r of a pair (i, j), whose rows read
 
-    Residual = LHS - RHS per constraint row; feasibility means every
-    residual >= 0 (up to roundoff).  The dual rows repeat identically over
-    the seller position, so one pass over j covers all of them.
-    """
-    if isinstance(cert, StrongDualCertificate):
-        n = cert.n
-        y = cert.y_pos
-        j = np.arange(1.0, n + 1.0)
-        suffix = np.zeros(n)
-        suffix[:-1] = np.cumsum(y[:0:-1])[::-1]   # sum_{k>j} y_k
-        residual = j * y + suffix - j / ((n + 1.0) * n)
+        j z_{r,j} + sum_{k>j} sum_{r'} z_{r',k} >= rhs_{r,j};
+
+    the strong dual has one family (y), the weak dual two (alpha, beta).
+    A residual is LHS - RHS; feasibility means every residual >= 0."""
+    total = sum(z[1:], z[0])  # from z[0]: 0 + -0.0 would drop the sign
+    suffix = np.zeros(total.size)
+    suffix[:-1] = np.cumsum(total[:0:-1])[::-1]   # sum_{k>j} of every family
+    j = np.arange(1.0, total.size + 1.0)
+    found = []
+    for zr, rr in zip(z, rhs):
+        residual = j * zr + suffix - rr
         arg = int(np.argmin(residual))
-        return FeasibilityReport(min_residual=float(residual[arg]),
-                                 argmin_j=arg + 1)
-    if isinstance(cert, WeakDualCertificate):
-        n = cert.n
-        ru, rv = _weak_rhs(n, cert.w1, cert.w2)
-        combined = cert.alpha + cert.beta
-        suffix = np.zeros(n)
-        suffix[:-1] = np.cumsum(combined[:0:-1])[::-1]
-        j = np.arange(1.0, n + 1.0)
-        res_u = j * cert.alpha + suffix - ru
-        res_v = j * cert.beta + suffix - rv
-        au, av = int(np.argmin(res_u)), int(np.argmin(res_v))
-        worst = min(res_u[au], res_v[av])
-        return FeasibilityReport(
-            min_residual=float(worst),
-            argmin_j=(au if res_u[au] <= res_v[av] else av) + 1,
-            min_residual_u=float(res_u[au]), argmin_j_u=au + 1,
-            min_residual_v=float(res_v[av]), argmin_j_v=av + 1)
-    raise TypeError(f"unknown certificate type {type(cert)}")
+        found.append((float(residual[arg]), arg + 1))
+    return FeasibilityReport(*zip(*found), *min(found, key=lambda f: f[0]))
+
+
+def _enforce(report: FeasibilityReport, families) -> tuple:
+    """Per-family minimum slacks; raises if one is below -SLACK_TOL or NaN."""
+    for name, res, j in zip(families, report.min_residuals, report.argmins):
+        if not res >= -SLACK_TOL:
+            raise NumericError(f"dual certificate infeasible: {name} row at "
+                               f"j={j} has slack {res:.3e}")
+    return report.min_residuals

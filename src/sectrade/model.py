@@ -110,7 +110,7 @@ def _price_from_json(v) -> Price:
 
 
 def load_instance(source) -> Instance:
-    """Build an Instance from a dict, JSON text, or a file path.
+    """Build an Instance from a dict, JSON text (``{``/``[`` first) or a path.
 
     The JSON schema is ``{"buyer_prices": [num|"p/q", ...], "seller_price":
     num|"p/q"}``; string prices are parsed as exact fractions.  Any other
@@ -120,7 +120,7 @@ def load_instance(source) -> Instance:
         doc = source
     else:
         text = str(source)
-        if text.lstrip().startswith("{"):
+        if text.lstrip().startswith(("{", "[")):
             doc = json.loads(text)
         else:
             with open(text) as fh:

@@ -5,9 +5,10 @@ lines and the diagonal t = s, so regions are set up so that every panel
 sees a smooth integrand:
 
 * ``integrate_rect``  handles  s in [sa, sb], t in [ta, tb];
-* ``integrate_wedge`` handles  s in [sa, sb], t in [s, thi], mapping the
-  wedge to the unit square via t = s + (thi - s) v so that panels never
-  straddle the diagonal.
+* ``integrate_wedge`` handles  s in [sa, sb], t in [s, thi]: it maps the
+  wedge onto [sa, sb] x [0, 1] via t = s + (thi - s) v, so that panels
+  never straddle the diagonal, and hands the mapped integrand to
+  ``integrate_rect``; both run the same tensor-product estimate.
 
 ``integrate_graded`` handles 1D integrands in t with factors (1 - t)^m,
 m <= n, on cells that shrink geometrically toward the left end of each
@@ -46,12 +47,6 @@ def panel_rule(a: float, b: float, panels: int):
     return _edge_rule(np.linspace(a, b, panels + 1))
 
 
-def _tensor_estimate(f, s_pts, s_wts, t_pts, t_wts):
-    vals = np.asarray(f(s_pts[:, None], t_pts[None, :]), dtype=float)
-    vals = np.broadcast_to(vals, (s_pts.size, t_pts.size))
-    return float(s_wts @ vals @ t_wts)
-
-
 def _refine(estimate, tol: float):
     prev = estimate(1)
     panels = 2
@@ -73,28 +68,19 @@ def integrate_rect(f, sa: float, sb: float, ta: float, tb: float,
     def estimate(panels: int) -> float:
         s_pts, s_wts = panel_rule(sa, sb, panels)
         t_pts, t_wts = panel_rule(ta, tb, panels)
-        return _tensor_estimate(f, s_pts, s_wts, t_pts, t_wts)
+        vals = np.asarray(f(s_pts[:, None], t_pts[None, :]), dtype=float)
+        vals = np.broadcast_to(vals, (s_pts.size, t_pts.size))
+        return float(s_wts @ vals @ t_wts)
 
     return _refine(estimate, tol)
 
 
 def integrate_wedge(f, sa: float, sb: float, thi: float,
                     tol: float = 1e-10) -> float:
-    """Integral of f(s, t) over { sa <= s <= sb, s <= t <= thi }."""
-    if sa >= sb:
-        return 0.0
-
-    def estimate(panels: int) -> float:
-        s_pts, s_wts = panel_rule(sa, sb, panels)
-        v_pts, v_wts = panel_rule(0.0, 1.0, panels)
-        s = s_pts[:, None]
-        span = thi - s  # may vanish at s = thi; weight then vanishes too
-        t = s + span * v_pts[None, :]
-        vals = np.asarray(f(np.broadcast_to(s, t.shape), t), dtype=float) * span
-        vals = np.broadcast_to(vals, t.shape)
-        return float(s_wts @ vals @ v_wts)
-
-    return _refine(estimate, tol)
+    """Integral of f(s, t) over { sa <= s <= sb, s <= t <= thi }, as one
+    over (s, v) in [sa, sb] x [0, 1] with t = s + (thi - s) v."""
+    return integrate_rect(lambda s, v: f(s, s + (thi - s) * v) * (thi - s),
+                          sa, sb, 0.0, 1.0, tol)
 
 
 def integrate_graded(estimate, spans, n: int, tol: float = 1e-10):

@@ -65,6 +65,16 @@ class TestExact:
         assert code == 0
         assert path.read_text().startswith("i,p_i,f_i")
 
+    def test_alg3_single_rank_refuses_csv(self, capsys, tmp_path):
+        path = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "exact", "alg3", "--i", "2",
+                                 "--n", "4", "--t1", "0.3", "--t2", "0.8",
+                                 "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert not path.exists()
+
     def test_alg3_table_over_cap_allocates_nothing(self, capsys):
         tracemalloc.start()
         try:
@@ -171,6 +181,7 @@ class TestSimulate:
         ("flat_k:k=2,n=5,k=3", "repeated family parameter 'k'"),
         *((json.dumps({"buyer_prices": prices, "seller_price": 0}),
            '"buyer_prices" is a list') for prices in (5, "12", None)),
+        ("[1, 2]", '"buyer_prices" is a list'),
     ])
     def test_malformed_instance(self, capsys, instance, message):
         code, out, err = run_cli(capsys, "simulate", "--policy", "alg1",
@@ -210,6 +221,23 @@ class TestCertify:
         code, _, err = run_cli(capsys, "certify", "weak", "--n", "100",
                                "--w1", "0.9", "--w2", "0.2")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["strong", "--n", "100"],
+        ["weak", "--n", "100", "--w1", "0.970659", "--w2", "0.029341"],
+    ])
+    def test_refused_certificate_exits_3(self, capsys, tmp_path, monkeypatch,
+                                         argv):
+        from sectrade.lp import verify_dual_feasibility
+        monkeypatch.setattr(
+            "sectrade.lp.verify_dual_feasibility", lambda z, rhs:
+            verify_dual_feasibility(z, tuple(r + 1e-9 for r in rhs)))
+        path = tmp_path / "cert.json"
+        code, out, err = run_cli(capsys, "certify", *argv, "--out", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric failure:") and "infeasible" in err
+        assert not path.exists()
 
     def test_weak_nan_weights(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
@@ -291,6 +319,13 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", "alg2",
                                "--instance", "spike:n=7")
         assert code == 2
+
+    def test_inline_json_list(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "weakopt",
+                                 "--instance", "[1, 2]")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and '"buyer_prices" is a list' in err
 
     @pytest.mark.parametrize("doc", [
         [1, 2], None, "x", {"buyer_prices": None, "seller_price": 0},
@@ -450,8 +485,8 @@ def _instance(sizes):
     return st.one_of(
         _family_spec(sizes),
         doc.map(json.dumps),
-        st.sampled_from(['{"buyer_prices": [1,', "{}", "[]", "null",
-                         "spike:", "/nonexistent/inst.json",
+        st.sampled_from(['{"buyer_prices": [1,', "{}", "[]", "[1, 2]",
+                         "null", "spike:", "/nonexistent/inst.json",
                          '{"buyer_prices": 5, "seller_price": 0}',
                          '{"buyer_prices": "12", "seller_price": 0}',
                          '{"buyer_prices": null, "seller_price": 0}']))

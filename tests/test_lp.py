@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sectrade import simplex
-from sectrade.errors import SizeCapError, UnboundedProblem
+from sectrade.errors import NumericError, SizeCapError, UnboundedProblem
 from sectrade.lp import (_weak_rhs, build_strong_primal,
                          build_weak_primal, simplex_solve, strong_dual_certificate,
                          verify_dual_feasibility, weak_dual_certificate)
@@ -357,14 +357,52 @@ class TestStrongCertificate:
         assert gaps[-1] < 1.1e-3
 
     def test_corrupted_certificate_flagged(self):
-        cert = strong_dual_certificate(100)
+        n = 100
+        cert = strong_dual_certificate(n)
         cert.y_pos[40] += 1.0  # break a suffix: earlier rows now over-count
         cert.y_pos[41:] -= 0.02
-        report = verify_dual_feasibility(cert)
+        rhs = np.arange(1.0, n + 1.0) / ((n + 1.0) * n)  # j / ((n+1) n)
+        report = verify_dual_feasibility((cert.y_pos,), (rhs,))
         assert report.min_residual < -1e-6
 
 
+class TestRefusedCertificates:
+    """A constructor whose own point fails the verifier raises instead of
+    reporting a bound."""
+
+    @pytest.fixture
+    def stricter(self, monkeypatch):
+        monkeypatch.setattr(
+            "sectrade.lp.verify_dual_feasibility", lambda z, rhs:
+            verify_dual_feasibility(z, tuple(r + 1e-9 for r in rhs)))
+
+    def test_strong_raises(self, stricter):
+        with pytest.raises(NumericError, match=r"dual row at j=\d+"):
+            strong_dual_certificate(100)
+
+    def test_weak_raises(self, stricter):
+        with pytest.raises(NumericError, match=r"[uv] row at j=\d+"):
+            weak_dual_certificate(100, W1, W2)
+
+
 class TestWeakCertificate:
+    def test_moved_mass_breaks_only_its_v_row(self):
+        """Past j*, both rows at j0 are tight; moving delta from beta to
+        alpha at j0 keeps every suffix, so only the v row at j0 fails."""
+        cert = weak_dual_certificate(500, W1, W2)
+        j0 = (cert.j_star + cert.n) // 2
+        alpha, beta = cert.alpha.copy(), cert.beta.copy()
+        alpha[j0 - 1] += 1e-3
+        beta[j0 - 1] -= 1e-3
+        report = verify_dual_feasibility((alpha, beta),
+                                         _weak_rhs(500, W1, W2))
+        assert report.min_residuals[1] < 0
+        assert report.argmins[1] == j0
+        assert report.min_residuals[0] > report.min_residuals[1]
+        assert report.min_residuals[0] >= -1e-12
+        assert (report.min_residual, report.argmin_j) == (
+            report.min_residuals[1], j0)
+
     def test_headline_objective(self):
         cert = weak_dual_certificate(2_000_000, W1, W2)
         assert abs(cert.objective - 0.567411) < 5e-4

@@ -78,6 +78,9 @@ def main(argv=None) -> int:
     ap.add_argument("--src", type=Path,
                     default=Path(__file__).resolve().parents[1] / "src")
     args = ap.parse_args(argv)
+    # each command runs inside DEST, so a relative DEST must not be
+    # resolved a second time against itself
+    args.dest = args.dest.resolve()
     args.dest.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
     failed = []
