@@ -42,10 +42,11 @@ bit.
 A block is drawn and evaluated in sub-chunks that keep every draw array
 within ``_BLOCK_BUDGET`` doubles (one trial when a trial alone is larger);
 the block layout, each trial's window and the order of every sum stay
-those of the whole block, so the sub-chunk size changes no output bit.  The
-state machines in :mod:`sectrade.policies` stay the behavioural
-reference; the kernel here is cross-checked against them trial by trial
-in the test suite.
+those of the whole block, so the sub-chunk size changes no output bit.
+Sub-chunks of 2 MiB (under numpy's 4 MiB huge-page advice) keep thread
+timing from moving the peak memory.  The state machines in
+:mod:`sectrade.policies` stay the behavioural reference; the kernel here
+is cross-checked against them trial by trial in the test suite.
 
 Competitive ratios divide the mean benchmark by the mean policy welfare
 (never per-trial ratios), matching the expectation-based definitions.
@@ -67,7 +68,8 @@ from .model import Instance, Thresholds, canonicalize
 from .policies import SELL_CUTOFF, SKIP_CUTOFF
 
 BLOCK = 1 << 14
-_BLOCK_BUDGET = 1 << 22  # max doubles per draw array (or one trial's)
+_BLOCK_BUDGET = 1 << 18  # max doubles per draw array (or one trial's)
+_LAYOUT_BUDGET = 1 << 22  # doubles per block at large n (fixes the sums)
 _PREFIX = 32  # strength columns the kernel reads in its first round
 
 POLICY_IDS = ("alg1", "alg2", "alg3", "secretary-baseline")
@@ -113,7 +115,7 @@ def _block_size(n: int) -> int:
     order.  Memory is bounded separately: ``_block_partials`` draws a
     block in sub-chunks of at most ``_BLOCK_BUDGET`` doubles, which leaves
     this layout unchanged."""
-    return max(256, min(BLOCK, _BLOCK_BUDGET // _stride(n)))
+    return max(256, min(BLOCK, _LAYOUT_BUDGET // _stride(n)))
 
 
 def block_draws(seed: int, n: int, start: int, count: int) -> np.ndarray:

@@ -277,11 +277,12 @@ class TestMemoryBound:
         assert [c[:2] for c in calls] == [(0, per_chunk), (per_chunk, per_chunk),
                                           (2 * per_chunk, 1)]
         assert max(size for _, _, size in calls) <= _BLOCK_BUDGET
+        assert 8 * _BLOCK_BUDGET < 1 << 22  # under numpy's huge-page advice size
 
     @pytest.mark.parametrize("policy_id", ["alg2", "alg3"])
     def test_sub_chunks_do_not_change_bytes(self, monkeypatch, policy_id):
         # at n = 20000 a block is 256 trials whatever the budget, so a
-        # smaller budget shrinks only the sub-chunks (209 -> 3 trials)
+        # smaller budget shrinks only the sub-chunks (13 -> 3 trials)
         inst = gen_instance("spike", n=20_000)
         base = simulate(policy_id, inst, 300, seed=21, thresholds=TH).to_json()
         monkeypatch.setattr(SIM, "_BLOCK_BUDGET", 1 << 16)
