@@ -19,7 +19,7 @@ import sys
 from . import exact, lp, oracle
 from .errors import (InvalidInstanceError, NumericError, SizeCapError,
                      UnboundedProblem)
-from .model import _FAMILIES, Thresholds, load_instance, parse_family_spec
+from .model import Thresholds, load_instance
 from .simulate import POLICY_IDS, simulate as run_simulation
 
 _VALIDATION_ERRORS = (ValueError, InvalidInstanceError, SizeCapError,
@@ -27,14 +27,6 @@ _VALIDATION_ERRORS = (ValueError, InvalidInstanceError, SizeCapError,
 _NUMERIC_ERRORS = (NumericError, UnboundedProblem, ArithmeticError)
 # the double thresholds of ``optimize thresholds --objective upper``
 _TUNED = Thresholds(0.296151, 0.805018)
-
-
-def _resolve_instance(spec: str):
-    if ":" in spec and not spec.lstrip().startswith("{"):
-        name = spec.split(":", 1)[0]
-        if name in _FAMILIES:
-            return parse_family_spec(spec)
-    return load_instance(spec)
 
 
 def _write_out(path, payload: dict | None) -> None:
@@ -51,7 +43,7 @@ def _cmd_simulate(args) -> dict:
                         args.t2 if args.t2 is not None else _TUNED.t2)
     elif args.t1 is not None or args.t2 is not None:
         raise ValueError("--t1/--t2 apply only to --policy alg3")
-    instance = _resolve_instance(args.instance)
+    instance = load_instance(args.instance)
     report = run_simulation(args.policy, instance, args.trials, args.seed,
                             workers=args.workers, thresholds=th)
     print(f"policy={report.policy} trials={report.trials} seed={report.seed}")
@@ -141,15 +133,14 @@ def _cmd_lp_solve(args) -> dict:
 
 def _cmd_optimize(args) -> dict:
     objective = {"upper": "upper_bound", "lowerfamily": "lower_bound_family"}
-    th, value = exact.optimize_thresholds(objective[args.objective],
-                                          grid_step=args.grid)
+    th, value = exact.optimize_thresholds(objective[args.objective])
     print(f"{args.objective}: t1={th.t1:.6f} t2={th.t2:.6f} value={value:.6f}")
     return {"objective": args.objective, "t1": th.t1, "t2": th.t2,
             "value": value}
 
 
 def _cmd_oracle(args) -> dict:
-    instance = _resolve_instance(args.instance)
+    instance = load_instance(args.instance)
     if args.kind == "weakopt":
         result = oracle.enumerate_weak_opt_exact(instance)
         print(f"expected weak optimum = {result} (= {float(result):.9f})")
@@ -255,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_th = opt_sub.add_parser("thresholds", parents=[out])
     p_th.add_argument("--objective", required=True,
                       choices=("upper", "lowerfamily"))
-    p_th.add_argument("--grid", type=float, default=1e-3)
     p_th.set_defaults(func=_cmd_optimize)
 
     p_oracle = sub.add_parser("oracle", help="exact small-n enumeration")

@@ -172,25 +172,29 @@ def alg2_holder_prob(i: int, mu: int) -> Alg2HolderProb:
 
 def _log_term(t1, t2):
     """t1^2 ln(t2/t1) with the continuous extension 0 at t1 = 0."""
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = t1 * t1 * np.log(t2 / t1)
     return np.where(t1 > 0.0, val, 0.0)
 
 
+# Each limit is one array formula; the scalar entry points below and the
+# optimizer's grids both evaluate it, so they agree to the last bit.
+
 def _p1_limit_arr(t1, t2):
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
     return (2.0 + t1 * t1 * (3.0 - 6.0 * t2) + (3.0 - 2.0 * t2) * t2 * t2
             + 6.0 * _log_term(t1, t2)) / 12.0
 
 
 def _p2_limit_arr(t1, t2):
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
     return (2.0 + 8.0 * t1 ** 3 + t1 * t1 * (3.0 - 12.0 * t2)
             + (3.0 - 4.0 * t2) * t2 * t2 + 6.0 * _log_term(t1, t2)) / 12.0
+
+
+def _sale_prob_arr(t1, t2):
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+    return 1.0 - (1.0 / 3.0 + t2 ** 3 / 6.0 + t1 * t1 * t2 / 2.0)
 
 
 def alg3_p1_limit(th: Thresholds) -> float:
@@ -205,10 +209,6 @@ def alg3_p2_limit(th: Thresholds) -> float:
     return float(_p2_limit_arr(th.t1, th.t2))
 
 
-def _sale_prob_arr(t1, t2):
-    return 1.0 - (1.0 / 3.0 + t2 ** 3 / 6.0 + t1 * t1 * t2 / 2.0)
-
-
 def alg3_sale_prob(th: Thresholds) -> float:
     """Probability that the double-threshold policy sells at all.
 
@@ -220,6 +220,30 @@ def alg3_sale_prob(th: Thresholds) -> float:
     return float(_sale_prob_arr(th.t1, th.t2))
 
 
+def _ratio_branches(name: str, t1, t2):
+    """The two ratios whose max is the objective ``name``, as arrays.
+
+    Both objectives share 1 / (2 p1) (all value on the top buyer).
+    "upper_bound" adds 1 / sale (all buyers equally valuable) and
+    "lower_bound_family" (2/3) / (p1 + p2) (two equal high bids).  Only
+    the limits a branch reads are evaluated.
+    """
+    if name not in ("upper_bound", "lower_bound_family"):
+        raise ValueError(f"unknown objective {name!r}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p1 = _p1_limit_arr(t1, t2)
+        if name == "upper_bound":
+            num, den = 1.0, _sale_prob_arr(t1, t2)
+        else:
+            num, den = 2.0 / 3.0, p1 + _p2_limit_arr(t1, t2)
+        return (np.where(p1 > 0, 1.0 / (2.0 * p1), np.inf),
+                np.where(den > 0, num / den, np.inf))
+
+
+def _objective_arr(name: str, t1, t2):
+    return np.maximum(*_ratio_branches(name, t1, t2))
+
+
 @dataclass(frozen=True)
 class Alg3Ratio:
     """Asymptotic ratio bound at given thresholds, via both routes."""
@@ -227,16 +251,14 @@ class Alg3Ratio:
     thresholds: Thresholds
     via_p1: float     # 1 / (2 p1_limit): all value on the top buyer
     via_sale: float   # 1 / sale_prob:   all buyers equally valuable
-    bound: float      # max of the two
+    bound: float      # max of the two: the "upper_bound" objective
 
 
 def alg3_ratio(th: Thresholds) -> Alg3Ratio:
-    p1 = alg3_p1_limit(th)
-    sale = alg3_sale_prob(th)
-    via_p1 = 1.0 / (2.0 * p1) if p1 > 0 else math.inf
-    via_sale = 1.0 / sale if sale > 0 else math.inf
-    return Alg3Ratio(thresholds=th, via_p1=via_p1, via_sale=via_sale,
-                     bound=max(via_p1, via_sale))
+    via_p1, via_sale = _ratio_branches("upper_bound", th.t1, th.t2)
+    return Alg3Ratio(thresholds=th, via_p1=float(via_p1),
+                     via_sale=float(via_sale),
+                     bound=float(np.maximum(via_p1, via_sale)))
 
 
 # ---------------------------------------------------------------------------
@@ -475,69 +497,44 @@ def mono_thresholds(t_star: float) -> MonotonicityThresholds:
 # Threshold optimisation
 # ---------------------------------------------------------------------------
 
-def _objective_arr(name: str, t1, t2):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p1 = _p1_limit_arr(t1, t2)
-        if name == "upper_bound":
-            a = np.where(p1 > 0, 1.0 / (2.0 * p1), np.inf)
-            sale = _sale_prob_arr(np.asarray(t1, dtype=float),
-                                  np.asarray(t2, dtype=float))
-            b = np.where(sale > 0, 1.0 / sale, np.inf)
-        elif name == "lower_bound_family":
-            p2 = _p2_limit_arr(t1, t2)
-            a = np.where(p1 > 0, 1.0 / (2.0 * p1), np.inf)
-            b = np.where(p1 + p2 > 0, (2.0 / 3.0) / (p1 + p2), np.inf)
-        else:
-            raise ValueError(f"unknown objective {name!r}")
-    return np.maximum(a, b)
+#: Step of the coarse scan over the triangle (1001 x 1001 cells).
+_GRID_STEP = 1e-3
 
 
-_GRID_CELLS_MAX = 2000 * 2000  # coarse scan: 1e6 cells at the default 1e-3
+def _grid_argmin(objective: str, l1, l2) -> tuple[float, float, float]:
+    """(t1, t2, value) minimising the objective over the grid l1 x l2
+    within t1 <= t2; the first minimum in row-major order on ties.  l1 is
+    broadcast as a column against l2 as a row, which gives the values of
+    a meshgrid without its two full-size coordinate arrays."""
+    col, row = l1[:, None], l2[None, :]
+    vals = _objective_arr(objective, col, row)
+    vals[col > row] = np.inf
+    i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    return float(l1[i]), float(l2[j]), float(vals[i, j])
 
 
-def optimize_thresholds(objective: str,
-                        grid_step: float = 1e-3) -> tuple[Thresholds, float]:
+def optimize_thresholds(objective: str) -> tuple[Thresholds, float]:
     """Minimise a ratio objective over the triangle 0 <= t1 <= t2 <= 1.
 
     objective "upper_bound" balances the worst single-spike instance
     against the all-ones instance; "lower_bound_family" balances the
     one-high-bid family against the two-high-bids family.  A coarse grid
     scan is followed by shrinking local grids down to a step of 1e-6.
-    ``grid_step`` must lie in (0, 1] and keep the coarse grid within
-    ``_GRID_CELLS_MAX`` cells.
     """
-    if not (math.isfinite(grid_step) and 0.0 < grid_step <= 1.0):
-        raise ValueError(f"grid_step must be a finite number in (0, 1], "
-                         f"got {grid_step!r}")
-    side = math.ceil((1.0 + grid_step / 2) / grid_step)  # len of the arange
-    if side * side > _GRID_CELLS_MAX:
-        smallest = 1.0 / (math.isqrt(_GRID_CELLS_MAX) - 0.5)
-        raise ValueError(f"grid_step {grid_step!r} needs {side}^2 coarse grid "
-                         f"cells (cap {_GRID_CELLS_MAX}); the smallest "
-                         f"allowed step is {smallest!r}")
-    ts = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    t1g, t2g = np.meshgrid(ts, ts, indexing="ij")
-    vals = _objective_arr(objective, t1g, t2g)
-    vals = np.where(t1g <= t2g, vals, np.inf)
-    best = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    b1, b2 = float(t1g[best]), float(t2g[best])
-    bval = float(vals[best])
+    ts = np.arange(0.0, 1.0 + _GRID_STEP / 2, _GRID_STEP)
+    b1, b2, bval = _grid_argmin(objective, ts, ts)
 
     # pattern search: walk the valley at each scale until stuck, then shrink.
     # The objective's valley is far thinner across than along (the balance
     # curve between the two max branches), so t2 is sampled 100x finer.
-    step = grid_step
+    step = _GRID_STEP
     while step > 1e-6:
         step /= 10.0
         for _ in range(200):
-            l1 = np.clip(b1 + np.arange(-10, 11) * step, 0.0, 1.0)
-            l2 = np.clip(b2 + np.arange(-1000, 1001) * (step / 100.0), 0.0, 1.0)
-            g1, g2 = np.meshgrid(l1, l2, indexing="ij")
-            lv = _objective_arr(objective, g1, g2)
-            lv = np.where(g1 <= g2, lv, np.inf)
-            loc = np.unravel_index(int(np.argmin(lv)), lv.shape)
-            if not lv[loc] < bval:
+            t1, t2, val = _grid_argmin(
+                objective, np.clip(b1 + np.arange(-10, 11) * step, 0.0, 1.0),
+                np.clip(b2 + np.arange(-1000, 1001) * (step / 100.0), 0.0, 1.0))
+            if not val < bval:
                 break
-            b1, b2, bval = float(g1[loc]), float(g2[loc]), float(lv[loc])
+            b1, b2, bval = t1, t2, val
     return Thresholds(t1=b1, t2=b2), bval
-

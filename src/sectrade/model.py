@@ -110,8 +110,11 @@ def _price_from_json(v) -> Price:
 
 
 def load_instance(source) -> Instance:
-    """Build an Instance from a dict, JSON text (``{``/``[`` first) or a path.
+    """Build an Instance from a dict or an instance spec.
 
+    A spec is read as inline JSON when its first non-blank character is
+    ``{`` or ``[``, else as a family spec (``parse_family_spec``) when a
+    known family name precedes its first ``:``, else as a JSON file path.
     The JSON schema is ``{"buyer_prices": [num|"p/q", ...], "seller_price":
     num|"p/q"}``; string prices are parsed as exact fractions.  Any other
     document raises ``InvalidInstanceError``.
@@ -120,8 +123,11 @@ def load_instance(source) -> Instance:
         doc = source
     else:
         text = str(source)
+        name, colon, _ = text.partition(":")
         if text.lstrip().startswith(("{", "[")):
             doc = json.loads(text)
+        elif colon and name in _FAMILIES:
+            return parse_family_spec(text)
         else:
             with open(text) as fh:
                 doc = json.load(fh)

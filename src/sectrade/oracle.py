@@ -77,6 +77,9 @@ class Alg2Distribution:
 
     def prob_of_rank(self, rank: int) -> Fraction:
         """Holder probability of the canonically ranked rank-th buyer."""
+        if not 1 <= rank <= self.instance.n:
+            raise ValueError(f"need 1 <= rank <= {self.instance.n}, "
+                             f"got {rank}")
         ranked = canonicalize(self.instance)
         agent = ranked.original_index_of_rank[rank - 1]
         return self.holder_prob.get(agent, Fraction(0))

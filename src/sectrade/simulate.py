@@ -5,9 +5,10 @@ Stream discipline
 The generator is numpy's Philox (counter-based).  Each trial owns a fixed
 window of the counter space: trial k consumes draws [k*S, (k+1)*S) where
 the stride S is n+2 rounded up to a multiple of 4 (n+1 per-agent arrival
-uniforms, one coin slot, padding).  Trials are processed in fixed blocks
-of ``BLOCK`` trials; a block's draws come from one ``Philox(key=seed)``
-generator advanced to the block's first window.  Workers receive whole
+uniforms, one coin slot, padding).  Trials are processed in blocks of
+``_block_size(n)`` trials, ``BLOCK`` shrunk at large n (a function of n
+alone); a block's draws come from one ``Philox(key=seed)`` generator
+advanced to the block's first window.  Workers receive whole
 blocks and the per-block partial sums are reduced in block order with
 compensated addition, so the report is byte-identical for any worker
 count.
@@ -70,6 +71,8 @@ from .policies import SELL_CUTOFF, SKIP_CUTOFF
 BLOCK = 1 << 14
 _BLOCK_BUDGET = 1 << 18  # max doubles per draw array (or one trial's)
 _LAYOUT_BUDGET = 1 << 22  # doubles per block at large n (fixes the sums)
+# the welfare moments a block sums, in the order of its sums array
+_MOMENTS = ("sum_w", "sum_w2", "sum_o", "sum_o2", "sum_wo")
 _PREFIX = 32  # strength columns the kernel reads in its first round
 
 POLICY_IDS = ("alg1", "alg2", "alg3", "secretary-baseline")
@@ -243,7 +246,9 @@ def _evaluate(policy_id: str, mk: _Market, u: np.ndarray,
 
 
 def _block_partials(policy_id: str, mk: _Market, seed: int, start: int,
-                    count: int, th: Thresholds | None) -> dict:
+                    count: int, th: Thresholds | None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    # The block's holder counts and its _MOMENTS sums as one float64 array.
     # Draw and evaluate the block in sub-chunks that keep each draw array
     # within _BLOCK_BUDGET doubles (one trial when a trial alone exceeds
     # it).  Trials keep their Philox windows and the block's sums run over
@@ -259,17 +264,12 @@ def _block_partials(policy_id: str, mk: _Market, seed: int, start: int,
     weak = np.concatenate([w for _, w in parts])
     welfare = mk.prices[holders]
     with np.errstate(over="ignore", invalid="ignore"):  # ``simulate`` checks
-        return {
-            "counts": np.bincount(holders, minlength=n + 2),
-            "sum_w": float(welfare.sum()),
-            "sum_w2": float((welfare * welfare).sum()),
-            "sum_o": float(weak.sum()),
-            "sum_o2": float((weak * weak).sum()),
-            "sum_wo": float((welfare * weak).sum()),
-        }
+        sums = np.array([welfare.sum(), (welfare * welfare).sum(), weak.sum(),
+                         (weak * weak).sum(), (welfare * weak).sum()])
+    return np.bincount(holders, minlength=n + 2), sums
 
 
-def _kahan_total(values) -> float:
+def _kahan_total(values):
     total = 0.0
     carry = 0.0
     for v in values:
@@ -346,23 +346,23 @@ def simulate(policy_id: str, instance: Instance, trials: int,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(work, blocks))
 
-    counts = np.zeros(mk.n + 2, dtype=np.int64)
-    for p in partials:
-        counts += p["counts"]
-    sums = {key: _kahan_total(p[key] for p in partials)
-            for key in ("sum_w", "sum_w2", "sum_o", "sum_o2", "sum_wo")}
-    overflow = [key for key, total in sums.items() if not math.isfinite(total)]
+    counts = sum(c for c, _ in partials)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        sums = _kahan_total(s for _, s in partials).tolist()
+    overflow = [key for key, total in zip(_MOMENTS, sums)
+                if not math.isfinite(total)]
     if overflow:
         raise NumericError(f"{', '.join(overflow)} overflowed float64; the "
                            f"prices are too large for welfare moments")
+    sum_w, sum_w2, sum_o, sum_o2, sum_wo = sums
 
     n_t = float(trials)
-    mean_w = sums["sum_w"] / n_t
-    mean_o = sums["sum_o"] / n_t
+    mean_w = sum_w / n_t
+    mean_o = sum_o / n_t
     ddof = n_t - 1.0 if trials > 1 else 1.0
-    var_w = max((sums["sum_w2"] - n_t * mean_w ** 2) / ddof, 0.0)
-    var_o = max((sums["sum_o2"] - n_t * mean_o ** 2) / ddof, 0.0)
-    cov = (sums["sum_wo"] - n_t * mean_w * mean_o) / ddof
+    var_w = max((sum_w2 - n_t * mean_w ** 2) / ddof, 0.0)
+    var_o = max((sum_o2 - n_t * mean_o ** 2) / ddof, 0.0)
+    cov = (sum_wo - n_t * mean_w * mean_o) / ddof
     se_w = math.sqrt(var_w / n_t)
     se_o = math.sqrt(var_o / n_t)
     s_opt = float(strong_opt(instance))
@@ -371,6 +371,7 @@ def simulate(policy_id: str, instance: Instance, trials: int,
         ratio_strong = s_opt / mean_w
         # delta method for the ratio r of two correlated means; dividing
         # by mean_w**2 alone keeps every power finite when the sums are
+        # finite (mean_w ** 4 overflowed for prices near 1e77)
         r = ratio_weak
         ratio_var = (var_o - 2.0 * r * cov + r ** 2 * var_w) / mean_w ** 2
         ratio_weak_se = math.sqrt(max(ratio_var, 0.0) / n_t)

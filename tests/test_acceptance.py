@@ -150,7 +150,7 @@ def test_criterion_07_theorem4_constant():
 
 def test_criterion_08_remark_constant():
     with criterion(8, 60.0, "family lower bound 1.76239 at its thresholds"):
-        th, value = optimize_thresholds("lower_bound_family", grid_step=1e-3)
+        th, value = optimize_thresholds("lower_bound_family")
         assert abs(value - 1.76239) < 1e-4
         assert abs(th.t1 - 0.365883) < 1e-3
         assert abs(th.t2 - 0.978772) < 1e-3

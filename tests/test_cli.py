@@ -280,23 +280,22 @@ class TestLpSolve:
 class TestOptimize:
     def test_upper(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "thresholds",
-                               "--objective", "upper", "--grid", "0.005")
+                               "--objective", "upper")
         assert code == 0
         assert "value=1.8368" in out
 
     def test_lowerfamily(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "thresholds",
-                               "--objective", "lowerfamily", "--grid", "0.005")
+                               "--objective", "lowerfamily")
         assert code == 0
         assert "value=1.7623" in out
 
-    @pytest.mark.parametrize("grid", ["0", "-0.5", "nan", "inf", "1.5", "1e-5"])
-    def test_bad_grid(self, capsys, grid):
+    def test_grid_is_not_an_option(self, capsys):
         code, out, err = run_cli(capsys, "optimize", "thresholds",
-                                 "--objective", "upper", "--grid", grid)
+                                 "--objective", "upper", "--grid", "0.005")
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and "grid_step" in err
+        assert "unrecognized arguments: --grid" in err
 
 
 class TestOracle:
@@ -365,8 +364,7 @@ _LEAVES = {
     "certify weak": ["certify", "weak", "--n", "10",
                      "--w1", "0.970659", "--w2", "0.029341"],
     "lp solve": ["lp", "solve", "--which", "weak", "--n", "2"],
-    "optimize thresholds": ["optimize", "thresholds", "--objective", "upper",
-                            "--grid", "0.25"],
+    "optimize thresholds": ["optimize", "thresholds", "--objective", "upper"],
     "oracle weakopt": ["oracle", "weakopt", "--instance", "spike:n=3"],
     "oracle alg2": ["oracle", "alg2", "--instance", "spike:n=3"],
     "report constants": ["report", "constants"],

@@ -11,7 +11,10 @@ from sectrade.exact import (alg2_holder_prob, alg3_p1_limit, alg3_p2_limit,
                             delta_limit, delta_limit_quadrature, delta_mu,
                             mono_thresholds, optimize_thresholds, pow1m,
                             rank_comparison_constants, strong_ratio_limit,
-                            unimodality_f, _objective_arr, ALG3_TABLE_CAP)
+                            unimodality_f, _grid_argmin, _objective_arr,
+                            _p1_limit_arr, _p2_limit_arr, _ratio_branches,
+                            _sale_prob_arr, ALG3_TABLE_CAP)
+import sectrade.exact as exact
 from sectrade.errors import NumericError, SizeCapError
 from sectrade.model import Thresholds
 from sectrade.quadrature import integrate_rect, integrate_wedge
@@ -105,6 +108,58 @@ class TestAlg3Limits:
         rep = alg3_ratio(TUNED_TH)
         assert abs(rep.via_p1 - 1.83683) < 1e-4
         assert abs(rep.via_sale - 1.83683) < 1e-4
+
+    def test_ratio_bound_is_the_optimizer_objective_bitwise(self):
+        # one arithmetic path: the scalar entry points and the optimizer's
+        # broadcast grids evaluate the same limit formulas
+        l1, l2 = np.random.default_rng(3).random((2, 210))
+        grid = _objective_arr("upper_bound", l1[:, None], l2[None, :])
+        pairs = [(i, j) for i in range(l1.size) for j in range(l2.size)
+                 if l1[i] <= l2[j]]
+        assert len(pairs) >= 20_000
+        for i, j in pairs:
+            t1, t2 = float(l1[i]), float(l2[j])
+            bound = alg3_ratio(Thresholds(t1, t2)).bound
+            assert bound == float(_objective_arr("upper_bound", t1, t2))
+            assert bound == grid[i, j]
+
+    @pytest.mark.parametrize("scalar, arr", [
+        (alg3_p1_limit, _p1_limit_arr), (alg3_p2_limit, _p2_limit_arr),
+        (alg3_sale_prob, _sale_prob_arr)], ids=["p1", "p2", "sale"])
+    def test_scalar_limit_is_the_array_formula_bitwise(self, scalar, arr):
+        t1s, t2s = np.sort(np.random.default_rng(5).random((2, 500)), axis=0)
+        t1s = np.concatenate([[0.0, 0.0, 1.0], t1s])
+        t2s = np.concatenate([[0.0, 1.0, 1.0], t2s])
+        vals = arr(t1s, t2s)
+        for t1, t2, val in zip(t1s.tolist(), t2s.tolist(), vals):
+            assert scalar(Thresholds(t1, t2)) == val
+
+    def test_ratio_routes_infinite_without_sales(self):
+        # at t1 = t2 = 1 the policy never sells: p1 = sale = 0
+        rep = alg3_ratio(Thresholds(1, 1))
+        assert rep.via_p1 == rep.via_sale == rep.bound == math.inf
+        rep = alg3_ratio(Thresholds(0, 0))
+        assert rep.via_p1 == 3.0 and rep.bound == 3.0
+        assert rep.via_sale == 1.0 / alg3_sale_prob(Thresholds(0, 0))
+
+    def test_unknown_objective_rejected_before_arithmetic(self):
+        with pytest.raises(ValueError, match="unknown objective 'sideways'"):
+            _ratio_branches("sideways", object(), object())
+
+    @pytest.mark.parametrize("objective, unread", [
+        ("upper_bound", "_p2_limit_arr"),
+        ("lower_bound_family", "_sale_prob_arr")])
+    def test_objective_evaluates_only_its_limits(self, monkeypatch,
+                                                 objective, unread):
+        expected = float(_objective_arr(objective, 0.3, 0.8))
+
+        def unread_limit(t1, t2):
+            raise AssertionError(f"{objective} evaluated {unread}")
+
+        monkeypatch.setattr(exact, unread, unread_limit)
+        assert float(_objective_arr(objective, 0.3, 0.8)) == expected
+        if objective == "upper_bound":
+            assert alg3_ratio(Thresholds(0.3, 0.8)).bound == expected
 
     def test_family_threshold_values(self):
         p1 = alg3_p1_limit(FAMILY_TH)
@@ -270,30 +325,36 @@ class TestOptimizeThresholds:
         with pytest.raises(ValueError):
             optimize_thresholds("sideways")
 
-    @pytest.mark.parametrize("step", [0.0, -0.5, math.nan, math.inf, 1.5,
-                                      1e-5, 4e-4])
-    def test_bad_grid_step_rejected_before_allocating(self, step):
-        import tracemalloc
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="grid_step"):
-                optimize_thresholds("upper_bound", grid_step=step)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8_000  # an arange of 1001 doubles alone is 8 kB
 
-    def test_grid_cap_names_smallest_step(self):
-        from sectrade.exact import _GRID_CELLS_MAX
-        with pytest.raises(ValueError) as err:
-            optimize_thresholds("upper_bound", grid_step=1e-5)
-        smallest = float(str(err.value).rsplit(" ", 1)[1])
-        side = math.ceil((1.0 + smallest / 2) / smallest)
-        assert side * side <= _GRID_CELLS_MAX < (side + 1) ** 2
-        # the coarsest grid has only the triangle's corners; the refinement
-        # still walks from there to the optimum
-        _, value = optimize_thresholds("upper_bound", grid_step=1.0)
-        assert abs(value - 1.83683) < 1e-4
+class TestGridArgmin:
+    @staticmethod
+    def _meshgrid_argmin(objective, l1, l2):
+        # the full-coordinate scan the broadcast helper replaced
+        g1, g2 = np.meshgrid(l1, l2, indexing="ij")
+        vals = np.where(g1 <= g2, _objective_arr(objective, g1, g2), np.inf)
+        best = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        return float(g1[best]), float(g2[best]), float(vals[best])
+
+    @pytest.mark.parametrize("objective", ["upper_bound",
+                                           "lower_bound_family"])
+    def test_matches_meshgrid_scan(self, objective):
+        ts = np.arange(0.0, 1.005, 0.01)
+        assert (_grid_argmin(objective, ts, ts)
+                == self._meshgrid_argmin(objective, ts, ts))
+        # a pattern-search step's shape: 21 values of t1, 2001 of t2
+        th = TUNED_TH if objective == "upper_bound" else FAMILY_TH
+        l1 = np.clip(th.t1 + np.arange(-10, 11) * 1e-4, 0.0, 1.0)
+        l2 = np.clip(th.t2 + np.arange(-1000, 1001) * 1e-6, 0.0, 1.0)
+        assert (_grid_argmin(objective, l1, l2)
+                == self._meshgrid_argmin(objective, l1, l2))
+
+    def test_cells_above_diagonal_excluded_first_tie_wins(self, monkeypatch):
+        # t2 - t1 is least where t1 > t2; within t1 <= t2 every diagonal
+        # cell ties at 0 and the first in row-major order is (0, 0)
+        monkeypatch.setattr(exact, "_objective_arr",
+                            lambda name, t1, t2: t2 - t1)
+        ts = np.linspace(0.0, 1.0, 11)
+        assert _grid_argmin("upper_bound", ts, ts) == (0.0, 0.0, 0.0)
 
 
 def test_pow1m_edge_cases():

@@ -243,6 +243,19 @@ class TestInstanceJson:
         assert inst.buyer_prices == (2, 1)
         assert inst.seller_price == 0.5
 
+    def test_spec_grammar(self, tmp_path, monkeypatch):
+        # inline JSON first, then a known family name before ":", then a path
+        assert (load_instance('{"buyer_prices": [1], "seller_price": 0}')
+                == Instance((1,), 0))
+        assert (load_instance("flat_k:n=10,k=3")
+                == parse_family_spec("flat_k:n=10,k=3"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "market:n=3").write_text(
+            json.dumps({"buyer_prices": [2], "seller_price": 1}))
+        assert load_instance("market:n=3") == Instance((2,), 1)
+        with pytest.raises(FileNotFoundError):
+            load_instance("spike")  # no ":", so a path
+
     def test_zero_denominator_price(self):
         with pytest.raises(InvalidInstanceError, match="zero denominator"):
             load_instance({"buyer_prices": [1], "seller_price": "1/0"})

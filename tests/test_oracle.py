@@ -47,6 +47,13 @@ class TestAlg2Enumeration:
         assert dist.prob_of_rank(1) == Fraction(1, 4)
         assert dist.prob_of_rank(2) == Fraction(1, 12)
 
+    @pytest.mark.parametrize("rank", [0, -1, 4])
+    def test_rank_out_of_range(self, rank):
+        dist = enumerate_alg2_exact(Instance((1, Fraction(1, 2),
+                                              Fraction(1, 4)), 0))
+        with pytest.raises(ValueError, match="1 <= rank <= 3"):
+            dist.prob_of_rank(rank)
+
     def test_seller_spike(self):
         dist = enumerate_alg2_exact(gen_instance("seller_spike", n=2))
         assert dist.holder_prob[3] == Fraction(1, 2)   # seller keeps

@@ -46,6 +46,9 @@ COMMANDS = {
     "exact_alg3_n50_csv": (["exact", "alg3", "--n", "50", *TH], ".csv"),
     "exact_alg3_i3": (["exact", "alg3", "--n", "1000", "--i", "3", *TH],
                       ".json"),
+    # the threshold-family optimum, a second point for sale_prob and ratio
+    "exact_alg3_n50_family": (["exact", "alg3", "--n", "50", "--t1",
+                               "0.365883", "--t2", "0.978772"], ".json"),
     "certify_strong_2e6": (["certify", "strong", "--n", "2000000"], ".json"),
     "certify_weak_2e6": (["certify", "weak", "--n", "2000000", *W], ".json"),
     "lp_weak_n30": (["lp", "solve", "--which", "weak", "--n", "30"], ".json"),
