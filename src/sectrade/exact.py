@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SizeCapError
-from .model import Thresholds
+from .model import Thresholds, check_size
 from .policies import SELL_CUTOFF, SKIP_CUTOFF
 from .quadrature import integrate_graded, integrate_rect, integrate_wedge
 
@@ -86,8 +86,7 @@ def delta_mu(mu: int) -> StrongExactReport:
     needs an earlier middle buyer to have beaten the seller).  Each region
     is a smooth double integral in (s, t) involving (1-t)^(mu-1).
     """
-    if mu < 1:
-        raise ValueError(f"need mu >= 1, got {mu}")
+    mu = check_size("delta_mu", "mu", mu)
     rtol = 1e-9 / 3.0
 
     def f_alpha(s, t):
@@ -129,8 +128,7 @@ def strong_ratio_limit() -> float:
 
 def delta_gap_closed_form(mu: int) -> float:
     """Closed form for delta_mu - delta_{mu+1} (log-space for large mu)."""
-    if mu < 1:
-        raise ValueError(f"need mu >= 1, got {mu}")
+    mu = check_size("delta_gap_closed_form", "mu", mu)
     log_den = (mu + 2) + math.log(mu) + math.log(mu + 1) + math.log(mu + 2)
     term1 = math.exp(math.log(mu + 1 + E) + (mu + 1) * math.log(E - 1) - log_den)
     term2 = math.exp(math.log(2 * E + mu * E - mu) - log_den)
@@ -159,8 +157,8 @@ def alg2_holder_prob(i: int, mu: int) -> Alg2HolderProb:
     weaker-than-i but stronger-than-seller buyer arrived before the seller,
     and p2 = 1/(2 mu (mu+1)) the orders decided by the coin alone.
     """
-    if not (1 <= i <= mu):
-        raise ValueError(f"need 1 <= i <= mu, got i={i}, mu={mu}")
+    i = check_size("alg2_holder_prob", "i", i)
+    mu = check_size("alg2_holder_prob", "mu", mu, least=i)
     p1 = (Fraction(1, i * (i + 1)) - Fraction(1, mu * (mu + 1))) / 2
     p2 = Fraction(1, 2 * mu * (mu + 1))
     return Alg2HolderProb(i=i, mu=mu, p=p1 + p2, p1=p1, p2=p2)
@@ -351,8 +349,8 @@ def alg3_pi_parts(i: int, n: int,
     p_i2 (sold as the second-best-so-far buyer) carries the factor i - 1,
     so it is exactly 0 for the top buyer.
     """
-    if not (1 <= i <= n):
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    i = check_size("alg3_pi_parts", "i", i)
+    n = check_size("alg3_pi_parts", "n", n, least=i)
     b1, b2, p2 = _alg3_pieces([i], n, th)
     p, p2 = float(b1.sum() + b2.sum()) / (i * (i + 1)), float(p2[0])
     return p, p - p2, p2
@@ -394,8 +392,7 @@ def _check_table_size(n: int) -> None:
 
 
 def alg3_report(n: int, th: Thresholds) -> Alg3ExactReport:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = check_size("alg3_report", "n", n)
     _check_table_size(n)
     ranks = np.arange(1, n + 1)
     b1, b2, _ = _alg3_pieces(ranks, n, th)
@@ -429,8 +426,7 @@ class UnimodalityReport:
 
 
 def unimodality_f(n: int, th: Thresholds) -> UnimodalityReport:
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = check_size("unimodality_f", "n", n, least=2)
     _check_table_size(n)
     b1, b2, _ = _alg3_pieces(np.arange(1, n + 1), n, th)
     f_vals = (b1.sum(axis=0) + b2.sum(axis=0)).tolist()

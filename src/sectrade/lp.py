@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, SizeCapError
+from .model import check_size
 from .simplex import simplex_solve_arrays
 
 SIZE_CAP = 60
@@ -67,16 +68,18 @@ class LinearProgram:
         return self.c, self.A, self.b, ["<="] * self.b.size
 
 
-def _check_cap(n: int) -> None:
-    if not (1 <= n <= SIZE_CAP):
-        raise SizeCapError(f"need 1 <= n <= {SIZE_CAP}, got {n}")
+def _check_cap(n: int) -> int:
+    n = check_size("an LP", "n", n)
+    if n > SIZE_CAP:
+        raise SizeCapError(f"need n <= {SIZE_CAP}, got {n}")
+    return n
 
 
-def _check_cert_n(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+def _check_cert_n(n: int) -> int:
+    n = check_size("a dual certificate", "n", n, least=2)
     if n > CERT_CAP:
         raise SizeCapError(f"dual certificates capped at n={CERT_CAP}, got {n}")
+    return n
 
 
 def _stopping_rows(n: int, width: int):
@@ -94,14 +97,14 @@ def _stopping_rows(n: int, width: int):
 
 def build_strong_primal(n: int) -> LinearProgram:
     """Stopping LP for the best-buyer objective; n(n+1)/2 variables."""
-    _check_cap(n)
+    n = _check_cap(n)
     rows, j = _stopping_rows(n, 1)
     return LinearProgram(n=n, c=j / (n * (n + 1)), A=rows, b=np.ones(j.size))
 
 
 def build_weak_primal(n: int) -> LinearProgram:
     """Max-min LP behind the weak lower bound; 2 n(n+1)/2 + 1 variables."""
-    _check_cap(n)
+    n = _check_cap(n)
     rows, j = _stopping_rows(n, 2)
     m = rows.shape[0]
     A = np.zeros((m + 2, m + 1))
@@ -160,7 +163,7 @@ class StrongDualCertificate:
 
 def strong_dual_certificate(n: int) -> StrongDualCertificate:
     """O(n) closed-form dual-feasible point via suffix harmonic sums."""
-    _check_cert_n(n)
+    n = _check_cert_n(n)
     inv_k = 1.0 / np.arange(1.0, float(n))        # 1/k for k = 1..n-1
     suffix = np.zeros(n)
     suffix[:n - 1] = np.cumsum(inv_k[::-1])[::-1]  # sum_{k=j}^{n-1} 1/k
@@ -223,7 +226,7 @@ def weak_dual_certificate(n: int, w1: float, w2: float) -> WeakDualCertificate:
 
     j* is the largest j with beta_j < 0 and j** the largest j <= j* with
     alpha_j < 0 in the second sweep (0 when there is none)."""
-    _check_cert_n(n)
+    n = _check_cert_n(n)
     if not (math.isfinite(w1) and math.isfinite(w2)):
         raise ValueError(f"need finite w1, w2, got {w1}, {w2}")
     if w1 < 0 or w2 < 0 or abs(w1 + w2 - 1.0) > 1e-12:

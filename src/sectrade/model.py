@@ -31,6 +31,16 @@ from .errors import InvalidInstanceError, SizeCapError
 Price = int | float | Fraction
 
 
+def check_size(owner: str, name: str, value, least: int = 1) -> int:
+    """``value`` as an int; ``ValueError`` unless it is an integer of at
+    least ``least`` (numpy integers count, bools and floats do not)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ValueError(f"{owner} needs an integer {name} >= {least}, "
+                         f"got {value!r}")
+    return int(value)
+
+
 def tiebreak_key(price: Price, agent_index: int) -> tuple:
     """Comparison key for the universal tie-break: higher key = higher rank."""
     return (price, -agent_index)
@@ -198,8 +208,7 @@ def sample_arrival(n: int, rng: np.random.Generator) -> ArrivalSample:
     sorted draw gives their arrival times, so one set of uniforms yields
     both pieces.  Identical generator state gives an identical sample.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = check_size("sample_arrival", "n", n)
     u = rng.random(n + 1)
     perm = np.argsort(u, kind="stable")
     return ArrivalSample(
@@ -260,22 +269,16 @@ def gen_instance(family: str, **params) -> Instance:
     missing = [k for k in keys if k not in params]
     if missing:
         raise ValueError(f"{family} needs parameter {', '.join(missing)}")
-    for key in ("n", "k"):
-        val = params.get(key, 0)
-        if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
-            raise ValueError(f"{family} needs an integer {key}, got {val!r}")
-    n = int(params["n"])
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = check_size(family, "n", params["n"])
     if n > FAMILY_CAP:
         raise SizeCapError(f"family instances capped at n={FAMILY_CAP}, "
                            f"got {n}")
     if family == "spike":
         return Instance((1,) + (0,) * (n - 1), 0)
     if family == "flat_k":
-        k = int(params["k"])
-        if not (1 <= k <= n):
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        k = check_size(family, "k", params["k"])
+        if k > n:
+            raise ValueError(f"need k <= n, got k={k}, n={n}")
         return Instance((1,) * k + (0,) * (n - k), 0)
     if family == "seller_spike":
         return Instance((0,) * n, 1)

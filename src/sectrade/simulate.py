@@ -9,33 +9,29 @@ uniforms, one coin slot, padding).  Trials are processed in blocks of
 ``_block_size(n)`` trials, ``BLOCK`` shrunk at large n (a function of n
 alone); a block's draws come from one ``Philox(key=seed)`` generator
 advanced to the block's first window.  Workers receive whole
-blocks and the per-block partial sums are reduced in block order with
-compensated addition, so the report is byte-identical for any worker
-count.
+blocks, which are folded into the totals in block order as they finish
+(the moment sums with compensated addition), so the report is
+byte-identical for any worker count.
 
 Policy evaluation is vectorized over the trials of a block, on row-major
 arrays.  The arrival times are gathered into the canonical strength order
 with ``take``, which keeps each trial's times contiguous (strongest agent
-first).  Best-so-far flags are strict prefix minima along that order, so
-their times fall strictly along it and the earliest record past a time
-cutoff is the last record past it; second-best-so-far flags come from the
-running minimum of max(t_k, min before k) and fall the same way.  Weak OPT
-reads the same array: buyer prices fall along the strength order, so the
-best buyer arriving after the seller is the first one in it.
+first).  Every policy buys by its own test and then sells to the earliest
+buyer who is r-th best so far after max(seller, floor_r), for each of its
+time floors (one for alg1, alg2 and the baseline, two for alg3).  A column
+is r-th best so far when its time lies between the (r-1)-th and the r-th
+smallest time before it; those r-th smallest times are running minima, so
+the qualifying times fall strictly along the strength order and the
+earliest qualifier past a cutoff is the last one.  Weak OPT reads the same
+array: buyer prices fall along the strength order, so the best buyer
+arriving after the seller is the first one in it.
 
 The kernel gathers only the first ``_PREFIX`` strength columns of each
-trial.  A column further down the order is a record only if its time
-undercuts every prefix time, and a second-best only if it undercuts all
-but one, so a trial is settled by its prefix when
-
-* weak OPT: some prefix column arrived after the seller;
-* alg1 / alg2: some prefix time is within the cutoff, max(seller, 1/e)
-  for alg1 and the seller's time for alg2;
-* alg3: one prefix time is within max(seller, t1) and two are within
-  max(seller, t2);
-* secretary baseline: one prefix time is within max(seller, 1/e).
-
-The unsettled trials are evaluated again on a prefix 8x as wide, until it
+trial.  A column further down the order is r-th best so far only if its
+time undercuts all but r-1 prefix times, so a trial is settled by its
+prefix when some prefix column arrived after the seller (weak OPT) and,
+for every rank r, r prefix times are within max(seller, floor_r).  The
+unsettled trials are evaluated again on a prefix 8x as wide, until it
 covers every column (at once for n < 32).  Each trial's result is exactly
 that of a scan over all n+1 columns, so the prefix width changes no output
 bit.
@@ -59,13 +55,14 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .benchmarks import strong_opt
 from .errors import NumericError
-from .model import Instance, Thresholds, canonicalize
+from .model import Instance, Thresholds, canonicalize, check_size
 from .policies import SELL_CUTOFF, SKIP_CUTOFF
 
 BLOCK = 1 << 14
@@ -76,6 +73,12 @@ _MOMENTS = ("sum_w", "sum_w2", "sum_o", "sum_o2", "sum_wo")
 _PREFIX = 32  # strength columns the kernel reads in its first round
 
 POLICY_IDS = ("alg1", "alg2", "alg3", "secretary-baseline")
+# each policy's time floors: it sells to the earliest buyer who is r-th
+# best so far after max(seller, floors[r-1]), for r = 1..len(floors)
+_FLOORS = {"alg1": lambda th: (SELL_CUTOFF,),
+           "alg2": lambda th: (0.0,),
+           "alg3": lambda th: (th.t1, th.t2),
+           "secretary-baseline": lambda th: (SELL_CUTOFF,)}
 
 
 @dataclass(frozen=True)
@@ -179,63 +182,46 @@ def _evaluate(policy_id: str, mk: _Market, u: np.ndarray,
     weak = np.where(settled, mk.prices[cols[first] + 1], -np.inf)
     weak = np.maximum(weak, mk.seller_price)
 
-    # Best-so-far records are strict prefix minima, so their times fall
-    # strictly along the strength order: the earliest record past a time
-    # cutoff is the last one past it.  For the same reason no column past
-    # the prefix is a record past a cutoff that some prefix time is within.
-    stronger_before = _prefix_min(ts)
-    record = ts < stronger_before
-    if not whole:
-        earliest = ts.min(axis=1)
-
-    if with_seller:
-        pos = mk.seller_strength_pos
-        if policy_id == "alg1":
-            skip = seller_t > SKIP_CUTOFF
-            cutoff = np.maximum(seller_t, SELL_CUTOFF)
-        else:
-            skip = u[:, n + 1] >= 0.5
-            cutoff = seller_t
-        # Wherever ``skip`` holds the cutoff is the seller's own time (alg1
-        # skips only past (e-1)/e > 1/e), so in a settled row some prefix
-        # time beats the seller's, and a seller past the prefix is no record.
-        no_buy = skip & record[:, pos] if pos < width else False
-        if not whole:
-            settled &= earliest <= cutoff
-        record &= ts > cutoff[:, None]  # never the seller: cutoff >= seller_t
-        idx, sold = _last_true(record)
-        holders = np.where(no_buy, n + 1, np.where(sold, cols[idx] + 1, 0))
-    elif policy_id == "secretary-baseline":
-        record &= after
-        record &= ts > SELL_CUTOFF
-        idx, sold = _last_true(record)
-        holders = np.where(sold, cols[idx] + 1, 0)
-        if not whole:
-            settled &= earliest <= np.maximum(seller_t, SELL_CUTOFF)
+    # The buy test: alg1 skips a seller past (e-1)/e and alg2 one whose coin
+    # lands >= 1/2, each only when the seller is a record.  Wherever a skip
+    # holds the seller's time is the rank-1 cutoff (alg1 skips only past
+    # (e-1)/e > 1/e), so in a settled row some prefix time beats the
+    # seller's, and a seller past the prefix is no record.
+    bound = _prefix_min(ts)  # m_1: the least time before each column
+    pos = mk.seller_strength_pos
+    if with_seller and pos < width:
+        skip = (seller_t > SKIP_CUTOFF if policy_id == "alg1"
+                else u[:, n + 1] >= 0.5)
+        no_buy = skip & (ts[:, pos] < bound[:, pos])
     else:
-        # alg3 also sells to second-best-so-far buyers.  The second-smallest
-        # time so far is the running minimum of max(t_k, min before k), and
-        # a second-best time undercuts it, so those times fall strictly
-        # along the order as well: the earliest qualifier is the earlier of
-        # the last qualifying record and the last qualifying second-best.
-        # A second-best past the prefix undercuts all prefix times but one.
-        record &= after
-        second = stronger_before < ts
-        np.maximum(ts, stronger_before, out=stronger_before)
-        second &= ts < _prefix_min(stronger_before)
-        second &= after
-        second &= ts > th.t2
-        record &= ts > th.t1
-        idx1, sold1 = _last_true(record)
-        idx2, sold2 = _last_true(second)
-        idx = np.where(sold1 & ~(sold2 & (ts[rows, idx2] < ts[rows, idx1])),
-                       idx1, idx2)
-        holders = np.where(sold1 | sold2, cols[idx] + 1, 0)
+        no_buy = False
+
+    # The sell rule.  m_r[:, k], the r-th smallest time before column k, is
+    # the running minimum of max(t, m_{r-1}) (m_0 = -inf); column k is r-th
+    # best so far when m_{r-1} < t < m_r.  The earliest qualifier of rank r
+    # is its last one, and a lower rank wins a time tie.
+    level = ts  # max(t, m_{r-1})
+    for r, floor in enumerate(_FLOORS[policy_id](th)):
+        if r:
+            qual = bound < ts
+            level = np.maximum(ts, bound, out=bound)
+            bound = _prefix_min(level)
+            qual &= ts < bound
+        else:
+            qual = ts < bound
+        qual &= after
+        qual &= ts > floor
+        idx_r, sold_r = _last_true(qual)
+        if not r:
+            idx, sold = idx_r, sold_r
+        else:
+            take = sold_r & ~(sold & (ts[rows, idx] <= ts[rows, idx_r]))
+            idx = np.where(take, idx_r, idx)
+            sold |= sold_r
         if not whole:
-            # the least max(t_k, min before k) is the second-smallest time
-            second_earliest = stronger_before.min(axis=1)
-            settled &= earliest <= np.maximum(seller_t, th.t1)
-            settled &= second_earliest <= np.maximum(seller_t, th.t2)
+            # the row-min of max(t, m_{r-1}) is the r-th smallest time
+            settled &= level.min(axis=1) <= np.maximum(seller_t, floor)
+    holders = np.where(no_buy, n + 1, np.where(sold, cols[idx] + 1, 0))
 
     if not whole:
         rest = np.flatnonzero(~settled)
@@ -316,10 +302,8 @@ def simulate(policy_id: str, instance: Instance, trials: int,
     min(workers, blocks, cores) threads run.  Raises ``NumericError`` when
     a welfare sum overflows float64.
     """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
+    trials = check_size("simulate", "trials", trials)
+    workers = check_size("simulate", "workers", workers)
     if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
             or not 0 <= seed < 2 ** 128):
         raise ValueError(f"need an integer seed in [0, 2**128), got {seed!r}")
@@ -339,16 +323,19 @@ def simulate(policy_id: str, instance: Instance, trials: int,
         start, count = args
         return _block_partials(policy_id, mk, seed, start, count, thresholds)
 
+    # fold the blocks in block order as they come, so that no block's
+    # holder counts outlive it; one thread runs without a pool
     threads = min(workers, len(blocks), os.cpu_count() or 1)
-    if threads == 1:
-        partials = [work(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(work, blocks))
+    counts = np.zeros(mk.n + 2, dtype=np.int64)
+    block_sums = []
+    with (ThreadPoolExecutor(max_workers=threads) if threads > 1
+          else nullcontext()) as pool:
+        for block_counts, sums in (pool.map if pool else map)(work, blocks):
+            counts += block_counts
+            block_sums.append(sums)
 
-    counts = sum(c for c, _ in partials)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        sums = _kahan_total(s for _, s in partials).tolist()
+        sums = _kahan_total(block_sums).tolist()
     overflow = [key for key, total in zip(_MOMENTS, sums)
                 if not math.isfinite(total)]
     if overflow:

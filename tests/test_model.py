@@ -9,9 +9,35 @@ from hypothesis import strategies as st
 
 from sectrade.benchmarks import strong_opt
 from sectrade.errors import InvalidInstanceError
+from sectrade.exact import (alg2_holder_prob, alg3_pi_parts, alg3_report,
+                            delta_gap_closed_form, delta_mu, unimodality_f)
+from sectrade.lp import (build_strong_primal, build_weak_primal,
+                         strong_dual_certificate, weak_dual_certificate)
 from sectrade.model import (Instance, Thresholds, canonicalize, gen_instance,
                             load_instance, parse_family_spec, sample_arrival,
                             tiebreak_key)
+from sectrade.simulate import simulate
+
+TH = Thresholds(0.296151, 0.805018)
+SPIKE3 = Instance((1, 0, 0), 0)
+# every library entry point that takes a size, called with that size
+SIZED = {
+    "simulate_trials": lambda v: simulate("alg1", SPIKE3, v, seed=1),
+    "simulate_workers": lambda v: simulate("alg1", SPIKE3, 10, 1, workers=v),
+    "delta_mu": lambda v: delta_mu(v),
+    "delta_gap_closed_form": lambda v: delta_gap_closed_form(v),
+    "alg2_holder_prob_i": lambda v: alg2_holder_prob(v, 3),
+    "alg2_holder_prob_mu": lambda v: alg2_holder_prob(1, v),
+    "alg3_pi_parts_i": lambda v: alg3_pi_parts(v, 3, TH),
+    "alg3_pi_parts_n": lambda v: alg3_pi_parts(1, v, TH),
+    "alg3_report": lambda v: alg3_report(v, TH),
+    "unimodality_f": lambda v: unimodality_f(v, TH),
+    "build_strong_primal": lambda v: build_strong_primal(v),
+    "build_weak_primal": lambda v: build_weak_primal(v),
+    "strong_dual_certificate": lambda v: strong_dual_certificate(v),
+    "weak_dual_certificate": lambda v: weak_dual_certificate(v, 0.97, 0.03),
+    "sample_arrival": lambda v: sample_arrival(v, np.random.default_rng(0)),
+}
 
 
 def _ref_canonicalize(instance):
@@ -225,6 +251,47 @@ class TestGenerators:
     def test_zero_denominator_parameter(self):
         with pytest.raises(InvalidInstanceError, match="zero denominator"):
             parse_family_spec("geometric:n=3,r=1/0")
+
+
+class TestSizeArguments:
+    @pytest.mark.parametrize("entry,bad", [
+        ("simulate_trials", True),
+        ("simulate_workers", 1.0),
+        ("delta_mu", 2.5),
+        ("delta_gap_closed_form", 2.5),
+        ("alg2_holder_prob_i", True),
+        ("alg2_holder_prob_mu", 1.5),
+        ("alg3_pi_parts_i", True),
+        ("alg3_pi_parts_n", 2.5),
+        ("alg3_report", 2.5),
+        ("unimodality_f", 3.5),
+        ("build_strong_primal", 2.5),
+        ("build_weak_primal", 3.0),
+        ("strong_dual_certificate", 10.5),
+        ("weak_dual_certificate", 10.5),
+        ("sample_arrival", 2.5),
+    ])
+    def test_non_integer_rejected(self, entry, bad):
+        with pytest.raises(ValueError, match="needs an integer"):
+            SIZED[entry](bad)
+
+    @pytest.mark.parametrize("entry", sorted(SIZED))
+    def test_numpy_integer_accepted(self, entry):
+        # repr also tells a stored np.int64(3) from 3
+        assert repr(SIZED[entry](np.int64(3))) == repr(SIZED[entry](3))
+
+    def test_simulate_trials_written_as_int(self):
+        doc = json.loads(simulate("alg1", SPIKE3, np.int32(7), 1).to_json())
+        assert type(doc["trials"]) is int and doc["trials"] == 7
+
+    @pytest.mark.parametrize("entry,low,least", [
+        ("delta_mu", 0, 1), ("unimodality_f", 1, 2),
+        ("strong_dual_certificate", 1, 2), ("alg3_pi_parts_n", 0, 1),
+        ("alg2_holder_prob_mu", 0, 1), ("build_weak_primal", 0, 1),
+    ])
+    def test_lower_bound_named(self, entry, low, least):
+        with pytest.raises(ValueError, match=f" >= {least}, got {low}$"):
+            SIZED[entry](low)
 
 
 class TestInstanceJson:

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -291,6 +292,30 @@ class TestMemoryBound:
             again = simulate(policy_id, inst, 300, seed=21, workers=workers,
                              thresholds=TH)
             assert again.to_json() == base
+
+    def test_blocks_fold_as_they_finish(self, monkeypatch):
+        # each block's holder counts are n + 2 int64 (160 kB at n = 20000,
+        # a 256-trial block); 30 blocks must cost no more memory than one
+        n = 20_000
+
+        def fake_partials(policy_id, mk, seed, start, count, th):
+            counts = np.zeros(n + 2, dtype=np.int64)
+            counts[1] = count
+            return counts, np.ones(len(SIM._MOMENTS))
+
+        monkeypatch.setattr(SIM, "_block_partials", fake_partials)
+        inst = gen_instance("spike", n=n)
+        peaks = []
+        for trials in (256, 7680):
+            tracemalloc.start()
+            try:
+                rep = simulate("alg1", inst, trials, seed=1)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            assert rep.holder_freq == {1: 1.0}
+        assert SIM._block_size(n) == 256
+        assert peaks[1] - peaks[0] < 1 << 20
 
 
 class TestStatisticalAgreement:

@@ -1,7 +1,9 @@
 import importlib.util
+import re
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "out_bytes.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "out_bytes.py"
 
 
 def load_out_bytes():
@@ -19,3 +21,9 @@ def test_out_bytes_relative_dest(tmp_path, monkeypatch):
     assert out_bytes.main(["rel"]) == 0
     assert (tmp_path / "rel" / "exact_limits.out").read_text().startswith("{")
     assert (tmp_path / "rel" / "exact_limits.code").read_text() == "0\n"
+
+
+def test_readme_counts_the_commands():
+    readme = (ROOT / "README.md").read_text()
+    counts = re.findall(r"fixed list of (\d+)\s+commands", readme)
+    assert counts == [str(len(load_out_bytes().COMMANDS))]

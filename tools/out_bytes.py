@@ -72,6 +72,10 @@ COMMANDS = {
         _simulate("alg2", "seller_spike:n=100000", 256), ".json"),
     "simulate_alg3_spike100_workers2": (
         _simulate("alg3", "spike:n=100", 20000, "--workers", "2"), ".json"),
+    # n = 1000 takes the 32 -> 256 -> 2048-column rescans of both ranks
+    **{f"simulate_{policy}_geometric1000":
+       (_simulate(policy, "geometric:n=1000,r=0.99", 2000), ".json")
+       for policy in ("alg3", "secretary-baseline")},
 }
 
 
