@@ -7,7 +7,8 @@ is ``exact alg3`` given a ``.csv`` path, which writes its own table and
 returns no payload (with ``--i`` such a path exits 2).  Exit codes:
 0 success, 2 argument/validation error, 3 internal numeric failure.
 Sizes above a cap (``lp solve`` n > 60, an ``exact alg3`` table n > 1e5,
-family instances and certificates n > 1e7) exit 2 before any allocation.
+family instances and ``certify`` n > 1e7, ``oracle weakopt`` n > 7,
+``oracle alg2`` n > 6) exit 2 before any allocation.
 """
 
 from __future__ import annotations

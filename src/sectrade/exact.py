@@ -34,7 +34,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SizeCapError
 from .model import Thresholds, check_size
 from .policies import SELL_CUTOFF, SKIP_CUTOFF
 from .quadrature import integrate_graded, integrate_rect, integrate_wedge
@@ -385,15 +384,8 @@ class Alg3ExactReport:
                 writer.writerow([i, repr(pi), repr(fi)])
 
 
-def _check_table_size(n: int) -> None:
-    if n > ALG3_TABLE_CAP:
-        raise SizeCapError(f"full per-rank table capped at n={ALG3_TABLE_CAP}, "
-                           f"got {n}; a single rank (--i) has no cap")
-
-
 def alg3_report(n: int, th: Thresholds) -> Alg3ExactReport:
-    n = check_size("alg3_report", "n", n)
-    _check_table_size(n)
+    n = check_size("alg3_report", "n", n, cap=ALG3_TABLE_CAP)
     ranks = np.arange(1, n + 1)
     b1, b2, _ = _alg3_pieces(ranks, n, th)
     p = tuple(((b1.sum(axis=0) + b2.sum(axis=0)) / (ranks * (ranks + 1.0)))
@@ -426,8 +418,7 @@ class UnimodalityReport:
 
 
 def unimodality_f(n: int, th: Thresholds) -> UnimodalityReport:
-    n = check_size("unimodality_f", "n", n, least=2)
-    _check_table_size(n)
+    n = check_size("unimodality_f", "n", n, least=2, cap=ALG3_TABLE_CAP)
     b1, b2, _ = _alg3_pieces(np.arange(1, n + 1), n, th)
     f_vals = (b1.sum(axis=0) + b2.sum(axis=0)).tolist()
     unimodal = f_vals[0] < f_vals[1] and all(

@@ -39,10 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, SizeCapError
+from .errors import NumericError
 from .model import check_size
 from .simplex import simplex_solve_arrays
 
+#: Largest n of either primal LP; the weak one's dense tableau has ~n^4 cells.
 SIZE_CAP = 60
 #: Largest n of either dual certificate; the weak one peaks near 130 B per n.
 CERT_CAP = 10**7
@@ -68,20 +69,6 @@ class LinearProgram:
         return self.c, self.A, self.b, ["<="] * self.b.size
 
 
-def _check_cap(n: int) -> int:
-    n = check_size("an LP", "n", n)
-    if n > SIZE_CAP:
-        raise SizeCapError(f"need n <= {SIZE_CAP}, got {n}")
-    return n
-
-
-def _check_cert_n(n: int) -> int:
-    n = check_size("a dual certificate", "n", n, least=2)
-    if n > CERT_CAP:
-        raise SizeCapError(f"dual certificates capped at n={CERT_CAP}, got {n}")
-    return n
-
-
 def _stopping_rows(n: int, width: int):
     """Stopping rows for ``width`` variables per pair (i, j), side by side:
     the row of a variable v_{i,j} has j on v_{i,j} and 1 on every variable
@@ -97,14 +84,14 @@ def _stopping_rows(n: int, width: int):
 
 def build_strong_primal(n: int) -> LinearProgram:
     """Stopping LP for the best-buyer objective; n(n+1)/2 variables."""
-    n = _check_cap(n)
+    n = check_size("build_strong_primal", "n", n, cap=SIZE_CAP)
     rows, j = _stopping_rows(n, 1)
     return LinearProgram(n=n, c=j / (n * (n + 1)), A=rows, b=np.ones(j.size))
 
 
 def build_weak_primal(n: int) -> LinearProgram:
     """Max-min LP behind the weak lower bound; 2 n(n+1)/2 + 1 variables."""
-    n = _check_cap(n)
+    n = check_size("build_weak_primal", "n", n, cap=SIZE_CAP)
     rows, j = _stopping_rows(n, 2)
     m = rows.shape[0]
     A = np.zeros((m + 2, m + 1))
@@ -150,8 +137,8 @@ def simplex_solve(lp: LinearProgram) -> PrimalSolution:
 class StrongDualCertificate:
     n: int
     a: np.ndarray        # a_j, j = 1..n (index j-1)
-    y_pos: np.ndarray    # max(a_j, 0)
-    j_star: int
+    y_pos: np.ndarray    # y_j = max(a_j, 0)
+    j_star: int          # first j with y_j > 0 (a_n > 0, so one exists)
     objective: float
     min_residual: float
 
@@ -163,7 +150,7 @@ class StrongDualCertificate:
 
 def strong_dual_certificate(n: int) -> StrongDualCertificate:
     """O(n) closed-form dual-feasible point via suffix harmonic sums."""
-    n = _check_cert_n(n)
+    n = check_size("strong_dual_certificate", "n", n, least=2, cap=CERT_CAP)
     inv_k = 1.0 / np.arange(1.0, float(n))        # 1/k for k = 1..n-1
     suffix = np.zeros(n)
     suffix[:n - 1] = np.cumsum(inv_k[::-1])[::-1]  # sum_{k=j}^{n-1} 1/k
@@ -173,7 +160,7 @@ def strong_dual_certificate(n: int) -> StrongDualCertificate:
     objective = float(j @ y)
     report = verify_dual_feasibility((y,), (j / ((n + 1.0) * n),))
     return StrongDualCertificate(
-        n=n, a=a, y_pos=y, j_star=math.ceil(1.0 + (n - 1.0) / math.e),
+        n=n, a=a, y_pos=y, j_star=int(np.argmax(y > 0.0)) + 1,
         objective=objective, min_residual=_enforce(report, ("dual",))[0])
 
 
@@ -226,7 +213,7 @@ def weak_dual_certificate(n: int, w1: float, w2: float) -> WeakDualCertificate:
 
     j* is the largest j with beta_j < 0 and j** the largest j <= j* with
     alpha_j < 0 in the second sweep (0 when there is none)."""
-    n = _check_cert_n(n)
+    n = check_size("weak_dual_certificate", "n", n, least=2, cap=CERT_CAP)
     if not (math.isfinite(w1) and math.isfinite(w2)):
         raise ValueError(f"need finite w1, w2, got {w1}, {w2}")
     if w1 < 0 or w2 < 0 or abs(w1 + w2 - 1.0) > 1e-12:

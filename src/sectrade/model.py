@@ -31,13 +31,18 @@ from .errors import InvalidInstanceError, SizeCapError
 Price = int | float | Fraction
 
 
-def check_size(owner: str, name: str, value, least: int = 1) -> int:
+def check_size(owner: str, name: str, value, least: int = 1,
+               cap: int | None = None) -> int:
     """``value`` as an int; ``ValueError`` unless it is an integer of at
-    least ``least`` (numpy integers count, bools and floats do not)."""
+    least ``least`` (numpy integers count, bools and floats do not), and
+    ``SizeCapError`` when it exceeds ``cap``.  Callers check before they
+    allocate anything of size ``value``."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < least):
         raise ValueError(f"{owner} needs an integer {name} >= {least}, "
                          f"got {value!r}")
+    if cap is not None and value > cap:
+        raise SizeCapError(f"{owner} capped at {name}={cap}, got {value}")
     return int(value)
 
 
@@ -269,10 +274,7 @@ def gen_instance(family: str, **params) -> Instance:
     missing = [k for k in keys if k not in params]
     if missing:
         raise ValueError(f"{family} needs parameter {', '.join(missing)}")
-    n = check_size(family, "n", params["n"])
-    if n > FAMILY_CAP:
-        raise SizeCapError(f"family instances capped at n={FAMILY_CAP}, "
-                           f"got {n}")
+    n = check_size(family, "n", params["n"], cap=FAMILY_CAP)
     if family == "spike":
         return Instance((1,) + (0,) * (n - 1), 0)
     if family == "flat_k":
@@ -295,15 +297,15 @@ def parse_family_spec(spec: str) -> Instance:
     if rest:
         for item in rest.split(","):
             key, _, val = item.partition("=")
-            if not val:
-                raise ValueError(f"bad family parameter {item!r}")
             key = key.strip()
             if key in params:
                 raise ValueError(f"repeated family parameter {key!r}")
-            if key in ("n", "k"):
-                params[key] = int(val)
-            elif "/" in val:
-                params[key] = _fraction(val)
-            else:
-                params[key] = float(val)
+            parse = (int if key in ("n", "k")
+                     else _fraction if "/" in val else float)
+            try:
+                params[key] = parse(val)
+            except InvalidInstanceError:  # a zero denominator names itself
+                raise
+            except ValueError:
+                raise ValueError(f"bad family parameter {item!r}") from None
     return gen_instance(name.strip(), **params)

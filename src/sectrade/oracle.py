@@ -23,8 +23,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .benchmarks import _weak_opt_of_order
-from .errors import SizeCapError
-from .model import ArrivalSample, Instance, canonicalize
+from .model import ArrivalSample, Instance, canonicalize, check_size
 from .policies import run_episode
 
 WEAK_OPT_CAP = 7
@@ -53,10 +52,8 @@ def _exact_instance(instance: Instance) -> Instance:
 def enumerate_weak_opt_exact(instance: Instance) -> Fraction:
     """Exact expected weak optimum: average the per-order optimum over all
     (n+1)! arrival orders."""
+    n = check_size("weak-opt enumeration", "n", instance.n, cap=WEAK_OPT_CAP)
     inst = _exact_instance(instance)
-    n = inst.n
-    if n > WEAK_OPT_CAP:
-        raise SizeCapError(f"weak-opt enumeration capped at n={WEAK_OPT_CAP}")
     total = sum((_weak_opt_of_order(inst, order)
                  for order in permutations(range(1, n + 2))), Fraction(0))
     return total / math.factorial(n + 1)
@@ -104,10 +101,8 @@ def enumerate_alg2_exact(instance: Instance) -> Alg2Distribution:
     where the seller is best-so-far at arrival contribute both coin
     branches with weight 1/2 each.
     """
+    n = check_size("coin-flip enumeration", "n", instance.n, cap=ALG2_CAP)
     inst = _exact_instance(instance)
-    n = inst.n
-    if n > ALG2_CAP:
-        raise SizeCapError(f"coin-flip enumeration capped at n={ALG2_CAP}")
     times = tuple((k + 1) / (n + 2) for k in range(n + 1))
     holder_prob: dict[int, Fraction] = {}
     welfare = Fraction(0)

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectrade.cli import build_parser, main
-from sectrade.lp import CERT_CAP
+from sectrade.exact import ALG3_TABLE_CAP
+from sectrade.lp import CERT_CAP, SIZE_CAP
 from sectrade.model import FAMILY_CAP
+from sectrade.oracle import ALG2_CAP, WEAK_OPT_CAP
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +181,9 @@ class TestSimulate:
         ("flat_k:n=3", "needs parameter k"),
         ("spike:n=5,n=6", "repeated family parameter 'n'"),
         ("flat_k:k=2,n=5,k=3", "repeated family parameter 'k'"),
+        *((spec, f"bad family parameter {item!r}") for spec, item in (
+            ("spike:n=1.5", "n=1.5"), ("spike:n=x", "n=x"),
+            ("geometric:n=3,r=x", "r=x"), ("geometric:n=3,r=x/y", "r=x/y"))),
         *((json.dumps({"buyer_prices": prices, "seller_price": 0}),
            '"buyer_prices" is a list') for prices in (5, "12", None)),
         ("[1, 2]", '"buyer_prices" is a list'),
@@ -417,6 +422,13 @@ class TestSizeCaps:
         ["certify", "weak", "--n", str(CERT_CAP + 1), "--w1", "1", "--w2", "0"],
         ["simulate", "--policy", "alg1", "--instance",
          f"spike:n={FAMILY_CAP + 1}", "--trials", "1", "--seed", "1"],
+        ["exact", "alg3", "--n", str(ALG3_TABLE_CAP + 1),
+         "--t1", "0.3", "--t2", "0.8"],
+        *(["lp", "solve", "--which", which, "--n", str(SIZE_CAP + 1)]
+          for which in ("strong", "weak")),
+        *(["oracle", kind, "--instance",
+           json.dumps({"buyer_prices": [1] * (cap + 1), "seller_price": 0})]
+          for kind, cap in (("weakopt", WEAK_OPT_CAP), ("alg2", ALG2_CAP))),
     ])
     def test_over_cap_allocates_nothing(self, capsys, argv):
         assert CERT_CAP == FAMILY_CAP == 10 ** 7

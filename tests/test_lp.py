@@ -344,6 +344,12 @@ class TestStrongCertificate:
             cert = strong_dual_certificate(n)
             assert np.all(cert.a[cert.j_star - 1:] >= 0)
 
+    def test_j_star_is_first_positive_y(self):
+        for n in range(2, 3001):
+            cert = strong_dual_certificate(n)
+            assert cert.y_pos[cert.j_star - 1] > 0
+            assert not np.any(cert.y_pos[:cert.j_star - 1])
+
     def test_feasible_at_scale(self):
         for n in (100, 10 ** 4, 10 ** 6):
             cert = strong_dual_certificate(n)

@@ -50,6 +50,7 @@ COMMANDS = {
     "exact_alg3_n50_family": (["exact", "alg3", "--n", "50", "--t1",
                                "0.365883", "--t2", "0.978772"], ".json"),
     "certify_strong_2e6": (["certify", "strong", "--n", "2000000"], ".json"),
+    "certify_strong_n10": (["certify", "strong", "--n", "10"], ".json"),
     "certify_weak_2e6": (["certify", "weak", "--n", "2000000", *W], ".json"),
     "lp_weak_n30": (["lp", "solve", "--which", "weak", "--n", "30"], ".json"),
     "lp_strong_n40": (["lp", "solve", "--which", "strong", "--n", "40"],
