@@ -18,14 +18,9 @@ import json
 import sys
 
 from . import exact, lp, oracle
-from .errors import (InvalidInstanceError, NumericError, SizeCapError,
-                     UnboundedProblem)
 from .model import Thresholds, load_instance
 from .simulate import POLICY_IDS, simulate as run_simulation
 
-_VALIDATION_ERRORS = (ValueError, InvalidInstanceError, SizeCapError,
-                      KeyError, OSError, json.JSONDecodeError)
-_NUMERIC_ERRORS = (NumericError, UnboundedProblem, ArithmeticError)
 # the double thresholds of ``optimize thresholds --objective upper``
 _TUNED = Thresholds(0.296151, 0.805018)
 
@@ -275,10 +270,10 @@ def main(argv=None) -> int:
     try:
         _write_out(args.out, args.func(args))
         return 0
-    except _NUMERIC_ERRORS as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except _VALIDATION_ERRORS as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  The CLI exits 3 on every
+``ArithmeticError`` and 2 on every ``ValueError``, ``KeyError`` or ``OSError``.
+"""
 
 
 class InvalidInstanceError(ValueError):
@@ -18,5 +20,5 @@ class NumericError(ArithmeticError):
     """Raised when an iterative numeric routine fails to converge."""
 
 
-class UnboundedProblem(RuntimeError):
+class UnboundedProblem(NumericError):
     """Raised by the simplex solver for unbounded programs."""

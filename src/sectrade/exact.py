@@ -76,6 +76,19 @@ class StrongExactReport:
         return asdict(self)
 
 
+def _strong_parts(q, tol: float) -> tuple:
+    """delta_mu's (alpha, beta, gamma) given q(t) = (1-t)^(mu-1)."""
+    def f_alpha(s, t):
+        qt = q(t)
+        return qt + (1.0 - qt) / (E * t)
+
+    return (integrate_rect(f_alpha, 0.0, SELL_CUTOFF, SELL_CUTOFF, 1.0, tol),
+            integrate_wedge(lambda s, t: q(t), SELL_CUTOFF, SKIP_CUTOFF, 1.0,
+                            tol),
+            integrate_wedge(lambda s, t: s * (1.0 - q(t)) / t, SELL_CUTOFF,
+                            1.0, 1.0, tol))
+
+
 def delta_mu(mu: int) -> StrongExactReport:
     """Probability that the buy-then-resell policy ends with the top buyer.
 
@@ -86,22 +99,7 @@ def delta_mu(mu: int) -> StrongExactReport:
     is a smooth double integral in (s, t) involving (1-t)^(mu-1).
     """
     mu = check_size("delta_mu", "mu", mu)
-    rtol = 1e-9 / 3.0
-
-    def f_alpha(s, t):
-        q = pow1m(t, mu - 1)
-        return q + (1.0 - q) / (E * t)
-
-    def f_beta(s, t):
-        return pow1m(t, mu - 1) + 0.0 * s
-
-    def f_gamma(s, t):
-        return s * (1.0 - pow1m(t, mu - 1)) / t
-
-    alpha = integrate_rect(f_alpha, 0.0, SELL_CUTOFF, SELL_CUTOFF, 1.0,
-                           tol=rtol)
-    beta = integrate_wedge(f_beta, SELL_CUTOFF, SKIP_CUTOFF, 1.0, tol=rtol)
-    gamma = integrate_wedge(f_gamma, SELL_CUTOFF, 1.0, 1.0, tol=rtol)
+    alpha, beta, gamma = _strong_parts(lambda t: pow1m(t, mu - 1), 1e-9 / 3.0)
     return StrongExactReport(mu=mu, alpha=alpha, beta=beta, gamma=gamma,
                              delta=alpha + beta + gamma)
 
@@ -112,12 +110,8 @@ def delta_limit() -> float:
 
 
 def delta_limit_quadrature() -> float:
-    """The same limit by quadrature of its two defining integrals."""
-    part1 = integrate_rect(lambda s, t: 1.0 / (E * t) + 0.0 * s,
-                           0.0, SELL_CUTOFF, SELL_CUTOFF, 1.0, tol=1e-10 / 2)
-    part2 = integrate_wedge(lambda s, t: s / t, SELL_CUTOFF, 1.0, 1.0,
-                            tol=1e-10 / 2)
-    return part1 + part2
+    """The same limit by quadrature of delta_mu's integrals at q = 0."""
+    return sum(_strong_parts(lambda t: 0.0, 1e-10 / 2))
 
 
 def strong_ratio_limit() -> float:

@@ -1,8 +1,10 @@
 """Market instances, arrival sampling, and instance-family generators.
 
 A market has n buyers (agent ids 1..n) and one seller (agent id n+1).
-Each agent carries a price; prices may be ints, floats, or
-``fractions.Fraction`` (exact pipelines keep Fractions end to end).
+Each agent carries a price: an int, a float, a ``fractions.Fraction``
+(exact pipelines keep Fractions end to end), or a numpy integer or
+floating value.  Any other type, bools included, raises
+``InvalidInstanceError``, as do negative and non-finite prices.
 
 Ties are resolved by one universal rule used everywhere in the package:
 agents are ordered by (price descending, agent index ascending).  The
@@ -29,6 +31,8 @@ import numpy as np
 from .errors import InvalidInstanceError, SizeCapError
 
 Price = int | float | Fraction
+# concrete types: an isinstance against numbers.Real costs ~1 us per price
+_PRICE_TYPES = (int, float, Fraction, np.integer, np.floating)
 
 
 def check_size(owner: str, name: str, value, least: int = 1,
@@ -52,7 +56,7 @@ def tiebreak_key(price: Price, agent_index: int) -> tuple:
 
 
 def _check_price(p: Price, what: str) -> None:
-    if isinstance(p, (bool, np.bool_)):
+    if isinstance(p, bool) or not isinstance(p, _PRICE_TYPES):
         raise InvalidInstanceError(f"{what} must be a number, got {p!r}")
     if not isinstance(p, (int, Fraction)) and not math.isfinite(p):
         raise InvalidInstanceError(f"{what} must be finite, got {p!r}")
@@ -116,12 +120,8 @@ def _fraction(text: str) -> Fraction:
         raise InvalidInstanceError(f"zero denominator in {text!r}") from None
 
 
-def _price_from_json(v) -> Price:
-    if isinstance(v, str):
-        return _fraction(v)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InvalidInstanceError(f"bad price value {v!r}")
-    return v
+def _price_from_json(v):
+    return _fraction(v) if isinstance(v, str) else v
 
 
 def load_instance(source) -> Instance:
@@ -140,12 +140,17 @@ def load_instance(source) -> Instance:
         text = str(source)
         name, colon, _ = text.partition(":")
         if text.lstrip().startswith(("{", "[")):
-            doc = json.loads(text)
+            blob = text
         elif colon and name in _FAMILIES:
             return parse_family_spec(text)
         else:
             with open(text) as fh:
-                doc = json.load(fh)
+                blob = fh.read()
+        try:
+            doc = json.loads(blob)
+        except RecursionError:
+            raise InvalidInstanceError(
+                "instance JSON nests too deeply") from None
     if not (isinstance(doc, dict)
             and isinstance(doc.get("buyer_prices", []), list)):
         raise InvalidInstanceError(
@@ -250,6 +255,9 @@ class TradeOutcome:
 
 #: Largest n of a generated family instance (about 144 B per buyer to simulate).
 FAMILY_CAP = 10**7
+#: Most decimal digits of the denominator of a Fraction-ratio geometric
+#: price: Python's default int-to-str limit, which ``Instance.digest`` meets.
+GEOMETRIC_DIGITS_CAP = 4300
 # family name -> the parameters it takes
 _FAMILIES = {"spike": ("n",), "flat_k": ("n", "k"), "seller_spike": ("n",),
              "geometric": ("n", "r")}
@@ -261,7 +269,8 @@ def gen_instance(family: str, **params) -> Instance:
     spike(n):        buyers (1, 0, ..., 0), seller 0
     flat_k(n, k):    top k buyers at 1, the rest and the seller at 0
     seller_spike(n): all buyers 0, seller 1
-    geometric(n, r): buyer i priced r**(i-1), seller 0
+    geometric(n, r): buyer i priced r**(i-1), seller 0; a Fraction r caps
+                     n where r**(n-1) outgrows GEOMETRIC_DIGITS_CAP digits
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; "
@@ -287,6 +296,14 @@ def gen_instance(family: str, **params) -> Instance:
     r = params["r"]
     if not (0 < r < 1):
         raise ValueError(f"need ratio in (0,1), got {r}")
+    if isinstance(r, Fraction):
+        # the largest m with denominator**m below 10**GEOMETRIC_DIGITS_CAP,
+        # down from one past the float estimate, which may be one too low
+        q, top = r.denominator, 10 ** GEOMETRIC_DIGITS_CAP
+        m = int(GEOMETRIC_DIGITS_CAP / math.log10(q)) + 1
+        while q ** m >= top:
+            m -= 1
+        check_size(family, "n", n, cap=m + 1)
     return Instance(tuple(r ** i for i in range(n)), 0)
 
 

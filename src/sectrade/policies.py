@@ -192,9 +192,10 @@ def run_episode(policy_id: str, instance: Instance,
 
     The sample's order must be a permutation of the agent ids 1..n+1, with
     one arrival time in [0, 1] per agent, strictly increasing; "alg2" needs
-    an ``rng`` (its coin source) and "alg3" a zero-price seller.  Returns
-    the final holder: the seller if the intermediary never bought, 0 if it
-    bought and never resold, else the buyer it sold to.
+    an ``rng`` (its coin source) and "alg3" a zero-price seller, which its
+    step checks at the seller's arrival (no episode stops before it).
+    Returns the final holder: the seller if the intermediary never bought,
+    0 if it bought and never resold, else the buyer it sold to.
     Deterministic given (policy, instance, sample, rng state).
     """
     step = make_policy(policy_id, thresholds)
@@ -217,8 +218,6 @@ def run_episode(policy_id: str, instance: Instance,
             raise ValueError(f"arrival times must strictly increase, "
                              f"got {t!r} after {last!r}")
         last = t
-    if policy_id == "alg3" and instance.seller_price != 0:
-        raise ValueError(f"policy {policy_id!r} requires seller price 0")
     if policy_id == "alg2" and rng is None:
         raise ValueError(f"policy {policy_id!r} needs an rng")
 

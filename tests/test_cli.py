@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectrade.cli import build_parser, main
+from sectrade.errors import NumericError, UnboundedProblem
 from sectrade.exact import ALG3_TABLE_CAP
 from sectrade.lp import CERT_CAP, SIZE_CAP
 from sectrade.model import FAMILY_CAP
@@ -187,6 +188,8 @@ class TestSimulate:
         *((json.dumps({"buyer_prices": prices, "seller_price": 0}),
            '"buyer_prices" is a list') for prices in (5, "12", None)),
         ("[1, 2]", '"buyer_prices" is a list'),
+        pytest.param("[" * 3000 + "]" * 3000, "nests too deeply",
+                     id="nested"),
     ])
     def test_malformed_instance(self, capsys, instance, message):
         code, out, err = run_cli(capsys, "simulate", "--policy", "alg1",
@@ -398,12 +401,13 @@ class TestOut:
 
 
 class TestExitCodes:
-    def test_numeric_failure_maps_to_three(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("error", [NumericError, UnboundedProblem,
+                                       ZeroDivisionError])
+    def test_numeric_failure_maps_to_three(self, capsys, monkeypatch, error):
         from sectrade import cli
-        from sectrade.errors import NumericError
 
         def boom(mu):
-            raise NumericError("synthetic non-convergence")
+            raise error("synthetic non-convergence")
 
         monkeypatch.setattr(cli.exact, "delta_mu", boom)
         code, _, err = run_cli(capsys, "exact", "delta", "--mu", "2")
@@ -429,6 +433,8 @@ class TestSizeCaps:
         *(["oracle", kind, "--instance",
            json.dumps({"buyer_prices": [1] * (cap + 1), "seller_price": 0})]
           for kind, cap in (("weakopt", WEAK_OPT_CAP), ("alg2", ALG2_CAP))),
+        ["simulate", "--policy", "alg1", "--instance",
+         "geometric:n=10000,r=1/3", "--trials", "10", "--seed", "1"],
     ])
     def test_over_cap_allocates_nothing(self, capsys, argv):
         assert CERT_CAP == FAMILY_CAP == 10 ** 7

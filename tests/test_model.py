@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectrade.benchmarks import strong_opt
-from sectrade.errors import InvalidInstanceError
+from sectrade.errors import InvalidInstanceError, SizeCapError
 from sectrade.exact import (alg2_holder_prob, alg3_pi_parts, alg3_report,
                             delta_gap_closed_form, delta_mu, unimodality_f)
 from sectrade.lp import (build_strong_primal, build_weak_primal,
@@ -106,6 +107,14 @@ class TestCanonicalize:
         with pytest.raises(InvalidInstanceError):
             Instance((1,), price)
 
+    @pytest.mark.parametrize("price", [None, "1", [1], 1j, Decimal("1"),
+                                       np.bool_(True)])
+    def test_non_number_prices_rejected(self, price):
+        with pytest.raises(InvalidInstanceError, match="must be a number"):
+            Instance((price, 2), 0)
+        with pytest.raises(InvalidInstanceError, match="must be a number"):
+            Instance((1,), price)
+
     def test_int_float_fraction_prices_accepted(self):
         inst = Instance((3, 0.5, Fraction(1, 3), 10 ** 400), Fraction(1, 8))
         assert inst.buyer_prices == (3, 0.5, Fraction(1, 3), 10 ** 400)
@@ -200,6 +209,14 @@ class TestGenerators:
     def test_geometric(self):
         inst = gen_instance("geometric", n=3, r=Fraction(1, 2))
         assert inst.buyer_prices == (1, Fraction(1, 2), Fraction(1, 4))
+
+    def test_fraction_ratio_capped_by_denominator_digits(self):
+        r = Fraction(1, 10 ** 100)
+        inst = gen_instance("geometric", n=43, r=r)
+        assert inst.buyer_prices[-1] == r ** 42
+        assert len(inst.digest()) == 16
+        with pytest.raises(SizeCapError, match="capped at n=43, got 44"):
+            gen_instance("geometric", n=44, r=r)
 
     def test_k_above_n_rejected(self):
         with pytest.raises(ValueError):
@@ -330,6 +347,12 @@ class TestInstanceJson:
     def test_missing_field(self):
         with pytest.raises(InvalidInstanceError):
             load_instance({"buyer_prices": [1]})
+
+    def test_deeply_nested_file(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text("[" * 3000 + "]" * 3000)
+        with pytest.raises(InvalidInstanceError, match="nests too deeply"):
+            load_instance(str(path))
 
     def test_digest_stable(self):
         a = Instance((1, 2), 0).digest()

@@ -41,6 +41,8 @@ def _simulate(policy, spec, trials, *extra):
 COMMANDS = {
     "report_constants": (["report", "constants"], ".json"),
     "exact_delta_mu5": (["exact", "delta", "--mu", "5"], ".json"),
+    # q(t) = (1-t)^999 underflows over most of [1/e, 1]
+    "exact_delta_mu1000": (["exact", "delta", "--mu", "1000"], ".json"),
     "exact_limits": (["exact", "limits"], ".json"),
     "exact_alg3_n1000": (["exact", "alg3", "--n", "1000", *TH], ".json"),
     "exact_alg3_n50_csv": (["exact", "alg3", "--n", "50", *TH], ".csv"),
