@@ -36,12 +36,26 @@ covers every column (at once for n < 32).  Each trial's result is exactly
 that of a scan over all n+1 columns, so the prefix width changes no output
 bit.
 
-A block is drawn and evaluated in sub-chunks that keep every draw array
-within ``_BLOCK_BUDGET`` doubles (one trial when a trial alone is larger);
-the block layout, each trial's window and the order of every sum stay
-those of the whole block, so the sub-chunk size changes no output bit.
-Sub-chunks of 2 MiB (under numpy's 4 MiB huge-page advice) keep thread
-timing from moving the peak memory.  The state machines in
+Philox is counter-based (Salmon et al., SC'11), so a uniform can also be
+computed from its counter alone: column c of trial k is word c % 4 of
+Philox4x64-10 at counter k*S/4 + c//4 + 1 (numpy steps the counter
+before it generates) under the key (seed mod 2**64, seed >> 64), and the
+double is (word >> 11) * 2**-53.  ``_philox`` does this with numpy ufuncs,
+bit for bit, at about 8 times the cost of a block drawn natively.  When 8
+times the 4-column blocks that the first prefix, the seller and the coin
+need is below a window's S/4 blocks (n = 1000 and 10^5, not n = 10 or
+100), a block is read from its counters: each round computes only the
+blocks it reads, for all of the block's trials it reads, in reads of
+``_rows_per_read`` trials.  Otherwise whole windows are drawn.  The
+stream contract is the same either way, and so is every output byte.
+
+Whole windows are drawn and evaluated in sub-chunks that keep every draw
+array within ``_BLOCK_BUDGET`` doubles (one trial when a trial alone is
+larger), and counter reads keep every array, uint64 temporaries included,
+within it too; the block layout, each trial's window and the order of
+every sum stay those of the whole block, so neither changes an output
+bit.  Sub-chunks of 2 MiB (under numpy's 4 MiB huge-page advice) keep
+thread timing from moving the peak memory.  The state machines in
 :mod:`sectrade.policies` stay the behavioural reference; the kernel here
 is cross-checked against them trial by trial in the test suite.
 
@@ -71,6 +85,18 @@ _LAYOUT_BUDGET = 1 << 22  # doubles per block at large n (fixes the sums)
 # the welfare moments a block sums, in the order of its sums array
 _MOMENTS = ("sum_w", "sum_w2", "sum_o", "sum_o2", "sum_wo")
 _PREFIX = 32  # strength columns the kernel reads in its first round
+# one Philox block computed with numpy ufuncs costs about 8 drawn by
+# numpy's own Philox (7-10x, best of 15 calls of 2048-4096 blocks on a
+# shared 2-core x86-64 host)
+_COUNTER_COST = 8
+_M64 = (1 << 64) - 1
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key increments
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+# the two round multipliers as a column, and their 32-bit halves
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
+                     dtype=np.uint64)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _32
 
 POLICY_IDS = ("alg1", "alg2", "alg3", "secretary-baseline")
 # each policy's time floors: it sells to the earliest buyer who is r-th
@@ -124,18 +150,127 @@ def _block_size(n: int) -> int:
     return max(256, min(BLOCK, _LAYOUT_BUDGET // _stride(n)))
 
 
-def block_draws(seed: int, n: int, start: int, count: int) -> np.ndarray:
-    """Uniform draws for trials [start, start+count), shape (count, stride).
+def block_draws(seed: int, n: int, start: int, count: int,
+                blocks: np.ndarray | None = None,
+                rows: np.ndarray | None = None) -> np.ndarray:
+    """Uniform draws of trials [start, start+count).
 
-    Column a < n holds buyer (a+1)'s arrival time, column n the seller's,
-    column n+1 the coin; the rest is padding that keeps windows 4-aligned
-    for Philox counter jumps.
+    Column a < n of a trial's window holds buyer (a+1)'s arrival time,
+    column n the seller's, column n+1 the coin; the rest is padding that
+    keeps windows 4-aligned for Philox counter jumps.  With ``blocks``
+    None this is every window, shape (count, stride), drawn by numpy's
+    Philox.  Otherwise it is window columns 4b..4b+3 for each b in
+    ``blocks`` of trials start + ``rows`` (all count trials when None),
+    shape (len(rows), 4 * len(blocks)), computed from their Philox
+    counters alone: column c of trial k is word c % 4 of the block at
+    counter k*S/4 + c//4 + 1 (numpy steps the counter before it
+    generates), so both forms give the same bits.
     """
     stride = _stride(n)
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(start * (stride // 4))
-    gen = np.random.Generator(bitgen)
-    return gen.random(count * stride).reshape(count, stride)
+    base = start * (stride // 4)
+    if blocks is None:
+        bitgen = np.random.Philox(key=seed)
+        bitgen.advance(base)
+        gen = np.random.Generator(bitgen)
+        return gen.random(count * stride).reshape(count, stride)
+    if rows is None:
+        rows = np.arange(count)
+    # 128-bit counters as two words; the low word carries into the high
+    # one as numpy's counter does (trials past 2**128 counters are not
+    # supported)
+    off = ((rows.astype(np.uint64) * np.uint64(stride // 4))[:, None]
+           + (blocks.astype(np.uint64) + np.uint64(1))).ravel()
+    lo = off + np.uint64(base & _M64)
+    hi = (lo < off) + np.uint64(base >> 64)
+    words = np.stack(_philox(seed, lo, hi), axis=-1).reshape(len(rows), -1)
+    words >>= np.uint64(11)
+    return words * 2.0 ** -53
+
+
+def _mulhilo(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products of a's rows with the
+    Philox multipliers, from 32-bit halves."""
+    a0, a1 = a & _LOW32, a >> _32
+    t = a1 * _PHILOX_M_LO + ((a0 * _PHILOX_M_LO) >> _32)
+    u = a0 * _PHILOX_M_HI + (t & _LOW32)
+    return (a1 * _PHILOX_M_HI + (t >> _32) + (u >> _32), a * _PHILOX_M)
+
+
+def _philox(seed: int, c0: np.ndarray, c1: np.ndarray) -> tuple:
+    """Philox4x64-10 (Salmon et al., SC'11) of the counters (c0, c1, 0, 0)
+    (1-D uint64) under the key (seed mod 2**64, seed >> 64), as numpy's
+    Philox has it.
+
+    Rows x = (c0, c2) and y = (c1, c3) go through each round together:
+    the round is (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0) for
+    (hi_i, lo_i) = the i-th multiplier times (c0, c2)[i]."""
+    keys = np.array([[[(seed + r * _PHILOX_W[0]) & _M64],
+                      [((seed >> 64) + r * _PHILOX_W[1]) & _M64]]
+                     for r in range(10)], dtype=np.uint64)
+    zero = np.zeros_like(c0)
+    x, y = np.stack((c0, zero)), np.stack((c1, zero))
+    for key in keys:
+        hi, lo = _mulhilo(x)
+        x, y = hi[::-1] ^ y ^ key, lo[::-1]
+    return x[0], y[0], x[1], y[1]
+
+
+def _scan_cols(policy_id: str, mk: _Market) -> np.ndarray:
+    """The time-columns a policy scans, strongest first (alg1 and alg2
+    see the seller among the buyers)."""
+    return (mk.strength_cols if policy_id in ("alg1", "alg2")
+            else mk.buyer_cols)
+
+
+def _read_blocks(n: int, cols: np.ndarray) -> np.ndarray:
+    """The Philox blocks, ascending, that a read of window columns ``cols``
+    computes: theirs, the seller's and the coin's."""
+    hit = np.zeros(_stride(n) // 4, dtype=bool)
+    hit[cols // 4] = True
+    hit[[n // 4, (n + 1) // 4]] = True
+    return np.flatnonzero(hit)
+
+
+def _by_counter(n: int, cols: np.ndarray) -> bool:
+    """Whether to compute only the Philox blocks the kernel reads instead
+    of drawing whole windows: when the first round's blocks, at
+    _COUNTER_COST native blocks each, cost less than a window's S/4."""
+    first = _read_blocks(n, cols[:_PREFIX])
+    return _COUNTER_COST * first.size < _stride(n) // 4
+
+
+def _rows_per_read(n: int, cols: np.ndarray) -> int:
+    """Trials per counter read of ``cols``: _BLOCK_BUDGET/128 (trial,
+    block) pairs, so that the read's uint64 temporaries and the kernel's
+    arrays hold at most 64 KiB each (larger reads measured a higher peak
+    RSS on ``mc_large_n``)."""
+    return max(1, _BLOCK_BUDGET // (128 * _read_blocks(n, cols).size))
+
+
+def _window_reader(u: np.ndarray, n: int):
+    """Reads (times at window columns, seller times, coins) of trial rows
+    (a slice or an index array) from whole windows already drawn."""
+    def read(rows, cols):
+        w = u[rows]
+        return w.take(cols, axis=1), w[:, n], w[:, n + 1]
+    return read
+
+
+def _counter_reader(seed: int, n: int, start: int, count: int):
+    """Reads like ``_window_reader`` for trials start + rows of [start,
+    start+count), computing only the Philox blocks each read needs."""
+    def read(rows, cols):
+        blocks = _read_blocks(n, cols)
+        cols = np.concatenate((cols, [n, n + 1]))
+        slot = np.zeros(_stride(n) // 4, dtype=np.intp)
+        slot[blocks] = np.arange(0, 4 * blocks.size, 4)
+        if isinstance(rows, slice):
+            rows = np.arange(*rows.indices(count))
+        v = block_draws(seed, n, start, count, blocks, rows)
+        at = slot[cols // 4] + cols % 4
+        seller_t, coin = v.take(at[-2:], axis=1).T
+        return v.take(at[:-2], axis=1), seller_t, coin
+    return read
 
 
 def _prefix_min(ts: np.ndarray) -> np.ndarray:
@@ -153,32 +288,27 @@ def _last_true(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mask.shape[1] - 1 - j, rev[np.arange(mask.shape[0]), j]
 
 
-def _evaluate(policy_id: str, mk: _Market, u: np.ndarray,
-              th: Thresholds | None,
-              width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Final holder id (0 = intermediary) and weak-OPT value per trial of
-    one array of draws.
-
-    Reads only the first ``width`` strength columns (``_PREFIX`` when
-    None).  Rows that this prefix does not settle are evaluated again at
-    8x the width, until the prefix covers every column."""
-    if width is None:
-        width = _PREFIX
+def _evaluate(policy_id: str, mk: _Market, ts: np.ndarray,
+              seller_t: np.ndarray, coin: np.ndarray, th: Thresholds | None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One round of the kernel: holder id (0 = intermediary), weak-OPT value
+    and whether the result is final, per trial, from its times ``ts`` at
+    the first ts.shape[1] columns of the policy's strength order (C order:
+    trial-major, strongest agent first), its seller time and its coin."""
     n = mk.n
-    rows = np.arange(u.shape[0])
-    seller_t = u[:, n]
-    with_seller = policy_id in ("alg1", "alg2")
-    cols = mk.strength_cols if with_seller else mk.buyer_cols
+    cols = _scan_cols(policy_id, mk)
+    with_seller = cols is mk.strength_cols
+    width = ts.shape[1]
     whole = width >= len(cols)
     cols = cols[:width]
-    ts = u.take(cols, axis=1)  # C order: trial-major, strongest agent first
+    each = np.arange(ts.shape[0])
 
     # Weak OPT: buyer prices fall along the strength order, so the best
     # buyer arriving after the seller is the first one in that order (the
     # seller's own column never arrives after itself).
     after = ts > seller_t[:, None]
     first = after.argmax(axis=1)
-    settled = after[rows, first]
+    settled = after[each, first]
     weak = np.where(settled, mk.prices[cols[first] + 1], -np.inf)
     weak = np.maximum(weak, mk.seller_price)
 
@@ -191,7 +321,7 @@ def _evaluate(policy_id: str, mk: _Market, u: np.ndarray,
     pos = mk.seller_strength_pos
     if with_seller and pos < width:
         skip = (seller_t > SKIP_CUTOFF if policy_id == "alg1"
-                else u[:, n + 1] >= 0.5)
+                else coin >= 0.5)
         no_buy = skip & (ts[:, pos] < bound[:, pos])
     else:
         no_buy = False
@@ -215,19 +345,48 @@ def _evaluate(policy_id: str, mk: _Market, u: np.ndarray,
         if not r:
             idx, sold = idx_r, sold_r
         else:
-            take = sold_r & ~(sold & (ts[rows, idx] <= ts[rows, idx_r]))
+            take = sold_r & ~(sold & (ts[each, idx] <= ts[each, idx_r]))
             idx = np.where(take, idx_r, idx)
             sold |= sold_r
         if not whole:
             # the row-min of max(t, m_{r-1}) is the r-th smallest time
             settled &= level.min(axis=1) <= np.maximum(seller_t, floor)
     holders = np.where(no_buy, n + 1, np.where(sold, cols[idx] + 1, 0))
+    return holders, weak, settled | whole
 
-    if not whole:
-        rest = np.flatnonzero(~settled)
-        if rest.size:
-            holders[rest], weak[rest] = _evaluate(policy_id, mk, u[rest], th,
-                                                  8 * width)
+
+def _outcomes(policy_id: str, mk: _Market, read, th: Thresholds | None,
+              count: int, rows_per_read=None) -> tuple[np.ndarray, np.ndarray]:
+    """Final holder id and weak-OPT value of ``count`` trials.
+
+    ``read(rows, cols)`` returns the times of trials ``rows`` at window
+    columns ``cols``, their seller times and their coins
+    (``_window_reader``, ``_counter_reader``).  The first round reads the
+    first ``_PREFIX`` columns of the policy's strength order; each later
+    round reads the trials the last one did not settle at 8x the width,
+    until a round covers every column.  A read takes at most
+    ``rows_per_read(cols)`` trials (all when None)."""
+    scan = _scan_cols(policy_id, mk)
+    reads = []  # (rows, holders, weak) of each read, in round order
+    rest, width = None, _PREFIX  # None: every trial, read by slices
+    while rest is None or rest.size:
+        cols = scan[:width]
+        todo = count if rest is None else rest.size
+        step = todo if rows_per_read is None else rows_per_read(cols)
+        left = []
+        for i in range(0, todo, step):
+            rows = slice(i, i + step) if rest is None else rest[i:i + step]
+            holders, weak, settled = _evaluate(policy_id, mk,
+                                               *read(rows, cols), th)
+            reads.append((rows, holders, weak))
+            stuck = np.flatnonzero(~settled)
+            left.append(stuck + i if rest is None else rows[stuck])
+        rest, width = np.concatenate(left), 8 * width
+    if len(reads) == 1:  # one read settled every trial
+        return reads[0][1:]
+    holders, weak = np.empty(count, dtype=np.int64), np.empty(count)
+    for rows, h, w in reads:  # later rounds overwrite the trials they read
+        holders[rows], weak[rows] = h, w
     return holders, weak
 
 
@@ -235,19 +394,26 @@ def _block_partials(policy_id: str, mk: _Market, seed: int, start: int,
                     count: int, th: Thresholds | None
                     ) -> tuple[np.ndarray, np.ndarray]:
     # The block's holder counts and its _MOMENTS sums as one float64 array.
-    # Draw and evaluate the block in sub-chunks that keep each draw array
-    # within _BLOCK_BUDGET doubles (one trial when a trial alone exceeds
-    # it).  Trials keep their Philox windows and the block's sums run over
-    # the concatenated per-trial values, so the partials do not depend on
-    # the sub-chunk size.
+    # Either read the whole block from its Philox counters, in reads of
+    # _rows_per_read trials, or draw it in sub-chunks of whole windows that
+    # keep each draw array within _BLOCK_BUDGET doubles (one trial when a
+    # trial alone exceeds it).  Trials keep their Philox windows and the
+    # block's sums run over the concatenated per-trial values, so the
+    # partials depend on neither the path nor the sub-chunk size.
     n = mk.n
-    step = max(1, _BLOCK_BUDGET // _stride(n))
-    end = start + count
-    parts = [_evaluate(policy_id, mk,
-                       block_draws(seed, n, s, min(step, end - s)), th)
-             for s in range(start, end, step)]
-    holders = np.concatenate([h for h, _ in parts])
-    weak = np.concatenate([w for _, w in parts])
+    if _by_counter(n, _scan_cols(policy_id, mk)):
+        holders, weak = _outcomes(
+            policy_id, mk, _counter_reader(seed, n, start, count), th, count,
+            lambda cols: _rows_per_read(n, cols))
+    else:
+        step = max(1, _BLOCK_BUDGET // _stride(n))
+        parts = []
+        for s in range(start, start + count, step):
+            c = min(step, start + count - s)
+            read = _window_reader(block_draws(seed, n, s, c), n)
+            parts.append(_outcomes(policy_id, mk, read, th, c))
+        holders = np.concatenate([h for h, _ in parts])
+        weak = np.concatenate([w for _, w in parts])
     welfare = mk.prices[holders]
     with np.errstate(over="ignore", invalid="ignore"):  # ``simulate`` checks
         sums = np.array([welfare.sum(), (welfare * welfare).sum(), weak.sum(),
@@ -307,6 +473,9 @@ def simulate(policy_id: str, instance: Instance, trials: int,
     if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
             or not 0 <= seed < 2 ** 128):
         raise ValueError(f"need an integer seed in [0, 2**128), got {seed!r}")
+    # a numpy integer would overflow in the Philox key arithmetic and is
+    # not JSON-serialisable
+    seed = int(seed)
     if policy_id not in POLICY_IDS:
         raise ValueError(f"unknown policy id {policy_id!r}")
     if policy_id == "alg3" and thresholds is None:
@@ -369,7 +538,7 @@ def simulate(policy_id: str, instance: Instance, trials: int,
         policy=policy_id,
         instance_digest=instance.digest(),
         trials=trials,
-        seed=int(seed),  # numpy integers are not JSON-serialisable
+        seed=seed,
         holder_freq={int(h): c / n_t for h, c in enumerate(counts) if c},
         mean_alg_welfare=mean_w,
         se_alg=se_w,

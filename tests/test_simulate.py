@@ -13,8 +13,9 @@ from sectrade.model import ArrivalSample, Instance, Thresholds, gen_instance
 from sectrade.oracle import enumerate_alg2_exact
 from sectrade.policies import SELL_CUTOFF, SKIP_CUTOFF, run_episode
 from sectrade.simulate import (_BLOCK_BUDGET, _PREFIX, BLOCK, POLICY_IDS,
-                               SimulationReport, _evaluate, _market,
-                               _stride, block_draws, simulate)
+                               SimulationReport, _counter_reader, _market,
+                               _outcomes, _rows_per_read, _scan_cols, _stride,
+                               _window_reader, block_draws, simulate)
 
 TH = Thresholds(0.296151, 0.805018)
 # the module itself, whose globals the tests patch
@@ -104,7 +105,7 @@ class TestKernelAgainstStateMachines:
             n = inst.n
             mk = _market(inst)
             u = block_draws(seed=555, n=n, start=0, count=200)
-            vec = _evaluate(policy_id, mk, u, TH)[0]
+            vec = _outcomes(policy_id, mk, _window_reader(u, n), TH, 200)[0]
             for k in range(200):
                 row = u[k, :n + 1]
                 perm = np.argsort(row, kind="stable")
@@ -206,7 +207,8 @@ def _check_against_reference(policy_id, n):
     for k, inst in enumerate(_reference_instances(policy_id, n)):
         mk = _market(inst)
         u = block_draws(seed=900 + k, n=n, start=17 * k, count=500)
-        holders, weak = _evaluate(policy_id, mk, u, TH)
+        holders, weak = _outcomes(policy_id, mk, _window_reader(u, n), TH,
+                                  500)
         assert np.array_equal(holders, reference_holders(policy_id, mk, u, TH))
         assert np.array_equal(weak, reference_weak_opt(mk, u))
 
@@ -241,43 +243,188 @@ class TestKernelAgainstReference:
     ])
     def test_rescans_match_whole_width(self, monkeypatch, policy_id, inst):
         # n = 1000 takes rounds of 32, 256 and 2048 columns; the paid
-        # seller of 960.5 sits at strength position 40, past the first
+        # seller of 960.5 sits at strength position 40, past the first.
+        # Both readers: whole windows, and the Philox blocks of each round.
         mk = _market(inst)
-        u = block_draws(seed=77, n=mk.n, start=0, count=2000)
-        whole = _evaluate(policy_id, mk, u, TH, width=mk.n + 1)
+        n = mk.n
+        u = block_draws(seed=77, n=n, start=0, count=2000)
+        scan = _scan_cols(policy_id, mk)
+        whole = SIM._evaluate(policy_id, mk, u.take(scan, axis=1), u[:, n],
+                              u[:, n + 1], TH)
+        assert whole[2].all()
         widths = []
         evaluate = SIM._evaluate
 
-        def spy(policy_id, mk, u, th, width=None):
-            widths.append(width)
-            return evaluate(policy_id, mk, u, th, width)
+        def spy(policy_id, mk, ts, seller_t, coin, th):
+            widths.append(ts.shape[1])
+            return evaluate(policy_id, mk, ts, seller_t, coin, th)
 
         monkeypatch.setattr(SIM, "_evaluate", spy)
-        holders, weak = evaluate(policy_id, mk, u, TH)
-        assert widths and widths[0] == 8 * _PREFIX  # at least one rescan
-        assert np.array_equal(holders, whole[0])
-        assert np.array_equal(weak, whole[1])
-        assert np.array_equal(holders, reference_holders(policy_id, mk, u, TH))
-        assert np.array_equal(weak, reference_weak_opt(mk, u))
+        for read, rows_per_read in [
+                (_window_reader(u, n), None),
+                (_counter_reader(77, n, 0, 2000),
+                 lambda cols: _rows_per_read(n, cols))]:
+            widths.clear()
+            holders, weak = _outcomes(policy_id, mk, read, TH, 2000,
+                                      rows_per_read)
+            assert widths[0] == _PREFIX and 8 * _PREFIX in widths  # rescans
+            assert np.array_equal(holders, whole[0])
+            assert np.array_equal(weak, whole[1])
+            assert np.array_equal(holders,
+                                  reference_holders(policy_id, mk, u, TH))
+            assert np.array_equal(weak, reference_weak_opt(mk, u))
+
+
+def _shuffled_4000():
+    # 4000 distinct prices in a fixed shuffled order: the first strength
+    # prefix is scattered over the window
+    rng = np.random.default_rng(4000)
+    return Instance(tuple(float(p) for p in rng.permutation(4000) + 1), 0)
+
+
+_PATH_CASES = [
+    ("spike:n=1000", gen_instance("spike", n=1000), 4500),
+    ("paid seller at strength position 40",
+     Instance(tuple(float(1000 - i) for i in range(1000)), 960.5), 4500),
+    ("shuffled n=4000", _shuffled_4000(), 1300),
+    ("seller_spike:n=100000", gen_instance("seller_spike", n=100_000), 256),
+]
+
+
+class TestCounterPath:
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64 + 5, 2**128 - 1])
+    def test_same_bits_as_numpys_philox(self, seed):
+        # random (trial, block) sets of a stream, with the seller's and the
+        # coin's block and the padding (n = 9 pads column 11, n = 1001
+        # column 1003); key words are seed mod 2**64 and seed >> 64
+        rng = np.random.default_rng(seed % 997)
+        for n in (9, 1001):
+            stride = _stride(n)
+            philox = np.random.Philox(key=seed)
+            stream = np.random.Generator(philox).random(40 * stride)
+            stream = stream.reshape(40, stride)
+            picked = rng.choice(stride // 4, size=min(3, stride // 4),
+                                replace=False)
+            blocks = np.unique(np.r_[picked, n // 4, (n + 1) // 4,
+                                     stride // 4 - 1])
+            rows = np.sort(rng.choice(30, size=9, replace=False))
+            got = block_draws(seed, n, 10, 30, blocks, rows)
+            cols = (4 * blocks[:, None] + np.arange(4)).ravel()
+            assert np.array_equal(got, stream[10 + rows][:, cols])
+            assert np.array_equal(block_draws(seed, n, 10, 30, blocks),
+                                  stream[10:][:, cols])
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**128 - 1])
+    def test_counter_carries_past_two_to_the_64(self, seed):
+        # trials whose counters straddle 2**64: the low word carries into
+        # the second counter word, as numpy's ``advance`` does
+        n = 9
+        per_trial = _stride(n) // 4
+        start = 2**64 // per_trial - 2
+        native = block_draws(seed, n, start, 5)
+        assert (start + 5) * per_trial > 2**64 > start * per_trial
+        assert np.array_equal(
+            block_draws(seed, n, start, 5, np.arange(per_trial)), native)
+
+    @pytest.mark.parametrize("seed", [np.int64(9), np.uint64(2**64 - 1)])
+    def test_numpy_integer_seed(self, seed):
+        # the counter path computes Philox keys from the seed with Python
+        # integers, as numpy's Philox(key=seed) does
+        inst = gen_instance("spike", n=1000)
+        assert (simulate("alg1", inst, 500, seed=seed).to_json()
+                == simulate("alg1", inst, 500, seed=int(seed)).to_json())
+
+    def test_path_follows_the_blocks_read(self):
+        # the counter path when 8x the first round's blocks is below the
+        # S/4 blocks of a window: native at n = 10 and 100, counters at
+        # n = 1000 and 1e5 (the two sides the benchmark runs)
+        def by_counter(policy_id, inst):
+            mk = _market(inst)
+            return SIM._by_counter(mk.n, SIM._scan_cols(policy_id, mk))
+
+        for n, expected in [(10, False), (100, False), (1000, True),
+                            (100_000, True)]:
+            for policy_id in POLICY_IDS:
+                assert by_counter(policy_id, gen_instance("spike", n=n)) \
+                    is expected
+        assert by_counter("alg1", gen_instance("seller_spike", n=100_000))
+        assert by_counter("alg3", _shuffled_4000())
+
+    @pytest.mark.parametrize("policy_id,inst,trials", [
+        pytest.param(policy_id, inst, trials, id=f"{policy_id}-{name}")
+        for name, inst, trials in _PATH_CASES for policy_id in POLICY_IDS
+        if policy_id != "alg3" or inst.seller_price == 0])
+    def test_both_paths_same_report(self, monkeypatch, policy_id, inst,
+                                    trials):
+        draw = SIM.block_draws
+        kinds = set()
+
+        def spy(seed, n, start, count, blocks=None, rows=None):
+            kinds.add(blocks is None)
+            return draw(seed, n, start, count, blocks, rows)
+
+        monkeypatch.setattr(SIM, "block_draws", spy)
+        reports = []
+        for by_counter in (False, True):
+            monkeypatch.setattr(SIM, "_by_counter",
+                                lambda n, cols, forced=by_counter: forced)
+            for workers in (1, 2):
+                kinds.clear()
+                reports.append(simulate(policy_id, inst, trials, seed=2024,
+                                        workers=workers,
+                                        thresholds=TH).to_json())
+                assert kinds == {not by_counter}
+        assert len(set(reports)) == 1
 
 
 class TestMemoryBound:
     def test_draws_stay_within_budget(self, monkeypatch):
+        # both paths, at the default prefix and with every read as wide as
+        # the window (the width of the last rescan)
         n = 100_000
         per_chunk = _BLOCK_BUDGET // _stride(n)
         trials = 2 * per_chunk + 1  # one block: two full sub-chunks and one trial
-        calls = []
+        inst = gen_instance("seller_spike", n=n)
+        expected = simulate("alg1", inst, trials, seed=3).to_json()
+        calls, counters = [], []
+        draw, philox = SIM.block_draws, SIM._philox
 
-        def spy(seed, n, start, count):
-            u = block_draws(seed, n, start, count)
-            calls.append((start, count, u.size))
+        def draw_spy(seed, n, start, count, blocks=None, rows=None):
+            u = draw(seed, n, start, count, blocks, rows)
+            calls.append((start, count, blocks is None, u.size))
             return u
 
-        monkeypatch.setattr(SIM, "block_draws", spy)
-        simulate("alg1", gen_instance("seller_spike", n=n), trials, seed=3)
-        assert [c[:2] for c in calls] == [(0, per_chunk), (per_chunk, per_chunk),
-                                          (2 * per_chunk, 1)]
-        assert max(size for _, _, size in calls) <= _BLOCK_BUDGET
+        def philox_spy(seed, c0, c1):
+            counters.append(c0.size)
+            return philox(seed, c0, c1)
+
+        monkeypatch.setattr(SIM, "block_draws", draw_spy)
+        monkeypatch.setattr(SIM, "_philox", philox_spy)
+        for by_counter in (False, True):
+            monkeypatch.setattr(SIM, "_by_counter",
+                                lambda n, cols, forced=by_counter: forced)
+            for prefix in (_PREFIX, n + 1):
+                monkeypatch.setattr(SIM, "_PREFIX", prefix)
+                calls.clear()
+                counters.clear()
+                rep = simulate("alg1", inst, trials, seed=3)
+                assert rep.to_json() == expected
+                sizes = [c[3] for c in calls]
+                if by_counter:
+                    assert calls and not any(c[2] for c in calls)
+                    # every uint64 array of a counter draw (the counters,
+                    # each Philox word and temporary) has the counters'
+                    # size, and the four words stacked are what it returns
+                    assert 4 * max(counters) <= _BLOCK_BUDGET
+                    assert 4 * sum(counters) == sum(sizes)
+                else:
+                    assert [c[:3] for c in calls] == [
+                        (0, per_chunk, True), (per_chunk, per_chunk, True),
+                        (2 * per_chunk, 1, True)]
+                    assert not counters
+                if prefix > n:
+                    assert max(sizes) >= _stride(n)  # whole windows read
+                assert max(sizes) <= _BLOCK_BUDGET
         assert 8 * _BLOCK_BUDGET < 1 << 22  # under numpy's huge-page advice size
 
     @pytest.mark.parametrize("policy_id", ["alg2", "alg3"])

@@ -29,6 +29,12 @@ RATIONAL_TIE = json.dumps({"buyer_prices": ["1", "1/2", "1/2", "1/4"],
                            "seller_price": "1/2"})
 MIXED_TIE = json.dumps({"buyer_prices": [2, 1, 1.0, 2.0, 0.5],
                         "seller_price": 1})
+# buyer i (1..4000) priced 2731 i mod 4001, a permutation of 1..4000, so
+# the strongest buyers are scattered over the window; the seller's 2000.5
+# ranks in the middle
+SCATTERED_4000 = json.dumps({"buyer_prices": [2731 * i % 4001
+                                              for i in range(1, 4001)],
+                             "seller_price": 2000.5})
 
 
 def _simulate(policy, spec, trials, *extra):
@@ -79,6 +85,11 @@ COMMANDS = {
     **{f"simulate_{policy}_geometric1000":
        (_simulate(policy, "geometric:n=1000,r=0.99", 2000), ".json")
        for policy in ("alg3", "secretary-baseline")},
+    # Philox blocks computed from their counters, at a scattered prefix and
+    # a key whose high word is 1 (seed 2**64 + 5)
+    "simulate_alg1_scattered4000": (
+        ["simulate", "--policy", "alg1", "--instance", SCATTERED_4000,
+         "--trials", "3000", "--seed", str(2**64 + 5)], ".json"),
 }
 
 
