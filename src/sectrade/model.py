@@ -6,6 +6,16 @@ Each agent carries a price: an int, a float, a ``fractions.Fraction``
 floating value.  Any other type, bools included, raises
 ``InvalidInstanceError``, as do negative and non-finite prices.
 
+An instance keeps its prices as given.  When numpy holds every buyer
+price exactly, it also keeps them as one array, ``buyer_array``: int64
+when all are Python ints within int64, float64 when all are floats, or
+float64 for ints and floats mixed whose largest magnitude is below 2**53
+(every int up to there is a float64).  The array is validated in one
+vectorized pass and drives the ranking and the Monte Carlo market; as
+each of its comparisons is Python's own, they come out as from the
+prices themselves.  Any other vector (Fractions, larger ints, numpy
+scalars) is checked, ranked and converted price by price.
+
 Ties are resolved by one universal rule used everywhere in the package:
 agents are ordered by (price descending, agent index ascending).  The
 seller carries the largest index, so it loses every price tie to a buyer.
@@ -23,7 +33,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -70,16 +81,27 @@ class Instance:
 
     buyer_prices: tuple
     seller_price: Price
+    #: the buyer prices as an int64 or float64 array when it holds each of
+    #: them exactly (``_price_array``), else None; kept out of ==, hash
+    #: and repr, which read the prices themselves
+    buyer_array: np.ndarray | None = field(default=None, compare=False,
+                                           repr=False)
 
     def __init__(self, buyer_prices, seller_price):
         buyers = tuple(buyer_prices)
         if len(buyers) < 1:
             raise InvalidInstanceError("need at least one buyer")
-        for k, p in enumerate(buyers):
-            _check_price(p, f"buyer price #{k + 1}")
+        array = _price_array(buyers)
+        # the array flags its bad prices in one pass; without one, every
+        # price is checked
+        bad = (range(len(buyers)) if array is None
+               else np.flatnonzero(~((array >= 0) & (array < math.inf))))
+        for k in bad:
+            _check_price(buyers[k], f"buyer price #{k + 1}")
         _check_price(seller_price, "seller price")
         object.__setattr__(self, "buyer_prices", buyers)
         object.__setattr__(self, "seller_price", seller_price)
+        object.__setattr__(self, "buyer_array", array)
 
     @property
     def n(self) -> int:
@@ -102,15 +124,40 @@ class Instance:
         }
 
     def digest(self) -> str:
-        """Stable hex digest of the instance contents."""
-        blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
+        """Stable hex digest of the instance contents: the SHA-256 of
+        ``to_json_dict`` as sorted-key JSON.  json writes the int and float
+        prices itself (1 and 1.0 stay distinct) and asks
+        ``_price_to_json`` only for the rest."""
+        blob = json.dumps({"buyer_prices": self.buyer_prices,
+                           "seller_price": self.seller_price},
+                          sort_keys=True, default=_price_to_json).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _price_array(buyers: tuple) -> np.ndarray | None:
+    """The prices as one array when numpy holds each exactly: all Python
+    ints within int64 (int64), all floats, or a mix of the two whose
+    largest magnitude is below 2**53 (float64).  None for any other
+    vector: Fractions, larger ints, numpy scalars, bools, non-numbers."""
+    kinds = set(map(type, buyers))
+    if not kinds <= {int, float}:
+        return None
+    try:
+        array = np.fromiter(buyers, np.float64 if float in kinds
+                            else np.int64, len(buyers))
+    except OverflowError:  # an int beyond int64, or beyond float64
+        return None
+    if len(kinds) == 2 and not np.abs(array).max() < 2 ** 53:
+        return None
+    return array
 
 
 def _price_to_json(p: Price):
     if isinstance(p, Fraction):
         return f"{p.numerator}/{p.denominator}"
-    return p
+    # a numpy scalar as the Python number it holds (np.float64 is a float
+    # and writes the same either way)
+    return p.item() if isinstance(p, np.generic) else p
 
 
 def _fraction(text: str) -> Fraction:
@@ -177,21 +224,38 @@ class RankedInstance:
     mu: int
 
 
-def canonicalize(instance: Instance) -> RankedInstance:
-    """Rank the buyers under the universal tie-break and count mu.
+def rank_buyers(instance: Instance) -> tuple[np.ndarray, int]:
+    """Buyer indices (0-based) from rank 1 down, as an intp array, and mu.
 
-    Python's sort stays stable under ``reverse=True``, so sorting the buyer
-    ids by price alone keeps equal prices in ascending id order, which is
-    ``tiebreak_key``'s order.  The seller loses every tie, so mu counts the
-    buyers priced at or above it.
+    A stable sort of the buyers by price alone, descending, keeps equal
+    prices in ascending id order, which is ``tiebreak_key``'s order.  With
+    a ``buyer_array`` that sort is one stable ``argsort`` of the negated
+    array, whose comparisons are Python's own because the array is exact.
+    The seller loses every tie, so mu counts the buyers priced at or above
+    it, by Python's ``>=``: over the ranking they are a prefix, whose end
+    a bisection finds.
     """
-    prices = instance.buyer_prices
-    ranked = sorted(range(instance.n), key=prices.__getitem__, reverse=True)
-    seller = instance.seller_price
+    prices, seller = instance.buyer_prices, instance.seller_price
+    if instance.buyer_array is None:
+        ranked = sorted(range(instance.n), key=prices.__getitem__,
+                        reverse=True)
+        return (np.array(ranked, dtype=np.intp),
+                sum(1 for p in prices if p >= seller))
+    order = np.argsort(-instance.buyer_array, kind="stable")
+    return order, bisect_left(order, True,
+                              key=lambda b: not prices[b] >= seller)
+
+
+def canonicalize(instance: Instance) -> RankedInstance:
+    """Rank the buyers under the universal tie-break and count mu
+    (``rank_buyers``)."""
+    order, mu = rank_buyers(instance)
+    prices = np.fromiter(instance.buyer_prices, dtype=object,
+                         count=instance.n)  # references, not copies
     return RankedInstance(
-        sorted_buyer_prices=tuple(prices[b] for b in ranked),
-        original_index_of_rank=tuple(b + 1 for b in ranked),
-        mu=sum(1 for p in prices if p >= seller),
+        sorted_buyer_prices=tuple(prices[order].tolist()),
+        original_index_of_rank=tuple((order + 1).tolist()),
+        mu=mu,
     )
 
 
@@ -253,7 +317,9 @@ class TradeOutcome:
     decisions: tuple
 
 
-#: Largest n of a generated family instance (about 144 B per buyer to simulate).
+#: Largest n of a generated family instance.  Building one and simulating
+#: it peaks at about 92 B per buyer for int prices and 142 B for float
+#: ones (tracemalloc, ``gen_instance`` plus 256 alg1 trials at n = 1e5).
 FAMILY_CAP = 10**7
 #: Most decimal digits of the denominator of a Fraction-ratio geometric
 #: price: Python's default int-to-str limit, which ``Instance.digest`` meets.

@@ -76,7 +76,7 @@ import numpy as np
 
 from .benchmarks import strong_opt
 from .errors import NumericError
-from .model import Instance, Thresholds, canonicalize, check_size
+from .model import Instance, Thresholds, check_size, rank_buyers
 from .policies import SELL_CUTOFF, SKIP_CUTOFF
 
 BLOCK = 1 << 14
@@ -120,18 +120,17 @@ class _Market:
 
 
 def _market(instance: Instance) -> _Market:
-    ranked = canonicalize(instance)
+    buyer_cols, mu = rank_buyers(instance)
     n = instance.n
     prices = np.zeros(n + 2)
-    prices[1:n + 1] = [float(p) for p in instance.buyer_prices]
+    prices[1:n + 1] = (instance.buyer_array
+                       if instance.buyer_array is not None
+                       else [float(p) for p in instance.buyer_prices])
     prices[n + 1] = float(instance.seller_price)
-    buyer_cols = [b - 1 for b in ranked.original_index_of_rank]
-    strength_cols = np.array(buyer_cols[:ranked.mu] + [n] + buyer_cols[ranked.mu:],
-                             dtype=np.int64)
     return _Market(n=n, prices=prices,
-                   strength_cols=strength_cols,
-                   buyer_cols=np.array(buyer_cols, dtype=np.int64),
-                   seller_strength_pos=ranked.mu,
+                   strength_cols=np.insert(buyer_cols, mu, n),
+                   buyer_cols=buyer_cols,
+                   seller_strength_pos=mu,
                    seller_price=float(instance.seller_price))
 
 
@@ -534,12 +533,13 @@ def simulate(policy_id: str, instance: Instance, trials: int,
     else:
         ratio_weak = ratio_strong = ratio_weak_se = math.inf
 
+    held = np.flatnonzero(counts)
     return SimulationReport(
         policy=policy_id,
         instance_digest=instance.digest(),
         trials=trials,
         seed=seed,
-        holder_freq={int(h): c / n_t for h, c in enumerate(counts) if c},
+        holder_freq=dict(zip(held.tolist(), (counts[held] / n_t).tolist())),
         mean_alg_welfare=mean_w,
         se_alg=se_w,
         mean_weak_opt=mean_o,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from decimal import Decimal
@@ -14,10 +15,11 @@ from sectrade.exact import (alg2_holder_prob, alg3_pi_parts, alg3_report,
                             delta_gap_closed_form, delta_mu, unimodality_f)
 from sectrade.lp import (build_strong_primal, build_weak_primal,
                          strong_dual_certificate, weak_dual_certificate)
-from sectrade.model import (Instance, Thresholds, canonicalize, gen_instance,
+from sectrade.model import (Instance, RankedInstance, Thresholds,
+                            _check_price, canonicalize, gen_instance,
                             load_instance, parse_family_spec, sample_arrival,
                             tiebreak_key)
-from sectrade.simulate import simulate
+from sectrade.simulate import _market, _Market, simulate
 
 TH = Thresholds(0.296151, 0.805018)
 SPIKE3 = Instance((1, 0, 0), 0)
@@ -54,6 +56,96 @@ def _ref_canonicalize(instance):
              if tiebreak_key(instance.buyer_prices[b - 1], b) > seller_key)
     return (tuple(instance.buyer_prices[b - 1] for b in ranked_ids),
             tuple(ranked_ids), mu)
+
+
+def _ref_check_prices(buyers, seller):
+    """Instance's price check before the array path: every price in turn."""
+    if len(buyers) < 1:
+        raise InvalidInstanceError("need at least one buyer")
+    for k, p in enumerate(buyers):
+        _check_price(p, f"buyer price #{k + 1}")
+    _check_price(seller, "seller price")
+
+
+def _ref_sorted_canonicalize(instance):
+    """canonicalize before the array path: Python's stable sort of the
+    buyer ids by price alone, and mu counted over every buyer."""
+    prices = instance.buyer_prices
+    ranked = sorted(range(instance.n), key=prices.__getitem__, reverse=True)
+    seller = instance.seller_price
+    return RankedInstance(
+        sorted_buyer_prices=tuple(prices[b] for b in ranked),
+        original_index_of_rank=tuple(b + 1 for b in ranked),
+        mu=sum(1 for p in prices if p >= seller),
+    )
+
+
+def _ref_market(instance):
+    """simulate._market before the array path: per-buyer floats and lists
+    over the reference ranking."""
+    ranked = _ref_sorted_canonicalize(instance)
+    n = instance.n
+    prices = np.zeros(n + 2)
+    prices[1:n + 1] = [float(p) for p in instance.buyer_prices]
+    prices[n + 1] = float(instance.seller_price)
+    buyer_cols = [b - 1 for b in ranked.original_index_of_rank]
+    strength_cols = np.array(buyer_cols[:ranked.mu] + [n] + buyer_cols[ranked.mu:],
+                             dtype=np.int64)
+    return _Market(n=n, prices=prices,
+                   strength_cols=strength_cols,
+                   buyer_cols=np.array(buyer_cols, dtype=np.int64),
+                   seller_strength_pos=ranked.mu,
+                   seller_price=float(instance.seller_price))
+
+
+def _ref_digest(instance):
+    """Instance.digest before the array path: ``to_json_dict`` price by
+    price.  It passed numpy scalars to json unchanged, which raised
+    TypeError for every one but np.float64."""
+    def to_json(p):
+        if isinstance(p, Fraction):
+            return f"{p.numerator}/{p.denominator}"
+        return p
+    doc = {"buyer_prices": [to_json(p) for p in instance.buyer_prices],
+           "seller_price": to_json(instance.seller_price)}
+    blob = json.dumps(doc, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _plain(p):
+    """A numpy scalar as the Python number it holds."""
+    return p.item() if isinstance(p, np.generic) else p
+
+
+# ints around 2**53 (where float64 stops holding every int) and past int64
+_INT_PRICE = st.one_of(st.integers(0, 4), st.sampled_from(
+    [2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3, 2**63 - 1, 2**63, 2**64 + 1]))
+_FLOAT_PRICE = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, float(2**53), float(2**53 + 4),
+                     1e30]),
+    st.floats(0, 4, allow_nan=False))
+_FRACTION_PRICE = st.builds(Fraction, st.integers(0, 8), st.integers(1, 4))
+_NUMPY_PRICE = st.sampled_from([np.int64(2), np.uint8(1), np.int32(0),
+                                np.float64(0.5), np.float64(-0.0),
+                                np.float32(0.5), np.float32(1.0)])
+_BAD_PRICE = st.sampled_from([-1, -0.5, -0.0 - 1e-300, math.nan, math.inf,
+                              -math.inf, True, np.float64("nan")])
+_ANY_PRICE = st.one_of(_INT_PRICE, _FLOAT_PRICE, _FRACTION_PRICE,
+                       _NUMPY_PRICE)
+
+
+@st.composite
+def _price_vector(draw):
+    """Buyer prices of one kind (ints, floats, int/float mixed, or any
+    kind), with now and then one or two bad prices among them."""
+    kind = draw(st.sampled_from([_INT_PRICE, _FLOAT_PRICE,
+                                 st.one_of(_INT_PRICE, _FLOAT_PRICE),
+                                 _ANY_PRICE]))
+    buyers = draw(st.lists(kind, min_size=1, max_size=9))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        k = draw(st.integers(0, len(buyers) - 1))
+        buyers[k] = draw(_BAD_PRICE)
+    return buyers
 
 
 @st.composite
@@ -146,6 +238,80 @@ class TestCanonicalize:
         # the old strong_opt read the top of the ranking; max keeps the
         # first maximum, so both return the same object
         assert strong_opt(inst) is max(prices[0], seller)
+
+
+class TestArrayPath:
+    """The array-native instance layer against the per-price code it
+    replaced (the ``_ref_*`` copies above)."""
+
+    @given(_price_vector(), st.one_of(_ANY_PRICE, _BAD_PRICE))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_price_reference(self, buyers, seller):
+        try:
+            _ref_check_prices(buyers, seller)
+        except InvalidInstanceError as exc:
+            with pytest.raises(InvalidInstanceError) as got:
+                Instance(buyers, seller)
+            assert str(got.value) == str(exc)
+            return
+        inst = Instance(buyers, seller)
+        if inst.buyer_array is not None:  # it holds every price exactly
+            assert all(a == b for a, b in zip(inst.buyer_array.tolist(),
+                                              buyers))
+        ranked, want = canonicalize(inst), _ref_sorted_canonicalize(inst)
+        assert ranked.original_index_of_rank == want.original_index_of_rank
+        assert type(ranked.mu) is int and ranked.mu == want.mu
+        assert all(a is b for a, b in zip(ranked.sorted_buyer_prices,
+                                          want.sorted_buyer_prices))
+        assert len(ranked.sorted_buyer_prices) == inst.n
+        mk, ref = _market(inst), _ref_market(inst)
+        assert mk.prices.tobytes() == ref.prices.tobytes()
+        for name in ("strength_cols", "buyer_cols"):
+            got_cols, want_cols = getattr(mk, name), getattr(ref, name)
+            assert got_cols.dtype == want_cols.dtype
+            assert got_cols.tolist() == want_cols.tolist()
+        assert mk.seller_strength_pos == ref.seller_strength_pos
+        assert mk.seller_price == ref.seller_price
+        # the reference raised on numpy scalars other than np.float64;
+        # they now digest as the Python numbers they hold
+        assert inst.digest() == _ref_digest(
+            Instance([_plain(p) for p in buyers], _plain(seller)))
+
+    def test_exact_ranking_above_two_to_the_53(self):
+        # float64 rounds 2**53 + 1 to 2**53: the mixed vector keeps the
+        # tuple path and ranks by Python's exact comparison
+        inst = Instance((float(2**53), 2**53 + 1), 0)
+        assert inst.buyer_array is None
+        assert canonicalize(inst).original_index_of_rank == (2, 1)
+
+    def test_mu_compares_exactly_with_the_seller(self):
+        # the int64 array holds 2**53 + 3, which float64 rounds to the
+        # seller's 2**53 + 4
+        inst = Instance((2**53 + 3,), float(2**53 + 4))
+        assert inst.buyer_array is not None
+        assert canonicalize(inst).mu == 0
+        assert _market(inst).seller_strength_pos == 0
+
+    @pytest.mark.parametrize("negative", [-1, -1.0])
+    def test_first_bad_price_named(self, negative):
+        buyers = [0.5] * 10**5
+        buyers[70_000], buyers[80_000] = negative, math.nan
+        with pytest.raises(InvalidInstanceError) as exc:
+            Instance(buyers, 0)
+        assert str(exc.value) == f"buyer price #70001 must be >= 0, got {negative}"
+
+    def test_array_stays_out_of_eq_hash_repr(self):
+        a, b = Instance((1, 2.0), 0), Instance((1, 2.0), 0)
+        assert a.buyer_array is not b.buyer_array
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "Instance(buyer_prices=(1, 2.0), seller_price=0)"
+        assert a.digest() != Instance((1.0, 2.0), 0).digest()
+
+    def test_numpy_scalar_prices(self):
+        inst = Instance((np.int64(3), np.float32(0.5)), np.uint8(0))
+        assert inst.digest() == Instance((3, 0.5), 0).digest()
+        rep = simulate("alg1", inst, 100, seed=1)
+        assert rep.instance_digest == inst.digest()
 
 
 class TestSampleArrival:

@@ -427,6 +427,18 @@ class TestMemoryBound:
                 assert max(sizes) <= _BLOCK_BUDGET
         assert 8 * _BLOCK_BUDGET < 1 << 22  # under numpy's huge-page advice size
 
+    def test_market_memory_per_buyer(self):
+        # the per-buyer lists and floats of the old _market peaked at
+        # about 112 B per buyer
+        n = 10**5
+        tracemalloc.start()
+        try:
+            _market(gen_instance("seller_spike", n=n))
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 64 * n
+
     @pytest.mark.parametrize("policy_id", ["alg2", "alg3"])
     def test_sub_chunks_do_not_change_bytes(self, monkeypatch, policy_id):
         # at n = 20000 a block is 256 trials whatever the budget, so a

@@ -79,6 +79,9 @@ COMMANDS = {
                                   RATIONAL_TIE], ".json"),
     "simulate_alg2_seller_spike_1e5": (
         _simulate("alg2", "seller_spike:n=100000", 256), ".json"),
+    # float buyers and an int seller: the float64 price array at n = 1e5
+    "simulate_alg1_geometric_1e5": (
+        _simulate("alg1", "geometric:n=100000,r=0.99999", 256), ".json"),
     "simulate_alg3_spike100_workers2": (
         _simulate("alg3", "spike:n=100", 20000, "--workers", "2"), ".json"),
     # n = 1000 takes the 32 -> 256 -> 2048-column rescans of both ranks
