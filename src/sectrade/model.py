@@ -3,18 +3,20 @@
 A market has n buyers (agent ids 1..n) and one seller (agent id n+1).
 Each agent carries a price: an int, a float, a ``fractions.Fraction``
 (exact pipelines keep Fractions end to end), or a numpy integer or
-floating value.  Any other type, bools included, raises
-``InvalidInstanceError``, as do negative and non-finite prices.
+floating value, which the instance keeps as the Python number it holds.
+Any other type, bools included, raises ``InvalidInstanceError``, as do
+negative and non-finite prices and a long double, which no Python float
+holds.
 
-An instance keeps its prices as given.  When numpy holds every buyer
+An instance keeps its other prices as given.  When numpy holds every buyer
 price exactly, it also keeps them as one array, ``buyer_array``: int64
 when all are Python ints within int64, float64 when all are floats, or
 float64 for ints and floats mixed whose largest magnitude is below 2**53
 (every int up to there is a float64).  The array is validated in one
 vectorized pass and drives the ranking and the Monte Carlo market; as
 each of its comparisons is Python's own, they come out as from the
-prices themselves.  Any other vector (Fractions, larger ints, numpy
-scalars) is checked, ranked and converted price by price.
+prices themselves.  Any other vector (Fractions, larger ints) is
+checked, ranked and converted price by price.
 
 Ties are resolved by one universal rule used everywhere in the package:
 agents are ordered by (price descending, agent index ascending).  The
@@ -66,9 +68,18 @@ def tiebreak_key(price: Price, agent_index: int) -> tuple:
     return (price, -agent_index)
 
 
+def _plain(p):
+    """A numpy integer or floating price as the Python number it holds (a
+    long double, which none holds, as itself); any other value as it is."""
+    return p.item() if isinstance(p, (np.integer, np.floating)) else p
+
+
 def _check_price(p: Price, what: str) -> None:
     if isinstance(p, bool) or not isinstance(p, _PRICE_TYPES):
         raise InvalidInstanceError(f"{what} must be a number, got {p!r}")
+    if isinstance(p, np.floating) and type(p.item()) is not float:
+        raise InvalidInstanceError(
+            f"{what} must fit a Python float, got {p!r}")
     if not isinstance(p, (int, Fraction)) and not math.isfinite(p):
         raise InvalidInstanceError(f"{what} must be finite, got {p!r}")
     if p < 0:
@@ -88,17 +99,22 @@ class Instance:
                                            repr=False)
 
     def __init__(self, buyer_prices, seller_price):
-        buyers = tuple(buyer_prices)
+        given = buyers = tuple(buyer_prices)
         if len(buyers) < 1:
             raise InvalidInstanceError("need at least one buyer")
-        array = _price_array(buyers)
+        kinds = set(map(type, buyers))
+        if any(issubclass(k, np.generic) for k in kinds):
+            buyers = tuple(map(_plain, buyers))
+            kinds = set(map(type, buyers))
+        array = _price_array(buyers, kinds)
         # the array flags its bad prices in one pass; without one, every
-        # price is checked
+        # price is checked; errors name the price as given
         bad = (range(len(buyers)) if array is None
                else np.flatnonzero(~((array >= 0) & (array < math.inf))))
         for k in bad:
-            _check_price(buyers[k], f"buyer price #{k + 1}")
+            _check_price(given[k], f"buyer price #{k + 1}")
         _check_price(seller_price, "seller price")
+        seller_price = _plain(seller_price)
         object.__setattr__(self, "buyer_prices", buyers)
         object.__setattr__(self, "seller_price", seller_price)
         object.__setattr__(self, "buyer_array", array)
@@ -127,19 +143,18 @@ class Instance:
         """Stable hex digest of the instance contents: the SHA-256 of
         ``to_json_dict`` as sorted-key JSON.  json writes the int and float
         prices itself (1 and 1.0 stay distinct) and asks
-        ``_price_to_json`` only for the rest."""
+        ``_price_to_json`` only for the Fractions."""
         blob = json.dumps({"buyer_prices": self.buyer_prices,
                            "seller_price": self.seller_price},
                           sort_keys=True, default=_price_to_json).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _price_array(buyers: tuple) -> np.ndarray | None:
-    """The prices as one array when numpy holds each exactly: all Python
-    ints within int64 (int64), all floats, or a mix of the two whose
-    largest magnitude is below 2**53 (float64).  None for any other
-    vector: Fractions, larger ints, numpy scalars, bools, non-numbers."""
-    kinds = set(map(type, buyers))
+def _price_array(buyers: tuple, kinds: set) -> np.ndarray | None:
+    """The prices, whose types are ``kinds``, as one array when numpy holds
+    each exactly: all Python ints within int64 (int64), all floats, or a
+    mix of the two whose largest magnitude is below 2**53 (float64).  None
+    for any other vector: Fractions, larger ints, bools, non-numbers."""
     if not kinds <= {int, float}:
         return None
     try:
@@ -153,11 +168,7 @@ def _price_array(buyers: tuple) -> np.ndarray | None:
 
 
 def _price_to_json(p: Price):
-    if isinstance(p, Fraction):
-        return f"{p.numerator}/{p.denominator}"
-    # a numpy scalar as the Python number it holds (np.float64 is a float
-    # and writes the same either way)
-    return p.item() if isinstance(p, np.generic) else p
+    return f"{p.numerator}/{p.denominator}" if isinstance(p, Fraction) else p
 
 
 def _fraction(text: str) -> Fraction:
@@ -237,11 +248,10 @@ def rank_buyers(instance: Instance) -> tuple[np.ndarray, int]:
     """
     prices, seller = instance.buyer_prices, instance.seller_price
     if instance.buyer_array is None:
-        ranked = sorted(range(instance.n), key=prices.__getitem__,
-                        reverse=True)
-        return (np.array(ranked, dtype=np.intp),
-                sum(1 for p in prices if p >= seller))
-    order = np.argsort(-instance.buyer_array, kind="stable")
+        order = np.array(sorted(range(instance.n), key=prices.__getitem__,
+                                reverse=True), dtype=np.intp)
+    else:
+        order = np.argsort(-instance.buyer_array, kind="stable")
     return order, bisect_left(order, True,
                               key=lambda b: not prices[b] >= seller)
 

@@ -8,23 +8,28 @@ observing offline information.
 
 A policy makes two kinds of irrevocable decision: whether to buy when the
 seller arrives (declining stops the episode), and whether to sell the held
-item when a buyer arrives.  ``_step`` alone does that deal/stop
-bookkeeping, so each policy is just its buy test and its sell test:
+item when a buyer arrives.  ``_step`` alone makes both, so each policy is
+just a buy test plus per-rank time floors: it keeps the keys of the best
+agents so far that it ranks against, one per floor, and sells to a buyer
+of relative rank r (r of the kept keys above it) that arrives after
+floor r.
 
-* ``alg1`` (random transaction).  Buy unless the seller arrives after
-  (e-1)/e holding the best price so far.  Sell to the first buyer after
-  1/e who beats every agent seen before it.
+* ``alg1`` (random transaction).  Ranks every agent; floor 1/e.  Buy
+  unless the seller arrives after (e-1)/e holding the best price so far.
+  Sell to the first buyer after 1/e who beats every agent seen before it.
 
-* ``alg2`` (simple random transaction).  Buy unless the seller is the best
-  offer so far and a fair coin (at most one per episode) says no.  Sell
-  to the first buyer who beats every agent seen so far.
+* ``alg2`` (simple random transaction).  Ranks every agent; floor -inf.
+  Buy unless the seller is the best offer so far and a fair coin (at most
+  one per episode) says no.  Sell to the first buyer who beats every
+  agent seen so far.
 
 * ``alg3`` (double threshold, zero-price seller only; a paid seller raises
-  ``ValueError``).  Always buy.  Sell to the first buyer who is the
-  best-so-far buyer after t1, or the second-best-so-far buyer after t2.
+  ``ValueError``).  Ranks the buyers; floors (t1, t2).  Always buy.  Sell
+  to the first buyer who is the best-so-far buyer after t1, or the
+  second-best-so-far buyer after t2.
 
-* ``secretary-baseline``: always buy, then the classical 1/e rule on the
-  buyers; a comparison curve only.
+* ``secretary-baseline``: ranks the buyers; floor 1/e.  Always buy, then
+  the classical 1/e rule on the buyers; a comparison curve only.
 
 They share no code with :mod:`sectrade.simulate`, whose vectorized kernel
 they check.
@@ -33,7 +38,7 @@ they check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 
 from .errors import ProtocolError
@@ -63,107 +68,81 @@ class PolicyState:
     """Sufficient statistics carried between events of one episode."""
 
     inventory: str = NONE
-    best_buyer_key: tuple | None = None
-    second_best_buyer_key: tuple | None = None
-    best_agent_key: tuple | None = None
+    #: tie-break keys of the best agents seen so far that the policy ranks
+    #: against, best first, at most as many as it has floors
+    top: list = field(default_factory=list)
     stopped: bool = False
     rng: object = None  # coin source, algorithm 2 only
     last_position: int = 0
     last_time: float = -1.0
 
 
-def _ingest(state: PolicyState, event: PolicyEvent) -> None:
-    """Validate event order, then fold the event into the trackers."""
+def _step(state: PolicyState, event: PolicyEvent, floors: tuple,
+          with_seller: bool, buys) -> str:
+    """The one deal/stop and sell rule; returns "deal" or "pass".
+
+    The arriving key's relative rank r is the number of kept keys above
+    it.  ``buys(record=r == 0)`` decides a seller arrival: yes holds the
+    item, no stops the episode.  A buyer arriving while the item is held
+    is sold to iff r < len(floors) and its time is past ``floors[r]``.
+    Nothing is decided once the episode has stopped.  The key is then
+    kept, among the best len(floors), if it is a buyer's or
+    ``with_seller`` ranks the seller too.
+    """
     if event.position != state.last_position + 1 or event.time <= state.last_time:
         raise ProtocolError(
             f"event out of order: position {event.position} after "
             f"{state.last_position}, time {event.time} after {state.last_time}")
-    state.last_position = event.position
-    state.last_time = event.time
-    key = event.sort_key
-    if state.best_agent_key is None or key > state.best_agent_key:
-        state.best_agent_key = key
-    if not event.is_seller:
-        if state.best_buyer_key is None or key > state.best_buyer_key:
-            state.second_best_buyer_key = state.best_buyer_key
-            state.best_buyer_key = key
-        elif (state.second_best_buyer_key is None
-              or key > state.second_best_buyer_key):
-            state.second_best_buyer_key = key
-
-
-def _step(state: PolicyState, event: PolicyEvent, buys, sells) -> str:
-    """The one deal/stop routine; returns "deal" or "pass".
-
-    ``buys()`` decides a seller arrival: yes holds the item, no stops the
-    episode.  ``sells()`` decides a buyer arrival while the item is held.
-    Neither is called once the episode has stopped.
-    """
+    key, top = event.sort_key, state.top
+    r = 0
+    while r < len(top) and top[r] > key:
+        r += 1
     decision = "pass"
     if not state.stopped:
         if event.is_seller:
-            if buys():
+            if buys(record=r == 0):
                 state.inventory = HELD
                 decision = "deal"
             else:
                 state.stopped = True
-        elif state.inventory == HELD and sells():
+        elif (state.inventory == HELD and r < len(floors)
+              and event.time > floors[r]):
             state.inventory = SOLD
             state.stopped = True
             decision = "deal"
-    _ingest(state, event)
+    if with_seller or not event.is_seller:
+        top.insert(r, key)
+        del top[len(floors):]
+    state.last_position = event.position
+    state.last_time = event.time
     return decision
-
-
-def _beats_all_agents(state: PolicyState, key: tuple) -> bool:
-    return state.best_agent_key is None or key > state.best_agent_key
-
-
-def _is_best_so_far_buyer(state: PolicyState, key: tuple) -> bool:
-    return state.best_buyer_key is None or key > state.best_buyer_key
-
-
-def _is_second_best_so_far_buyer(state: PolicyState, key: tuple) -> bool:
-    # Exactly one earlier buyer ranks above the arriving one.
-    return (state.best_buyer_key is not None and key < state.best_buyer_key
-            and (state.second_best_buyer_key is None
-                 or key > state.second_best_buyer_key))
 
 
 def alg1_step(state: PolicyState, event: PolicyEvent) -> str:
     """Random-transaction step; returns "deal" or "pass"."""
-    record = _beats_all_agents(state, event.sort_key)
-    return _step(state, event,
-                 lambda: not (event.time > SKIP_CUTOFF and record),
-                 lambda: event.time > SELL_CUTOFF and record)
+    return _step(state, event, (SELL_CUTOFF,), True, lambda record: not (
+        event.time > SKIP_CUTOFF and record))
 
 
 def alg2_step(state: PolicyState, event: PolicyEvent) -> str:
     """Simple-random-transaction step; flips at most one coin per episode."""
-    record = _beats_all_agents(state, event.sort_key)
-    return _step(state, event,
-                 lambda: not record or state.rng.random() < 0.5,
-                 lambda: record)
+    return _step(state, event, (-math.inf,), True, lambda record: (
+        not record or state.rng.random() < 0.5))
 
 
 def alg3_step(state: PolicyState, event: PolicyEvent, th: Thresholds) -> str:
     """Double-threshold step for a zero-price seller."""
-    def buys() -> bool:
+    def buys(record: bool) -> bool:
         if event.price != 0:
             raise ValueError("double-threshold policy requires seller price 0")
         return True
 
-    key = event.sort_key
-    return _step(state, event, buys, lambda: (
-        (event.time > th.t1 and _is_best_so_far_buyer(state, key))
-        or (event.time > th.t2 and _is_second_best_so_far_buyer(state, key))))
+    return _step(state, event, (th.t1, th.t2), False, buys)
 
 
 def secretary_baseline_step(state: PolicyState, event: PolicyEvent) -> str:
     """Always buy; then run the classical 1/e rule over the buyers."""
-    return _step(state, event, lambda: True, lambda: (
-        event.time > SELL_CUTOFF
-        and _is_best_so_far_buyer(state, event.sort_key)))
+    return _step(state, event, (SELL_CUTOFF,), False, lambda record: True)
 
 
 _STEPS = {"alg1": alg1_step, "alg2": alg2_step,

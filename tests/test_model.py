@@ -19,6 +19,7 @@ from sectrade.model import (Instance, RankedInstance, Thresholds,
                             _check_price, canonicalize, gen_instance,
                             load_instance, parse_family_spec, sample_arrival,
                             tiebreak_key)
+from sectrade.oracle import enumerate_alg2_exact, enumerate_weak_opt_exact
 from sectrade.simulate import _market, _Market, simulate
 
 TH = Thresholds(0.296151, 0.805018)
@@ -127,7 +128,8 @@ _FLOAT_PRICE = st.one_of(
 _FRACTION_PRICE = st.builds(Fraction, st.integers(0, 8), st.integers(1, 4))
 _NUMPY_PRICE = st.sampled_from([np.int64(2), np.uint8(1), np.int32(0),
                                 np.float64(0.5), np.float64(-0.0),
-                                np.float32(0.5), np.float32(1.0)])
+                                np.float32(0.5), np.float32(1.0),
+                                np.float32(0.1), np.float16(0.1)])
 _BAD_PRICE = st.sampled_from([-1, -0.5, -0.0 - 1e-300, math.nan, math.inf,
                               -math.inf, True, np.float64("nan")])
 _ANY_PRICE = st.one_of(_INT_PRICE, _FLOAT_PRICE, _FRACTION_PRICE,
@@ -236,8 +238,9 @@ class TestCanonicalize:
         assert [type(p) for p in ranked.sorted_buyer_prices] == [type(p) for p in prices]
         assert ranked.sorted_buyer_prices == prices
         # the old strong_opt read the top of the ranking; max keeps the
-        # first maximum, so both return the same object
-        assert strong_opt(inst) is max(prices[0], seller)
+        # first maximum, so both return the same object (a numpy seller
+        # price is kept as the Python number it holds)
+        assert strong_opt(inst) is max(prices[0], inst.seller_price)
 
 
 class TestArrayPath:
@@ -255,6 +258,10 @@ class TestArrayPath:
             assert str(got.value) == str(exc)
             return
         inst = Instance(buyers, seller)
+        # numpy scalars are kept as the Python numbers they hold
+        for got, given in zip(inst.buyer_prices + (inst.seller_price,),
+                              buyers + [seller]):
+            assert type(got) is type(_plain(given)) and got == _plain(given)
         if inst.buyer_array is not None:  # it holds every price exactly
             assert all(a == b for a, b in zip(inst.buyer_array.tolist(),
                                               buyers))
@@ -312,6 +319,50 @@ class TestArrayPath:
         assert inst.digest() == Instance((3, 0.5), 0).digest()
         rep = simulate("alg1", inst, 100, seed=1)
         assert rep.instance_digest == inst.digest()
+
+
+class TestNumpyScalarPrices:
+    """A numpy integer or floating price becomes the Python number it
+    holds when the instance is built."""
+
+    def test_float32_seller_compares_as_its_float64_value(self):
+        # float(np.float32(0.1)) is 0.10000000149..., above the buyer's 0.1
+        inst = Instance((0.1,), np.float32(0.1))
+        assert type(inst.seller_price) is float
+        assert canonicalize(inst).mu == 0
+        assert _market(inst).seller_strength_pos == 0
+
+    def test_float32_buyer_against_a_huge_seller(self):
+        # no cast of 1e300 to float32 (an overflow warning, an error here)
+        inst = Instance((np.float32(0.5),), 1e300)
+        assert inst.buyer_prices == (0.5,) and inst.buyer_array is not None
+        assert canonicalize(inst).mu == 0
+
+    def test_long_double_rejected(self):
+        price = np.longdouble(1.5)
+        if type(price.item()) is float:  # long double is float64 here
+            assert Instance((price, 1.0), 0).buyer_prices == (1.5, 1.0)
+            return
+        with pytest.raises(InvalidInstanceError,
+                           match="buyer price #1 must fit a Python float"):
+            Instance((price, 1.0), 0)
+        with pytest.raises(InvalidInstanceError,
+                           match="seller price must fit a Python float"):
+            Instance((1.0,), price)
+
+    def test_oracles_take_numpy_integers(self):
+        numpy_inst = Instance((np.int64(3), np.int32(1)), np.int64(2))
+        inst = Instance((3, 1), 2)
+        assert numpy_inst == inst
+        assert enumerate_alg2_exact(numpy_inst) == enumerate_alg2_exact(inst)
+        assert (enumerate_weak_opt_exact(numpy_inst)
+                == enumerate_weak_opt_exact(inst))
+
+    def test_all_int_and_all_float_vectors_kept_as_given(self):
+        buyers = (1, 2, 3)
+        assert Instance(buyers, 0).buyer_prices is buyers
+        buyers = (0.5, 1.5)
+        assert Instance(buyers, 0).buyer_prices is buyers
 
 
 class TestSampleArrival:

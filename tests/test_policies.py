@@ -1,6 +1,6 @@
-import dataclasses
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +9,9 @@ import pytest
 from sectrade.errors import ProtocolError
 from sectrade.model import (ArrivalSample, Instance, Thresholds,
                             gen_instance, sample_arrival, tiebreak_key)
-from sectrade.policies import (HELD, SELL_CUTOFF, SKIP_CUTOFF, SOLD,
-                               PolicyEvent, PolicyState, _beats_all_agents,
-                               _ingest, _is_best_so_far_buyer,
-                               _is_second_best_so_far_buyer, alg1_step,
-                               alg2_step, alg3_step, make_policy, run_episode,
+from sectrade.policies import (HELD, NONE, SELL_CUTOFF, SKIP_CUTOFF, SOLD,
+                               PolicyEvent, PolicyState, alg1_step, alg2_step,
+                               alg3_step, make_policy, run_episode,
                                secretary_baseline_step)
 
 
@@ -91,6 +89,18 @@ class TestAlg2Step:
         alg2_step(state, ev(0.3, 10, 2, index=1))  # sold here
         assert state.inventory == "sold"
         assert alg2_step(state, ev(0.5, 7, 3, index=2)) == "pass"
+
+    def test_out_of_order_seller_decides_nothing(self):
+        # the order check runs before the buy test: no coin is drawn and
+        # the item is not bought
+        state = PolicyState(rng=FixedCoin(0.0))
+        alg2_step(state, ev(0.5, 1, 1, index=1))
+        with pytest.raises(ProtocolError):
+            alg2_step(state, ev(0.4, 9, 2, seller=True, index=3))
+        assert state.rng.calls == 0
+        assert state.inventory == NONE
+        assert not state.stopped
+        assert (state.last_position, state.last_time) == (1, 0.5)
 
     def test_at_most_one_coin_per_episode(self):
         rng = np.random.default_rng(11)
@@ -318,10 +328,58 @@ class TestRunEpisode:
 
 # ---------------------------------------------------------------------------
 # Reference: the four step functions as they were written before the one
-# deal/stop routine, each with its own inventory and stop bookkeeping.
+# deal/stop routine, each with its own inventory and stop bookkeeping, and
+# the three trackers and rank predicates they read before the kept-key list.
 # ---------------------------------------------------------------------------
 
-def reference_alg1_step(state: PolicyState, event: PolicyEvent) -> str:
+@dataclass
+class RefState:
+    inventory: str = NONE
+    best_buyer_key: tuple | None = None
+    second_best_buyer_key: tuple | None = None
+    best_agent_key: tuple | None = None
+    stopped: bool = False
+    rng: object = None
+    last_position: int = 0
+    last_time: float = -1.0
+
+
+def _ingest(state: RefState, event: PolicyEvent) -> None:
+    """Validate event order, then fold the event into the trackers."""
+    if event.position != state.last_position + 1 or event.time <= state.last_time:
+        raise ProtocolError(
+            f"event out of order: position {event.position} after "
+            f"{state.last_position}, time {event.time} after {state.last_time}")
+    state.last_position = event.position
+    state.last_time = event.time
+    key = event.sort_key
+    if state.best_agent_key is None or key > state.best_agent_key:
+        state.best_agent_key = key
+    if not event.is_seller:
+        if state.best_buyer_key is None or key > state.best_buyer_key:
+            state.second_best_buyer_key = state.best_buyer_key
+            state.best_buyer_key = key
+        elif (state.second_best_buyer_key is None
+              or key > state.second_best_buyer_key):
+            state.second_best_buyer_key = key
+
+
+def _beats_all_agents(state: RefState, key: tuple) -> bool:
+    return state.best_agent_key is None or key > state.best_agent_key
+
+
+def _is_best_so_far_buyer(state: RefState, key: tuple) -> bool:
+    return state.best_buyer_key is None or key > state.best_buyer_key
+
+
+def _is_second_best_so_far_buyer(state: RefState, key: tuple) -> bool:
+    # Exactly one earlier buyer ranks above the arriving one.
+    return (state.best_buyer_key is not None and key < state.best_buyer_key
+            and (state.second_best_buyer_key is None
+                 or key > state.second_best_buyer_key))
+
+
+def reference_alg1_step(state: RefState, event: PolicyEvent) -> str:
     decision = "pass"
     if not state.stopped:
         if event.is_seller:
@@ -339,7 +397,7 @@ def reference_alg1_step(state: PolicyState, event: PolicyEvent) -> str:
     return decision
 
 
-def reference_alg2_step(state: PolicyState, event: PolicyEvent) -> str:
+def reference_alg2_step(state: RefState, event: PolicyEvent) -> str:
     decision = "pass"
     if not state.stopped:
         if event.is_seller:
@@ -360,7 +418,7 @@ def reference_alg2_step(state: PolicyState, event: PolicyEvent) -> str:
     return decision
 
 
-def reference_alg3_step(state: PolicyState, event: PolicyEvent,
+def reference_alg3_step(state: RefState, event: PolicyEvent,
                         th: Thresholds) -> str:
     decision = "pass"
     if not state.stopped:
@@ -382,7 +440,7 @@ def reference_alg3_step(state: PolicyState, event: PolicyEvent,
     return decision
 
 
-def reference_secretary_baseline_step(state: PolicyState,
+def reference_secretary_baseline_step(state: RefState,
                                       event: PolicyEvent) -> str:
     decision = "pass"
     if not state.stopped:
@@ -398,18 +456,29 @@ def reference_secretary_baseline_step(state: PolicyState,
     return decision
 
 
-def _replay(step, inst, order, times, coin):
+def _replay(step, state, inst, order, times):
     """Feed one arrival order to a step function, as run_episode does."""
-    state = PolicyState(rng=coin)
     decisions = []
     for pos, agent in enumerate(order):
         price = inst.price_of(agent)
         decisions.append(step(state, PolicyEvent(
             time=times[pos], is_seller=agent == inst.seller_id, price=price,
             position=pos + 1, sort_key=tiebreak_key(price, agent))))
-    fields = {f.name: getattr(state, f.name)
-              for f in dataclasses.fields(state) if f.name != "rng"}
-    return decisions, fields
+    return decisions
+
+
+def _shared_fields(state):
+    return (state.inventory, state.stopped, state.last_position,
+            state.last_time)
+
+
+def _reference_top(pid, state):
+    """The kept keys a reference state's trackers amount to: the best
+    agent, the best buyer, or the two best buyers."""
+    keys = {"alg1": [state.best_agent_key], "alg2": [state.best_agent_key],
+            "secretary-baseline": [state.best_buyer_key],
+            "alg3": [state.best_buyer_key, state.second_best_buyer_key]}[pid]
+    return [k for k in keys if k is not None]
 
 
 def _reference_outcome(inst, order, decisions):
@@ -459,19 +528,24 @@ class TestMatchesReference:
                 times = self.GRID[w:w + m]
                 sample = ArrivalSample(order, times)
                 for pid, ref, new, coin, th in self._cases(inst):
-                    ref_coin, new_coin = FixedCoin(coin), FixedCoin(coin)
-                    expected = _replay(ref, inst, order, times, ref_coin)
-                    assert _replay(new, inst, order, times, new_coin) == expected
-                    assert new_coin.calls == ref_coin.calls <= 1
+                    ref_state = RefState(rng=FixedCoin(coin))
+                    new_state = PolicyState(rng=FixedCoin(coin))
+                    expected = _replay(ref, ref_state, inst, order, times)
+                    assert _replay(new, new_state, inst, order, times) == expected
+                    assert (_shared_fields(new_state)
+                            == _shared_fields(ref_state))
+                    assert new_state.top == _reference_top(pid, ref_state)
+                    assert new_state.rng.calls == ref_state.rng.calls <= 1
                     outcome = run_episode(pid, inst, sample,
                                           rng=FixedCoin(coin), thresholds=th)
                     assert outcome.decisions == tuple(
-                        d == "deal" for d in expected[0])
+                        d == "deal" for d in expected)
                     assert (outcome.holder, outcome.welfare) == \
-                        _reference_outcome(inst, order, expected[0])
+                        _reference_outcome(inst, order, expected)
 
     def test_paid_seller_raises_in_both(self):
         th = Thresholds(0.3, 0.7)
-        for step in (reference_alg3_step, alg3_step):
+        for step, state in ((reference_alg3_step, RefState()),
+                            (alg3_step, PolicyState())):
             with pytest.raises(ValueError):
-                step(PolicyState(), ev(0.5, 1, 1, seller=True, index=3), th)
+                step(state, ev(0.5, 1, 1, seller=True, index=3), th)

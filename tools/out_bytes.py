@@ -29,6 +29,11 @@ RATIONAL_TIE = json.dumps({"buyer_prices": ["1", "1/2", "1/2", "1/4"],
                            "seller_price": "1/2"})
 MIXED_TIE = json.dumps({"buyer_prices": [2, 1, 1.0, 2.0, 0.5],
                         "seller_price": 1})
+# six buyers priced k/8 in a fixed shuffled order and a seller between
+# ranks 2 and 3: every arrival order and both coin branches
+K8_N6 = json.dumps({"buyer_prices": ["3/8", "3/4", "1/8", "5/8", "1/4",
+                                     "1/2"],
+                    "seller_price": "9/16"})
 # buyer i (1..4000) priced 2731 i mod 4001, a permutation of 1..4000, so
 # the strongest buyers are scattered over the window; the seller's 2000.5
 # ranks in the middle
@@ -77,6 +82,7 @@ COMMANDS = {
                                      RATIONAL_TIE], ".json"),
     "oracle_alg2_rational_tie": (["oracle", "alg2", "--instance",
                                   RATIONAL_TIE], ".json"),
+    "oracle_alg2_k8_n6": (["oracle", "alg2", "--instance", K8_N6], ".json"),
     "simulate_alg2_seller_spike_1e5": (
         _simulate("alg2", "seller_spike:n=100000", 256), ".json"),
     # float buyers and an int seller: the float64 price array at n = 1e5
