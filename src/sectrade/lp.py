@@ -8,18 +8,18 @@ to the j-th buyer, best-so-far, when the seller arrived i-th), is
     s.t. j x_{i,j} + sum_{k=i}^{j-1} x_{i,k} <= 1,      x >= 0,
 
 and the dual asks for y_{i,j} >= 0 with j y_{i,j} + sum_{k>j} y_{i,k} >=
-j/((n+1) n).  The closed-form certificate uses suffix harmonic sums,
+j/((n+1) n).  The *weak* pair adds second-best stopping variables y_{i,j}
+and a scalar A bounded by the two welfare expressions that drive the
+1.76239 bound; its dual has two families, alpha and beta.
+
+Both dual certificates come from one backward sweep, ``_sweep``, that
+holds each dual row with equality against the running suffix sum, one
+suffix cumsum per stretch.  The weak certificate is its two-family case,
+the strong one its one-family case, equal to rounding to the closed form
 
     a_j = (1 - sum_{k=j}^{n-1} 1/k) / ((n+1) n),   y_{i,j} = max(a_j, 0),
 
 whose objective sum_j j y_j falls to (e^2+1)/(4e^2) as n grows.
-
-The *weak* pair adds second-best stopping variables y_{i,j} and a scalar A
-bounded by the two welfare expressions that drive the 1.76239 bound; its
-dual certificate comes from the two backward sweeps of
-``weak_dual_certificate`` (one running suffix sum, assignments that hold
-the binding constraint with equality, and two break points j*, j**).
-Each sweep's recurrence telescopes, so both run as suffix cumsums.
 
 Both primals are built as numpy arrays c, A, b (maximise c v subject to
 A v <= b, v >= 0): row and column r belong to the r-th pair (i, j) of
@@ -34,13 +34,12 @@ constructor whose own point fails that check raises ``NumericError``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError
-from .model import check_size
+from .model import check_real, check_size
 from .simplex import simplex_solve_arrays
 
 #: Largest n of either primal LP; the weak one's dense tableau has ~n^4 cells.
@@ -130,15 +129,56 @@ def simplex_solve(lp: LinearProgram) -> PrimalSolution:
 
 
 # ---------------------------------------------------------------------------
-# Strong dual certificate
+# Dual certificates: one backward sweep
 # ---------------------------------------------------------------------------
+
+def _sweep(rhs):
+    """Backward sweep behind both dual certificates.  ``rhs`` holds one
+    array over j = 1..n per family r of rows j z_{r,j} + s_j >= rhs_{r,j},
+    s_j = sum_{k>j} sum_r z_{r,k}; the last family goes negative first.
+
+    From j = n down, each active z_{r,j} holds its row with equality.  With
+    f families active, s_{j-1} = s_j (j-f)/j + R_j/j (R_j: their rhs summed)
+    telescopes in s_j/(j)_f, (j)_f = j (j-1) ... (j-f+1), into one suffix
+    cumsum from the stretch's top J (first J = n, s_n = 0):
+    s_m/(m)_f = s_J/(J)_f + sum_{k=m+1}^{J} R_k/(k)_{f+1} for m >= f.  A
+    family that goes negative is zero from the largest such j down (its
+    break), and the rest restart there.  Returns the z arrays, each
+    family's break (0 if none) and the objective sum_j j sum_r z_{r,j}."""
+    n = rhs[0].size
+    j = np.arange(1.0, n + 1.0)
+    z, breaks = [np.empty(n) for _ in rhs], [0] * len(rhs)
+    top, s_top = n, 0.0
+    for f in range(len(rhs), 0, -1):
+        r = sum(rhs[1:f], rhs[0])
+        m = ff = j[f - 1:top]                 # ff: (m)_f, m = f..top
+        for d in range(1, f):
+            ff = ff * (m - d)
+        s = np.empty(top)
+        t = s[f - 1:]                         # s_m/(m)_f, then s_m
+        np.divide(r[f:top], ff[1:] * (m[1:] - f), out=t[:-1])
+        t[-1] = s_top / ff[-1]
+        np.cumsum(t[::-1], out=t[::-1])
+        t *= ff
+        for k in range(f - 1, 0, -1):         # m < f: the recurrence itself
+            s[k - 1] = s[k] * (k + 1 - f) / (k + 1) + r[k] / (k + 1)
+        for zk, rk in zip(z[:f], rhs):
+            np.subtract(rk[:top], s, out=zk[:top])
+            zk[:top] /= j[:top]
+        negative = np.flatnonzero(z[f - 1][:top] < 0.0)
+        if not negative.size:
+            break
+        top = breaks[f - 1] = int(negative[-1]) + 1
+        s_top = s[top - 1]
+        z[f - 1][:top] = 0.0
+    return z, breaks, float(j @ sum(z[1:], z[0]))
+
 
 @dataclass(frozen=True)
 class StrongDualCertificate:
     n: int
-    a: np.ndarray        # a_j, j = 1..n (index j-1)
-    y_pos: np.ndarray    # y_j = max(a_j, 0)
-    j_star: int          # first j with y_j > 0 (a_n > 0, so one exists)
+    y_pos: np.ndarray    # y_j >= 0, j = 1..n (index j-1)
+    j_star: int          # first j with y_j > 0 (y_n > 0, so one exists)
     objective: float
     min_residual: float
 
@@ -149,24 +189,14 @@ class StrongDualCertificate:
 
 
 def strong_dual_certificate(n: int) -> StrongDualCertificate:
-    """O(n) closed-form dual-feasible point via suffix harmonic sums."""
+    """The sweep's one-family case, rhs_j = j/((n+1) n)."""
     n = check_size("strong_dual_certificate", "n", n, least=2, cap=CERT_CAP)
-    inv_k = 1.0 / np.arange(1.0, float(n))        # 1/k for k = 1..n-1
-    suffix = np.zeros(n)
-    suffix[:n - 1] = np.cumsum(inv_k[::-1])[::-1]  # sum_{k=j}^{n-1} 1/k
-    a = (1.0 - suffix) / (n * (n + 1.0))
-    y = np.maximum(a, 0.0)
-    j = np.arange(1.0, n + 1.0)
-    objective = float(j @ y)
-    report = verify_dual_feasibility((y,), (j / ((n + 1.0) * n),))
+    rhs = np.arange(1.0, n + 1.0) / ((n + 1.0) * n)
+    (y,), _, objective = _sweep((rhs,))
     return StrongDualCertificate(
-        n=n, a=a, y_pos=y, j_star=int(np.argmax(y > 0.0)) + 1,
-        objective=objective, min_residual=_enforce(report, ("dual",))[0])
+        n=n, y_pos=y, j_star=int(np.argmax(y > 0.0)) + 1, objective=objective,
+        min_residual=_enforce(("dual",), (y,), (rhs,))[0])
 
-
-# ---------------------------------------------------------------------------
-# Weak dual certificate (backward-sweep construction)
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WeakDualCertificate:
@@ -198,59 +228,16 @@ def _weak_rhs(n: int, w1: float, w2: float):
 
 
 def weak_dual_certificate(n: int, w1: float, w2: float) -> WeakDualCertificate:
-    """Backward-sweep dual point: assign alpha_j/beta_j so the binding
-    constraint holds with equality against the running suffix sum, break to
-    a second alpha-only sweep when beta would go negative (j*), and stop
-    that sweep when alpha would too (j**).
-
-    Both sweeps are linear recurrences in the running sum s_j taken before
-    step j (s_n = 0), so each is a suffix cumsum rather than a loop:
-
-    * sweep 1, s_{j-1} = s_j (j-2)/j + (ru_j + rv_j)/j, telescopes in
-      s_j / (j (j-1)) for j >= 3, and s_1 = (ru_2 + rv_2)/2;
-    * sweep 2, s_{j-1} = s_j (j-1)/j + ru_j/j, telescopes in s_j / j,
-      starting from s_{j*}.
-
-    j* is the largest j with beta_j < 0 and j** the largest j <= j* with
-    alpha_j < 0 in the second sweep (0 when there is none)."""
+    """The sweep's two-family case, rhs (ru, rv); beta breaks at j*,
+    alpha at j**."""
     n = check_size("weak_dual_certificate", "n", n, least=2, cap=CERT_CAP)
-    if not (math.isfinite(w1) and math.isfinite(w2)):
-        raise ValueError(f"need finite w1, w2, got {w1}, {w2}")
-    if w1 < 0 or w2 < 0 or abs(w1 + w2 - 1.0) > 1e-12:
-        raise ValueError(f"need w1, w2 >= 0 with w1 + w2 = 1, got {w1}, {w2}")
+    w1 = check_real("weak_dual_certificate", "w1", w1)
+    w2 = check_real("weak_dual_certificate", "w2", w2)
+    if not (w1 >= 0 and w2 >= 0 and abs(w1 + w2 - 1.0) <= 1e-12):
+        raise ValueError(f"need finite w1, w2 >= 0 with w1 + w2 = 1, got {w1}, {w2}")
     ru, rv = _weak_rhs(n, w1, w2)
-    jj = np.arange(1.0, n + 1.0)
-
-    s = np.zeros(n)                       # s[j-1] = s_j
-    k = jj[2:]                            # k = 3..n
-    terms = (ru[2:] + rv[2:]) / (k * (k - 1.0) * (k - 2.0))
-    m = jj[1:-1]                          # m = 2..n-1
-    s[1:-1] = m * (m - 1.0) * np.cumsum(terms[::-1])[::-1]
-    s[0] = (ru[1] + rv[1]) / 2.0
-    alpha = (ru - s) / jj
-    beta = (rv - s) / jj
-    negative = np.flatnonzero(beta < 0.0)
-    j_star = int(negative[-1]) + 1 if negative.size else 0
-    # the second sweep reassigns alpha_{j*}; beta stays 0 from j* down
-    alpha[:j_star] = 0.0
-    beta[:j_star] = 0.0
-
-    j_double_star = 0
-    if j_star:
-        k = jj[1:j_star]                  # k = 2..j*
-        terms = np.empty(j_star)
-        terms[:-1] = ru[1:j_star] / (k * (k - 1.0))
-        terms[-1] = s[j_star - 1] / j_star
-        js = jj[:j_star]
-        s2 = js * np.cumsum(terms[::-1])[::-1]
-        alpha2 = (ru[:j_star] - s2) / js
-        negative = np.flatnonzero(alpha2 < 0.0)
-        j_double_star = int(negative[-1]) + 1 if negative.size else 0
-        alpha[j_double_star:j_star] = alpha2[j_double_star:]
-
-    objective = float(jj @ (alpha + beta))
-    report = verify_dual_feasibility((alpha, beta), (ru, rv))
-    res_u, res_v = _enforce(report, ("u", "v"))
+    (alpha, beta), (j_double_star, j_star), objective = _sweep((ru, rv))
+    res_u, res_v = _enforce(("u", "v"), (alpha, beta), (ru, rv))
     return WeakDualCertificate(
         n=n, w1=w1, w2=w2, alpha=alpha, beta=beta, j_star=j_star,
         j_double_star=j_double_star, objective=objective,
@@ -289,8 +276,9 @@ def verify_dual_feasibility(z, rhs) -> FeasibilityReport:
     return FeasibilityReport(*zip(*found), *min(found, key=lambda f: f[0]))
 
 
-def _enforce(report: FeasibilityReport, families) -> tuple:
-    """Per-family minimum slacks; raises if one is below -SLACK_TOL or NaN."""
+def _enforce(families, z, rhs) -> tuple:
+    """Per-family minimum slacks of z; raises if one is < -SLACK_TOL or NaN."""
+    report = verify_dual_feasibility(z, rhs)
     for name, res, j in zip(families, report.min_residuals, report.argmins):
         if not res >= -SLACK_TOL:
             raise NumericError(f"dual certificate infeasible: {name} row at "

@@ -38,6 +38,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
@@ -61,6 +62,13 @@ def check_size(owner: str, name: str, value, least: int = 1,
     if cap is not None and value > cap:
         raise SizeCapError(f"{owner} capped at {name}={cap}, got {value}")
     return int(value)
+
+
+def check_real(owner: str, name: str, value) -> float:
+    """``value`` as a Python float; ``ValueError`` unless a real, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{owner} needs a real {name}, got {value!r}")
+    return float(value)
 
 
 def tiebreak_key(price: Price, agent_index: int) -> tuple:
@@ -303,12 +311,15 @@ def sample_arrival(n: int, rng: np.random.Generator) -> ArrivalSample:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Pair of time thresholds with 0 <= t1 <= t2 <= 1."""
+    """Pair of time thresholds with 0 <= t1 <= t2 <= 1, kept as floats."""
 
     t1: float
     t2: float
 
     def __post_init__(self):
+        for name in ("t1", "t2"):
+            value = check_real("Thresholds", name, getattr(self, name))
+            object.__setattr__(self, name, value)
         if not (0.0 <= self.t1 <= self.t2 <= 1.0):
             raise ValueError(f"need 0 <= t1 <= t2 <= 1, got ({self.t1}, {self.t2})")
 

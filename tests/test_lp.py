@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -48,6 +49,17 @@ def loop_sweep(n, w1, w2):
         alpha[j - 1] = aj
         s += aj
     return np.array(alpha), np.array(beta), j_star, j_double_star
+
+
+def closed_form_strong(n):
+    """Reference strong certificate: the harmonic-suffix closed form
+    a_j = (1 - sum_{k=j}^{n-1} 1/k) / ((n+1) n), y_j = max(a_j, 0).
+    Returns y and j*, the first j with y_j > 0."""
+    inv_k = 1.0 / np.arange(1.0, float(n))        # 1/k for k = 1..n-1
+    suffix = np.zeros(n)
+    suffix[:n - 1] = np.cumsum(inv_k[::-1])[::-1]  # sum_{k=j}^{n-1} 1/k
+    y = np.maximum((1.0 - suffix) / (n * (n + 1.0)), 0.0)
+    return y, int(np.argmax(y > 0.0)) + 1
 
 
 def pair_list(n):
@@ -337,12 +349,22 @@ class TestStrongCertificate:
     def test_last_coefficient_is_empty_sum(self):
         for n in (2, 5, 17):
             cert = strong_dual_certificate(n)
-            assert abs(cert.a[-1] - 1.0 / (n * (n + 1))) < 1e-15
+            assert abs(cert.y_pos[-1] - 1.0 / (n * (n + 1))) < 1e-15
 
     def test_nonnegative_from_j_star(self):
         for n in (10, 100, 1000):
             cert = strong_dual_certificate(n)
-            assert np.all(cert.a[cert.j_star - 1:] >= 0)
+            assert np.all(cert.y_pos >= 0)
+            assert np.all(cert.y_pos[:cert.j_star - 1] == 0.0)
+
+    def test_sweep_matches_closed_form(self):
+        # the sweep sums in another order than the harmonic suffix, so y
+        # agrees to rounding relative to its largest entry, j* exactly
+        for n in list(range(2, 3001)) + [10 ** 6]:
+            y, j_star = closed_form_strong(n)
+            cert = strong_dual_certificate(n)
+            assert cert.j_star == j_star, n
+            assert np.max(np.abs(cert.y_pos - y)) <= 1e-13 * np.max(y), n
 
     def test_j_star_is_first_positive_y(self):
         for n in range(2, 3001):
@@ -454,6 +476,19 @@ class TestWeakCertificate:
     def test_non_finite_weights(self, w1, w2):
         with pytest.raises(ValueError):
             weak_dual_certificate(10, w1, w2)
+
+    @pytest.mark.parametrize("w1,w2", [(True, False), (1, False),
+                                       ("1", 0.0), (1.0, None)])
+    def test_non_real_weights(self, w1, w2):
+        with pytest.raises(ValueError, match="needs a real w[12]"):
+            weak_dual_certificate(10, w1, w2)
+
+    def test_weights_kept_as_floats(self):
+        cert = weak_dual_certificate(10, np.float32(0.5), np.float32(0.5))
+        assert type(cert.w1) is float and type(cert.w2) is float
+        doc = json.loads(json.dumps(cert.to_json_dict()))
+        assert (doc["w1"], doc["w2"]) == (0.5, 0.5)
+        assert doc == weak_dual_certificate(10, 0.5, 0.5).to_json_dict()
 
     @pytest.mark.parametrize("w1,w2", [(W1, W2), (1.0, 0.0), (0.5, 0.5),
                                        (0.0, 1.0), (0.2, 0.8)])

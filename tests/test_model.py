@@ -587,3 +587,17 @@ class TestThresholds:
     def test_invalid(self, t1, t2):
         with pytest.raises(ValueError):
             Thresholds(t1, t2)
+
+    @pytest.mark.parametrize("t1,t2", [(True, True), (0.2, True), ("0.2", 0.7),
+                                       (None, 0.7), (0.2, 0.7j),
+                                       (Decimal("0.2"), 0.7)])
+    def test_non_real_rejected(self, t1, t2):
+        with pytest.raises(ValueError, match="Thresholds needs a real t[12]"):
+            Thresholds(t1, t2)
+
+    def test_kept_as_floats(self):
+        th = Thresholds(np.float32(0.3), Fraction(4, 5))
+        assert type(th.t1) is float and type(th.t2) is float
+        assert (th.t1, th.t2) == (float(np.float32(0.3)), 0.8)
+        json.dumps(alg3_report(3, th).to_json_dict())
+        assert Thresholds(0, 1) == Thresholds(0.0, 1.0)

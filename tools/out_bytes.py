@@ -64,7 +64,11 @@ COMMANDS = {
                                "0.365883", "--t2", "0.978772"], ".json"),
     "certify_strong_2e6": (["certify", "strong", "--n", "2000000"], ".json"),
     "certify_strong_n10": (["certify", "strong", "--n", "10"], ".json"),
+    "certify_strong_1e6": (["certify", "strong", "--n", "1000000"], ".json"),
     "certify_weak_2e6": (["certify", "weak", "--n", "2000000", *W], ".json"),
+    # both breaks of the sweep at small n: j* = 2, j** = 1
+    "certify_weak_n3_w2": (["certify", "weak", "--n", "3", "--w1", "0",
+                            "--w2", "1"], ".json"),
     "lp_weak_n30": (["lp", "solve", "--which", "weak", "--n", "30"], ".json"),
     "lp_strong_n40": (["lp", "solve", "--which", "strong", "--n", "40"],
                       ".json"),
