@@ -13,18 +13,21 @@ blocks, which are folded into the totals in block order as they finish
 (the moment sums with compensated addition), so the report is
 byte-identical for any worker count.
 
-Policy evaluation is vectorized over the trials of a block, on row-major
-arrays.  The arrival times are gathered into the canonical strength order
-with ``take``, which keeps each trial's times contiguous (strongest agent
-first).  Every policy buys by its own test and then sells to the earliest
+Policy evaluation is vectorized over the trials of a block, on
+strength-major arrays: the arrival times are gathered into one C-order row
+per column of the canonical strength order (strongest agent first), each
+row across the trials, so that every numpy call covers all the trials it
+reads.  Every policy buys by its own test and then sells to the earliest
 buyer who is r-th best so far after max(seller, floor_r), for each of its
 time floors (one for alg1, alg2 and the baseline, two for alg3).  A column
 is r-th best so far when its time lies between the (r-1)-th and the r-th
-smallest time before it; those r-th smallest times are running minima, so
-the qualifying times fall strictly along the strength order and the
-earliest qualifier past a cutoff is the last one.  Weak OPT reads the same
-array: buyer prices fall along the strength order, so the best buyer
-arriving after the seller is the first one in it.
+smallest time before it; those r-th smallest times are running minima,
+one ``minimum`` per row, so the qualifying times fall strictly along the
+strength order and the earliest qualifier past a cutoff is the last one.
+Weak OPT reads the same array: buyer prices fall along the strength order,
+so the best buyer arriving after the seller is the first one in it.  The
+last qualifier and the first buyer after the seller are each one max down
+the rows of a mask times a small integer weight per row.
 
 The kernel gathers only the first ``_PREFIX`` strength columns of each
 trial.  A column further down the order is r-th best so far only if its
@@ -163,7 +166,8 @@ def block_draws(seed: int, n: int, start: int, count: int,
     shape (len(rows), 4 * len(blocks)), computed from their Philox
     counters alone: column c of trial k is word c % 4 of the block at
     counter k*S/4 + c//4 + 1 (numpy steps the counter before it
-    generates), so both forms give the same bits.
+    generates), so both forms give the same bits.  This form is the
+    transpose of a C-order array, so each of its columns is contiguous.
     """
     stride = _stride(n)
     base = start * (stride // 4)
@@ -174,16 +178,19 @@ def block_draws(seed: int, n: int, start: int, count: int,
         return gen.random(count * stride).reshape(count, stride)
     if rows is None:
         rows = np.arange(count)
-    # 128-bit counters as two words; the low word carries into the high
-    # one as numpy's counter does (trials past 2**128 counters are not
-    # supported)
-    off = ((rows.astype(np.uint64) * np.uint64(stride // 4))[:, None]
-           + (blocks.astype(np.uint64) + np.uint64(1))).ravel()
+    # 128-bit counters as two words, block-major; the low word carries
+    # into the high one as numpy's counter does (trials past 2**128
+    # counters are not supported)
+    off = ((blocks.astype(np.uint64) + np.uint64(1))[:, None]
+           + rows.astype(np.uint64) * np.uint64(stride // 4)).ravel()
     lo = off + np.uint64(base & _M64)
     hi = (lo < off) + np.uint64(base >> 64)
-    words = np.stack(_philox(seed, lo, hi), axis=-1).reshape(len(rows), -1)
+    # row 4*i + w of ``words`` is word w of block blocks[i] of each trial
+    words = np.stack([w.reshape(len(blocks), -1)
+                      for w in _philox(seed, lo, hi)], axis=1)
+    words = words.reshape(4 * len(blocks), -1)
     words >>= np.uint64(11)
-    return words * 2.0 ** -53
+    return (words * 2.0 ** -53).T
 
 
 def _mulhilo(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,16 +255,24 @@ def _rows_per_read(n: int, cols: np.ndarray) -> int:
 
 def _window_reader(u: np.ndarray, n: int):
     """Reads (times at window columns, seller times, coins) of trial rows
-    (a slice or an index array) from whole windows already drawn."""
+    (a slice or an index array) from whole windows already drawn, the
+    times strength-major: one C-order row per column, across the trials.
+    They are one index of the windows' transpose by the columns, which
+    numpy writes out in C order (a ``take`` would first copy the whole
+    transpose)."""
     def read(rows, cols):
-        w = u[rows]
-        return w.take(cols, axis=1), w[:, n], w[:, n + 1]
+        v = u[rows].T[np.concatenate((cols, [n, n + 1]))]
+        return v[:-2], v[-2], v[-1]
     return read
 
 
 def _counter_reader(seed: int, n: int, start: int, count: int):
     """Reads like ``_window_reader`` for trials start + rows of [start,
-    start+count), computing only the Philox blocks each read needs."""
+    start+count), computing only the Philox blocks each read needs.
+
+    ``block_draws`` returns them as the transpose of a C-order array with
+    one row per window column, so indexing its rows gathers the
+    strength-major times without a transposing copy."""
     def read(rows, cols):
         blocks = _read_blocks(n, cols)
         cols = np.concatenate((cols, [n, n + 1]))
@@ -266,25 +281,38 @@ def _counter_reader(seed: int, n: int, start: int, count: int):
         if isinstance(rows, slice):
             rows = np.arange(*rows.indices(count))
         v = block_draws(seed, n, start, count, blocks, rows)
-        at = slot[cols // 4] + cols % 4
-        seller_t, coin = v.take(at[-2:], axis=1).T
-        return v.take(at[:-2], axis=1), seller_t, coin
+        v = v.T[slot[cols // 4] + cols % 4]
+        return v[:-2], v[-2], v[-1]
     return read
 
 
-def _prefix_min(ts: np.ndarray) -> np.ndarray:
-    """prefix[:, k] = min of columns < k (inf at k = 0)."""
-    out = np.empty_like(ts)
-    out[:, 0] = np.inf
-    np.minimum.accumulate(ts[:, :-1], axis=1, out=out[:, 1:])
-    return out
+def _running_min(level: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = min of level's rows < k for k = 0..len(level): inf first and
+    the least of all rows last.  ``level`` may be out[1:] itself.
+
+    Row by row across the trials, or one ``accumulate`` down the rows when
+    they outnumber the trials (min is exact, so both give the same bits)."""
+    out[0] = np.inf
+    if level.shape[0] > level.shape[1]:
+        np.minimum.accumulate(level, axis=0, out=out[1:])
+    else:
+        for k in range(level.shape[0]):
+            np.minimum(out[k], level[k], out=out[k + 1])
 
 
-def _last_true(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column of the last True in each row, and whether the row has one."""
-    rev = mask[:, ::-1]
-    j = rev.argmax(axis=1)
-    return mask.shape[1] - 1 - j, rev[np.arange(mask.shape[0]), j]
+def _next_rank(ts: np.ndarray, bound: np.ndarray) -> None:
+    """Turns ``bound`` from m_{r-1} into m_r in place (len(ts) + 1 rows, as
+    ``_running_min`` writes them): the running minimum of max(t, m_{r-1}).
+
+    max(t, m_{r-1}) goes into bound[1:] first.  Row by row it runs
+    backward, so that each row reads the m_{r-1} above it; in one call
+    (more rows than trials) numpy copies the overlapping rows first."""
+    if ts.shape[0] > ts.shape[1]:
+        np.maximum(ts, bound[:-1], out=bound[1:])
+    else:
+        for k in range(ts.shape[0] - 1, -1, -1):
+            np.maximum(ts[k], bound[k], out=bound[k + 1])
+    _running_min(bound[1:], bound)
 
 
 def _evaluate(policy_id: str, mk: _Market, ts: np.ndarray,
@@ -292,65 +320,71 @@ def _evaluate(policy_id: str, mk: _Market, ts: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One round of the kernel: holder id (0 = intermediary), weak-OPT value
     and whether the result is final, per trial, from its times ``ts`` at
-    the first ts.shape[1] columns of the policy's strength order (C order:
-    trial-major, strongest agent first), its seller time and its coin."""
+    the first ts.shape[0] columns of the policy's strength order (C order,
+    strength-major: one row per column, strongest agent first, each row
+    across the trials), its seller time and its coin."""
     n = mk.n
     cols = _scan_cols(policy_id, mk)
     with_seller = cols is mk.strength_cols
-    width = ts.shape[1]
+    width, trials = ts.shape
     whole = width >= len(cols)
     cols = cols[:width]
-    each = np.arange(ts.shape[0])
+    # weight k + 1 on row k: the max of a mask times it down the rows is
+    # 1 + the row of the last True in each trial (0 when there is none);
+    # reversed, it is width - the row of the first
+    up = np.arange(1, width + 1, dtype=np.min_scalar_type(width))[:, None]
 
     # Weak OPT: buyer prices fall along the strength order, so the best
     # buyer arriving after the seller is the first one in that order (the
     # seller's own column never arrives after itself).
-    after = ts > seller_t[:, None]
-    first = after.argmax(axis=1)
-    settled = after[each, first]
-    weak = np.where(settled, mk.prices[cols[first] + 1], -np.inf)
-    weak = np.maximum(weak, mk.seller_price)
+    first = np.multiply(ts > seller_t, up[::-1]).max(axis=0)
+    settled = first > 0
+    weak = np.maximum(np.concatenate(([-np.inf], mk.prices[cols[::-1] + 1])),
+                      mk.seller_price)[first]
 
     # The buy test: alg1 skips a seller past (e-1)/e and alg2 one whose coin
     # lands >= 1/2, each only when the seller is a record.  Wherever a skip
     # holds the seller's time is the rank-1 cutoff (alg1 skips only past
-    # (e-1)/e > 1/e), so in a settled row some prefix time beats the
+    # (e-1)/e > 1/e), so in a settled trial some prefix time beats the
     # seller's, and a seller past the prefix is no record.
-    bound = _prefix_min(ts)  # m_1: the least time before each column
+    # m_1: the least time before each row, and last the least of all
+    bound = np.empty((width + 1, trials))
+    _running_min(ts, bound)
     pos = mk.seller_strength_pos
     if with_seller and pos < width:
         skip = (seller_t > SKIP_CUTOFF if policy_id == "alg1"
                 else coin >= 0.5)
-        no_buy = skip & (ts[:, pos] < bound[:, pos])
+        no_buy = skip & (ts[pos] < bound[pos])
     else:
         no_buy = False
 
-    # The sell rule.  m_r[:, k], the r-th smallest time before column k, is
-    # the running minimum of max(t, m_{r-1}) (m_0 = -inf); column k is r-th
-    # best so far when m_{r-1} < t < m_r.  The earliest qualifier of rank r
-    # is its last one, and a lower rank wins a time tie.
-    level = ts  # max(t, m_{r-1})
+    # The sell rule.  m_r[k], the r-th smallest time before row k, is the
+    # running minimum of max(t, m_{r-1}) (m_0 = -inf); row k is r-th best
+    # so far when m_{r-1} < t < m_r.  ``bound`` holds m_r and last the r-th
+    # smallest time of all rows, and turns into m_{r+1} in place.  The
+    # earliest qualifier of rank r is its last one, and a lower rank wins
+    # a time tie.
+    # ts[k - 1, j] is flat[k * trials + off[j]] (k = 0 wraps to the last row)
+    flat, off = ts.reshape(-1), np.arange(-trials, 0)
     for r, floor in enumerate(_FLOORS[policy_id](th)):
+        cut = np.maximum(seller_t, floor)
         if r:
-            qual = bound < ts
-            level = np.maximum(ts, bound, out=bound)
-            bound = _prefix_min(level)
-            qual &= ts < bound
+            qual = bound[:-1] < ts
+            _next_rank(ts, bound)
+            qual &= ts < bound[:-1]
         else:
-            qual = ts < bound
-        qual &= after
-        qual &= ts > floor
-        idx_r, sold_r = _last_true(qual)
+            qual = ts < bound[:-1]
+        qual &= ts > cut
+        last_r = np.multiply(qual, up).max(axis=0).astype(np.intp)
         if not r:
-            idx, sold = idx_r, sold_r
+            last = last_r
         else:
-            take = sold_r & ~(sold & (ts[each, idx] <= ts[each, idx_r]))
-            idx = np.where(take, idx_r, idx)
-            sold |= sold_r
+            t, t_r = flat[last * trials + off], flat[last_r * trials + off]
+            take = (last_r > 0) & ~((last > 0) & (t <= t_r))
+            last = np.where(take, last_r, last)
         if not whole:
-            # the row-min of max(t, m_{r-1}) is the r-th smallest time
-            settled &= level.min(axis=1) <= np.maximum(seller_t, floor)
-    holders = np.where(no_buy, n + 1, np.where(sold, cols[idx] + 1, 0))
+            settled &= bound[-1] <= cut
+    holders = np.where(no_buy, n + 1, np.concatenate(([0], cols + 1))[last])
     return holders, weak, settled | whole
 
 

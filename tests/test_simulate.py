@@ -228,6 +228,32 @@ class TestKernelAgainstReference:
         monkeypatch.setattr(SIM, "_PREFIX", prefix)
         _check_against_reference(policy_id, n)
 
+    @pytest.mark.parametrize("policy_id", POLICY_IDS)
+    @pytest.mark.parametrize("n,prefix", [(10, _PREFIX), (37, _PREFIX),
+                                          (1000, _PREFIX), (1000, 256)])
+    def test_trial_counts_around_the_width(self, monkeypatch, policy_id, n,
+                                           prefix):
+        # a read runs its running minima row by row when it has no more
+        # columns than trials and by one accumulate when it has more: 1, 2,
+        # width-1, width and width+1 trials put the first read on both
+        # sides, and the rescans of n = 37 and 1000 read wider still
+        monkeypatch.setattr(SIM, "_PREFIX", prefix)
+        paid = policy_id in ("alg1", "alg2")  # a seller mid-strength
+        mk = _market(Instance(tuple(float(n - i) for i in range(n)),
+                              n // 2 + 0.5 if paid else 0))
+        width = min(prefix, len(_scan_cols(policy_id, mk)))
+        for trials in (1, 2, width - 1, width, width + 1):
+            u = block_draws(seed=trials, n=n, start=5 * trials, count=trials)
+            for read, rows_per_read in [
+                    (_window_reader(u, n), None),
+                    (_counter_reader(trials, n, 5 * trials, trials),
+                     lambda cols: _rows_per_read(n, cols))]:
+                holders, weak = _outcomes(policy_id, mk, read, TH, trials,
+                                          rows_per_read)
+                assert np.array_equal(holders,
+                                      reference_holders(policy_id, mk, u, TH))
+                assert np.array_equal(weak, reference_weak_opt(mk, u))
+
     def test_seller_covers_every_position(self):
         positions = {_market(inst).seller_strength_pos
                      for inst in _reference_instances("alg1", 10)}
@@ -249,14 +275,14 @@ class TestKernelAgainstReference:
         n = mk.n
         u = block_draws(seed=77, n=n, start=0, count=2000)
         scan = _scan_cols(policy_id, mk)
-        whole = SIM._evaluate(policy_id, mk, u.take(scan, axis=1), u[:, n],
+        whole = SIM._evaluate(policy_id, mk, u.T.take(scan, axis=0), u[:, n],
                               u[:, n + 1], TH)
         assert whole[2].all()
         widths = []
         evaluate = SIM._evaluate
 
         def spy(policy_id, mk, ts, seller_t, coin, th):
-            widths.append(ts.shape[1])
+            widths.append(ts.shape[0])
             return evaluate(policy_id, mk, ts, seller_t, coin, th)
 
         monkeypatch.setattr(SIM, "_evaluate", spy)
@@ -426,6 +452,21 @@ class TestMemoryBound:
                     assert max(sizes) >= _stride(n)  # whole windows read
                 assert max(sizes) <= _BLOCK_BUDGET
         assert 8 * _BLOCK_BUDGET < 1 << 22  # under numpy's huge-page advice size
+
+    @pytest.mark.parametrize("policy_id", POLICY_IDS)
+    def test_block_peak_within_draws(self, policy_id):
+        # one 16384-trial block at n = 10: the strength-major times, one
+        # bound array that each rank updates in place, and masks
+        mk = _market(gen_instance("spike", n=10))
+        draws = BLOCK * _stride(10) * 8
+        SIM._block_partials(policy_id, mk, 1, 0, BLOCK, TH)  # warm up
+        tracemalloc.start()
+        try:
+            SIM._block_partials(policy_id, mk, 1, 0, BLOCK, TH)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 4.5 * draws
 
     def test_market_memory_per_buyer(self):
         # the per-buyer lists and floats of the old _market peaked at

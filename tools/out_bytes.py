@@ -79,6 +79,13 @@ COMMANDS = {
     **{f"simulate_{policy}_spike100":
        (_simulate(policy, "spike:n=100", 20000), ".json")
        for policy in ("alg1", "alg2", "alg3", "secretary-baseline")},
+    # the benchmark's n = 10 ops at 200000 trials: 13 blocks whose first
+    # round covers the whole width
+    **{f"simulate_{policy}_n10": (_simulate(policy, spec, 200000), ".json")
+       for policy, spec in (("alg1", "seller_spike:n=10"),
+                            ("alg2", "flat_k:n=10,k=3"),
+                            ("alg3", "spike:n=10"),
+                            ("secretary-baseline", "geometric:n=10,r=0.5"))},
     "simulate_alg1_mixed_tie": (_simulate("alg1", MIXED_TIE, 20000), ".json"),
     "simulate_alg2_rational_tie": (_simulate("alg2", RATIONAL_TIE, 20000),
                                    ".json"),
