@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import Thresholds, check_size
+from .model import Thresholds, check_real, check_size
 from .policies import SELL_CUTOFF, SKIP_CUTOFF
 from .quadrature import integrate_graded, integrate_rect, integrate_wedge
 
@@ -467,6 +467,7 @@ class MonotonicityThresholds:
 
 def mono_thresholds(t_star: float) -> MonotonicityThresholds:
     """Ceiling formulas for the monotonicity cutoffs at inner time t_star."""
+    t_star = check_real("mono_thresholds", "t_star", t_star)
     if not (0.0 < t_star <= 1.0):
         raise ValueError(f"need 0 < t_star <= 1, got {t_star}")
     i1 = (4.0 - 5.0 * t_star + math.sqrt(t_star ** 2 - 8.0 * t_star + 8.0)) / (2.0 * t_star)

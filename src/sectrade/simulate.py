@@ -1,66 +1,66 @@
 """Seeded, worker-count-invariant Monte Carlo for the trading policies.
 
-Stream discipline
------------------
-The generator is numpy's Philox (counter-based).  Each trial owns a fixed
-window of the counter space: trial k consumes draws [k*S, (k+1)*S) where
-the stride S is n+2 rounded up to a multiple of 4 (n+1 per-agent arrival
-uniforms, one coin slot, padding).  Trials are processed in blocks of
-``_block_size(n)`` trials, ``BLOCK`` shrunk at large n (a function of n
-alone); a block's draws come from one ``Philox(key=seed)`` generator
-advanced to the block's first window.  Workers receive whole
-blocks, which are folded into the totals in block order as they finish
-(the moment sums with compensated addition), so the report is
+Stream layout (Monte Carlo contract v2)
+---------------------------------------
+Every uniform is a double of numpy's Philox under the key ``seed``
+(Salmon et al., SC'11), at a place fixed by the seed, n, the strength order,
+the trial and the agent alone.  Take a trial's n+1 agents in the strength
+order (``_Market.strength_cols``, strongest first), let H = min(n+1, 33)
+and let the seller sit at strength position mu.
+
+* The head of a trial holds strength positions 0..H-1, then the seller
+  when it ranks lower (mu >= H), then alg2's coin: h = H + 1 + [mu >= H]
+  rows.  Trials form groups of G = 256, stored one row per agent across the
+  group's trials: head row i of trial k is double (k // G) h G + i G + k % G
+  of ``Philox(key=seed)``.
+* The tail of a trial holds its other agents (strength positions H..n
+  without the seller, n + 2 - h of them) in strength order: the j-th is
+  double k L + j of ``Philox(key=seed, counter=2**128)``, where L is
+  n + 2 - h rounded up to a multiple of 4.  The two ranges of counters
+  never meet.
+
+The layout does not depend on the policy, the worker count, the prefix
+width or the memory budget.  Trials are processed in blocks of
+``_block_size(n)`` trials (whole groups, a function of n alone).  Workers
+receive whole blocks, which are folded into the totals in block order as
+they finish (the moment sums with compensated addition), so the report is
 byte-identical for any worker count.
 
 Policy evaluation is vectorized over the trials of a block, on
-strength-major arrays: the arrival times are gathered into one C-order row
-per column of the canonical strength order (strongest agent first), each
-row across the trials, so that every numpy call covers all the trials it
-reads.  Every policy buys by its own test and then sells to the earliest
-buyer who is r-th best so far after max(seller, floor_r), for each of its
-time floors (one for alg1, alg2 and the baseline, two for alg3).  A column
-is r-th best so far when its time lies between the (r-1)-th and the r-th
-smallest time before it; those r-th smallest times are running minima,
-one ``minimum`` per row, so the qualifying times fall strictly along the
-strength order and the earliest qualifier past a cutoff is the last one.
-Weak OPT reads the same array: buyer prices fall along the strength order,
-so the best buyer arriving after the seller is the first one in it.  The
-last qualifier and the first buyer after the seller are each one max down
-the rows of a mask times a small integer weight per row.
+strength-major arrays: one C-order row per column of the canonical strength
+order (strongest agent first), each row across the trials, so that every
+numpy call covers all the trials it reads.  Every policy buys by its own
+test and then sells to the earliest buyer who is r-th best so far after
+max(seller, floor_r), for each of its time floors (one for alg1, alg2 and
+the baseline, two for alg3).  A column is r-th best so far when its time
+lies between the (r-1)-th and the r-th smallest time before it; those r-th
+smallest times are running minima, one ``minimum`` per row, so the
+qualifying times fall strictly along the strength order and the earliest
+qualifier past a cutoff is the last one.  Weak OPT reads the same array:
+buyer prices fall along the strength order, so the best buyer arriving
+after the seller is the first one in it.  The last qualifier and the first
+buyer after the seller are each one max down the rows of a mask times a
+small integer weight per row.
 
-The kernel gathers only the first ``_PREFIX`` strength columns of each
-trial.  A column further down the order is r-th best so far only if its
-time undercuts all but r-1 prefix times, so a trial is settled by its
-prefix when some prefix column arrived after the seller (weak OPT) and,
-for every rank r, r prefix times are within max(seller, floor_r).  The
-unsettled trials are evaluated again on a prefix 8x as wide, until it
-covers every column (at once for n < 32).  Each trial's result is exactly
-that of a scan over all n+1 columns, so the prefix width changes no output
-bit.
+The kernel reads only the first ``_PREFIX`` strength columns of each
+trial, which the head holds with the seller and the coin.  A column further
+down the order is r-th best so far only if its time undercuts all but r-1
+prefix times, so a trial is settled by its prefix when some prefix column
+arrived after the seller (weak OPT) and, for every rank r, r prefix times
+are within max(seller, floor_r).  The unsettled trials are evaluated again
+on a prefix 8x as wide, which adds the start of each one's tail (one
+Philox advance and one draw), until it covers every column (at once for
+n < 32).  Each trial's result is exactly that of a scan over all n+1
+columns, so the prefix width changes no output bit.
 
-Philox is counter-based (Salmon et al., SC'11), so a uniform can also be
-computed from its counter alone: column c of trial k is word c % 4 of
-Philox4x64-10 at counter k*S/4 + c//4 + 1 (numpy steps the counter
-before it generates) under the key (seed mod 2**64, seed >> 64), and the
-double is (word >> 11) * 2**-53.  ``_philox`` does this with numpy ufuncs,
-bit for bit, at about 8 times the cost of a block drawn natively.  When 8
-times the 4-column blocks that the first prefix, the seller and the coin
-need is below a window's S/4 blocks (n = 1000 and 10^5, not n = 10 or
-100), a block is read from its counters: each round computes only the
-blocks it reads, for all of the block's trials it reads, in reads of
-``_rows_per_read`` trials.  Otherwise whole windows are drawn.  The
-stream contract is the same either way, and so is every output byte.
-
-Whole windows are drawn and evaluated in sub-chunks that keep every draw
-array within ``_BLOCK_BUDGET`` doubles (one trial when a trial alone is
-larger), and counter reads keep every array, uint64 temporaries included,
-within it too; the block layout, each trial's window and the order of
-every sum stay those of the whole block, so neither changes an output
-bit.  Sub-chunks of 2 MiB (under numpy's 4 MiB huge-page advice) keep
-thread timing from moving the peak memory.  The state machines in
-:mod:`sectrade.policies` stay the behavioural reference; the kernel here
-is cross-checked against them trial by trial in the test suite.
+A block is drawn and evaluated in sub-chunks of whole groups whose heads
+fit in ``_BLOCK_BUDGET`` doubles, and every draw array and kernel read
+stays within it too (one trial's tail when that alone is larger); neither
+changes the layout or the order of any sum, so no output bit.  Sub-chunks
+of 2 MiB (under numpy's 4 MiB huge-page advice) keep thread timing from
+moving the peak memory.  The state machines in :mod:`sectrade.policies`
+stay the behavioural reference; the kernel here is cross-checked against
+them trial by trial in the test suite.
 
 Competitive ratios divide the mean benchmark by the mean policy welfare
 (never per-trial ratios), matching the expectation-based definitions.
@@ -83,23 +83,14 @@ from .model import Instance, Thresholds, check_size, rank_buyers
 from .policies import SELL_CUTOFF, SKIP_CUTOFF
 
 BLOCK = 1 << 14
-_BLOCK_BUDGET = 1 << 18  # max doubles per draw array (or one trial's)
-_LAYOUT_BUDGET = 1 << 22  # doubles per block at large n (fixes the sums)
+_BLOCK_BUDGET = 1 << 18  # max doubles per draw array and kernel read
+_LAYOUT_BUDGET = 1 << 22  # uniforms per block at large n (fixes the sums)
 # the welfare moments a block sums, in the order of its sums array
 _MOMENTS = ("sum_w", "sum_w2", "sum_o", "sum_o2", "sum_wo")
 _PREFIX = 32  # strength columns the kernel reads in its first round
-# one Philox block computed with numpy ufuncs costs about 8 drawn by
-# numpy's own Philox (7-10x, best of 15 calls of 2048-4096 blocks on a
-# shared 2-core x86-64 host)
-_COUNTER_COST = 8
-_M64 = (1 << 64) - 1
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key increments
-_LOW32 = np.uint64(0xFFFFFFFF)
-_32 = np.uint64(32)
-# the two round multipliers as a column, and their 32-bit halves
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
-                     dtype=np.uint64)
-_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _32
+_HEAD = 33  # strength positions in a trial's head
+_GROUP = 256  # trials per head group, a multiple of 4 (Philox's block)
+_TAIL = 1 << 128  # the Philox counter where the tails start
 
 POLICY_IDS = ("alg1", "alg2", "alg3", "secretary-baseline")
 # each policy's time floors: it sells to the earliest buyer who is r-th
@@ -137,88 +128,53 @@ def _market(instance: Instance) -> _Market:
                    seller_price=float(instance.seller_price))
 
 
-def _stride(n: int) -> int:
-    return 4 * ((n + 2 + 3) // 4)
-
-
 def _block_size(n: int) -> int:
-    """Trials per block: BLOCK, shrunk toward the draw budget for large n
-    but never below 256 trials (a deterministic function of n alone).
+    """Trials per block: BLOCK, shrunk toward _LAYOUT_BUDGET uniforms for
+    large n, in whole head groups and at least one (a function of n alone).
 
     The block fixes which trials share a partial sum and so the reduction
     order.  Memory is bounded separately: ``_block_partials`` draws a
-    block in sub-chunks of at most ``_BLOCK_BUDGET`` doubles, which leaves
+    block in sub-chunks within ``_BLOCK_BUDGET`` doubles, which leaves
     this layout unchanged."""
-    return max(256, min(BLOCK, _LAYOUT_BUDGET // _stride(n)))
+    return _GROUP * max(1, min(BLOCK, _LAYOUT_BUDGET // (n + 2)) // _GROUP)
 
 
-def block_draws(seed: int, n: int, start: int, count: int,
-                blocks: np.ndarray | None = None,
-                rows: np.ndarray | None = None) -> np.ndarray:
-    """Uniform draws of trials [start, start+count).
+def _head_rows(mk: _Market) -> int:
+    """Rows of a trial's head: the first _HEAD strength positions, the
+    seller when it ranks lower, and the coin."""
+    return min(mk.n + 1, _HEAD) + 1 + (mk.seller_strength_pos >= _HEAD)
 
-    Column a < n of a trial's window holds buyer (a+1)'s arrival time,
-    column n the seller's, column n+1 the coin; the rest is padding that
-    keeps windows 4-aligned for Philox counter jumps.  With ``blocks``
-    None this is every window, shape (count, stride), drawn by numpy's
-    Philox.  Otherwise it is window columns 4b..4b+3 for each b in
-    ``blocks`` of trials start + ``rows`` (all count trials when None),
-    shape (len(rows), 4 * len(blocks)), computed from their Philox
-    counters alone: column c of trial k is word c % 4 of the block at
-    counter k*S/4 + c//4 + 1 (numpy steps the counter before it
-    generates), so both forms give the same bits.  This form is the
-    transpose of a C-order array, so each of its columns is contiguous.
-    """
-    stride = _stride(n)
-    base = start * (stride // 4)
-    if blocks is None:
-        bitgen = np.random.Philox(key=seed)
-        bitgen.advance(base)
-        gen = np.random.Generator(bitgen)
-        return gen.random(count * stride).reshape(count, stride)
+
+def block_draws(seed: int, mk: _Market, start: int, count: int,
+                rows: np.ndarray | None = None, width: int = 0
+                ) -> np.ndarray:
+    """Uniforms of trials [start, start+count) of market ``mk``,
+    strength-major.
+
+    With ``rows`` None these are the trials' heads, shape (h, count): one
+    row per head agent across the trials, from one draw of the head groups
+    they touch.  Otherwise they are the first ``width`` tail uniforms of
+    each trial start + rows (``rows`` ascending), shape (width, len(rows)):
+    one Philox advance and one draw per trial."""
+    h = _head_rows(mk)
     if rows is None:
-        rows = np.arange(count)
-    # 128-bit counters as two words, block-major; the low word carries
-    # into the high one as numpy's counter does (trials past 2**128
-    # counters are not supported)
-    off = ((blocks.astype(np.uint64) + np.uint64(1))[:, None]
-           + rows.astype(np.uint64) * np.uint64(stride // 4)).ravel()
-    lo = off + np.uint64(base & _M64)
-    hi = (lo < off) + np.uint64(base >> 64)
-    # row 4*i + w of ``words`` is word w of block blocks[i] of each trial
-    words = np.stack([w.reshape(len(blocks), -1)
-                      for w in _philox(seed, lo, hi)], axis=1)
-    words = words.reshape(4 * len(blocks), -1)
-    words >>= np.uint64(11)
-    return (words * 2.0 ** -53).T
-
-
-def _mulhilo(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products of a's rows with the
-    Philox multipliers, from 32-bit halves."""
-    a0, a1 = a & _LOW32, a >> _32
-    t = a1 * _PHILOX_M_LO + ((a0 * _PHILOX_M_LO) >> _32)
-    u = a0 * _PHILOX_M_HI + (t & _LOW32)
-    return (a1 * _PHILOX_M_HI + (t >> _32) + (u >> _32), a * _PHILOX_M)
-
-
-def _philox(seed: int, c0: np.ndarray, c1: np.ndarray) -> tuple:
-    """Philox4x64-10 (Salmon et al., SC'11) of the counters (c0, c1, 0, 0)
-    (1-D uint64) under the key (seed mod 2**64, seed >> 64), as numpy's
-    Philox has it.
-
-    Rows x = (c0, c2) and y = (c1, c3) go through each round together:
-    the round is (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0) for
-    (hi_i, lo_i) = the i-th multiplier times (c0, c2)[i]."""
-    keys = np.array([[[(seed + r * _PHILOX_W[0]) & _M64],
-                      [((seed >> 64) + r * _PHILOX_W[1]) & _M64]]
-                     for r in range(10)], dtype=np.uint64)
-    zero = np.zeros_like(c0)
-    x, y = np.stack((c0, zero)), np.stack((c1, zero))
-    for key in keys:
-        hi, lo = _mulhilo(x)
-        x, y = hi[::-1] ^ y ^ key, lo[::-1]
-    return x[0], y[0], x[1], y[1]
+        first, end = start // _GROUP, -(-(start + count) // _GROUP)
+        bitgen = np.random.Philox(key=seed)
+        bitgen.advance(first * h * _GROUP // 4)
+        u = np.random.Generator(bitgen).random((end - first, h, _GROUP))
+        u = u.transpose(1, 0, 2).reshape(h, -1)
+        return u[:, start - first * _GROUP:][:, :count]
+    per = -(-(mk.n + 2 - h) // 4)  # Philox counters per tail
+    bitgen = np.random.Philox(key=seed, counter=_TAIL)
+    gen = np.random.Generator(bitgen)
+    out = np.empty((width, len(rows)))
+    at = 0  # the counter the next draw starts from
+    for j, k in enumerate(rows.tolist()):
+        k += start
+        bitgen.advance(k * per - at)
+        out[:, j] = gen.random(width)
+        at = k * per + -(-width // 4)
+    return out
 
 
 def _scan_cols(policy_id: str, mk: _Market) -> np.ndarray:
@@ -228,61 +184,39 @@ def _scan_cols(policy_id: str, mk: _Market) -> np.ndarray:
             else mk.buyer_cols)
 
 
-def _read_blocks(n: int, cols: np.ndarray) -> np.ndarray:
-    """The Philox blocks, ascending, that a read of window columns ``cols``
-    computes: theirs, the seller's and the coin's."""
-    hit = np.zeros(_stride(n) // 4, dtype=bool)
-    hit[cols // 4] = True
-    hit[[n // 4, (n + 1) // 4]] = True
-    return np.flatnonzero(hit)
+def _reader(seed: int, mk: _Market, policy_id: str, start: int, count: int):
+    """Reads (times at the first ``width`` columns of the policy's strength
+    order, seller times, coins) of trial rows (a slice or ascending
+    indices) of [start, start+count), the times strength-major: one row
+    per column, across the trials.
 
+    The heads are drawn once; a read past them adds the start of each
+    trial's tail.  Reads within the head are views of it, but for alg3
+    and the baseline past a seller, whose row they skip."""
+    n, mu = mk.n, mk.seller_strength_pos
+    head = block_draws(seed, mk, start, count)
+    with_seller = _scan_cols(policy_id, mk) is mk.strength_cols
+    seller_row = min(mu, _HEAD)
 
-def _by_counter(n: int, cols: np.ndarray) -> bool:
-    """Whether to compute only the Philox blocks the kernel reads instead
-    of drawing whole windows: when the first round's blocks, at
-    _COUNTER_COST native blocks each, cost less than a window's S/4."""
-    first = _read_blocks(n, cols[:_PREFIX])
-    return _COUNTER_COST * first.size < _stride(n) // 4
-
-
-def _rows_per_read(n: int, cols: np.ndarray) -> int:
-    """Trials per counter read of ``cols``: _BLOCK_BUDGET/128 (trial,
-    block) pairs, so that the read's uint64 temporaries and the kernel's
-    arrays hold at most 64 KiB each (larger reads measured a higher peak
-    RSS on ``mc_large_n``)."""
-    return max(1, _BLOCK_BUDGET // (128 * _read_blocks(n, cols).size))
-
-
-def _window_reader(u: np.ndarray, n: int):
-    """Reads (times at window columns, seller times, coins) of trial rows
-    (a slice or an index array) from whole windows already drawn, the
-    times strength-major: one C-order row per column, across the trials.
-    They are one index of the windows' transpose by the columns, which
-    numpy writes out in C order (a ``take`` would first copy the whole
-    transpose)."""
-    def read(rows, cols):
-        v = u[rows].T[np.concatenate((cols, [n, n + 1]))]
-        return v[:-2], v[-2], v[-1]
-    return read
-
-
-def _counter_reader(seed: int, n: int, start: int, count: int):
-    """Reads like ``_window_reader`` for trials start + rows of [start,
-    start+count), computing only the Philox blocks each read needs.
-
-    ``block_draws`` returns them as the transpose of a C-order array with
-    one row per window column, so indexing its rows gathers the
-    strength-major times without a transposing copy."""
-    def read(rows, cols):
-        blocks = _read_blocks(n, cols)
-        cols = np.concatenate((cols, [n, n + 1]))
-        slot = np.zeros(_stride(n) // 4, dtype=np.intp)
-        slot[blocks] = np.arange(0, 4 * blocks.size, 4)
-        if isinstance(rows, slice):
-            rows = np.arange(*rows.indices(count))
-        v = block_draws(seed, n, start, count, blocks, rows)
-        v = v.T[slot[cols // 4] + cols % 4]
-        return v[:-2], v[-2], v[-1]
+    def read(rows, width):
+        # strength positions [0, end) hold the columns read: one more than
+        # the width for a buyer scan that passes the seller
+        width = min(width, n + with_seller)
+        end = width + (not with_seller and mu < width)
+        hd = head[:, rows]
+        ts = hd[:min(end, _HEAD)]
+        if not with_seller and mu < len(ts):  # skip the seller's head row
+            ts = np.concatenate((ts[:mu], ts[mu + 1:]))
+        if end > _HEAD:
+            inside = _HEAD <= mu < end  # the seller among the tail's columns
+            tails = block_draws(seed, mk, start, count,
+                                np.arange(count)[rows], end - _HEAD - inside)
+            if inside and with_seller:
+                at = mu - _HEAD
+                tails = np.concatenate((tails[:at], hd[_HEAD:_HEAD + 1],
+                                        tails[at:]))
+            ts = np.concatenate((ts, tails))
+        return ts, hd[seller_row], hd[-1]
     return read
 
 
@@ -389,28 +323,26 @@ def _evaluate(policy_id: str, mk: _Market, ts: np.ndarray,
 
 
 def _outcomes(policy_id: str, mk: _Market, read, th: Thresholds | None,
-              count: int, rows_per_read=None) -> tuple[np.ndarray, np.ndarray]:
+              count: int) -> tuple[np.ndarray, np.ndarray]:
     """Final holder id and weak-OPT value of ``count`` trials.
 
-    ``read(rows, cols)`` returns the times of trials ``rows`` at window
-    columns ``cols``, their seller times and their coins
-    (``_window_reader``, ``_counter_reader``).  The first round reads the
-    first ``_PREFIX`` columns of the policy's strength order; each later
-    round reads the trials the last one did not settle at 8x the width,
-    until a round covers every column.  A read takes at most
-    ``rows_per_read(cols)`` trials (all when None)."""
-    scan = _scan_cols(policy_id, mk)
+    ``read(rows, width)`` (``_reader``) returns the times of trials
+    ``rows`` at the first ``width`` columns of the policy's strength order,
+    their seller times and their coins.  The first round reads ``_PREFIX``
+    columns; each later round reads the trials the last one did not settle
+    at 8x the width, until a round covers every column.  A read takes at
+    most _BLOCK_BUDGET // width trials."""
+    scan = len(_scan_cols(policy_id, mk))
     reads = []  # (rows, holders, weak) of each read, in round order
     rest, width = None, _PREFIX  # None: every trial, read by slices
     while rest is None or rest.size:
-        cols = scan[:width]
         todo = count if rest is None else rest.size
-        step = todo if rows_per_read is None else rows_per_read(cols)
+        step = max(1, _BLOCK_BUDGET // min(width, scan))
         left = []
         for i in range(0, todo, step):
             rows = slice(i, i + step) if rest is None else rest[i:i + step]
             holders, weak, settled = _evaluate(policy_id, mk,
-                                               *read(rows, cols), th)
+                                               *read(rows, width), th)
             reads.append((rows, holders, weak))
             stuck = np.flatnonzero(~settled)
             left.append(stuck + i if rest is None else rows[stuck])
@@ -427,26 +359,19 @@ def _block_partials(policy_id: str, mk: _Market, seed: int, start: int,
                     count: int, th: Thresholds | None
                     ) -> tuple[np.ndarray, np.ndarray]:
     # The block's holder counts and its _MOMENTS sums as one float64 array.
-    # Either read the whole block from its Philox counters, in reads of
-    # _rows_per_read trials, or draw it in sub-chunks of whole windows that
-    # keep each draw array within _BLOCK_BUDGET doubles (one trial when a
-    # trial alone exceeds it).  Trials keep their Philox windows and the
+    # The block is read in sub-chunks of whole head groups whose heads fit
+    # in _BLOCK_BUDGET doubles (one group when one alone is larger); the
     # block's sums run over the concatenated per-trial values, so the
-    # partials depend on neither the path nor the sub-chunk size.
+    # partials do not depend on the sub-chunk size.
     n = mk.n
-    if _by_counter(n, _scan_cols(policy_id, mk)):
-        holders, weak = _outcomes(
-            policy_id, mk, _counter_reader(seed, n, start, count), th, count,
-            lambda cols: _rows_per_read(n, cols))
-    else:
-        step = max(1, _BLOCK_BUDGET // _stride(n))
-        parts = []
-        for s in range(start, start + count, step):
-            c = min(step, start + count - s)
-            read = _window_reader(block_draws(seed, n, s, c), n)
-            parts.append(_outcomes(policy_id, mk, read, th, c))
-        holders = np.concatenate([h for h, _ in parts])
-        weak = np.concatenate([w for _, w in parts])
+    step = _GROUP * max(1, _BLOCK_BUDGET // (_head_rows(mk) * _GROUP))
+    parts = []
+    for s in range(start, start + count, step):
+        c = min(step, start + count - s)
+        parts.append(_outcomes(policy_id, mk,
+                               _reader(seed, mk, policy_id, s, c), th, c))
+    holders = np.concatenate([h for h, _ in parts])
+    weak = np.concatenate([w for _, w in parts])
     welfare = mk.prices[holders]
     with np.errstate(over="ignore", invalid="ignore"):  # ``simulate`` checks
         sums = np.array([welfare.sum(), (welfare * welfare).sum(), weak.sum(),
@@ -495,8 +420,8 @@ def simulate(policy_id: str, instance: Instance, trials: int,
              thresholds: Thresholds | None = None) -> SimulationReport:
     """Estimate holder frequencies, welfare, and competitive ratios.
 
-    Deterministic given (seed, trials): the block layout and per-trial
-    draw windows depend only on those, and per-block partials are reduced
+    Deterministic given (seed, trials): the block layout and the place of
+    every uniform depend only on those, and per-block partials are reduced
     in block order, so ``workers`` cannot change any output bit.  At most
     min(workers, blocks, cores) threads run.  Raises ``NumericError`` when
     a welfare sum overflows float64.
@@ -506,9 +431,7 @@ def simulate(policy_id: str, instance: Instance, trials: int,
     if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
             or not 0 <= seed < 2 ** 128):
         raise ValueError(f"need an integer seed in [0, 2**128), got {seed!r}")
-    # a numpy integer would overflow in the Philox key arithmetic and is
-    # not JSON-serialisable
-    seed = int(seed)
+    seed = int(seed)  # a numpy integer is not JSON-serialisable
     if policy_id not in POLICY_IDS:
         raise ValueError(f"unknown policy id {policy_id!r}")
     if policy_id == "alg3" and thresholds is None:

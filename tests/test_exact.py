@@ -292,6 +292,11 @@ class TestMonoThresholds:
             mono_thresholds(0.0)
         with pytest.raises(ValueError):
             mono_thresholds(-0.3)
+        # t_star goes through the real-number rule of Thresholds: a bool
+        # is not the time 1, and a string is no number
+        for bad in (True, "0.5"):
+            with pytest.raises(ValueError, match="real t_star"):
+                mono_thresholds(bad)
 
 
 class TestOptimizeThresholds:

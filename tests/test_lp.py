@@ -6,7 +6,7 @@ import pytest
 
 from sectrade import simplex
 from sectrade.errors import NumericError, SizeCapError, UnboundedProblem
-from sectrade.lp import (_weak_rhs, build_strong_primal,
+from sectrade.lp import (_sweep, _weak_rhs, build_strong_primal,
                          build_weak_primal, simplex_solve, strong_dual_certificate,
                          verify_dual_feasibility, weak_dual_certificate)
 from sectrade.simplex import simplex_solve_arrays
@@ -49,6 +49,23 @@ def loop_sweep(n, w1, w2):
         alpha[j - 1] = aj
         s += aj
     return np.array(alpha), np.array(beta), j_star, j_double_star
+
+
+def plain_induction(rhs):
+    """Reference for ``lp._sweep``: the stopping induction as a plain loop.
+    From j = n down, z_{r,j} = max((rhs_{r,j} - s_j)/j, 0) for every family
+    r, then s_{j-1} = s_j + sum_r z_{r,j} (s_n = 0).  Returns the z arrays
+    and the objective sum_j j sum_r z_{r,j}."""
+    rows = [r.tolist() for r in rhs]
+    n = len(rows[0])
+    z = [[0.0] * n for _ in rows]
+    s = 0.0
+    for j in range(n, 0, -1):
+        for zr, rr in zip(z, rows):
+            zr[j - 1] = max((rr[j - 1] - s) / j, 0.0)
+        s += sum(zr[j - 1] for zr in z)
+    objective = sum(j * sum(zr[j - 1] for zr in z) for j in range(1, n + 1))
+    return [np.array(zr) for zr in z], objective
 
 
 def closed_form_strong(n):
@@ -343,6 +360,25 @@ class TestWeakPrimal:
         from sectrade.lp import PrimalSolution
         sol = PrimalSolution(v=v, objective_value=A)
         assert sol.max_violation(lp) < 1e-12
+
+
+class TestSweepInduction:
+    @pytest.mark.parametrize("n", [2, 3, 10, 300, 3000])
+    def test_sweep_is_the_plain_induction(self, n):
+        # the strong rhs and the weak one at five weights; the breaks are
+        # not compared (at an exact zero they differ by definition: w2 = 0
+        # gives 0 at j = n), but z is 0 at and below each of them
+        cases = [(np.arange(1.0, n + 1.0) / ((n + 1.0) * n),)]
+        cases += [_weak_rhs(n, w1, 1.0 - w1)
+                  for w1 in (0.0, 0.3, 0.5, 0.970659, 1.0)]
+        for rhs in cases:
+            z, breaks, objective = _sweep(rhs)
+            ref, ref_objective = plain_induction(rhs)
+            scale = max(float(np.abs(zr).max()) for zr in ref)
+            for zr, rr, b in zip(z, ref, breaks):
+                assert np.abs(zr - rr).max() <= 1e-12 * scale
+                assert not zr[:b].any()
+            assert abs(objective - ref_objective) <= 1e-12 * abs(ref_objective)
 
 
 class TestStrongCertificate:

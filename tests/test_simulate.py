@@ -12,10 +12,10 @@ from sectrade.errors import NumericError
 from sectrade.model import ArrivalSample, Instance, Thresholds, gen_instance
 from sectrade.oracle import enumerate_alg2_exact
 from sectrade.policies import SELL_CUTOFF, SKIP_CUTOFF, run_episode
-from sectrade.simulate import (_BLOCK_BUDGET, _PREFIX, BLOCK, POLICY_IDS,
-                               SimulationReport, _counter_reader, _market,
-                               _outcomes, _rows_per_read, _scan_cols, _stride,
-                               _window_reader, block_draws, simulate)
+from sectrade.simulate import (_BLOCK_BUDGET, _GROUP, _HEAD, _PREFIX, BLOCK,
+                               POLICY_IDS, SimulationReport, _market,
+                               _outcomes, _reader, _scan_cols, block_draws,
+                               simulate)
 
 TH = Thresholds(0.296151, 0.805018)
 # the module itself, whose globals the tests patch
@@ -30,16 +30,75 @@ class _FixedCoin:
         return self.value
 
 
+def _windows(seed, mk, start, count):
+    """Every uniform of trials [start, start+count), rebuilt from
+    ``block_draws``: row k holds buyer a's time at column a, the seller's at
+    column n and the coin at column n + 1."""
+    n, mu = mk.n, mk.seller_strength_pos
+    head = block_draws(seed, mk, start, count)
+    top = min(n + 1, _HEAD)
+    u = np.empty((count, n + 2))
+    u[:, mk.strength_cols[:top]] = head[:top].T
+    u[:, n] = head[min(mu, _HEAD)]
+    u[:, n + 1] = head[-1]
+    tail_cols = mk.strength_cols[top:]
+    tail_cols = tail_cols[tail_cols != n]
+    if tail_cols.size:
+        u[:, tail_cols] = block_draws(seed, mk, start, count, np.arange(count),
+                                      tail_cols.size).T
+    return u
+
+
 class TestStreams:
     def test_blocks_are_windows_of_one_stream(self):
-        a = block_draws(seed=9, n=4, start=0, count=100)
-        b = block_draws(seed=9, n=4, start=60, count=40)
-        assert np.array_equal(a[60:], b)
+        # a trial's uniforms are the same in any range of trials holding it,
+        # and a shorter tail read is the start of a longer one
+        for inst in (gen_instance("spike", n=40),
+                     Instance(tuple(float(40 - i) for i in range(40)), 35.5)):
+            mk = _market(inst)
+            a = _windows(9, mk, 0, 700)
+            assert np.array_equal(a[260:], _windows(9, mk, 260, 440))
+            assert np.array_equal(a[3:301], _windows(9, mk, 3, 298))
+            rows = np.array([2, 257, 299])
+            assert np.array_equal(block_draws(9, mk, 1, 400, rows, 3),
+                                  block_draws(9, mk, 1, 400, rows, 6)[:3])
 
     def test_distinct_seeds_differ(self):
-        a = block_draws(seed=9, n=4, start=0, count=10)
-        b = block_draws(seed=10, n=4, start=0, count=10)
+        mk = _market(gen_instance("spike", n=40))
+        a = _windows(9, mk, 0, 10)
+        b = _windows(10, mk, 0, 10)
         assert not np.array_equal(a, b)
+
+    def test_policies_read_the_same_uniforms(self, monkeypatch):
+        # alg1 scans the zero-price seller, alg3 does not: both read the
+        # same heads, and every tail they read starts the trial's tail
+        inst = gen_instance("spike", n=300)
+        mk = _market(inst)
+        trials = 2000
+        full = _windows(4, mk, 0, trials)
+        tails = full[:, mk.strength_cols[_HEAD:-1]].T  # the seller is last
+        draw = SIM.block_draws
+        heads = {"alg1": [], "alg3": []}
+        tail_reads = []
+
+        def spy(seed, mk, start, count, rows=None, width=0):
+            u = draw(seed, mk, start, count, rows, width)
+            if rows is None:
+                heads[policy].append((start, count, u.copy()))
+            else:
+                tail_reads.append((start + rows, u.copy()))
+            return u
+
+        monkeypatch.setattr(SIM, "block_draws", spy)
+        for policy in heads:
+            tail_reads.clear()
+            simulate(policy, inst, trials, seed=4, thresholds=TH)
+            assert tail_reads  # n = 300 rescans read tails
+            for ks, u in tail_reads:
+                assert np.array_equal(u, tails[:u.shape[0], ks])
+        (a, b) = heads.values()
+        assert [h[:2] for h in a] == [h[:2] for h in b] == [(0, trials)]
+        assert np.array_equal(a[0][2], b[0][2])
 
 
 class TestDeterminism:
@@ -81,6 +140,31 @@ class TestDeterminism:
         assert asked == ([] if threads is None else [threads])
         assert capped.to_json() == serial.to_json()
 
+    @pytest.mark.parametrize("policy_id", POLICY_IDS)
+    def test_layout_is_invisible(self, monkeypatch, policy_id):
+        # every uniform has one place, so the workers, the draw budget and
+        # the prefix width change no byte: n = 100 over two blocks (the
+        # first in head sub-chunks), n = 1000 with a paid seller at strength
+        # position 40 (alg3: a zero-price one) and tails in the rescans
+        paid = 960.5 if policy_id != "alg3" else 0
+        cases = [(gen_instance("geometric", n=100, r=0.97), BLOCK + 700),
+                 (Instance(tuple(float(1000 - i) for i in range(1000)), paid),
+                  3000)]
+        for inst, trials in cases:
+            def run(workers=1):
+                return simulate(policy_id, inst, trials, seed=11,
+                                workers=workers, thresholds=TH).to_json()
+
+            base = run()
+            assert run(2) == run(8) == base
+            with monkeypatch.context() as patch:
+                patch.setattr(SIM, "_BLOCK_BUDGET", 1 << 16)
+                assert run() == base
+            for prefix in (1, 2, 5, 32):
+                with monkeypatch.context() as patch:
+                    patch.setattr(SIM, "_PREFIX", prefix)
+                    assert run() == base
+
     def test_repeat_runs_identical(self):
         inst = gen_instance("spike", n=5)
         a = simulate("alg1", inst, 20_000, seed=3)
@@ -104,8 +188,9 @@ class TestKernelAgainstStateMachines:
                 continue
             n = inst.n
             mk = _market(inst)
-            u = block_draws(seed=555, n=n, start=0, count=200)
-            vec = _outcomes(policy_id, mk, _window_reader(u, n), TH, 200)[0]
+            u = _windows(555, mk, 0, 200)
+            vec = _outcomes(policy_id, mk, _reader(555, mk, policy_id, 0, 200),
+                            TH, 200)[0]
             for k in range(200):
                 row = u[k, :n + 1]
                 perm = np.argsort(row, kind="stable")
@@ -192,10 +277,11 @@ def reference_weak_opt(mk, u):
 
 def _reference_instances(policy_id, n):
     """Distinct and tied prices; paid sellers at every strength position
-    for the policies that allow them, zero-price sellers for the others."""
+    for the policies that allow them (all but alg3), zero-price sellers for
+    alg3."""
     distinct = tuple(float(n - i) for i in range(n))
     tied = tuple(float((n - i) // 2) for i in range(n))
-    if policy_id in ("alg3", "secretary-baseline"):
+    if policy_id == "alg3":
         return [Instance(distinct, 0), Instance(tied, 0)]
     instances = [Instance(distinct, p + 0.5) for p in range(n + 1)]
     instances += [Instance(tied, float(p)) for p in sorted(set(tied))]
@@ -206,9 +292,10 @@ def _reference_instances(policy_id, n):
 def _check_against_reference(policy_id, n):
     for k, inst in enumerate(_reference_instances(policy_id, n)):
         mk = _market(inst)
-        u = block_draws(seed=900 + k, n=n, start=17 * k, count=500)
-        holders, weak = _outcomes(policy_id, mk, _window_reader(u, n), TH,
-                                  500)
+        u = _windows(900 + k, mk, 17 * k, 500)
+        holders, weak = _outcomes(
+            policy_id, mk, _reader(900 + k, mk, policy_id, 17 * k, 500), TH,
+            500)
         assert np.array_equal(holders, reference_holders(policy_id, mk, u, TH))
         assert np.array_equal(weak, reference_weak_opt(mk, u))
 
@@ -243,16 +330,12 @@ class TestKernelAgainstReference:
                               n // 2 + 0.5 if paid else 0))
         width = min(prefix, len(_scan_cols(policy_id, mk)))
         for trials in (1, 2, width - 1, width, width + 1):
-            u = block_draws(seed=trials, n=n, start=5 * trials, count=trials)
-            for read, rows_per_read in [
-                    (_window_reader(u, n), None),
-                    (_counter_reader(trials, n, 5 * trials, trials),
-                     lambda cols: _rows_per_read(n, cols))]:
-                holders, weak = _outcomes(policy_id, mk, read, TH, trials,
-                                          rows_per_read)
-                assert np.array_equal(holders,
-                                      reference_holders(policy_id, mk, u, TH))
-                assert np.array_equal(weak, reference_weak_opt(mk, u))
+            u = _windows(trials, mk, 5 * trials, trials)
+            read = _reader(trials, mk, policy_id, 5 * trials, trials)
+            holders, weak = _outcomes(policy_id, mk, read, TH, trials)
+            assert np.array_equal(holders,
+                                  reference_holders(policy_id, mk, u, TH))
+            assert np.array_equal(weak, reference_weak_opt(mk, u))
 
     def test_seller_covers_every_position(self):
         positions = {_market(inst).seller_strength_pos
@@ -269,11 +352,12 @@ class TestKernelAgainstReference:
     ])
     def test_rescans_match_whole_width(self, monkeypatch, policy_id, inst):
         # n = 1000 takes rounds of 32, 256 and 2048 columns; the paid
-        # seller of 960.5 sits at strength position 40, past the first.
-        # Both readers: whole windows, and the Philox blocks of each round.
+        # seller of 960.5 sits at strength position 40, past the first and
+        # past the head, so the rescans read it from the head's seller row
+        # between tail columns
         mk = _market(inst)
         n = mk.n
-        u = block_draws(seed=77, n=n, start=0, count=2000)
+        u = _windows(77, mk, 0, 2000)
         scan = _scan_cols(policy_id, mk)
         whole = SIM._evaluate(policy_id, mk, u.T.take(scan, axis=0), u[:, n],
                               u[:, n + 1], TH)
@@ -286,24 +370,19 @@ class TestKernelAgainstReference:
             return evaluate(policy_id, mk, ts, seller_t, coin, th)
 
         monkeypatch.setattr(SIM, "_evaluate", spy)
-        for read, rows_per_read in [
-                (_window_reader(u, n), None),
-                (_counter_reader(77, n, 0, 2000),
-                 lambda cols: _rows_per_read(n, cols))]:
-            widths.clear()
-            holders, weak = _outcomes(policy_id, mk, read, TH, 2000,
-                                      rows_per_read)
-            assert widths[0] == _PREFIX and 8 * _PREFIX in widths  # rescans
-            assert np.array_equal(holders, whole[0])
-            assert np.array_equal(weak, whole[1])
-            assert np.array_equal(holders,
-                                  reference_holders(policy_id, mk, u, TH))
-            assert np.array_equal(weak, reference_weak_opt(mk, u))
+        holders, weak = _outcomes(policy_id, mk,
+                                  _reader(77, mk, policy_id, 0, 2000), TH,
+                                  2000)
+        assert widths[0] == _PREFIX and 8 * _PREFIX in widths  # rescans
+        assert np.array_equal(holders, whole[0])
+        assert np.array_equal(weak, whole[1])
+        assert np.array_equal(holders, reference_holders(policy_id, mk, u, TH))
+        assert np.array_equal(weak, reference_weak_opt(mk, u))
 
 
 def _shuffled_4000():
     # 4000 distinct prices in a fixed shuffled order: the first strength
-    # prefix is scattered over the window
+    # prefix is scattered over the buyer ids
     rng = np.random.default_rng(4000)
     return Instance(tuple(float(p) for p in rng.permutation(4000) + 1), 0)
 
@@ -320,61 +399,73 @@ _PATH_CASES = [
 class TestCounterPath:
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64 + 5, 2**128 - 1])
     def test_same_bits_as_numpys_philox(self, seed):
-        # random (trial, block) sets of a stream, with the seller's and the
-        # coin's block and the padding (n = 9 pads column 11, n = 1001
-        # column 1003); key words are seed mod 2**64 and seed >> 64
+        # heads and tails at their places in numpy's streams: head row i of
+        # trial k is double (k // G) h G + i G + k % G of Philox(key=seed),
+        # and tail uniform j is double k L + j of Philox(key=seed,
+        # counter=2**128).  n = 9 has no tail; at n = 40 the seller sits at
+        # strength position 3 (in the head) and 33 (just below it), and at
+        # n = 42, 43 and 1001 last; the tails' lengths (8, 7, 9, 10, 968)
+        # take every remainder mod 4.  Key words are seed mod 2**64 and
+        # seed >> 64.
         rng = np.random.default_rng(seed % 997)
-        for n in (9, 1001):
-            stride = _stride(n)
-            philox = np.random.Philox(key=seed)
-            stream = np.random.Generator(philox).random(40 * stride)
-            stream = stream.reshape(40, stride)
-            picked = rng.choice(stride // 4, size=min(3, stride // 4),
-                                replace=False)
-            blocks = np.unique(np.r_[picked, n // 4, (n + 1) // 4,
-                                     stride // 4 - 1])
+        prices = tuple(float(40 - i) for i in range(40))
+        for inst in (gen_instance("spike", n=9), Instance(prices, 37.5),
+                     Instance(prices, 7.5), gen_instance("spike", n=42),
+                     gen_instance("spike", n=43),
+                     gen_instance("spike", n=1001)):
+            mk = _market(inst)
+            h = SIM._head_rows(mk)
+            assert h == min(mk.n + 1, _HEAD) + 1 + (
+                mk.seller_strength_pos >= _HEAD)
+            stream = np.random.Generator(np.random.Philox(key=seed))
+            flat = stream.random(3 * h * _GROUP)
+            k, i = np.arange(10, 610), np.arange(h)[:, None]
+            assert np.array_equal(
+                block_draws(seed, mk, 10, 600),
+                flat[(k // _GROUP) * h * _GROUP + i * _GROUP + k % _GROUP])
+            tail = mk.n + 2 - h
+            if not tail:
+                continue
+            per = 4 * -(-tail // 4)
+            stream = np.random.Generator(
+                np.random.Philox(key=seed, counter=2**128))
+            tails = stream.random(40 * per).reshape(40, per)
             rows = np.sort(rng.choice(30, size=9, replace=False))
-            got = block_draws(seed, n, 10, 30, blocks, rows)
-            cols = (4 * blocks[:, None] + np.arange(4)).ravel()
-            assert np.array_equal(got, stream[10 + rows][:, cols])
-            assert np.array_equal(block_draws(seed, n, 10, 30, blocks),
-                                  stream[10:][:, cols])
+            width = int(rng.integers(1, tail + 1))
+            assert np.array_equal(block_draws(seed, mk, 10, 30, rows, width),
+                                  tails[10 + rows, :width].T)
+            assert np.array_equal(
+                block_draws(seed, mk, 10, 30, np.arange(30), tail),
+                tails[10:, :tail].T)
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**128 - 1])
     def test_counter_carries_past_two_to_the_64(self, seed):
-        # trials whose counters straddle 2**64: the low word carries into
-        # the second counter word, as numpy's ``advance`` does
-        n = 9
-        per_trial = _stride(n) // 4
-        start = 2**64 // per_trial - 2
-        native = block_draws(seed, n, start, 5)
-        assert (start + 5) * per_trial > 2**64 > start * per_trial
-        assert np.array_equal(
-            block_draws(seed, n, start, 5, np.arange(per_trial)), native)
+        # a head group and tails whose counters straddle 2**64: the low
+        # word carries into the second counter word, as numpy's ``advance``
+        # does, and trial indices past int64 stay exact
+        mk = _market(gen_instance("spike", n=40))
+        h = SIM._head_rows(mk)  # 35 rows: the zero-price seller is last
+        per_group = h * _GROUP // 4
+        g = 2**64 // per_group
+        assert g * per_group < 2**64 < (g + 1) * per_group
+        group = np.random.Generator(
+            np.random.Philox(key=seed, counter=g * per_group))
+        assert np.array_equal(block_draws(seed, mk, g * _GROUP, _GROUP),
+                              group.random((h, _GROUP)))
+        start = 2**63 - 2  # tails of 7 uniforms take 2 counters each
+        assert (start + 5) * 2 > 2**64 > start * 2
+        expect = np.stack([np.random.Generator(np.random.Philox(
+            key=seed, counter=2**128 + 2 * (start + r))).random(7)
+            for r in range(5)], axis=1)
+        assert np.array_equal(block_draws(seed, mk, start, 5, np.arange(5), 7),
+                              expect)
 
     @pytest.mark.parametrize("seed", [np.int64(9), np.uint64(2**64 - 1)])
     def test_numpy_integer_seed(self, seed):
-        # the counter path computes Philox keys from the seed with Python
-        # integers, as numpy's Philox(key=seed) does
+        # numpy's Philox(key=seed) takes the seed as the Python integer
         inst = gen_instance("spike", n=1000)
         assert (simulate("alg1", inst, 500, seed=seed).to_json()
                 == simulate("alg1", inst, 500, seed=int(seed)).to_json())
-
-    def test_path_follows_the_blocks_read(self):
-        # the counter path when 8x the first round's blocks is below the
-        # S/4 blocks of a window: native at n = 10 and 100, counters at
-        # n = 1000 and 1e5 (the two sides the benchmark runs)
-        def by_counter(policy_id, inst):
-            mk = _market(inst)
-            return SIM._by_counter(mk.n, SIM._scan_cols(policy_id, mk))
-
-        for n, expected in [(10, False), (100, False), (1000, True),
-                            (100_000, True)]:
-            for policy_id in POLICY_IDS:
-                assert by_counter(policy_id, gen_instance("spike", n=n)) \
-                    is expected
-        assert by_counter("alg1", gen_instance("seller_spike", n=100_000))
-        assert by_counter("alg3", _shuffled_4000())
 
     @pytest.mark.parametrize("policy_id,inst,trials", [
         pytest.param(policy_id, inst, trials, id=f"{policy_id}-{name}")
@@ -382,75 +473,84 @@ class TestCounterPath:
         if policy_id != "alg3" or inst.seller_price == 0])
     def test_both_paths_same_report(self, monkeypatch, policy_id, inst,
                                     trials):
+        # the prefix rounds, which read the tails of only the trials the
+        # head does not settle, and one round over every column, which
+        # reads every trial's whole tail, give the same report
+        mk = _market(inst)
+        tail = mk.n + 2 - SIM._head_rows(mk)
         draw = SIM.block_draws
-        kinds = set()
+        tails = []  # (trials, width) of each tail read
 
-        def spy(seed, n, start, count, blocks=None, rows=None):
-            kinds.add(blocks is None)
-            return draw(seed, n, start, count, blocks, rows)
+        def spy(seed, mk, start, count, rows=None, width=0):
+            if rows is not None:
+                tails.append((start + rows, width))
+            return draw(seed, mk, start, count, rows, width)
 
         monkeypatch.setattr(SIM, "block_draws", spy)
         reports = []
-        for by_counter in (False, True):
-            monkeypatch.setattr(SIM, "_by_counter",
-                                lambda n, cols, forced=by_counter: forced)
-            for workers in (1, 2):
-                kinds.clear()
-                reports.append(simulate(policy_id, inst, trials, seed=2024,
-                                        workers=workers,
-                                        thresholds=TH).to_json())
-                assert kinds == {not by_counter}
+        for prefix, workers in [(_PREFIX, 1), (_PREFIX, 2), (mk.n + 1, 1)]:
+            monkeypatch.setattr(SIM, "_PREFIX", prefix)
+            tails.clear()
+            reports.append(simulate(policy_id, inst, trials, seed=2024,
+                                    workers=workers, thresholds=TH).to_json())
+            read = np.unique(np.concatenate([k for k, _ in tails]))
+            if prefix > mk.n:
+                assert read.size == trials
+                assert {w for _, w in tails} == {tail}
+            else:
+                assert 0 < read.size < trials
         assert len(set(reports)) == 1
 
 
 class TestMemoryBound:
     def test_draws_stay_within_budget(self, monkeypatch):
-        # both paths, at the default prefix and with every read as wide as
-        # the window (the width of the last rescan)
-        n = 100_000
-        per_chunk = _BLOCK_BUDGET // _stride(n)
-        trials = 2 * per_chunk + 1  # one block: two full sub-chunks and one trial
-        inst = gen_instance("seller_spike", n=n)
-        expected = simulate("alg1", inst, trials, seed=3).to_json()
-        calls, counters = [], []
-        draw, philox = SIM.block_draws, SIM._philox
+        # every block_draws array and kernel read, at the default prefix and
+        # with every read as wide as the trial (its whole tail).  At n = 100
+        # a block is read in head sub-chunks; at n = 1e5 under a 2**16
+        # budget a tail alone is larger, and is read one trial at a time.
+        shapes = []
+        draw, evaluate = SIM.block_draws, SIM._evaluate
 
-        def draw_spy(seed, n, start, count, blocks=None, rows=None):
-            u = draw(seed, n, start, count, blocks, rows)
-            calls.append((start, count, blocks is None, u.size))
+        def draw_spy(seed, mk, start, count, rows=None, width=0):
+            u = draw(seed, mk, start, count, rows, width)
+            shapes.append((rows is None, start, u.shape))
             return u
 
-        def philox_spy(seed, c0, c1):
-            counters.append(c0.size)
-            return philox(seed, c0, c1)
+        def evaluate_spy(policy_id, mk, ts, *args):
+            shapes.append((False, None, ts.shape))
+            return evaluate(policy_id, mk, ts, *args)
 
         monkeypatch.setattr(SIM, "block_draws", draw_spy)
-        monkeypatch.setattr(SIM, "_philox", philox_spy)
-        for by_counter in (False, True):
-            monkeypatch.setattr(SIM, "_by_counter",
-                                lambda n, cols, forced=by_counter: forced)
+        monkeypatch.setattr(SIM, "_evaluate", evaluate_spy)
+        for n, budget, trials in [(100, _BLOCK_BUDGET, None),
+                                  (100_000, 1 << 16, 3)]:
+            inst = gen_instance("seller_spike", n=n)
+            mk = _market(inst)
+            h = SIM._head_rows(mk)
+            per_chunk = _GROUP * (budget // (h * _GROUP))
+            trials = trials or 2 * per_chunk + 1  # two full sub-chunks + 1
+            expected = simulate("alg1", inst, trials, seed=3).to_json()
+            monkeypatch.setattr(SIM, "_BLOCK_BUDGET", budget)
             for prefix in (_PREFIX, n + 1):
                 monkeypatch.setattr(SIM, "_PREFIX", prefix)
-                calls.clear()
-                counters.clear()
+                shapes.clear()
                 rep = simulate("alg1", inst, trials, seed=3)
                 assert rep.to_json() == expected
-                sizes = [c[3] for c in calls]
-                if by_counter:
-                    assert calls and not any(c[2] for c in calls)
-                    # every uint64 array of a counter draw (the counters,
-                    # each Philox word and temporary) has the counters'
-                    # size, and the four words stacked are what it returns
-                    assert 4 * max(counters) <= _BLOCK_BUDGET
-                    assert 4 * sum(counters) == sum(sizes)
+                heads = [(start, shape[1]) for is_head, start, shape in shapes
+                         if is_head]
+                if n == 100:  # one block, in head sub-chunks
+                    assert trials <= SIM._block_size(n)
+                    assert heads == [(0, per_chunk), (per_chunk, per_chunk),
+                                     (2 * per_chunk, 1)]
                 else:
-                    assert [c[:3] for c in calls] == [
-                        (0, per_chunk, True), (per_chunk, per_chunk, True),
-                        (2 * per_chunk, 1, True)]
-                    assert not counters
-                if prefix > n:
-                    assert max(sizes) >= _stride(n)  # whole windows read
-                assert max(sizes) <= _BLOCK_BUDGET
+                    assert heads == [(0, trials)]
+                if prefix > n:  # whole tails read
+                    assert max(shape[0] for _, _, shape in shapes) > n
+                over = [shape for _, _, shape in shapes
+                        if math.prod(shape) > budget]
+                assert bool(over) == (prefix > n and n > budget)
+                assert all(shape[1] == 1 for shape in over)  # one trial
+            monkeypatch.setattr(SIM, "_BLOCK_BUDGET", _BLOCK_BUDGET)
         assert 8 * _BLOCK_BUDGET < 1 << 22  # under numpy's huge-page advice size
 
     @pytest.mark.parametrize("policy_id", POLICY_IDS)
@@ -458,7 +558,7 @@ class TestMemoryBound:
         # one 16384-trial block at n = 10: the strength-major times, one
         # bound array that each rank updates in place, and masks
         mk = _market(gen_instance("spike", n=10))
-        draws = BLOCK * _stride(10) * 8
+        draws = BLOCK * (10 + 2) * 8  # every uniform of the block
         SIM._block_partials(policy_id, mk, 1, 0, BLOCK, TH)  # warm up
         tracemalloc.start()
         try:

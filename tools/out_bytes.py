@@ -37,6 +37,11 @@ K8_N6 = json.dumps({"buyer_prices": ["3/8", "3/4", "1/8", "5/8", "1/4",
 # buyer i (1..4000) priced 2731 i mod 4001, a permutation of 1..4000, so
 # the strongest buyers are scattered over the window; the seller's 2000.5
 # ranks in the middle
+# buyers priced 1000 down to 1, strongest first, and a seller at strength
+# position 5 (inside the first 33) or 40 (past them)
+PAID_1000 = {pos: json.dumps({"buyer_prices": list(range(1000, 0, -1)),
+                              "seller_price": 1000.5 - pos})
+             for pos in (5, 40)}
 SCATTERED_4000 = json.dumps({"buyer_prices": [2731 * i % 4001
                                               for i in range(1, 4001)],
                              "seller_price": 2000.5})
@@ -105,11 +110,19 @@ COMMANDS = {
     **{f"simulate_{policy}_geometric1000":
        (_simulate(policy, "geometric:n=1000,r=0.99", 2000), ".json")
        for policy in ("alg3", "secretary-baseline")},
-    # Philox blocks computed from their counters, at a scattered prefix and
-    # a key whose high word is 1 (seed 2**64 + 5)
+    # a scattered strength prefix and a key whose high word is 1 (seed
+    # 2**64 + 5)
     "simulate_alg1_scattered4000": (
         ["simulate", "--policy", "alg1", "--instance", SCATTERED_4000,
          "--trials", "3000", "--seed", str(2**64 + 5)], ".json"),
+    # the seller's uniform inside a trial's head, after it, and tails read
+    # by the rescans of a zero-price seller's instance
+    "simulate_alg1_paid_head_1000": (_simulate("alg1", PAID_1000[5], 20000),
+                                     ".json"),
+    "simulate_alg2_paid_below_head_1000": (
+        _simulate("alg2", PAID_1000[40], 20000), ".json"),
+    "simulate_alg3_spike300": (_simulate("alg3", "spike:n=300", 20000),
+                               ".json"),
 }
 
 
