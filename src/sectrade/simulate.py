@@ -58,9 +58,13 @@ fit in ``_BLOCK_BUDGET`` doubles, and every draw array and kernel read
 stays within it too (one trial's tail when that alone is larger); neither
 changes the layout or the order of any sum, so no output bit.  Sub-chunks
 of 2 MiB (under numpy's 4 MiB huge-page advice) keep thread timing from
-moving the peak memory.  The state machines in :mod:`sectrade.policies`
-stay the behavioural reference; the kernel here is cross-checked against
-them trial by trial in the test suite.
+moving the peak memory.  Each thread of a ``simulate`` call reuses one
+workspace for the head draw, its strength-major copy and the kernel's
+running minima: grow-only buffers of at most ``_BLOCK_BUDGET`` doubles each
+(a larger array is allocated afresh), dropped when the call returns, so a
+block faults in no new pages for them.  The state machines in
+:mod:`sectrade.policies` stay the behavioural reference; the kernel here is
+cross-checked against them trial by trial in the test suite.
 
 Competitive ratios divide the mean benchmark by the mean policy welfare
 (never per-trial ratios), matching the expectation-based definitions.
@@ -71,6 +75,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -145,25 +150,42 @@ def _head_rows(mk: _Market) -> int:
     return min(mk.n + 1, _HEAD) + 1 + (mk.seller_strength_pos >= _HEAD)
 
 
+def _buffer(ws: dict | None, key: str, shape: tuple) -> np.ndarray:
+    """A C-contiguous float64 array of ``shape``: a view of the workspace
+    ``ws``'s grow-only buffer ``key``, or a fresh array without a workspace
+    or past _BLOCK_BUDGET doubles."""
+    size = math.prod(shape)
+    if ws is None or size > _BLOCK_BUDGET:
+        return np.empty(shape)
+    buf = ws.get(key)
+    if buf is None or buf.size < size:
+        buf = ws[key] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
 def block_draws(seed: int, mk: _Market, start: int, count: int,
-                rows: np.ndarray | None = None, width: int = 0
-                ) -> np.ndarray:
+                rows: np.ndarray | None = None, width: int = 0,
+                ws: dict | None = None) -> np.ndarray:
     """Uniforms of trials [start, start+count) of market ``mk``,
     strength-major.
 
     With ``rows`` None these are the trials' heads, shape (h, count): one
     row per head agent across the trials, from one draw of the head groups
-    they touch.  Otherwise they are the first ``width`` tail uniforms of
-    each trial start + rows (``rows`` ascending), shape (width, len(rows)):
-    one Philox advance and one draw per trial."""
+    they touch, in the buffers of the workspace ``ws`` when one is given
+    (so the array lives until the workspace's next head draw) and fresh
+    otherwise.  Else they are the first ``width`` tail uniforms of each
+    trial start + rows (``rows`` ascending), shape (width, len(rows)): one
+    Philox advance and one draw per trial."""
     h = _head_rows(mk)
     if rows is None:
         first, end = start // _GROUP, -(-(start + count) // _GROUP)
         bitgen = np.random.Philox(key=seed)
         bitgen.advance(first * h * _GROUP // 4)
-        u = np.random.Generator(bitgen).random((end - first, h, _GROUP))
-        u = u.transpose(1, 0, 2).reshape(h, -1)
-        return u[:, start - first * _GROUP:][:, :count]
+        u = np.random.Generator(bitgen).random(
+            out=_buffer(ws, "draw", (end - first, h, _GROUP)))
+        head = _buffer(ws, "head", (h, end - first, _GROUP))
+        np.copyto(head, u.transpose(1, 0, 2))
+        return head.reshape(h, -1)[:, start - first * _GROUP:][:, :count]
     per = -(-(mk.n + 2 - h) // 4)  # Philox counters per tail
     bitgen = np.random.Philox(key=seed, counter=_TAIL)
     gen = np.random.Generator(bitgen)
@@ -184,17 +206,19 @@ def _scan_cols(policy_id: str, mk: _Market) -> np.ndarray:
             else mk.buyer_cols)
 
 
-def _reader(seed: int, mk: _Market, policy_id: str, start: int, count: int):
+def _reader(seed: int, mk: _Market, policy_id: str, start: int, count: int,
+            ws: dict | None = None):
     """Reads (times at the first ``width`` columns of the policy's strength
     order, seller times, coins) of trial rows (a slice or ascending
     indices) of [start, start+count), the times strength-major: one row
     per column, across the trials.
 
-    The heads are drawn once; a read past them adds the start of each
-    trial's tail.  Reads within the head are views of it, but for alg3
-    and the baseline past a seller, whose row they skip."""
+    The heads are drawn once (into the workspace ``ws``); a read past them
+    adds the start of each trial's tail.  Reads within the head are views
+    of it, but for alg3 and the baseline past a seller, whose row they
+    skip."""
     n, mu = mk.n, mk.seller_strength_pos
-    head = block_draws(seed, mk, start, count)
+    head = block_draws(seed, mk, start, count, ws=ws)
     with_seller = _scan_cols(policy_id, mk) is mk.strength_cols
     seller_row = min(mu, _HEAD)
 
@@ -250,13 +274,15 @@ def _next_rank(ts: np.ndarray, bound: np.ndarray) -> None:
 
 
 def _evaluate(policy_id: str, mk: _Market, ts: np.ndarray,
-              seller_t: np.ndarray, coin: np.ndarray, th: Thresholds | None
+              seller_t: np.ndarray, coin: np.ndarray, th: Thresholds | None,
+              ws: dict | None = None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One round of the kernel: holder id (0 = intermediary), weak-OPT value
     and whether the result is final, per trial, from its times ``ts`` at
     the first ts.shape[0] columns of the policy's strength order (C order,
     strength-major: one row per column, strongest agent first, each row
-    across the trials), its seller time and its coin."""
+    across the trials), its seller time and its coin.  The running minima
+    live in the workspace ``ws`` when one is given."""
     n = mk.n
     cols = _scan_cols(policy_id, mk)
     with_seller = cols is mk.strength_cols
@@ -282,7 +308,7 @@ def _evaluate(policy_id: str, mk: _Market, ts: np.ndarray,
     # (e-1)/e > 1/e), so in a settled trial some prefix time beats the
     # seller's, and a seller past the prefix is no record.
     # m_1: the least time before each row, and last the least of all
-    bound = np.empty((width + 1, trials))
+    bound = _buffer(ws, "bound", (width + 1, trials))
     _running_min(ts, bound)
     pos = mk.seller_strength_pos
     if with_seller and pos < width:
@@ -323,7 +349,8 @@ def _evaluate(policy_id: str, mk: _Market, ts: np.ndarray,
 
 
 def _outcomes(policy_id: str, mk: _Market, read, th: Thresholds | None,
-              count: int) -> tuple[np.ndarray, np.ndarray]:
+              count: int, ws: dict | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Final holder id and weak-OPT value of ``count`` trials.
 
     ``read(rows, width)`` (``_reader``) returns the times of trials
@@ -331,7 +358,8 @@ def _outcomes(policy_id: str, mk: _Market, read, th: Thresholds | None,
     their seller times and their coins.  The first round reads ``_PREFIX``
     columns; each later round reads the trials the last one did not settle
     at 8x the width, until a round covers every column.  A read takes at
-    most _BLOCK_BUDGET // width trials."""
+    most _BLOCK_BUDGET // width trials and is evaluated in the workspace
+    ``ws``."""
     scan = len(_scan_cols(policy_id, mk))
     reads = []  # (rows, holders, weak) of each read, in round order
     rest, width = None, _PREFIX  # None: every trial, read by slices
@@ -342,7 +370,7 @@ def _outcomes(policy_id: str, mk: _Market, read, th: Thresholds | None,
         for i in range(0, todo, step):
             rows = slice(i, i + step) if rest is None else rest[i:i + step]
             holders, weak, settled = _evaluate(policy_id, mk,
-                                               *read(rows, width), th)
+                                               *read(rows, width), th, ws)
             reads.append((rows, holders, weak))
             stuck = np.flatnonzero(~settled)
             left.append(stuck + i if rest is None else rows[stuck])
@@ -356,20 +384,22 @@ def _outcomes(policy_id: str, mk: _Market, read, th: Thresholds | None,
 
 
 def _block_partials(policy_id: str, mk: _Market, seed: int, start: int,
-                    count: int, th: Thresholds | None
+                    count: int, th: Thresholds | None, ws: dict | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     # The block's holder counts and its _MOMENTS sums as one float64 array.
     # The block is read in sub-chunks of whole head groups whose heads fit
     # in _BLOCK_BUDGET doubles (one group when one alone is larger); the
     # block's sums run over the concatenated per-trial values, so the
-    # partials do not depend on the sub-chunk size.
+    # partials do not depend on the sub-chunk size.  Every sub-chunk
+    # draws and evaluates in the calling thread's workspace ``ws``.
     n = mk.n
     step = _GROUP * max(1, _BLOCK_BUDGET // (_head_rows(mk) * _GROUP))
     parts = []
     for s in range(start, start + count, step):
         c = min(step, start + count - s)
         parts.append(_outcomes(policy_id, mk,
-                               _reader(seed, mk, policy_id, s, c), th, c))
+                               _reader(seed, mk, policy_id, s, c, ws), th, c,
+                               ws))
     holders = np.concatenate([h for h, _ in parts])
     weak = np.concatenate([w for _, w in parts])
     welfare = mk.prices[holders]
@@ -444,9 +474,14 @@ def simulate(policy_id: str, instance: Instance, trials: int,
     starts = list(range(0, trials, block))
     blocks = [(s, min(block, trials - s)) for s in starts]
 
+    local = threading.local()  # each thread's workspace, for this call
+
     def work(args):
+        if not hasattr(local, "ws"):
+            local.ws = {}
         start, count = args
-        return _block_partials(policy_id, mk, seed, start, count, thresholds)
+        return _block_partials(policy_id, mk, seed, start, count, thresholds,
+                               local.ws)
 
     # fold the blocks in block order as they come, so that no block's
     # holder counts outlive it; one thread runs without a pool

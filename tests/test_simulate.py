@@ -1,8 +1,11 @@
 import importlib
 import json
 import math
+import sys
+import threading
 import tracemalloc
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -81,8 +84,8 @@ class TestStreams:
         heads = {"alg1": [], "alg3": []}
         tail_reads = []
 
-        def spy(seed, mk, start, count, rows=None, width=0):
-            u = draw(seed, mk, start, count, rows, width)
+        def spy(seed, mk, start, count, rows=None, width=0, ws=None):
+            u = draw(seed, mk, start, count, rows, width, ws)
             if rows is None:
                 heads[policy].append((start, count, u.copy()))
             else:
@@ -108,6 +111,32 @@ class TestDeterminism:
                    for w in (1, 8)]
         assert reports[0] == reports[1]
         assert reports[0].to_json() == reports[1].to_json()
+
+    def test_concurrent_calls_keep_their_workspaces(self):
+        # two calls at once, each on two threads: every thread draws into
+        # its own call's workspace, so the reports are those of the same
+        # calls run one after the other
+        inst = gen_instance("flat_k", n=10, k=3)
+        seeds = (11, 12)
+
+        def run(seed):
+            return simulate("alg2", inst, 3 * BLOCK + 777, seed=seed,
+                            workers=2).to_json()
+
+        alone = [run(seed) for seed in seeds]
+        start = threading.Barrier(len(seeds))
+
+        def together(seed):
+            start.wait(timeout=60)
+            return run(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(seeds)) as pool:
+                assert list(pool.map(together, seeds, timeout=120)) == alone
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("workers,cpus,trials,threads", [
         (64, 3, 5 * BLOCK, 3),      # capped by the cores
@@ -365,9 +394,9 @@ class TestKernelAgainstReference:
         widths = []
         evaluate = SIM._evaluate
 
-        def spy(policy_id, mk, ts, seller_t, coin, th):
+        def spy(policy_id, mk, ts, seller_t, coin, th, ws=None):
             widths.append(ts.shape[0])
-            return evaluate(policy_id, mk, ts, seller_t, coin, th)
+            return evaluate(policy_id, mk, ts, seller_t, coin, th, ws)
 
         monkeypatch.setattr(SIM, "_evaluate", spy)
         holders, weak = _outcomes(policy_id, mk,
@@ -481,10 +510,10 @@ class TestCounterPath:
         draw = SIM.block_draws
         tails = []  # (trials, width) of each tail read
 
-        def spy(seed, mk, start, count, rows=None, width=0):
+        def spy(seed, mk, start, count, rows=None, width=0, ws=None):
             if rows is not None:
                 tails.append((start + rows, width))
-            return draw(seed, mk, start, count, rows, width)
+            return draw(seed, mk, start, count, rows, width, ws)
 
         monkeypatch.setattr(SIM, "block_draws", spy)
         reports = []
@@ -511,8 +540,8 @@ class TestMemoryBound:
         shapes = []
         draw, evaluate = SIM.block_draws, SIM._evaluate
 
-        def draw_spy(seed, mk, start, count, rows=None, width=0):
-            u = draw(seed, mk, start, count, rows, width)
+        def draw_spy(seed, mk, start, count, rows=None, width=0, ws=None):
+            u = draw(seed, mk, start, count, rows, width, ws)
             shapes.append((rows is None, start, u.shape))
             return u
 
@@ -568,6 +597,49 @@ class TestMemoryBound:
             tracemalloc.stop()
         assert peak < 4.5 * draws
 
+    def test_blocks_reuse_the_workspace(self, monkeypatch):
+        # one thread, three blocks: every head is drawn into the memory of
+        # the first; without a workspace each call returns a fresh array
+        inst = gen_instance("flat_k", n=10, k=3)
+        draw = SIM.block_draws
+        heads = []
+
+        def spy(seed, mk, start, count, rows=None, width=0, ws=None):
+            u = draw(seed, mk, start, count, rows, width, ws)
+            if rows is None:
+                heads.append(u)
+            return u
+
+        monkeypatch.setattr(SIM, "block_draws", spy)
+        simulate("alg2", inst, 3 * BLOCK, seed=5)
+        assert len(heads) == 3
+        assert all(np.shares_memory(u, heads[0]) for u in heads)
+        mk = _market(inst)
+        assert not np.shares_memory(draw(5, mk, 0, BLOCK),
+                                    draw(5, mk, 0, BLOCK))
+
+    def test_workspace_within_budget(self, monkeypatch):
+        # the one-trial-tail case of test_draws_stay_within_budget: reads
+        # larger than the budget are allocated afresh, so no workspace
+        # buffer grows past it
+        budget = 1 << 16
+        partials = SIM._block_partials
+        spaces = []
+
+        def spy(policy_id, mk, seed, start, count, th, ws=None):
+            spaces.append(ws)
+            return partials(policy_id, mk, seed, start, count, th, ws)
+
+        monkeypatch.setattr(SIM, "_block_partials", spy)
+        monkeypatch.setattr(SIM, "_BLOCK_BUDGET", budget)
+        inst = gen_instance("seller_spike", n=100_000)
+        for prefix in (_PREFIX, inst.n + 1):
+            monkeypatch.setattr(SIM, "_PREFIX", prefix)
+            spaces.clear()
+            simulate("alg1", inst, 3, seed=3)
+            sizes = [buf.size for ws in spaces for buf in ws.values()]
+            assert sizes and max(sizes) <= budget
+
     def test_market_memory_per_buyer(self):
         # the per-buyer lists and floats of the old _market peaked at
         # about 112 B per buyer
@@ -598,7 +670,7 @@ class TestMemoryBound:
         # a 256-trial block); 30 blocks must cost no more memory than one
         n = 20_000
 
-        def fake_partials(policy_id, mk, seed, start, count, th):
+        def fake_partials(policy_id, mk, seed, start, count, th, ws):
             counts = np.zeros(n + 2, dtype=np.int64)
             counts[1] = count
             return counts, np.ones(len(SIM._MOMENTS))

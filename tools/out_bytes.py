@@ -91,6 +91,11 @@ COMMANDS = {
                             ("alg2", "flat_k:n=10,k=3"),
                             ("alg3", "spike:n=10"),
                             ("secretary-baseline", "geometric:n=10,r=0.5"))},
+    # 13 blocks on 2 threads, each reusing its workspace across blocks:
+    # the bytes of simulate_alg2_n10
+    "simulate_alg2_n10_workers2": (
+        _simulate("alg2", "flat_k:n=10,k=3", 200000, "--workers", "2"),
+        ".json"),
     "simulate_alg1_mixed_tie": (_simulate("alg1", MIXED_TIE, 20000), ".json"),
     "simulate_alg2_rational_tie": (_simulate("alg2", RATIONAL_TIE, 20000),
                                    ".json"),
