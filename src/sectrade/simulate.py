@@ -28,9 +28,13 @@ byte-identical for any worker count.
 
 Policy evaluation is vectorized over the trials of a block, on
 strength-major arrays: one C-order row per column of the canonical strength
-order (strongest agent first), each row across the trials, so that every
-numpy call covers all the trials it reads.  Every policy buys by its own
-test and then sells to the earliest buyer who is r-th best so far after
+order (strongest agent first, the seller among the buyers), each row
+across the trials, so that every numpy call covers all the trials it
+reads.  Every policy reads a prefix of that one order.  alg1 and alg2
+rank the seller; alg3 and the baseline rank the buyers alone and read the
+seller's column as +inf, so that it never ranks and is never sold to.
+Every policy buys by its own test (alg3 and the baseline always buy) and
+then sells to the earliest buyer who is r-th best so far after
 max(seller, floor_r), for each of its time floors (one for alg1, alg2 and
 the baseline, two for alg3).  A column is r-th best so far when its time
 lies between the (r-1)-th and the r-th smallest time before it; those r-th
@@ -38,9 +42,10 @@ smallest times are running minima, one ``minimum`` per row, so the
 qualifying times fall strictly along the strength order and the earliest
 qualifier past a cutoff is the last one.  Weak OPT reads the same array:
 buyer prices fall along the strength order, so the best buyer arriving
-after the seller is the first one in it.  The last qualifier and the first
-buyer after the seller are each one max down the rows of a mask times a
-small integer weight per row.
+after the seller is the first one in it, and a +inf seller column ends it
+at the seller's price, which no buyer after it exceeds.  The last
+qualifier and the first buyer after the seller are each one max down the
+rows of a mask times a small integer weight per row.
 
 The kernel reads only the first ``_PREFIX`` strength columns of each
 trial, which the head holds with the seller and the coin.  A column further
@@ -49,9 +54,11 @@ prefix times, so a trial is settled by its prefix when some prefix column
 arrived after the seller (weak OPT) and, for every rank r, r prefix times
 are within max(seller, floor_r).  The unsettled trials are evaluated again
 on a prefix 8x as wide, which adds the start of each one's tail (one
-Philox advance and one draw), until it covers every column (at once for
-n < 32).  Each trial's result is exactly that of a scan over all n+1
-columns, so the prefix width changes no output bit.
+Philox advance and one draw) and puts a seller past the head back in its
+place, until it covers the policy's whole scan (at once for n < 32): all
+n+1 columns, but n when a policy that ranks the buyers alone has the
+seller last.  Each trial's result is exactly that of the whole scan, so
+the prefix width changes no output bit.
 
 A block is drawn and evaluated in sub-chunks of whole groups whose heads
 fit in ``_BLOCK_BUDGET`` doubles, and every draw array and kernel read
@@ -59,12 +66,13 @@ stays within it too (one trial's tail when that alone is larger); neither
 changes the layout or the order of any sum, so no output bit.  Sub-chunks
 of 2 MiB (under numpy's 4 MiB huge-page advice) keep thread timing from
 moving the peak memory.  Each thread of a ``simulate`` call reuses one
-workspace for the head draw, its strength-major copy and the kernel's
-running minima: grow-only buffers of at most ``_BLOCK_BUDGET`` doubles each
-(a larger array is allocated afresh), dropped when the call returns, so a
-block faults in no new pages for them.  The state machines in
-:mod:`sectrade.policies` stay the behavioural reference; the kernel here is
-cross-checked against them trial by trial in the test suite.
+workspace for the head draw, its strength-major copy, the seller's times
+that a +inf column replaces and the kernel's running minima: grow-only
+buffers of at most ``_BLOCK_BUDGET`` doubles each (a larger array is
+allocated afresh), dropped when the call returns, so a block faults in no
+new pages for them.  The state machines in :mod:`sectrade.policies` stay
+the behavioural reference; the kernel here is cross-checked against them
+trial by trial in the test suite.
 
 Competitive ratios divide the mean benchmark by the mean policy welfare
 (never per-trial ratios), matching the expectation-based definitions.
@@ -97,13 +105,15 @@ _HEAD = 33  # strength positions in a trial's head
 _GROUP = 256  # trials per head group, a multiple of 4 (Philox's block)
 _TAIL = 1 << 128  # the Philox counter where the tails start
 
-POLICY_IDS = ("alg1", "alg2", "alg3", "secretary-baseline")
-# each policy's time floors: it sells to the earliest buyer who is r-th
-# best so far after max(seller, floors[r-1]), for r = 1..len(floors)
-_FLOORS = {"alg1": lambda th: (SELL_CUTOFF,),
-           "alg2": lambda th: (0.0,),
-           "alg3": lambda th: (th.t1, th.t2),
-           "secretary-baseline": lambda th: (SELL_CUTOFF,)}
+# each policy's skip test on (seller time, coin), None for a policy that
+# ranks the buyers alone and always buys, and its time floors: it sells to
+# the earliest buyer who is r-th best so far after max(seller, floors[r-1])
+_POLICIES = {"alg1": (lambda seller_t, coin: seller_t > SKIP_CUTOFF,
+                      lambda th: (SELL_CUTOFF,)),
+             "alg2": (lambda seller_t, coin: coin >= 0.5, lambda th: (0.0,)),
+             "alg3": (None, lambda th: (th.t1, th.t2)),
+             "secretary-baseline": (None, lambda th: (SELL_CUTOFF,))}
+POLICY_IDS = tuple(_POLICIES)
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,6 @@ class _Market:
     n: int
     prices: np.ndarray          # price by holder id 0..n+1 (0 = intermediary)
     strength_cols: np.ndarray   # agent time-columns, strongest first
-    buyer_cols: np.ndarray      # strength_cols without the seller's
     seller_strength_pos: int    # seller's index within strength_cols
     seller_price: float
 
@@ -128,7 +137,6 @@ def _market(instance: Instance) -> _Market:
     prices[n + 1] = float(instance.seller_price)
     return _Market(n=n, prices=prices,
                    strength_cols=np.insert(buyer_cols, mu, n),
-                   buyer_cols=buyer_cols,
                    seller_strength_pos=mu,
                    seller_price=float(instance.seller_price))
 
@@ -199,49 +207,11 @@ def block_draws(seed: int, mk: _Market, start: int, count: int,
     return out
 
 
-def _scan_cols(policy_id: str, mk: _Market) -> np.ndarray:
-    """The time-columns a policy scans, strongest first (alg1 and alg2
-    see the seller among the buyers)."""
-    return (mk.strength_cols if policy_id in ("alg1", "alg2")
-            else mk.buyer_cols)
-
-
-def _reader(seed: int, mk: _Market, policy_id: str, start: int, count: int,
-            ws: dict | None = None):
-    """Reads (times at the first ``width`` columns of the policy's strength
-    order, seller times, coins) of trial rows (a slice or ascending
-    indices) of [start, start+count), the times strength-major: one row
-    per column, across the trials.
-
-    The heads are drawn once (into the workspace ``ws``); a read past them
-    adds the start of each trial's tail.  Reads within the head are views
-    of it, but for alg3 and the baseline past a seller, whose row they
-    skip."""
-    n, mu = mk.n, mk.seller_strength_pos
-    head = block_draws(seed, mk, start, count, ws=ws)
-    with_seller = _scan_cols(policy_id, mk) is mk.strength_cols
-    seller_row = min(mu, _HEAD)
-
-    def read(rows, width):
-        # strength positions [0, end) hold the columns read: one more than
-        # the width for a buyer scan that passes the seller
-        width = min(width, n + with_seller)
-        end = width + (not with_seller and mu < width)
-        hd = head[:, rows]
-        ts = hd[:min(end, _HEAD)]
-        if not with_seller and mu < len(ts):  # skip the seller's head row
-            ts = np.concatenate((ts[:mu], ts[mu + 1:]))
-        if end > _HEAD:
-            inside = _HEAD <= mu < end  # the seller among the tail's columns
-            tails = block_draws(seed, mk, start, count,
-                                np.arange(count)[rows], end - _HEAD - inside)
-            if inside and with_seller:
-                at = mu - _HEAD
-                tails = np.concatenate((tails[:at], hd[_HEAD:_HEAD + 1],
-                                        tails[at:]))
-            ts = np.concatenate((ts, tails))
-        return ts, hd[seller_row], hd[-1]
-    return read
+def _scan_width(policy_id: str, mk: _Market) -> int:
+    """Strength columns of a policy's whole scan: all n+1, but n for a
+    policy that ranks the buyers alone when the seller is last."""
+    return mk.n + 1 - (_POLICIES[policy_id][0] is None
+                       and mk.seller_strength_pos == mk.n)
 
 
 def _running_min(level: np.ndarray, out: np.ndarray) -> None:
@@ -279,16 +249,16 @@ def _evaluate(policy_id: str, mk: _Market, ts: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One round of the kernel: holder id (0 = intermediary), weak-OPT value
     and whether the result is final, per trial, from its times ``ts`` at
-    the first ts.shape[0] columns of the policy's strength order (C order,
+    the first ts.shape[0] columns of the strength order (C order,
     strength-major: one row per column, strongest agent first, each row
-    across the trials), its seller time and its coin.  The running minima
-    live in the workspace ``ws`` when one is given."""
-    n = mk.n
-    cols = _scan_cols(policy_id, mk)
-    with_seller = cols is mk.strength_cols
+    across the trials), its seller time and its coin.  A policy without a
+    skip test reads the seller's column as +inf, which never ranks and ends
+    weak OPT at the seller's price.  The running minima live in the
+    workspace ``ws`` when one is given."""
+    skip, floors = _POLICIES[policy_id]
     width, trials = ts.shape
-    whole = width >= len(cols)
-    cols = cols[:width]
+    whole = width >= _scan_width(policy_id, mk)
+    cols = mk.strength_cols[:width]
     # weight k + 1 on row k: the max of a mask times it down the rows is
     # 1 + the row of the last True in each trial (0 when there is none);
     # reversed, it is width - the row of the first
@@ -296,7 +266,7 @@ def _evaluate(policy_id: str, mk: _Market, ts: np.ndarray,
 
     # Weak OPT: buyer prices fall along the strength order, so the best
     # buyer arriving after the seller is the first one in that order (the
-    # seller's own column never arrives after itself).
+    # seller's own column arrives after itself only at +inf).
     first = np.multiply(ts > seller_t, up[::-1]).max(axis=0)
     settled = first > 0
     weak = np.maximum(np.concatenate(([-np.inf], mk.prices[cols[::-1] + 1])),
@@ -311,10 +281,8 @@ def _evaluate(policy_id: str, mk: _Market, ts: np.ndarray,
     bound = _buffer(ws, "bound", (width + 1, trials))
     _running_min(ts, bound)
     pos = mk.seller_strength_pos
-    if with_seller and pos < width:
-        skip = (seller_t > SKIP_CUTOFF if policy_id == "alg1"
-                else coin >= 0.5)
-        no_buy = skip & (ts[pos] < bound[pos])
+    if skip is not None and pos < width:
+        no_buy = skip(seller_t, coin) & (ts[pos] < bound[pos])
     else:
         no_buy = False
 
@@ -326,7 +294,7 @@ def _evaluate(policy_id: str, mk: _Market, ts: np.ndarray,
     # a time tie.
     # ts[k - 1, j] is flat[k * trials + off[j]] (k = 0 wraps to the last row)
     flat, off = ts.reshape(-1), np.arange(-trials, 0)
-    for r, floor in enumerate(_FLOORS[policy_id](th)):
+    for r, floor in enumerate(floors(th)):
         cut = np.maximum(seller_t, floor)
         if r:
             qual = bound[:-1] < ts
@@ -344,33 +312,53 @@ def _evaluate(policy_id: str, mk: _Market, ts: np.ndarray,
             last = np.where(take, last_r, last)
         if not whole:
             settled &= bound[-1] <= cut
-    holders = np.where(no_buy, n + 1, np.concatenate(([0], cols + 1))[last])
+    holders = np.where(no_buy, mk.n + 1,
+                       np.concatenate(([0], cols + 1))[last])
     return holders, weak, settled | whole
 
 
-def _outcomes(policy_id: str, mk: _Market, read, th: Thresholds | None,
-              count: int, ws: dict | None = None
+def _outcomes(policy_id: str, mk: _Market, seed: int, start: int,
+              count: int, th: Thresholds | None, ws: dict | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
-    """Final holder id and weak-OPT value of ``count`` trials.
+    """Final holder id and weak-OPT value of trials [start, start+count).
 
-    ``read(rows, width)`` (``_reader``) returns the times of trials
-    ``rows`` at the first ``width`` columns of the policy's strength order,
-    their seller times and their coins.  The first round reads ``_PREFIX``
-    columns; each later round reads the trials the last one did not settle
-    at 8x the width, until a round covers every column.  A read takes at
-    most _BLOCK_BUDGET // width trials and is evaluated in the workspace
-    ``ws``."""
-    scan = len(_scan_cols(policy_id, mk))
+    The heads are drawn once, into the workspace ``ws``.  Each read is a
+    prefix of the strength order, the seller's head row in its place (+inf,
+    its times copied out first, for a policy without a skip test).  The
+    first round reads ``_PREFIX`` columns of every trial; each later round
+    reads the trials the last one did not settle at 8x the width, with the
+    start of each one's tail, until a round covers the policy's whole
+    scan.  A read takes at most _BLOCK_BUDGET // width trials and is
+    evaluated in ``ws``."""
+    mu, scan = mk.seller_strength_pos, _scan_width(policy_id, mk)
+    head = block_draws(seed, mk, start, count, ws=ws)
+    row = min(mu, _HEAD)  # the seller's head row
+    seller_t = head[row]
+    if _POLICIES[policy_id][0] is None and mu < scan:  # read as +inf
+        seller_t = _buffer(ws, "seller", (count,))
+        np.copyto(seller_t, head[row])
+        head[row] = np.inf
     reads = []  # (rows, holders, weak) of each read, in round order
     rest, width = None, _PREFIX  # None: every trial, read by slices
     while rest is None or rest.size:
+        width = min(width, scan)
         todo = count if rest is None else rest.size
-        step = max(1, _BLOCK_BUDGET // min(width, scan))
+        step = max(1, _BLOCK_BUDGET // width)
         left = []
         for i in range(0, todo, step):
             rows = slice(i, i + step) if rest is None else rest[i:i + step]
-            holders, weak, settled = _evaluate(policy_id, mk,
-                                               *read(rows, width), th, ws)
+            hd = head[:, rows]
+            ts = hd[:min(width, _HEAD)]
+            if width > _HEAD:  # strength positions past the head
+                inside = _HEAD <= mu < width  # the seller among them
+                tails = block_draws(seed, mk, start, count,
+                                    np.arange(count)[rows],
+                                    width - _HEAD - inside)
+                at = mu - _HEAD if inside else len(tails)
+                ts = np.concatenate((ts, tails[:at], hd[_HEAD:_HEAD + inside],
+                                     tails[at:]))
+            holders, weak, settled = _evaluate(policy_id, mk, ts,
+                                               seller_t[rows], hd[-1], th, ws)
             reads.append((rows, holders, weak))
             stuck = np.flatnonzero(~settled)
             left.append(stuck + i if rest is None else rows[stuck])
@@ -397,9 +385,7 @@ def _block_partials(policy_id: str, mk: _Market, seed: int, start: int,
     parts = []
     for s in range(start, start + count, step):
         c = min(step, start + count - s)
-        parts.append(_outcomes(policy_id, mk,
-                               _reader(seed, mk, policy_id, s, c, ws), th, c,
-                               ws))
+        parts.append(_outcomes(policy_id, mk, seed, s, c, th, ws))
     holders = np.concatenate([h for h, _ in parts])
     weak = np.concatenate([w for _, w in parts])
     welfare = mk.prices[holders]

@@ -94,7 +94,6 @@ def _ref_market(instance):
                              dtype=np.int64)
     return _Market(n=n, prices=prices,
                    strength_cols=strength_cols,
-                   buyer_cols=np.array(buyer_cols, dtype=np.int64),
                    seller_strength_pos=ranked.mu,
                    seller_price=float(instance.seller_price))
 
@@ -273,10 +272,8 @@ class TestArrayPath:
         assert len(ranked.sorted_buyer_prices) == inst.n
         mk, ref = _market(inst), _ref_market(inst)
         assert mk.prices.tobytes() == ref.prices.tobytes()
-        for name in ("strength_cols", "buyer_cols"):
-            got_cols, want_cols = getattr(mk, name), getattr(ref, name)
-            assert got_cols.dtype == want_cols.dtype
-            assert got_cols.tolist() == want_cols.tolist()
+        assert mk.strength_cols.dtype == ref.strength_cols.dtype
+        assert mk.strength_cols.tolist() == ref.strength_cols.tolist()
         assert mk.seller_strength_pos == ref.seller_strength_pos
         assert mk.seller_price == ref.seller_price
         # the reference raised on numpy scalars other than np.float64;

@@ -17,8 +17,7 @@ from sectrade.oracle import enumerate_alg2_exact
 from sectrade.policies import SELL_CUTOFF, SKIP_CUTOFF, run_episode
 from sectrade.simulate import (_BLOCK_BUDGET, _GROUP, _HEAD, _PREFIX, BLOCK,
                                POLICY_IDS, SimulationReport, _market,
-                               _outcomes, _reader, _scan_cols, block_draws,
-                               simulate)
+                               _outcomes, block_draws, simulate)
 
 TH = Thresholds(0.296151, 0.805018)
 # the module itself, whose globals the tests patch
@@ -218,8 +217,7 @@ class TestKernelAgainstStateMachines:
             n = inst.n
             mk = _market(inst)
             u = _windows(555, mk, 0, 200)
-            vec = _outcomes(policy_id, mk, _reader(555, mk, policy_id, 0, 200),
-                            TH, 200)[0]
+            vec = _outcomes(policy_id, mk, 555, 0, 200, TH)[0]
             for k in range(200):
                 row = u[k, :n + 1]
                 perm = np.argsort(row, kind="stable")
@@ -322,9 +320,7 @@ def _check_against_reference(policy_id, n):
     for k, inst in enumerate(_reference_instances(policy_id, n)):
         mk = _market(inst)
         u = _windows(900 + k, mk, 17 * k, 500)
-        holders, weak = _outcomes(
-            policy_id, mk, _reader(900 + k, mk, policy_id, 17 * k, 500), TH,
-            500)
+        holders, weak = _outcomes(policy_id, mk, 900 + k, 17 * k, 500, TH)
         assert np.array_equal(holders, reference_holders(policy_id, mk, u, TH))
         assert np.array_equal(weak, reference_weak_opt(mk, u))
 
@@ -357,11 +353,11 @@ class TestKernelAgainstReference:
         paid = policy_id in ("alg1", "alg2")  # a seller mid-strength
         mk = _market(Instance(tuple(float(n - i) for i in range(n)),
                               n // 2 + 0.5 if paid else 0))
-        width = min(prefix, len(_scan_cols(policy_id, mk)))
+        width = min(prefix, SIM._scan_width(policy_id, mk))
         for trials in (1, 2, width - 1, width, width + 1):
             u = _windows(trials, mk, 5 * trials, trials)
-            read = _reader(trials, mk, policy_id, 5 * trials, trials)
-            holders, weak = _outcomes(policy_id, mk, read, TH, trials)
+            holders, weak = _outcomes(policy_id, mk, trials, 5 * trials,
+                                      trials, TH)
             assert np.array_equal(holders,
                                   reference_holders(policy_id, mk, u, TH))
             assert np.array_equal(weak, reference_weak_opt(mk, u))
@@ -387,9 +383,13 @@ class TestKernelAgainstReference:
         mk = _market(inst)
         n = mk.n
         u = _windows(77, mk, 0, 2000)
-        scan = _scan_cols(policy_id, mk)
-        whole = SIM._evaluate(policy_id, mk, u.T.take(scan, axis=0), u[:, n],
-                              u[:, n + 1], TH)
+        # every column of the policy's scan in strength order; a policy
+        # that ranks the buyers alone reads the seller's as +inf
+        scan = mk.strength_cols[:SIM._scan_width(policy_id, mk)]
+        ts = u.T.take(scan, axis=0)
+        if policy_id in ("alg3", "secretary-baseline"):
+            ts[scan == n] = np.inf
+        whole = SIM._evaluate(policy_id, mk, ts, u[:, n], u[:, n + 1], TH)
         assert whole[2].all()
         widths = []
         evaluate = SIM._evaluate
@@ -399,9 +399,7 @@ class TestKernelAgainstReference:
             return evaluate(policy_id, mk, ts, seller_t, coin, th, ws)
 
         monkeypatch.setattr(SIM, "_evaluate", spy)
-        holders, weak = _outcomes(policy_id, mk,
-                                  _reader(77, mk, policy_id, 0, 2000), TH,
-                                  2000)
+        holders, weak = _outcomes(policy_id, mk, 77, 0, 2000, TH)
         assert widths[0] == _PREFIX and 8 * _PREFIX in widths  # rescans
         assert np.array_equal(holders, whole[0])
         assert np.array_equal(weak, whole[1])
@@ -522,13 +520,42 @@ class TestCounterPath:
             tails.clear()
             reports.append(simulate(policy_id, inst, trials, seed=2024,
                                     workers=workers, thresholds=TH).to_json())
-            read = np.unique(np.concatenate([k for k, _ in tails]))
+            read = np.unique(np.concatenate([np.empty(0, np.intp)]
+                                            + [k for k, _ in tails]))
             if prefix > mk.n:
                 assert read.size == trials
                 assert {w for _, w in tails} == {tail}
+            elif (policy_id == "secretary-baseline"
+                  and mk.seller_strength_pos == 0):
+                # the seller's +inf first row settles weak OPT in the head
+                assert read.size == 0
             else:
                 assert 0 < read.size < trials
         assert len(set(reports)) == 1
+
+
+class TestScanWidth:
+    @pytest.mark.parametrize("policy_id,seller", [
+        (policy_id, seller) for policy_id in POLICY_IDS for seller in (0, 5.5)
+        if policy_id != "alg3" or not seller])
+    def test_scan_reads_the_seller_unless_last(self, monkeypatch, policy_id,
+                                               seller):
+        # n = 10 fits one round: every policy reads all 11 strength
+        # columns, but alg3 and the baseline drop a zero-price seller,
+        # which is last, and read 10
+        inst = Instance(tuple(float(10 - i) for i in range(10)), seller)
+        assert _market(inst).seller_strength_pos == (10 if not seller else 5)
+        widths = []
+        evaluate = SIM._evaluate
+
+        def spy(policy_id, mk, ts, *args):
+            widths.append(ts.shape[0])
+            return evaluate(policy_id, mk, ts, *args)
+
+        monkeypatch.setattr(SIM, "_evaluate", spy)
+        simulate(policy_id, inst, 2 * BLOCK, seed=7, thresholds=TH)
+        buyers_alone = policy_id in ("alg3", "secretary-baseline")
+        assert set(widths) == {10 if buyers_alone and not seller else 11}
 
 
 class TestMemoryBound:

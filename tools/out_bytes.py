@@ -34,14 +34,17 @@ MIXED_TIE = json.dumps({"buyer_prices": [2, 1, 1.0, 2.0, 0.5],
 K8_N6 = json.dumps({"buyer_prices": ["3/8", "3/4", "1/8", "5/8", "1/4",
                                      "1/2"],
                     "seller_price": "9/16"})
-# buyer i (1..4000) priced 2731 i mod 4001, a permutation of 1..4000, so
-# the strongest buyers are scattered over the window; the seller's 2000.5
-# ranks in the middle
 # buyers priced 1000 down to 1, strongest first, and a seller at strength
 # position 5 (inside the first 33) or 40 (past them)
 PAID_1000 = {pos: json.dumps({"buyer_prices": list(range(1000, 0, -1)),
                               "seller_price": 1000.5 - pos})
              for pos in (5, 40)}
+# buyers priced 10 down to 1 and a seller at strength position 5
+PAID_N10 = json.dumps({"buyer_prices": list(range(10, 0, -1)),
+                       "seller_price": 5.5})
+# buyer i (1..4000) priced 2731 i mod 4001, a permutation of 1..4000, so
+# the strongest buyers are scattered over the window; the seller's 2000.5
+# ranks in the middle
 SCATTERED_4000 = json.dumps({"buyer_prices": [2731 * i % 4001
                                               for i in range(1, 4001)],
                              "seller_price": 2000.5})
@@ -128,6 +131,14 @@ COMMANDS = {
         _simulate("alg2", PAID_1000[40], 20000), ".json"),
     "simulate_alg3_spike300": (_simulate("alg3", "spike:n=300", 20000),
                                ".json"),
+    # the baseline ranks the buyers alone past a paid seller inside the
+    # head, past one after it, and at n = 10 with the seller mid-order
+    "simulate_baseline_paid_head_1000": (
+        _simulate("secretary-baseline", PAID_1000[5], 20000), ".json"),
+    "simulate_baseline_paid_below_head_1000": (
+        _simulate("secretary-baseline", PAID_1000[40], 20000), ".json"),
+    "simulate_baseline_paid_n10": (
+        _simulate("secretary-baseline", PAID_N10, 200000), ".json"),
 }
 
 
