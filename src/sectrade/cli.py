@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import exact, lp, oracle
@@ -25,10 +26,21 @@ from .simulate import POLICY_IDS, simulate as run_simulation
 _TUNED = Thresholds(0.296151, 0.805018)
 
 
+def _finite(v):
+    """``v`` with every non-finite float as None: RFC 8259 JSON has no
+    Infinity or NaN."""
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _write_out(path, payload: dict | None) -> None:
     if path and payload is not None:
         with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+            json.dump(_finite(payload), fh, sort_keys=True, indent=2,
+                      allow_nan=False)
             fh.write("\n")
 
 

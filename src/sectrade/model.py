@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -180,10 +181,21 @@ def _price_to_json(p: Price):
 
 
 def _fraction(text: str) -> Fraction:
+    # Fraction expands an exponent into an exact integer first, at a cost
+    # that grows with the exponent, so a large one is rejected before it runs
+    cap = GEOMETRIC_DIGITS_CAP
+    exp = re.search(r"e[-+]?([\d_]+)\s*\Z", text, re.IGNORECASE)
+    digits = exp[1].replace("_", "").lstrip("0") if exp else ""
+    if len(digits) > len(str(cap)) or int(digits or 0) > cap:
+        raise InvalidInstanceError(f"price {text!r} has an exponent past {cap}")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         raise InvalidInstanceError(f"zero denominator in {text!r}") from None
+    big = max(abs(value.numerator), value.denominator)
+    if big.bit_length() > 3 * cap and big >= 10 ** cap:
+        raise InvalidInstanceError(f"price {text!r} has more than {cap} digits")
+    return value
 
 
 def _price_from_json(v):
@@ -343,7 +355,8 @@ class TradeOutcome:
 #: ones (tracemalloc, ``gen_instance`` plus 256 alg1 trials at n = 1e5).
 FAMILY_CAP = 10**7
 #: Most decimal digits of the denominator of a Fraction-ratio geometric
-#: price: Python's default int-to-str limit, which ``Instance.digest`` meets.
+#: price, and of a string price's exponent, numerator and denominator:
+#: Python's default int-to-str limit, which ``Instance.digest`` meets.
 GEOMETRIC_DIGITS_CAP = 4300
 # family name -> the parameters it takes
 _FAMILIES = {"spike": ("n",), "flat_k": ("n", "k"), "seller_spike": ("n",),

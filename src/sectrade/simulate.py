@@ -20,11 +20,11 @@ and let the seller sit at strength position mu.
   never meet.
 
 The layout does not depend on the policy, the worker count, the prefix
-width or the memory budget.  Trials are processed in blocks of
-``_block_size(n)`` trials (whole groups, a function of n alone).  Workers
-receive whole blocks, which are folded into the totals in block order as
-they finish (the moment sums with compensated addition), so the report is
-byte-identical for any worker count.
+width or the memory budget.  Trials are processed in blocks of ``BLOCK``
+trials at every n (the last one shorter).  Workers receive whole blocks,
+which are folded into the totals in block order as they finish (the moment
+sums with compensated addition), so the report is byte-identical for any
+worker count.
 
 Policy evaluation is vectorized over the trials of a block, on
 strength-major arrays: one C-order row per column of the canonical strength
@@ -64,7 +64,7 @@ A block is drawn and evaluated in sub-chunks of whole groups whose heads
 fit in ``_BLOCK_BUDGET`` doubles, and every draw array and kernel read
 stays within it too (one trial's tail when that alone is larger); neither
 changes the layout or the order of any sum, so no output bit.  Sub-chunks
-of 2 MiB (under numpy's 4 MiB huge-page advice) keep thread timing from
+of 1 MiB (under numpy's 4 MiB huge-page advice) keep thread timing from
 moving the peak memory.  Each thread of a ``simulate`` call reuses one
 workspace for the head draw, its strength-major copy, the seller's times
 that a +inf column replaces and the kernel's running minima: grow-only
@@ -95,9 +95,8 @@ from .errors import NumericError
 from .model import Instance, Thresholds, check_size, rank_buyers
 from .policies import SELL_CUTOFF, SKIP_CUTOFF
 
-BLOCK = 1 << 14
-_BLOCK_BUDGET = 1 << 18  # max doubles per draw array and kernel read
-_LAYOUT_BUDGET = 1 << 22  # uniforms per block at large n (fixes the sums)
+BLOCK = 1 << 14  # trials per block: they fix the order of every sum
+_BLOCK_BUDGET = 1 << 17  # max doubles per draw array and kernel read
 # the welfare moments a block sums, in the order of its sums array
 _MOMENTS = ("sum_w", "sum_w2", "sum_o", "sum_o2", "sum_wo")
 _PREFIX = 32  # strength columns the kernel reads in its first round
@@ -139,17 +138,6 @@ def _market(instance: Instance) -> _Market:
                    strength_cols=np.insert(buyer_cols, mu, n),
                    seller_strength_pos=mu,
                    seller_price=float(instance.seller_price))
-
-
-def _block_size(n: int) -> int:
-    """Trials per block: BLOCK, shrunk toward _LAYOUT_BUDGET uniforms for
-    large n, in whole head groups and at least one (a function of n alone).
-
-    The block fixes which trials share a partial sum and so the reduction
-    order.  Memory is bounded separately: ``_block_partials`` draws a
-    block in sub-chunks within ``_BLOCK_BUDGET`` doubles, which leaves
-    this layout unchanged."""
-    return _GROUP * max(1, min(BLOCK, _LAYOUT_BUDGET // (n + 2)) // _GROUP)
 
 
 def _head_rows(mk: _Market) -> int:
@@ -456,9 +444,7 @@ def simulate(policy_id: str, instance: Instance, trials: int,
         raise ValueError("alg3 requires seller price 0")
     mk = _market(instance)
 
-    block = _block_size(mk.n)
-    starts = list(range(0, trials, block))
-    blocks = [(s, min(block, trials - s)) for s in starts]
+    blocks = [(s, min(BLOCK, trials - s)) for s in range(0, trials, BLOCK)]
 
     local = threading.local()  # each thread's workspace, for this call
 

@@ -188,6 +188,9 @@ class TestSimulate:
         *((json.dumps({"buyer_prices": prices, "seller_price": 0}),
            '"buyer_prices" is a list') for prices in (5, "12", None)),
         ("[1, 2]", '"buyer_prices" is a list'),
+        # Fraction would expand the exponent into an exact integer first
+        *((json.dumps({"buyer_prices": [1], "seller_price": text}),
+           f"price {text!r}") for text in ("1e-999999999", "1e-5000")),
         pytest.param("[" * 3000 + "]" * 3000, "nests too deeply",
                      id="nested"),
     ])
@@ -387,6 +390,24 @@ class TestOut:
         assert code == 0
         assert out
         assert isinstance(json.loads(path.read_text()), dict)
+
+    def test_non_finite_ratios_are_null(self, capsys, tmp_path):
+        # a zero mean welfare makes every ratio infinite: stdout prints
+        # inf, and --out holds strict JSON, which has no Infinity token
+        path = tmp_path / "out.json"
+        code, out, _ = run_cli(
+            capsys, "simulate", "--policy", "alg1", "--instance",
+            json.dumps({"buyer_prices": [0, 0], "seller_price": 0}),
+            "--trials", "5", "--seed", "1", "--out", str(path))
+        assert code == 0
+        assert "ratio_weak = inf  ratio_strong = inf" in out
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert doc["ratio_strong"] is doc["ratio_weak"] is None
+        assert doc["ratio_weak_se"] is None
 
     @pytest.mark.parametrize("leaf,name", [
         *((leaf, "out.json") for leaf in _LEAVES), ("exact alg3", "t.csv")])

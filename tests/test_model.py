@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import re
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -561,6 +563,28 @@ class TestInstanceJson:
     def test_missing_field(self):
         with pytest.raises(InvalidInstanceError):
             load_instance({"buyer_prices": [1]})
+
+    @pytest.mark.parametrize("text,message", [
+        ("1e-999999999", "has an exponent past 4300"),
+        ("1e-5000", "has an exponent past 4300"),
+        ("1e-4300", "has more than 4300 digits"),
+        ("9" * 4000 + "e1000", "has more than 4300 digits"),
+    ])
+    def test_huge_price_string(self, text, message):
+        # Fraction expands an exponent into an exact integer (minutes for
+        # the first), and Instance.digest writes no 4301-digit integer
+        began = time.perf_counter()
+        with pytest.raises(InvalidInstanceError,
+                           match=re.escape(f"price {text!r} {message}")):
+            load_instance({"buyer_prices": [1], "seller_price": text})
+        assert time.perf_counter() - began < 0.5
+
+    def test_price_string_at_the_digit_cap(self):
+        inst = load_instance({"buyer_prices": ["1e-4299", "1e4299"],
+                              "seller_price": "1E+4_299"})
+        assert inst.buyer_prices == (Fraction(1, 10**4299), 10**4299)
+        assert inst.seller_price == 10**4299
+        assert len(inst.digest()) == 16
 
     def test_deeply_nested_file(self, tmp_path):
         path = tmp_path / "inst.json"

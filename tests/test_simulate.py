@@ -595,7 +595,7 @@ class TestMemoryBound:
                 heads = [(start, shape[1]) for is_head, start, shape in shapes
                          if is_head]
                 if n == 100:  # one block, in head sub-chunks
-                    assert trials <= SIM._block_size(n)
+                    assert trials <= BLOCK
                     assert heads == [(0, per_chunk), (per_chunk, per_chunk),
                                      (2 * per_chunk, 1)]
                 else:
@@ -625,8 +625,9 @@ class TestMemoryBound:
         assert peak < 4.5 * draws
 
     def test_blocks_reuse_the_workspace(self, monkeypatch):
-        # one thread, three blocks: every head is drawn into the memory of
-        # the first; without a workspace each call returns a fresh array
+        # one thread, three blocks, each in head sub-chunks: every head is
+        # drawn into the memory of the first; without a workspace each call
+        # returns a fresh array
         inst = gen_instance("flat_k", n=10, k=3)
         draw = SIM.block_draws
         heads = []
@@ -639,9 +640,10 @@ class TestMemoryBound:
 
         monkeypatch.setattr(SIM, "block_draws", spy)
         simulate("alg2", inst, 3 * BLOCK, seed=5)
-        assert len(heads) == 3
-        assert all(np.shares_memory(u, heads[0]) for u in heads)
         mk = _market(inst)
+        per_chunk = _GROUP * (_BLOCK_BUDGET // (SIM._head_rows(mk) * _GROUP))
+        assert len(heads) == 3 * -(-BLOCK // per_chunk) == 6
+        assert all(np.shares_memory(u, heads[0]) for u in heads)
         assert not np.shares_memory(draw(5, mk, 0, BLOCK),
                                     draw(5, mk, 0, BLOCK))
 
@@ -681,23 +683,27 @@ class TestMemoryBound:
 
     @pytest.mark.parametrize("policy_id", ["alg2", "alg3"])
     def test_sub_chunks_do_not_change_bytes(self, monkeypatch, policy_id):
-        # at n = 20000 a block is 256 trials whatever the budget, so a
-        # smaller budget shrinks only the sub-chunks (13 -> 3 trials)
+        # a block is BLOCK trials whatever the budget, so over two blocks
+        # at n = 20000 a smaller budget shrinks only the sub-chunks (3584
+        # -> 1792 trials) and the whole-width reads (6 -> 3 trials)
         inst = gen_instance("spike", n=20_000)
-        base = simulate(policy_id, inst, 300, seed=21, thresholds=TH).to_json()
+        trials = BLOCK + 44
+        base = simulate(policy_id, inst, trials, seed=21,
+                        thresholds=TH).to_json()
         monkeypatch.setattr(SIM, "_BLOCK_BUDGET", 1 << 16)
-        assert SIM._block_size(20_000) == 256
         for workers in (1, 2):
-            again = simulate(policy_id, inst, 300, seed=21, workers=workers,
-                             thresholds=TH)
+            again = simulate(policy_id, inst, trials, seed=21,
+                             workers=workers, thresholds=TH)
             assert again.to_json() == base
 
     def test_blocks_fold_as_they_finish(self, monkeypatch):
-        # each block's holder counts are n + 2 int64 (160 kB at n = 20000,
-        # a 256-trial block); 30 blocks must cost no more memory than one
+        # each block's holder counts are n + 2 int64 (160 kB at n = 20000);
+        # 30 blocks of BLOCK trials must cost no more memory than one
         n = 20_000
+        blocks = []
 
         def fake_partials(policy_id, mk, seed, start, count, th, ws):
+            blocks.append(count)
             counts = np.zeros(n + 2, dtype=np.int64)
             counts[1] = count
             return counts, np.ones(len(SIM._MOMENTS))
@@ -705,7 +711,7 @@ class TestMemoryBound:
         monkeypatch.setattr(SIM, "_block_partials", fake_partials)
         inst = gen_instance("spike", n=n)
         peaks = []
-        for trials in (256, 7680):
+        for trials in (BLOCK, 30 * BLOCK):
             tracemalloc.start()
             try:
                 rep = simulate("alg1", inst, trials, seed=1)
@@ -713,8 +719,24 @@ class TestMemoryBound:
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
             assert rep.holder_freq == {1: 1.0}
-        assert SIM._block_size(n) == 256
+        assert blocks == [BLOCK] * 31
         assert peaks[1] - peaks[0] < 1 << 20
+
+    def test_blocks_are_fixed(self, monkeypatch):
+        # the partition of trials into blocks depends on trials alone
+        partials = SIM._block_partials
+        starts = []
+
+        def spy(policy_id, mk, seed, start, count, th, ws=None):
+            starts.append((start, count))
+            return partials(policy_id, mk, seed, start, count, th, ws)
+
+        monkeypatch.setattr(SIM, "_block_partials", spy)
+        for n in (10, 1000, 100_000):
+            starts.clear()
+            simulate("alg1", gen_instance("seller_spike", n=n), 2 * BLOCK + 5,
+                     seed=2)
+            assert starts == [(0, BLOCK), (BLOCK, BLOCK), (2 * BLOCK, 5)]
 
 
 class TestStatisticalAgreement:

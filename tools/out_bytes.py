@@ -139,6 +139,11 @@ COMMANDS = {
         _simulate("secretary-baseline", PAID_1000[40], 20000), ".json"),
     "simulate_baseline_paid_n10": (
         _simulate("secretary-baseline", PAID_N10, 200000), ".json"),
+    # non-dyadic prices over several blocks: the partition of trials into
+    # blocks fixes the order of the second-moment sums
+    "simulate_baseline_geometric1000_20k": (
+        _simulate("secretary-baseline", "geometric:n=1000,r=0.99", 20000),
+        ".json"),
 }
 
 
