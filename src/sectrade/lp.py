@@ -14,8 +14,12 @@ and a scalar A bounded by the two welfare expressions that drive the
 
 Both dual certificates come from one backward sweep, ``_sweep``, that
 holds each dual row with equality against the running suffix sum, one
-suffix cumsum per stretch.  The weak certificate is its two-family case,
-the strong one its one-family case, equal to rounding to the closed form
+suffix cumsum per stretch.  Each stretch runs from its top down in
+cache-sized chunks of ``_CHUNK`` entries and stops at the chunk that holds
+its break, so the sweep computes each j about once, and the cumsum carried
+from chunk to chunk adds in the same order as one cumsum over the
+stretch.  The weak certificate is its two-family case, the strong one its
+one-family case, equal to rounding to the closed form
 
     a_j = (1 - sum_{k=j}^{n-1} 1/k) / ((n+1) n),   y_{i,j} = max(a_j, 0),
 
@@ -27,13 +31,15 @@ A v <= b, v >= 0): row and column r belong to the r-th pair (i, j) of
 the simplex returns, in that column order.
 
 Dual variables never depend on the seller position i, so certificates
-store one array over j per variable of a pair, and one O(n) verifier
-checks either kind; that is what makes n = 2 * 10^6 routine.  A
-constructor whose own point fails that check raises ``NumericError``.
+store one array over j per variable of a pair, and one O(n) verifier,
+a separate pass over the same chunks, checks either kind; that is what
+makes n = 2 * 10^6 routine.  A constructor whose own point fails that
+check raises ``NumericError``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +50,14 @@ from .simplex import simplex_solve_arrays
 
 #: Largest n of either primal LP; the weak one's dense tableau has ~n^4 cells.
 SIZE_CAP = 60
-#: Largest n of either dual certificate; the weak one peaks near 130 B per n.
+#: Largest n of either dual certificate; the weak one peaks near 48 B per n
+#: (tracemalloc at n = 2e6): its rhs, z and the objective's j and sum.
 CERT_CAP = 10**7
 #: How far below 0 a certificate's slack may fall to roundoff before it fails.
 SLACK_TOL = 1e-12
+#: Elements per chunk of the certificate sweep and verifier: each of their
+#: per-chunk arrays is 128 KiB, so a chunk's steps stay in cache.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -132,6 +142,13 @@ def simplex_solve(lp: LinearProgram) -> PrimalSolution:
 # Dual certificates: one backward sweep
 # ---------------------------------------------------------------------------
 
+def _chunks(top):
+    """(lo, hi) index ranges covering [0, top) from the top down, each
+    ``_CHUNK`` wide but the last."""
+    for hi in range(top, 0, -_CHUNK):
+        yield max(hi - _CHUNK, 0), hi
+
+
 def _sweep(rhs):
     """Backward sweep behind both dual certificates.  ``rhs`` holds one
     array over j = 1..n per family r of rows j z_{r,j} + s_j >= rhs_{r,j},
@@ -142,35 +159,53 @@ def _sweep(rhs):
     telescopes in s_j/(j)_f, (j)_f = j (j-1) ... (j-f+1), into one suffix
     cumsum from the stretch's top J (first J = n, s_n = 0):
     s_m/(m)_f = s_J/(J)_f + sum_{k=m+1}^{J} R_k/(k)_{f+1} for m >= f.  A
-    family that goes negative is zero from the largest such j down (its
-    break), and the rest restart there.  Returns the z arrays, each
-    family's break (0 if none) and the objective sum_j j sum_r z_{r,j}."""
+    stretch runs down in ``_CHUNK``-element chunks, the cumsum carried from
+    one to the next, and stops at the chunk that holds its break: the
+    largest j where its last family goes negative.  That family is zero
+    from there down, and the rest restart there.  Returns the z arrays,
+    each family's break (0 if none) and the objective
+    sum_j j sum_r z_{r,j}."""
     n = rhs[0].size
     j = np.arange(1.0, n + 1.0)
-    z, breaks = [np.empty(n) for _ in rhs], [0] * len(rhs)
+    z, breaks = [np.zeros(n) for _ in rhs], [0] * len(rhs)
     top, s_top = n, 0.0
     for f in range(len(rhs), 0, -1):
-        r = sum(rhs[1:f], rhs[0])
-        m = ff = j[f - 1:top]                 # ff: (m)_f, m = f..top
-        for d in range(1, f):
-            ff = ff * (m - d)
-        s = np.empty(top)
-        t = s[f - 1:]                         # s_m/(m)_f, then s_m
-        np.divide(r[f:top], ff[1:] * (m[1:] - f), out=t[:-1])
-        t[-1] = s_top / ff[-1]
-        np.cumsum(t[::-1], out=t[::-1])
-        t *= ff
-        for k in range(f - 1, 0, -1):         # m < f: the recurrence itself
-            s[k - 1] = s[k] * (k + 1 - f) / (k + 1) + r[k] / (k + 1)
-        for zk, rk in zip(z[:f], rhs):
-            np.subtract(rk[:top], s, out=zk[:top])
-            zk[:top] /= j[:top]
-        negative = np.flatnonzero(z[f - 1][:top] < 0.0)
-        if not negative.size:
+        for lo, hi in _chunks(top):
+            # the chunk holds j = lo+1..hi; r is R_{j+1} for each j < top
+            end = min(hi + 1, top)
+            r = sum((rk[lo + 1:end] for rk in rhs[1:f]), rhs[0][lo + 1:end])
+            s = np.empty(hi - lo)
+            a = max(lo, f - 1)
+            if a < hi:
+                m = ff = j[a:end]             # ff: (m)_f, m = a+1..end
+                for d in range(1, f):
+                    ff = ff * (m - d)
+                t = s[a - lo:]                # s_m/(m)_f, then s_m
+                np.divide(r[a - lo:], ff[1:] * (m[1:] - f),
+                          out=t[:end - a - 1])
+                if hi == top:
+                    t[-1] = s_top / ff[-1]
+                else:                         # the cumsum of the chunk above
+                    t[-1] += carry
+                np.cumsum(t[::-1], out=t[::-1])
+                carry = t[0]
+                t *= ff[:hi - a]
+            # m < f: the recurrence itself, s_m at index m - 1
+            for k in range(min(f - 1, hi) - 1, lo - 1, -1):
+                above = s[k + 1 - lo] if k + 1 < hi else s_hi
+                s[k - lo] = above * (k + 2 - f) / (k + 2) + r[k - lo] / (k + 2)
+            s_hi = s[0]
+            for zk, rk in zip(z[:f], rhs):
+                np.subtract(rk[lo:hi], s, out=zk[lo:hi])
+                zk[lo:hi] /= j[lo:hi]
+            negative = np.flatnonzero(z[f - 1][lo:hi] < 0.0)
+            if negative.size:
+                top = breaks[f - 1] = lo + int(negative[-1]) + 1
+                s_top = s[top - 1 - lo]
+                z[f - 1][lo:top] = 0.0
+                break
+        else:                                 # no break down to j = 1
             break
-        top = breaks[f - 1] = int(negative[-1]) + 1
-        s_top = s[top - 1]
-        z[f - 1][:top] = 0.0
     return z, breaks, float(j @ sum(z[1:], z[0]))
 
 
@@ -263,16 +298,31 @@ def verify_dual_feasibility(z, rhs) -> FeasibilityReport:
         j z_{r,j} + sum_{k>j} sum_{r'} z_{r',k} >= rhs_{r,j};
 
     the strong dual has one family (y), the weak dual two (alpha, beta).
-    A residual is LHS - RHS; feasibility means every residual >= 0."""
-    total = sum(z[1:], z[0])  # from z[0]: 0 + -0.0 would drop the sign
-    suffix = np.zeros(total.size)
-    suffix[:-1] = np.cumsum(total[:0:-1])[::-1]   # sum_{k>j} of every family
-    j = np.arange(1.0, total.size + 1.0)
-    found = []
-    for zr, rr in zip(z, rhs):
-        residual = j * zr + suffix - rr
-        arg = int(np.argmin(residual))
-        found.append((float(residual[arg]), arg + 1))
+    A residual is LHS - RHS; feasibility means every residual >= 0.  The
+    slacks are computed in ``_CHUNK``-element chunks from j = n down, the
+    suffix sum carried from one to the next; a family's lowest j wins a
+    tie for its smallest slack."""
+    n = z[0].size
+    found = [(math.inf, 0)] * len(z)
+    for lo, hi in _chunks(n):
+        # suffix: sum_{k>j} of every family for j = lo+1..hi, 0 at j = n
+        end = min(hi + 1, n)
+        suffix = np.zeros(hi - lo)
+        part = suffix[:end - lo - 1]
+        part[:] = z[0][lo + 1:end]    # from z[0]: 0 + -0.0 would drop the sign
+        for zr in z[1:]:
+            part += zr[lo + 1:end]
+        if hi < n - 1:                # the suffix above, but no 0 of j = n
+            part[-1] += carry
+        np.cumsum(part[::-1], out=part[::-1])
+        carry = suffix[0]
+        j = np.arange(lo + 1.0, hi + 1.0)
+        for r, (zr, rr) in enumerate(zip(z, rhs)):
+            residual = j * zr[lo:hi] + suffix - rr[lo:hi]
+            arg = int(np.argmin(residual))
+            value = float(residual[arg])
+            if value <= found[r][0] or value != value:  # NaN as np.argmin
+                found[r] = (value, lo + arg + 1)
     return FeasibilityReport(*zip(*found), *min(found, key=lambda f: f[0]))
 
 

@@ -188,6 +188,11 @@ def _fraction(text: str) -> Fraction:
     digits = exp[1].replace("_", "").lstrip("0") if exp else ""
     if len(digits) > len(str(cap)) or int(digits or 0) > cap:
         raise InvalidInstanceError(f"price {text!r} has an exponent past {cap}")
+    # and int() refuses a longer run of digits (underscores join a run)
+    if any(len(run) - run.count("_") > cap
+           for run in re.findall(r"\d+(?:_\d+)*", text)):
+        raise InvalidInstanceError(
+            f"price {text[:20]!r}... has more than {cap} digits")
     try:
         value = Fraction(text)
     except ZeroDivisionError:

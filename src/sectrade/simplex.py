@@ -40,8 +40,12 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     rows = np.flatnonzero(T[:, col])
     rows = rows[rows != row]
     cols = np.flatnonzero(T[row])
-    # cells outside rows x cols would only have 0 * x subtracted
-    T[np.ix_(rows, cols)] -= np.outer(T[rows, col], T[row, cols])
+    # cells outside rows x cols would only have 0 * x subtracted; the
+    # block is one gather and one scatter on T's flat view
+    assert T.flags.c_contiguous
+    flat = T.reshape(-1)
+    block = rows[:, None] * T.shape[1] + cols
+    flat[block] -= np.outer(T[rows, col], T[row, cols])
     basis[row] = col
 
 

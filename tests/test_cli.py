@@ -191,6 +191,9 @@ class TestSimulate:
         # Fraction would expand the exponent into an exact integer first
         *((json.dumps({"buyer_prices": [1], "seller_price": text}),
            f"price {text!r}") for text in ("1e-999999999", "1e-5000")),
+        # int() would refuse the 5000-digit run without naming the price
+        (json.dumps({"buyer_prices": [1], "seller_price": "1" * 5000}),
+         f"price {'1' * 20!r}... has more than 4300 digits"),
         pytest.param("[" * 3000 + "]" * 3000, "nests too deeply",
                      id="nested"),
     ])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sectrade import simplex
+from sectrade import lp, simplex
 from sectrade.errors import NumericError, SizeCapError, UnboundedProblem
 from sectrade.lp import (_sweep, _weak_rhs, build_strong_primal,
                          build_weak_primal, simplex_solve, strong_dual_certificate,
@@ -66,6 +66,53 @@ def plain_induction(rhs):
         s += sum(zr[j - 1] for zr in z)
     objective = sum(j * sum(zr[j - 1] for zr in z) for j in range(1, n + 1))
     return [np.array(zr) for zr in z], objective
+
+
+def whole_sweep(rhs):
+    """Reference for ``lp._sweep``: every stretch over the whole range
+    [1, top], one suffix cumsum each, then cut at its break."""
+    n = rhs[0].size
+    j = np.arange(1.0, n + 1.0)
+    z, breaks = [np.empty(n) for _ in rhs], [0] * len(rhs)
+    top, s_top = n, 0.0
+    for f in range(len(rhs), 0, -1):
+        r = sum(rhs[1:f], rhs[0])
+        m = ff = j[f - 1:top]                 # ff: (m)_f, m = f..top
+        for d in range(1, f):
+            ff = ff * (m - d)
+        s = np.empty(top)
+        t = s[f - 1:]                         # s_m/(m)_f, then s_m
+        np.divide(r[f:top], ff[1:] * (m[1:] - f), out=t[:-1])
+        t[-1] = s_top / ff[-1]
+        np.cumsum(t[::-1], out=t[::-1])
+        t *= ff
+        for k in range(f - 1, 0, -1):         # m < f: the recurrence itself
+            s[k - 1] = s[k] * (k + 1 - f) / (k + 1) + r[k] / (k + 1)
+        for zk, rk in zip(z[:f], rhs):
+            np.subtract(rk[:top], s, out=zk[:top])
+            zk[:top] /= j[:top]
+        negative = np.flatnonzero(z[f - 1][:top] < 0.0)
+        if not negative.size:
+            break
+        top = breaks[f - 1] = int(negative[-1]) + 1
+        s_top = s[top - 1]
+        z[f - 1][:top] = 0.0
+    return z, breaks, float(j @ sum(z[1:], z[0]))
+
+
+def whole_verify(z, rhs):
+    """Reference for ``lp.verify_dual_feasibility``: whole-array total,
+    suffix and residuals.  Returns (min residual, argmin j) per family."""
+    total = sum(z[1:], z[0])
+    suffix = np.zeros(total.size)
+    suffix[:-1] = np.cumsum(total[:0:-1])[::-1]
+    j = np.arange(1.0, total.size + 1.0)
+    found = []
+    for zr, rr in zip(z, rhs):
+        residual = j * zr + suffix - rr
+        arg = int(np.argmin(residual))
+        found.append((float(residual[arg]), arg + 1))
+    return found
 
 
 def closed_form_strong(n):
@@ -379,6 +426,83 @@ class TestSweepInduction:
                 assert np.abs(zr - rr).max() <= 1e-12 * scale
                 assert not zr[:b].any()
             assert abs(objective - ref_objective) <= 1e-12 * abs(ref_objective)
+
+
+def strong_rhs(n):
+    return (np.arange(1.0, n + 1.0) / ((n + 1.0) * n),)
+
+
+class TestChunkedSweep:
+    """``_sweep`` and ``verify_dual_feasibility`` run in ``lp._CHUNK``-element
+    chunks; every chunk size gives the whole-array bits."""
+
+    def same_as_whole(self, rhs):
+        z, breaks, objective = _sweep(rhs)
+        ref_z, ref_breaks, ref_objective = whole_sweep(rhs)
+        assert [zr.tobytes() for zr in z] == [zr.tobytes() for zr in ref_z]
+        assert breaks == ref_breaks
+        assert objective.hex() == ref_objective.hex()
+        self.same_verdict(z, rhs)
+        return breaks
+
+    @staticmethod
+    def same_verdict(z, rhs):
+        report = verify_dual_feasibility(z, rhs)
+        found = [(res.hex(), j) for res, j in zip(report.min_residuals,
+                                                  report.argmins)]
+        assert found == [(res.hex(), j) for res, j in whole_verify(z, rhs)]
+
+    @pytest.fixture(params=[1, 2, 3, 7, 64])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(lp, "_CHUNK", request.param)
+        return request.param
+
+    def test_strong_rhs(self, chunk):
+        for n in range(2, 301):
+            self.same_as_whole(strong_rhs(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 300, 3000])
+    def test_weak_rhs(self, chunk, n):
+        # n = 2 and 3 run the m < f tail; w1 = 1 gives w2 = 0, an exact
+        # zero in rv and beta at j = n
+        for w1 in (0.0, 0.3, 0.5, 0.970659, 1.0):
+            self.same_as_whole(_weak_rhs(n, w1, 1.0 - w1))
+
+    def test_zero_at_the_top(self, chunk):
+        for n in (2, 3, 65, 300):
+            rhs = _weak_rhs(n, 1.0, 0.0)
+            assert rhs[1][-1] == 0.0
+            assert self.same_as_whole(rhs)[1] == n - 1
+
+    def test_break_on_a_chunk_edge(self, monkeypatch):
+        # each break is the lowest, then the highest, element of a chunk
+        n = 300
+        rhs = _weak_rhs(n, W1, W2)
+        j_double_star, j_star = whole_sweep(rhs)[1]
+        assert 1 < j_double_star < j_star < n
+        for size in (n - j_star + 1, n - j_star, j_star - j_double_star + 1,
+                     j_star - j_double_star):
+            monkeypatch.setattr(lp, "_CHUNK", size)
+            assert self.same_as_whole(rhs) == [j_double_star, j_star]
+
+    def test_default_chunk_spans_several(self):
+        for n in (lp._CHUNK + 1, 3 * lp._CHUNK, 40_001):
+            self.same_as_whole(strong_rhs(n))
+            self.same_as_whole(_weak_rhs(n, W1, W2))
+
+    def test_verifier_tie_goes_to_the_lowest_j(self, chunk):
+        # residual -1 at j = 3 and j = 8, in different chunks when the
+        # chunk is 3 or 7 wide; a NaN wins over any number, the first one
+        z = (np.zeros(10),)
+        rhs = np.zeros(10)
+        rhs[[2, 7]] = 1.0
+        report = verify_dual_feasibility(z, (rhs,))
+        assert (report.min_residual, report.argmin_j) == (-1.0, 3)
+        self.same_verdict(z, (rhs,))
+        rhs[[5, 8]] = math.nan
+        report = verify_dual_feasibility(z, (rhs,))
+        assert math.isnan(report.min_residual) and report.argmin_j == 6
+        self.same_verdict(z, (rhs,))
 
 
 class TestStrongCertificate:

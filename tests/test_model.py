@@ -579,11 +579,34 @@ class TestInstanceJson:
             load_instance({"buyer_prices": [1], "seller_price": text})
         assert time.perf_counter() - began < 0.5
 
+    @pytest.mark.parametrize("text", [
+        "1" * 5000, "1/" + "3" * 4301, "0." + "1" * 4301, "1_" * 4300 + "1",
+    ])
+    def test_digit_run_past_the_cap(self, text):
+        # int() would refuse the run with its own message, naming no price
+        with pytest.raises(InvalidInstanceError, match=re.escape(
+                f"price {text[:20]!r}... has more than 4300 digits")):
+            load_instance({"buyer_prices": [1], "seller_price": text})
+
+    def test_family_parameter_errors_keep_their_wording(self):
+        # a size goes through int(), a ratio with "/" through the price rule
+        for item in ("r=x/y", "r=1/2/3", "r=1e5000/2", "n=" + "1" * 5000):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"bad family parameter {item!r}")):
+                parse_family_spec(f"geometric:{item}")
+        ratio = "1/" + "3" * 5000
+        with pytest.raises(InvalidInstanceError, match=re.escape(
+                f"price {ratio[:20]!r}... has more than 4300 digits")):
+            parse_family_spec(f"geometric:n=3,r={ratio}")
+
     def test_price_string_at_the_digit_cap(self):
         inst = load_instance({"buyer_prices": ["1e-4299", "1e4299"],
                               "seller_price": "1E+4_299"})
         assert inst.buyer_prices == (Fraction(1, 10**4299), 10**4299)
         assert inst.seller_price == 10**4299
+        inst = load_instance({"buyer_prices": ["9" * 4300, "1_" * 4299 + "1"],
+                              "seller_price": "1/" + "7" * 4300})
+        assert inst.buyer_prices == (10**4300 - 1, (10**4300 - 1) // 9)
         assert len(inst.digest()) == 16
 
     def test_deeply_nested_file(self, tmp_path):

@@ -74,6 +74,11 @@ COMMANDS = {
     "certify_strong_n10": (["certify", "strong", "--n", "10"], ".json"),
     "certify_strong_1e6": (["certify", "strong", "--n", "1000000"], ".json"),
     "certify_weak_2e6": (["certify", "weak", "--n", "2000000", *W], ".json"),
+    # several 16384-element sweep and verifier chunks, with n no whole
+    # multiple of the chunk
+    "certify_weak_100003": (["certify", "weak", "--n", "100003", *W],
+                            ".json"),
+    "certify_strong_65537": (["certify", "strong", "--n", "65537"], ".json"),
     # both breaks of the sweep at small n: j* = 2, j** = 1
     "certify_weak_n3_w2": (["certify", "weak", "--n", "3", "--w1", "0",
                             "--w2", "1"], ".json"),
