@@ -57,8 +57,11 @@ def main():
     broken = strong_dual_certificate(n)
     broken.y_pos[80] += 1.0
     broken.y_pos[81:] -= 0.01
-    rhs = np.arange(1.0, n + 1.0) / ((n + 1.0) * n)   # j / ((n+1) n)
-    report = verify_dual_feasibility((broken.y_pos,), (rhs,))
+
+    def rows(lo, hi):                  # j / ((n+1) n) for j = lo+1..hi
+        return (np.arange(lo + 1.0, hi + 1.0) / ((n + 1.0) * n),)
+
+    report = verify_dual_feasibility((broken.y_pos,), rows)
     print(f"corrupted certificate: min slack = {report.min_residual:.3e} "
           f"at j = {report.argmin_j} (flagged infeasible)")
 

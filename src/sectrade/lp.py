@@ -33,8 +33,11 @@ the simplex returns, in that column order.
 Dual variables never depend on the seller position i, so certificates
 store one array over j per variable of a pair, and one O(n) verifier,
 a separate pass over the same chunks, checks either kind; that is what
-makes n = 2 * 10^6 routine.  A constructor whose own point fails that
-check raises ``NumericError``.
+makes n = 2 * 10^6 routine.  No right-hand side is held whole: a
+certificate passes a callable ``rows(lo, hi)`` that returns one array per
+family over j = lo+1..hi, and the sweep and the verifier each call it
+once per chunk.  A constructor whose own point fails that check raises
+``NumericError``.
 """
 
 from __future__ import annotations
@@ -50,8 +53,9 @@ from .simplex import simplex_solve_arrays
 
 #: Largest n of either primal LP; the weak one's dense tableau has ~n^4 cells.
 SIZE_CAP = 60
-#: Largest n of either dual certificate; the weak one peaks near 48 B per n
-#: (tracemalloc at n = 2e6): its rhs, z and the objective's j and sum.
+#: Largest n of either dual certificate; the weak one peaks near 32 B per n
+#: (tracemalloc at n = 2e6): alpha, beta, the sweep's j and the objective's
+#: sum; the strong one near 16 B per n, y and j.
 CERT_CAP = 10**7
 #: How far below 0 a certificate's slack may fall to roundoff before it fails.
 SLACK_TOL = 1e-12
@@ -149,10 +153,11 @@ def _chunks(top):
         yield max(hi - _CHUNK, 0), hi
 
 
-def _sweep(rhs):
-    """Backward sweep behind both dual certificates.  ``rhs`` holds one
-    array over j = 1..n per family r of rows j z_{r,j} + s_j >= rhs_{r,j},
-    s_j = sum_{k>j} sum_r z_{r,k}; the last family goes negative first.
+def _sweep(n, rows):
+    """Backward sweep behind both dual certificates.  ``rows(lo, hi)`` gives
+    one array over j = lo+1..hi per family r of rows j z_{r,j} + s_j >=
+    rhs_{r,j}, s_j = sum_{k>j} sum_r z_{r,k}; the last family goes negative
+    first.
 
     From j = n down, each active z_{r,j} holds its row with equality.  With
     f families active, s_{j-1} = s_j (j-f)/j + R_j/j (R_j: their rhs summed)
@@ -162,18 +167,21 @@ def _sweep(rhs):
     stretch runs down in ``_CHUNK``-element chunks, the cumsum carried from
     one to the next, and stops at the chunk that holds its break: the
     largest j where its last family goes negative.  That family is zero
-    from there down, and the rest restart there.  Returns the z arrays,
-    each family's break (0 if none) and the objective
+    from there down, and the rest restart there.  Each chunk asks ``rows``
+    for its own rows and the one above it, so no n-long rhs is held.
+    Returns the z arrays, each family's break (0 if none) and the objective
     sum_j j sum_r z_{r,j}."""
-    n = rhs[0].size
     j = np.arange(1.0, n + 1.0)
-    z, breaks = [np.zeros(n) for _ in rhs], [0] * len(rhs)
+    families = len(rows(0, 0))               # one empty array per family
+    z, breaks = [np.zeros(n) for _ in range(families)], [0] * families
     top, s_top = n, 0.0
-    for f in range(len(rhs), 0, -1):
+    for f in range(families, 0, -1):
         for lo, hi in _chunks(top):
-            # the chunk holds j = lo+1..hi; r is R_{j+1} for each j < top
+            # the chunk holds j = lo+1..hi, rhs j = lo+1..end; r is R_{j+1}
+            # for each j < top
             end = min(hi + 1, top)
-            r = sum((rk[lo + 1:end] for rk in rhs[1:f]), rhs[0][lo + 1:end])
+            rhs = rows(lo, end)
+            r = sum((rk[1:] for rk in rhs[1:f]), rhs[0][1:])
             s = np.empty(hi - lo)
             a = max(lo, f - 1)
             if a < hi:
@@ -196,7 +204,7 @@ def _sweep(rhs):
                 s[k - lo] = above * (k + 2 - f) / (k + 2) + r[k - lo] / (k + 2)
             s_hi = s[0]
             for zk, rk in zip(z[:f], rhs):
-                np.subtract(rk[lo:hi], s, out=zk[lo:hi])
+                np.subtract(rk[:hi - lo], s, out=zk[lo:hi])
                 zk[lo:hi] /= j[lo:hi]
             negative = np.flatnonzero(z[f - 1][lo:hi] < 0.0)
             if negative.size:
@@ -223,14 +231,21 @@ class StrongDualCertificate:
                 "min_residuals": {"dual": self.min_residual}}
 
 
+def _strong_rhs(n: int):
+    """The strong dual's rows: rhs_j = j/((n+1) n) for j = lo+1..hi."""
+    def rows(lo, hi):
+        return (np.arange(lo + 1.0, hi + 1.0) / ((n + 1.0) * n),)
+    return rows
+
+
 def strong_dual_certificate(n: int) -> StrongDualCertificate:
     """The sweep's one-family case, rhs_j = j/((n+1) n)."""
     n = check_size("strong_dual_certificate", "n", n, least=2, cap=CERT_CAP)
-    rhs = np.arange(1.0, n + 1.0) / ((n + 1.0) * n)
-    (y,), _, objective = _sweep((rhs,))
+    rows = _strong_rhs(n)
+    (y,), _, objective = _sweep(n, rows)
     return StrongDualCertificate(
         n=n, y_pos=y, j_star=int(np.argmax(y > 0.0)) + 1, objective=objective,
-        min_residual=_enforce(("dual",), (y,), (rhs,))[0])
+        min_residual=_enforce(("dual",), (y,), rows)[0])
 
 
 @dataclass(frozen=True)
@@ -255,11 +270,15 @@ class WeakDualCertificate:
 
 
 def _weak_rhs(n: int, w1: float, w2: float):
-    j = np.arange(1.0, n + 1.0)
+    """The weak dual's rows (ru, rv) for j = lo+1..hi."""
     denom = n * n + n
-    ru = 2.0 * j / denom * w1 + 3.0 * j * (2.0 * n - j) / (2.0 * n * denom) * w2
-    rv = 3.0 * j * (j - 1.0) / (2.0 * n * denom) * w2
-    return ru, rv
+    def rows(lo, hi):
+        j = np.arange(lo + 1.0, hi + 1.0)
+        ru = (2.0 * j / denom * w1
+              + 3.0 * j * (2.0 * n - j) / (2.0 * n * denom) * w2)
+        rv = 3.0 * j * (j - 1.0) / (2.0 * n * denom) * w2
+        return ru, rv
+    return rows
 
 
 def weak_dual_certificate(n: int, w1: float, w2: float) -> WeakDualCertificate:
@@ -270,9 +289,9 @@ def weak_dual_certificate(n: int, w1: float, w2: float) -> WeakDualCertificate:
     w2 = check_real("weak_dual_certificate", "w2", w2)
     if not (w1 >= 0 and w2 >= 0 and abs(w1 + w2 - 1.0) <= 1e-12):
         raise ValueError(f"need finite w1, w2 >= 0 with w1 + w2 = 1, got {w1}, {w2}")
-    ru, rv = _weak_rhs(n, w1, w2)
-    (alpha, beta), (j_double_star, j_star), objective = _sweep((ru, rv))
-    res_u, res_v = _enforce(("u", "v"), (alpha, beta), (ru, rv))
+    rows = _weak_rhs(n, w1, w2)
+    (alpha, beta), (j_double_star, j_star), objective = _sweep(n, rows)
+    res_u, res_v = _enforce(("u", "v"), (alpha, beta), rows)
     return WeakDualCertificate(
         n=n, w1=w1, w2=w2, alpha=alpha, beta=beta, j_star=j_star,
         j_double_star=j_double_star, objective=objective,
@@ -291,20 +310,32 @@ class FeasibilityReport:
     argmin_j: int
 
 
-def verify_dual_feasibility(z, rhs) -> FeasibilityReport:
+def verify_dual_feasibility(z, rows) -> FeasibilityReport:
     """Recompute every slack of a dual point given as one array z[r] over j
     per variable r of a pair (i, j), whose rows read
 
         j z_{r,j} + sum_{k>j} sum_{r'} z_{r',k} >= rhs_{r,j};
 
     the strong dual has one family (y), the weak dual two (alpha, beta).
-    A residual is LHS - RHS; feasibility means every residual >= 0.  The
-    slacks are computed in ``_CHUNK``-element chunks from j = n down, the
-    suffix sum carried from one to the next; a family's lowest j wins a
-    tie for its smallest slack."""
+    ``rows(lo, hi)`` returns rhs_{r,j} for j = lo+1..hi, one array per
+    family.  A residual is LHS - RHS; feasibility means every residual
+    >= 0.  The slacks are computed in ``_CHUNK``-element chunks from j = n
+    down, each chunk's rows built as it goes and the suffix sum carried
+    from one to the next; a family's lowest j wins a tie for its smallest
+    slack.  Raises ``ValueError`` when the z arrays differ in length or a
+    chunk's rows are not one array of its width per family."""
     n = z[0].size
+    if any(np.shape(zr) != (n,) for zr in z):
+        raise ValueError("dual arrays differ in length: "
+                         f"{[np.shape(zr) for zr in z]}")
     found = [(math.inf, 0)] * len(z)
     for lo, hi in _chunks(n):
+        rhs = rows(lo, hi)
+        if (len(rhs) != len(z)
+                or any(np.shape(rr) != (hi - lo,) for rr in rhs)):
+            raise ValueError(f"rows({lo}, {hi}) gave shapes "
+                             f"{[np.shape(rr) for rr in rhs]}, need "
+                             f"{len(z)} of ({hi - lo},)")
         # suffix: sum_{k>j} of every family for j = lo+1..hi, 0 at j = n
         end = min(hi + 1, n)
         suffix = np.zeros(hi - lo)
@@ -318,7 +349,7 @@ def verify_dual_feasibility(z, rhs) -> FeasibilityReport:
         carry = suffix[0]
         j = np.arange(lo + 1.0, hi + 1.0)
         for r, (zr, rr) in enumerate(zip(z, rhs)):
-            residual = j * zr[lo:hi] + suffix - rr[lo:hi]
+            residual = j * zr[lo:hi] + suffix - rr
             arg = int(np.argmin(residual))
             value = float(residual[arg])
             if value <= found[r][0] or value != value:  # NaN as np.argmin
@@ -326,9 +357,9 @@ def verify_dual_feasibility(z, rhs) -> FeasibilityReport:
     return FeasibilityReport(*zip(*found), *min(found, key=lambda f: f[0]))
 
 
-def _enforce(families, z, rhs) -> tuple:
+def _enforce(families, z, rows) -> tuple:
     """Per-family minimum slacks of z; raises if one is < -SLACK_TOL or NaN."""
-    report = verify_dual_feasibility(z, rhs)
+    report = verify_dual_feasibility(z, rows)
     for name, res, j in zip(families, report.min_residuals, report.argmins):
         if not res >= -SLACK_TOL:
             raise NumericError(f"dual certificate infeasible: {name} row at "

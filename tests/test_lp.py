@@ -1,17 +1,32 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sectrade import lp, simplex
 from sectrade.errors import NumericError, SizeCapError, UnboundedProblem
-from sectrade.lp import (_sweep, _weak_rhs, build_strong_primal,
+from sectrade.lp import (_strong_rhs, _sweep, _weak_rhs, build_strong_primal,
                          build_weak_primal, simplex_solve, strong_dual_certificate,
                          verify_dual_feasibility, weak_dual_certificate)
 from sectrade.simplex import simplex_solve_arrays
 
 W1, W2 = 0.970659, 0.029341
+
+
+def rows_of(arrays):
+    """The ``rows(lo, hi)`` callable of whole rhs arrays: their slices."""
+    return lambda lo, hi: tuple(a[lo:hi] for a in arrays)
+
+
+def whole_weak_rhs(n, w1, w2):
+    """Reference for ``lp._weak_rhs``: ru and rv as whole arrays."""
+    j = np.arange(1.0, n + 1.0)
+    denom = n * n + n
+    ru = 2.0 * j / denom * w1 + 3.0 * j * (2.0 * n - j) / (2.0 * n * denom) * w2
+    rv = 3.0 * j * (j - 1.0) / (2.0 * n * denom) * w2
+    return ru, rv
 
 
 def dense_pivot(T, basis, row, col):
@@ -26,7 +41,7 @@ def dense_pivot(T, basis, row, col):
 def loop_sweep(n, w1, w2):
     """Reference weak certificate: the two backward sweeps as scalar loops.
     Returns alpha, beta, j*, j**."""
-    ru_arr, rv_arr = _weak_rhs(n, w1, w2)
+    ru_arr, rv_arr = whole_weak_rhs(n, w1, w2)
     ru, rv = ru_arr.tolist(), rv_arr.tolist()
     alpha, beta = [0.0] * n, [0.0] * n
     s = 0.0
@@ -416,10 +431,10 @@ class TestSweepInduction:
         # not compared (at an exact zero they differ by definition: w2 = 0
         # gives 0 at j = n), but z is 0 at and below each of them
         cases = [(np.arange(1.0, n + 1.0) / ((n + 1.0) * n),)]
-        cases += [_weak_rhs(n, w1, 1.0 - w1)
+        cases += [whole_weak_rhs(n, w1, 1.0 - w1)
                   for w1 in (0.0, 0.3, 0.5, 0.970659, 1.0)]
         for rhs in cases:
-            z, breaks, objective = _sweep(rhs)
+            z, breaks, objective = _sweep(n, rows_of(rhs))
             ref, ref_objective = plain_induction(rhs)
             scale = max(float(np.abs(zr).max()) for zr in ref)
             for zr, rr, b in zip(z, ref, breaks):
@@ -434,20 +449,22 @@ def strong_rhs(n):
 
 class TestChunkedSweep:
     """``_sweep`` and ``verify_dual_feasibility`` run in ``lp._CHUNK``-element
-    chunks; every chunk size gives the whole-array bits."""
+    chunks, building each chunk's rows as they go; every chunk size gives
+    the whole-array bits.  ``rows`` defaults to slices of ``rhs``."""
 
-    def same_as_whole(self, rhs):
-        z, breaks, objective = _sweep(rhs)
+    def same_as_whole(self, rhs, rows=None):
+        rows = rows or rows_of(rhs)
+        z, breaks, objective = _sweep(rhs[0].size, rows)
         ref_z, ref_breaks, ref_objective = whole_sweep(rhs)
         assert [zr.tobytes() for zr in z] == [zr.tobytes() for zr in ref_z]
         assert breaks == ref_breaks
         assert objective.hex() == ref_objective.hex()
-        self.same_verdict(z, rhs)
+        self.same_verdict(z, rhs, rows)
         return breaks
 
     @staticmethod
-    def same_verdict(z, rhs):
-        report = verify_dual_feasibility(z, rhs)
+    def same_verdict(z, rhs, rows=None):
+        report = verify_dual_feasibility(z, rows or rows_of(rhs))
         found = [(res.hex(), j) for res, j in zip(report.min_residuals,
                                                   report.argmins)]
         assert found == [(res.hex(), j) for res, j in whole_verify(z, rhs)]
@@ -459,25 +476,26 @@ class TestChunkedSweep:
 
     def test_strong_rhs(self, chunk):
         for n in range(2, 301):
-            self.same_as_whole(strong_rhs(n))
+            self.same_as_whole(strong_rhs(n), _strong_rhs(n))
 
     @pytest.mark.parametrize("n", [2, 3, 10, 300, 3000])
     def test_weak_rhs(self, chunk, n):
         # n = 2 and 3 run the m < f tail; w1 = 1 gives w2 = 0, an exact
         # zero in rv and beta at j = n
         for w1 in (0.0, 0.3, 0.5, 0.970659, 1.0):
-            self.same_as_whole(_weak_rhs(n, w1, 1.0 - w1))
+            self.same_as_whole(whole_weak_rhs(n, w1, 1.0 - w1),
+                               _weak_rhs(n, w1, 1.0 - w1))
 
     def test_zero_at_the_top(self, chunk):
         for n in (2, 3, 65, 300):
-            rhs = _weak_rhs(n, 1.0, 0.0)
+            rhs = whole_weak_rhs(n, 1.0, 0.0)
             assert rhs[1][-1] == 0.0
             assert self.same_as_whole(rhs)[1] == n - 1
 
     def test_break_on_a_chunk_edge(self, monkeypatch):
         # each break is the lowest, then the highest, element of a chunk
         n = 300
-        rhs = _weak_rhs(n, W1, W2)
+        rhs = whole_weak_rhs(n, W1, W2)
         j_double_star, j_star = whole_sweep(rhs)[1]
         assert 1 < j_double_star < j_star < n
         for size in (n - j_star + 1, n - j_star, j_star - j_double_star + 1,
@@ -487,8 +505,9 @@ class TestChunkedSweep:
 
     def test_default_chunk_spans_several(self):
         for n in (lp._CHUNK + 1, 3 * lp._CHUNK, 40_001):
-            self.same_as_whole(strong_rhs(n))
-            self.same_as_whole(_weak_rhs(n, W1, W2))
+            self.same_as_whole(strong_rhs(n), _strong_rhs(n))
+            self.same_as_whole(whole_weak_rhs(n, W1, W2),
+                               _weak_rhs(n, W1, W2))
 
     def test_verifier_tie_goes_to_the_lowest_j(self, chunk):
         # residual -1 at j = 3 and j = 8, in different chunks when the
@@ -496,13 +515,95 @@ class TestChunkedSweep:
         z = (np.zeros(10),)
         rhs = np.zeros(10)
         rhs[[2, 7]] = 1.0
-        report = verify_dual_feasibility(z, (rhs,))
+        report = verify_dual_feasibility(z, rows_of((rhs,)))
         assert (report.min_residual, report.argmin_j) == (-1.0, 3)
         self.same_verdict(z, (rhs,))
         rhs[[5, 8]] = math.nan
-        report = verify_dual_feasibility(z, (rhs,))
+        report = verify_dual_feasibility(z, rows_of((rhs,)))
         assert math.isnan(report.min_residual) and report.argmin_j == 6
         self.same_verdict(z, (rhs,))
+
+
+def read_ranges(n):
+    """Every ``lp._chunks`` range, then the one row past each chunk edge
+    that the sweep reads for its shifted R_{j+1}."""
+    ranges = list(lp._chunks(n))
+    return ranges + [(lo, hi + 1) for lo, hi in ranges if hi < n]
+
+
+class TestRowsPerChunk:
+    """The certificates' ``rows(lo, hi)`` give the whole-array bits on every
+    range the sweep and the verifier read."""
+
+    # _CHUNK = 1 at n = 100003 is left out: 2e5 calls per weight take
+    # seconds, and n = 16385 already crosses a chunk edge at that size
+    @pytest.mark.parametrize("chunk,n", [
+        (chunk, n) for chunk in (1, 7, 64, 1 << 14)
+        for n in (2, 3, 16385, 100003) if (chunk, n) != (1, 100003)])
+    def test_rows_are_whole_array_slices(self, monkeypatch, chunk, n):
+        monkeypatch.setattr(lp, "_CHUNK", chunk)
+        ranges = read_ranges(n)
+        # w1 = 1 gives w2 = 0, where rv is exactly zero
+        cases = [(_weak_rhs(n, w1, 1.0 - w1), whole_weak_rhs(n, w1, 1.0 - w1))
+                 for w1 in (0.0, 0.3, 0.5, 0.970659, 1.0)]
+        cases.append((_strong_rhs(n), strong_rhs(n)))
+        for rows, whole in cases:
+            got = [rows(lo, hi) for lo, hi in ranges]
+            assert all(len(g) == len(whole) for g in got)
+            for r, w in enumerate(whole):
+                mine = np.concatenate([g[r] for g in got])
+                ref = np.concatenate([w[lo:hi] for lo, hi in ranges])
+                assert mine.tobytes() == ref.tobytes()
+
+
+class TestVerifierShapes:
+    """A verifier input whose shapes do not match raises instead of
+    reporting a slack."""
+
+    def test_fewer_rows_than_families(self):
+        with pytest.raises(ValueError, match=r"rows\(0, 3\)"):
+            verify_dual_feasibility((np.ones(3), np.ones(3)),
+                                    rows_of((np.zeros(3),)))
+
+    def test_more_rows_than_families(self):
+        with pytest.raises(ValueError, match=r"rows\(0, 3\)"):
+            verify_dual_feasibility((np.ones(3),),
+                                    rows_of((np.zeros(3), np.zeros(3))))
+
+    def test_dual_arrays_differ_in_length(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            verify_dual_feasibility((np.ones(3), np.ones(5)),
+                                    rows_of((np.zeros(3), np.zeros(5))))
+        with pytest.raises(ValueError, match="differ in length"):
+            verify_dual_feasibility((np.ones(5), np.ones(3)),
+                                    rows_of((np.zeros(5), np.zeros(3))))
+
+    def test_rows_of_the_wrong_width(self, monkeypatch):
+        # the chunks are (6, 10), (2, 6), (0, 2); only the second one's
+        # rows come one entry short
+        monkeypatch.setattr(lp, "_CHUNK", 4)
+        rhs = np.zeros(10)
+        with pytest.raises(ValueError, match=r"rows\(2, 6\)"):
+            verify_dual_feasibility(
+                (np.ones(10),), lambda lo, hi: (rhs[lo:hi - (lo == 2)],))
+
+
+class TestCertificateMemory:
+    """Neither certificate holds an n-long rhs: the traced peak is z, the
+    sweep's j, the objective's sum and cache-sized chunks."""
+
+    @pytest.mark.parametrize("certificate,bytes_per_n", [
+        (lambda n: weak_dual_certificate(n, W1, W2), 40),
+        (strong_dual_certificate, 21)])
+    def test_traced_peak(self, certificate, bytes_per_n):
+        n = 300_000
+        tracemalloc.start()
+        try:
+            certificate(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bytes_per_n * n
 
 
 class TestStrongCertificate:
@@ -550,7 +651,7 @@ class TestStrongCertificate:
         cert.y_pos[40] += 1.0  # break a suffix: earlier rows now over-count
         cert.y_pos[41:] -= 0.02
         rhs = np.arange(1.0, n + 1.0) / ((n + 1.0) * n)  # j / ((n+1) n)
-        report = verify_dual_feasibility((cert.y_pos,), (rhs,))
+        report = verify_dual_feasibility((cert.y_pos,), rows_of((rhs,)))
         assert report.min_residual < -1e-6
 
 
@@ -561,8 +662,9 @@ class TestRefusedCertificates:
     @pytest.fixture
     def stricter(self, monkeypatch):
         monkeypatch.setattr(
-            "sectrade.lp.verify_dual_feasibility", lambda z, rhs:
-            verify_dual_feasibility(z, tuple(r + 1e-9 for r in rhs)))
+            "sectrade.lp.verify_dual_feasibility", lambda z, rows:
+            verify_dual_feasibility(z, lambda lo, hi:
+                                    tuple(r + 1e-9 for r in rows(lo, hi))))
 
     def test_strong_raises(self, stricter):
         with pytest.raises(NumericError, match=r"dual row at j=\d+"):

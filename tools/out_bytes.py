@@ -82,6 +82,12 @@ COMMANDS = {
     # both breaks of the sweep at small n: j* = 2, j** = 1
     "certify_weak_n3_w2": (["certify", "weak", "--n", "3", "--w1", "0",
                             "--w2", "1"], ".json"),
+    # rv is exactly zero, so beta breaks at j* = n - 1, just under the
+    # first chunk edge
+    "certify_weak_16385_w2zero": (["certify", "weak", "--n", "16385",
+                                   "--w1", "1", "--w2", "0"], ".json"),
+    # n is exactly one sweep and verifier chunk
+    "certify_strong_16384": (["certify", "strong", "--n", "16384"], ".json"),
     "lp_weak_n30": (["lp", "solve", "--which", "weak", "--n", "30"], ".json"),
     "lp_strong_n40": (["lp", "solve", "--which", "strong", "--n", "40"],
                       ".json"),
