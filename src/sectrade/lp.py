@@ -34,10 +34,9 @@ Dual variables never depend on the seller position i, so certificates
 store one array over j per variable of a pair, and one O(n) verifier,
 a separate pass over the same chunks, checks either kind; that is what
 makes n = 2 * 10^6 routine.  No right-hand side is held whole: a
-certificate passes a callable ``rows(lo, hi)`` that returns one array per
-family over j = lo+1..hi, and the sweep and the verifier each call it
-once per chunk.  A constructor whose own point fails that check raises
-``NumericError``.
+certificate passes one function of j per family, called per chunk, only
+for the active families.  A constructor whose own point fails the
+verifier's check raises ``NumericError``.
 """
 
 from __future__ import annotations
@@ -153,11 +152,11 @@ def _chunks(top):
         yield max(hi - _CHUNK, 0), hi
 
 
-def _sweep(n, rows):
-    """Backward sweep behind both dual certificates.  ``rows(lo, hi)`` gives
-    one array over j = lo+1..hi per family r of rows j z_{r,j} + s_j >=
-    rhs_{r,j}, s_j = sum_{k>j} sum_r z_{r,k}; the last family goes negative
-    first.
+def _sweep(n, rhs):
+    """Backward sweep behind both dual certificates.  ``rhs`` holds one
+    elementwise function of the float array j per family r of rows
+    j z_{r,j} + s_j >= rhs_{r,j}, s_j = sum_{k>j} sum_r z_{r,k}; the last
+    family goes negative first.
 
     From j = n down, each active z_{r,j} holds its row with equality.  With
     f families active, s_{j-1} = s_j (j-f)/j + R_j/j (R_j: their rhs summed)
@@ -167,21 +166,21 @@ def _sweep(n, rows):
     stretch runs down in ``_CHUNK``-element chunks, the cumsum carried from
     one to the next, and stops at the chunk that holds its break: the
     largest j where its last family goes negative.  That family is zero
-    from there down, and the rest restart there.  Each chunk asks ``rows``
-    for its own rows and the one above it, so no n-long rhs is held.
+    from there down, and the rest restart there.  Each chunk calls the
+    functions of the active families alone, on its own j and the one above
+    it, so no n-long rhs is held.
     Returns the z arrays, each family's break (0 if none) and the objective
     sum_j j sum_r z_{r,j}."""
     j = np.arange(1.0, n + 1.0)
-    families = len(rows(0, 0))               # one empty array per family
-    z, breaks = [np.zeros(n) for _ in range(families)], [0] * families
+    z, breaks = [np.zeros(n) for _ in rhs], [0] * len(rhs)
     top, s_top = n, 0.0
-    for f in range(families, 0, -1):
+    for f in range(len(rhs), 0, -1):
         for lo, hi in _chunks(top):
-            # the chunk holds j = lo+1..hi, rhs j = lo+1..end; r is R_{j+1}
+            # the chunk holds j = lo+1..hi, rows j = lo+1..end; r is R_{j+1}
             # for each j < top
             end = min(hi + 1, top)
-            rhs = rows(lo, end)
-            r = sum((rk[1:] for rk in rhs[1:f]), rhs[0][1:])
+            rows = [fn(j[lo:end]) for fn in rhs[:f]]
+            r = sum((rk[1:] for rk in rows[1:]), rows[0][1:])
             s = np.empty(hi - lo)
             a = max(lo, f - 1)
             if a < hi:
@@ -203,7 +202,7 @@ def _sweep(n, rows):
                 above = s[k + 1 - lo] if k + 1 < hi else s_hi
                 s[k - lo] = above * (k + 2 - f) / (k + 2) + r[k - lo] / (k + 2)
             s_hi = s[0]
-            for zk, rk in zip(z[:f], rhs):
+            for zk, rk in zip(z, rows):
                 np.subtract(rk[:hi - lo], s, out=zk[lo:hi])
                 zk[lo:hi] /= j[lo:hi]
             negative = np.flatnonzero(z[f - 1][lo:hi] < 0.0)
@@ -232,20 +231,18 @@ class StrongDualCertificate:
 
 
 def _strong_rhs(n: int):
-    """The strong dual's rows: rhs_j = j/((n+1) n) for j = lo+1..hi."""
-    def rows(lo, hi):
-        return (np.arange(lo + 1.0, hi + 1.0) / ((n + 1.0) * n),)
-    return rows
+    """The strong dual's one family: rhs_j = j/((n+1) n)."""
+    return (lambda j: j / ((n + 1.0) * n),)
 
 
 def strong_dual_certificate(n: int) -> StrongDualCertificate:
     """The sweep's one-family case, rhs_j = j/((n+1) n)."""
     n = check_size("strong_dual_certificate", "n", n, least=2, cap=CERT_CAP)
-    rows = _strong_rhs(n)
-    (y,), _, objective = _sweep(n, rows)
+    rhs = _strong_rhs(n)
+    (y,), _, objective = _sweep(n, rhs)
     return StrongDualCertificate(
         n=n, y_pos=y, j_star=int(np.argmax(y > 0.0)) + 1, objective=objective,
-        min_residual=_enforce(("dual",), (y,), rows)[0])
+        min_residual=_enforce(("dual",), (y,), rhs)[0])
 
 
 @dataclass(frozen=True)
@@ -270,15 +267,11 @@ class WeakDualCertificate:
 
 
 def _weak_rhs(n: int, w1: float, w2: float):
-    """The weak dual's rows (ru, rv) for j = lo+1..hi."""
+    """The weak dual's two families, (ru, rv)."""
     denom = n * n + n
-    def rows(lo, hi):
-        j = np.arange(lo + 1.0, hi + 1.0)
-        ru = (2.0 * j / denom * w1
-              + 3.0 * j * (2.0 * n - j) / (2.0 * n * denom) * w2)
-        rv = 3.0 * j * (j - 1.0) / (2.0 * n * denom) * w2
-        return ru, rv
-    return rows
+    return (lambda j: (2.0 * j / denom * w1
+                       + 3.0 * j * (2.0 * n - j) / (2.0 * n * denom) * w2),
+            lambda j: 3.0 * j * (j - 1.0) / (2.0 * n * denom) * w2)
 
 
 def weak_dual_certificate(n: int, w1: float, w2: float) -> WeakDualCertificate:
@@ -289,9 +282,9 @@ def weak_dual_certificate(n: int, w1: float, w2: float) -> WeakDualCertificate:
     w2 = check_real("weak_dual_certificate", "w2", w2)
     if not (w1 >= 0 and w2 >= 0 and abs(w1 + w2 - 1.0) <= 1e-12):
         raise ValueError(f"need finite w1, w2 >= 0 with w1 + w2 = 1, got {w1}, {w2}")
-    rows = _weak_rhs(n, w1, w2)
-    (alpha, beta), (j_double_star, j_star), objective = _sweep(n, rows)
-    res_u, res_v = _enforce(("u", "v"), (alpha, beta), rows)
+    rhs = _weak_rhs(n, w1, w2)
+    (alpha, beta), (j_double_star, j_star), objective = _sweep(n, rhs)
+    res_u, res_v = _enforce(("u", "v"), (alpha, beta), rhs)
     return WeakDualCertificate(
         n=n, w1=w1, w2=w2, alpha=alpha, beta=beta, j_star=j_star,
         j_double_star=j_double_star, objective=objective,
@@ -310,32 +303,36 @@ class FeasibilityReport:
     argmin_j: int
 
 
-def verify_dual_feasibility(z, rows) -> FeasibilityReport:
+def verify_dual_feasibility(z, rhs) -> FeasibilityReport:
     """Recompute every slack of a dual point given as one array z[r] over j
     per variable r of a pair (i, j), whose rows read
 
         j z_{r,j} + sum_{k>j} sum_{r'} z_{r',k} >= rhs_{r,j};
 
     the strong dual has one family (y), the weak dual two (alpha, beta).
-    ``rows(lo, hi)`` returns rhs_{r,j} for j = lo+1..hi, one array per
-    family.  A residual is LHS - RHS; feasibility means every residual
-    >= 0.  The slacks are computed in ``_CHUNK``-element chunks from j = n
-    down, each chunk's rows built as it goes and the suffix sum carried
-    from one to the next; a family's lowest j wins a tie for its smallest
-    slack.  Raises ``ValueError`` when the z arrays differ in length or a
-    chunk's rows are not one array of its width per family."""
-    n = z[0].size
-    if any(np.shape(zr) != (n,) for zr in z):
-        raise ValueError("dual arrays differ in length: "
-                         f"{[np.shape(zr) for zr in z]}")
+    ``rhs`` holds one function of j per family, which returns rhs_{r,j}
+    elementwise.  A residual is LHS - RHS; feasibility means every
+    residual >= 0.  The slacks are computed in ``_CHUNK``-element chunks
+    from j = n down, each chunk calling every family's function on its own
+    j and carrying the suffix sum from one to the next; a family's lowest
+    j wins a tie for its smallest slack.  Raises ``ValueError`` unless z is
+    one or more numpy arrays of one length with one function each, and
+    each function gives one entry per j."""
+    if not len(z) or len(rhs) != len(z):
+        raise ValueError(f"need one rhs function per dual family, got "
+                         f"{len(rhs)} for {len(z)}")
+    n = np.size(z[0])
+    if any(not isinstance(zr, np.ndarray) or zr.shape != (n,) for zr in z):
+        raise ValueError("need numpy dual arrays of one length, got "
+                         f"{[getattr(zr, 'shape', type(zr)) for zr in z]}")
     found = [(math.inf, 0)] * len(z)
     for lo, hi in _chunks(n):
-        rhs = rows(lo, hi)
-        if (len(rhs) != len(z)
-                or any(np.shape(rr) != (hi - lo,) for rr in rhs)):
-            raise ValueError(f"rows({lo}, {hi}) gave shapes "
-                             f"{[np.shape(rr) for rr in rhs]}, need "
-                             f"{len(z)} of ({hi - lo},)")
+        j = np.arange(lo + 1.0, hi + 1.0)
+        rows = [fn(j) for fn in rhs]
+        if any(np.shape(rr) != j.shape for rr in rows):
+            raise ValueError(f"rhs for j = {lo + 1}..{hi} gave shapes "
+                             f"{[np.shape(rr) for rr in rows]}, need "
+                             f"{j.shape}")
         # suffix: sum_{k>j} of every family for j = lo+1..hi, 0 at j = n
         end = min(hi + 1, n)
         suffix = np.zeros(hi - lo)
@@ -347,8 +344,7 @@ def verify_dual_feasibility(z, rows) -> FeasibilityReport:
             part[-1] += carry
         np.cumsum(part[::-1], out=part[::-1])
         carry = suffix[0]
-        j = np.arange(lo + 1.0, hi + 1.0)
-        for r, (zr, rr) in enumerate(zip(z, rhs)):
+        for r, (zr, rr) in enumerate(zip(z, rows)):
             residual = j * zr[lo:hi] + suffix - rr
             arg = int(np.argmin(residual))
             value = float(residual[arg])
@@ -357,9 +353,9 @@ def verify_dual_feasibility(z, rows) -> FeasibilityReport:
     return FeasibilityReport(*zip(*found), *min(found, key=lambda f: f[0]))
 
 
-def _enforce(families, z, rows) -> tuple:
+def _enforce(families, z, rhs) -> tuple:
     """Per-family minimum slacks of z; raises if one is < -SLACK_TOL or NaN."""
-    report = verify_dual_feasibility(z, rows)
+    report = verify_dual_feasibility(z, rhs)
     for name, res, j in zip(families, report.min_residuals, report.argmins):
         if not res >= -SLACK_TOL:
             raise NumericError(f"dual certificate infeasible: {name} row at "

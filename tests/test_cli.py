@@ -244,9 +244,9 @@ class TestCertify:
                                          argv):
         from sectrade.lp import verify_dual_feasibility
         monkeypatch.setattr(
-            "sectrade.lp.verify_dual_feasibility", lambda z, rows:
-            verify_dual_feasibility(z, lambda lo, hi:
-                                    tuple(r + 1e-9 for r in rows(lo, hi))))
+            "sectrade.lp.verify_dual_feasibility", lambda z, rhs:
+            verify_dual_feasibility(z, tuple(lambda j, fn=fn: fn(j) + 1e-9
+                                             for fn in rhs)))
         path = tmp_path / "cert.json"
         code, out, err = run_cli(capsys, "certify", *argv, "--out", str(path))
         assert code == 3

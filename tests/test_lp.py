@@ -16,8 +16,8 @@ W1, W2 = 0.970659, 0.029341
 
 
 def rows_of(arrays):
-    """The ``rows(lo, hi)`` callable of whole rhs arrays: their slices."""
-    return lambda lo, hi: tuple(a[lo:hi] for a in arrays)
+    """One rhs function of j per whole rhs array: its entries at j."""
+    return tuple(lambda j, a=a: a[j.astype(np.intp) - 1] for a in arrays)
 
 
 def whole_weak_rhs(n, w1, w2):
@@ -449,22 +449,23 @@ def strong_rhs(n):
 
 class TestChunkedSweep:
     """``_sweep`` and ``verify_dual_feasibility`` run in ``lp._CHUNK``-element
-    chunks, building each chunk's rows as they go; every chunk size gives
-    the whole-array bits.  ``rows`` defaults to slices of ``rhs``."""
+    chunks, calling the rhs functions on each chunk's j as they go; every
+    chunk size gives the whole-array bits.  ``fns`` defaults to
+    ``rows_of(rhs)``."""
 
-    def same_as_whole(self, rhs, rows=None):
-        rows = rows or rows_of(rhs)
-        z, breaks, objective = _sweep(rhs[0].size, rows)
+    def same_as_whole(self, rhs, fns=None):
+        fns = fns or rows_of(rhs)
+        z, breaks, objective = _sweep(rhs[0].size, fns)
         ref_z, ref_breaks, ref_objective = whole_sweep(rhs)
         assert [zr.tobytes() for zr in z] == [zr.tobytes() for zr in ref_z]
         assert breaks == ref_breaks
         assert objective.hex() == ref_objective.hex()
-        self.same_verdict(z, rhs, rows)
+        self.same_verdict(z, rhs, fns)
         return breaks
 
     @staticmethod
-    def same_verdict(z, rhs, rows=None):
-        report = verify_dual_feasibility(z, rows or rows_of(rhs))
+    def same_verdict(z, rhs, fns=None):
+        report = verify_dual_feasibility(z, fns or rows_of(rhs))
         found = [(res.hex(), j) for res, j in zip(report.min_residuals,
                                                   report.argmins)]
         assert found == [(res.hex(), j) for res, j in whole_verify(z, rhs)]
@@ -532,8 +533,8 @@ def read_ranges(n):
 
 
 class TestRowsPerChunk:
-    """The certificates' ``rows(lo, hi)`` give the whole-array bits on every
-    range the sweep and the verifier read."""
+    """The certificates' rhs functions give the whole-array bits on the j
+    of every range the sweep and the verifier read."""
 
     # _CHUNK = 1 at n = 100003 is left out: 2e5 calls per weight take
     # seconds, and n = 16385 already crosses a chunk edge at that size
@@ -543,12 +544,13 @@ class TestRowsPerChunk:
     def test_rows_are_whole_array_slices(self, monkeypatch, chunk, n):
         monkeypatch.setattr(lp, "_CHUNK", chunk)
         ranges = read_ranges(n)
+        j = np.arange(1.0, n + 1.0)
         # w1 = 1 gives w2 = 0, where rv is exactly zero
         cases = [(_weak_rhs(n, w1, 1.0 - w1), whole_weak_rhs(n, w1, 1.0 - w1))
                  for w1 in (0.0, 0.3, 0.5, 0.970659, 1.0)]
         cases.append((_strong_rhs(n), strong_rhs(n)))
-        for rows, whole in cases:
-            got = [rows(lo, hi) for lo, hi in ranges]
+        for fns, whole in cases:
+            got = [tuple(fn(j[lo:hi]) for fn in fns) for lo, hi in ranges]
             assert all(len(g) == len(whole) for g in got)
             for r, w in enumerate(whole):
                 mine = np.concatenate([g[r] for g in got])
@@ -561,31 +563,62 @@ class TestVerifierShapes:
     reporting a slack."""
 
     def test_fewer_rows_than_families(self):
-        with pytest.raises(ValueError, match=r"rows\(0, 3\)"):
+        with pytest.raises(ValueError, match="got 1 for 2"):
             verify_dual_feasibility((np.ones(3), np.ones(3)),
                                     rows_of((np.zeros(3),)))
 
     def test_more_rows_than_families(self):
-        with pytest.raises(ValueError, match=r"rows\(0, 3\)"):
+        with pytest.raises(ValueError, match="got 2 for 1"):
             verify_dual_feasibility((np.ones(3),),
                                     rows_of((np.zeros(3), np.zeros(3))))
 
     def test_dual_arrays_differ_in_length(self):
-        with pytest.raises(ValueError, match="differ in length"):
+        with pytest.raises(ValueError, match="of one length"):
             verify_dual_feasibility((np.ones(3), np.ones(5)),
                                     rows_of((np.zeros(3), np.zeros(5))))
-        with pytest.raises(ValueError, match="differ in length"):
+        with pytest.raises(ValueError, match="of one length"):
             verify_dual_feasibility((np.ones(5), np.ones(3)),
                                     rows_of((np.zeros(5), np.zeros(3))))
 
     def test_rows_of_the_wrong_width(self, monkeypatch):
-        # the chunks are (6, 10), (2, 6), (0, 2); only the second one's
+        # the chunks are j = 7..10, 3..6 and 1..2; only the second one's
         # rows come one entry short
         monkeypatch.setattr(lp, "_CHUNK", 4)
-        rhs = np.zeros(10)
-        with pytest.raises(ValueError, match=r"rows\(2, 6\)"):
+        with pytest.raises(ValueError, match=r"j = 3\.\.6"):
             verify_dual_feasibility(
-                (np.ones(10),), lambda lo, hi: (rhs[lo:hi - (lo == 2)],))
+                (np.ones(10),), (lambda j: np.zeros(j.size - (j[0] == 3)),))
+
+    def test_no_families(self):
+        with pytest.raises(ValueError, match="got 1 for 0"):
+            verify_dual_feasibility((), lp._strong_rhs(2))
+        with pytest.raises(ValueError, match="got 0 for 0"):
+            verify_dual_feasibility((), ())
+
+    def test_dual_given_as_a_list(self):
+        with pytest.raises(ValueError, match="numpy dual arrays"):
+            verify_dual_feasibility(([0.0, 1.0],), lp._strong_rhs(2))
+
+
+class TestActiveFamiliesOnly:
+    """The sweep calls rv, the weak rhs's second family, only in the
+    two-family stretch [j*, n]: once per chunk down to the one holding j*."""
+
+    @pytest.mark.parametrize("n,chunk", [(300, 7), (2_000_000, None)])
+    def test_rv_read_down_to_j_star(self, monkeypatch, n, chunk):
+        if chunk:
+            monkeypatch.setattr(lp, "_CHUNK", chunk)
+        ru, rv = _weak_rhs(n, W1, W2)
+        tops = []
+
+        def spy(j):
+            tops.append(int(j[-1]))
+            return rv(j)
+
+        _, (j_double_star, j_star), _ = _sweep(n, (ru, spy))
+        chunks = list(lp._chunks(n))
+        assert 1 < j_double_star < j_star < n
+        assert min(tops) >= j_star
+        assert len(tops) == sum(hi >= j_star for _, hi in chunks) < len(chunks)
 
 
 class TestCertificateMemory:
@@ -662,9 +695,9 @@ class TestRefusedCertificates:
     @pytest.fixture
     def stricter(self, monkeypatch):
         monkeypatch.setattr(
-            "sectrade.lp.verify_dual_feasibility", lambda z, rows:
-            verify_dual_feasibility(z, lambda lo, hi:
-                                    tuple(r + 1e-9 for r in rows(lo, hi))))
+            "sectrade.lp.verify_dual_feasibility", lambda z, rhs:
+            verify_dual_feasibility(z, tuple(lambda j, fn=fn: fn(j) + 1e-9
+                                             for fn in rhs)))
 
     def test_strong_raises(self, stricter):
         with pytest.raises(NumericError, match=r"dual row at j=\d+"):

@@ -88,6 +88,10 @@ COMMANDS = {
                                    "--w1", "1", "--w2", "0"], ".json"),
     # n is exactly one sweep and verifier chunk
     "certify_strong_16384": (["certify", "strong", "--n", "16384"], ".json"),
+    # j* = 32771 and j** = 17056: each stretch crosses a chunk edge, and
+    # the one-family stretch reads ru alone
+    "certify_weak_49157_w1zero": (["certify", "weak", "--n", "49157",
+                                   "--w1", "0", "--w2", "1"], ".json"),
     "lp_weak_n30": (["lp", "solve", "--which", "weak", "--n", "30"], ".json"),
     "lp_strong_n40": (["lp", "solve", "--which", "strong", "--n", "40"],
                       ".json"),
