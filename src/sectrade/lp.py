@@ -220,7 +220,9 @@ def _sweep(n, rhs):
 class StrongDualCertificate:
     n: int
     y_pos: np.ndarray    # y_j >= 0, j = 1..n (index j-1)
-    j_star: int          # first j with y_j > 0 (y_n > 0, so one exists)
+    # the first j with y_j > 0 (y_n > 0, so one exists), not a break of
+    # the sweep as the weak certificate's j* and j** are
+    j_star: int
     objective: float
     min_residual: float
 
@@ -252,6 +254,10 @@ class WeakDualCertificate:
     w2: float
     alpha: np.ndarray
     beta: np.ndarray
+    # the sweep's breaks: the largest j where beta (j*) or alpha (j**)
+    # went negative and was zeroed, 0 if it never did.  Usually one below
+    # the first positive entry, but not always: at n = 5, w1 = 0, alpha_1
+    # was zeroed and alpha_2 came out 0, so j** = 1 while alpha_3 > 0
     j_star: int
     j_double_star: int
     objective: float
@@ -275,8 +281,11 @@ def _weak_rhs(n: int, w1: float, w2: float):
 
 
 def weak_dual_certificate(n: int, w1: float, w2: float) -> WeakDualCertificate:
-    """The sweep's two-family case, rhs (ru, rv); beta breaks at j*,
-    alpha at j**."""
+    """The sweep's two-family case, rhs (ru, rv).  j* and j** are its
+    breaks: the largest j where beta (alpha) went negative and was zeroed,
+    or 0 if it never did.  Unlike the strong j*, the first j with y_j > 0,
+    a break may sit more than one below its family's first positive
+    entry."""
     n = check_size("weak_dual_certificate", "n", n, least=2, cap=CERT_CAP)
     w1 = check_real("weak_dual_certificate", "w1", w1)
     w2 = check_real("weak_dual_certificate", "w2", w2)

@@ -23,8 +23,8 @@ The layout does not depend on the policy, the worker count, the prefix
 width or the memory budget.  Trials are processed in blocks of ``BLOCK``
 trials at every n (the last one shorter).  Workers receive whole blocks,
 which are folded into the totals in block order as they finish (the moment
-sums with compensated addition), so the report is byte-identical for any
-worker count.
+sums by compensated addition) and dropped, so a call keeps no per-block
+state and its report is byte-identical for any worker count.
 
 Policy evaluation is vectorized over the trials of a block, on
 strength-major arrays: one C-order row per column of the canonical strength
@@ -126,18 +126,31 @@ class _Market:
     seller_price: float
 
 
+def _float(price, what: str) -> float:
+    """``price`` as a float; ``NumericError`` naming ``what`` if too large."""
+    try:
+        return float(price)
+    except OverflowError:
+        try:
+            text = f" {str(price)[:20]!r}..."
+        except ValueError:  # more digits than Python prints
+            text = ""
+        raise NumericError(f"{what}{text} is beyond float64") from None
+
+
 def _market(instance: Instance) -> _Market:
     buyer_cols, mu = rank_buyers(instance)
     n = instance.n
     prices = np.zeros(n + 2)
     prices[1:n + 1] = (instance.buyer_array
                        if instance.buyer_array is not None
-                       else [float(p) for p in instance.buyer_prices])
-    prices[n + 1] = float(instance.seller_price)
+                       else [_float(p, f"buyer price #{k}") for k, p
+                             in enumerate(instance.buyer_prices, 1)])
+    seller_price = prices[n + 1] = _float(instance.seller_price,
+                                          "seller price")
     return _Market(n=n, prices=prices,
                    strength_cols=np.insert(buyer_cols, mu, n),
-                   seller_strength_pos=mu,
-                   seller_price=float(instance.seller_price))
+                   seller_strength_pos=mu, seller_price=seller_price)
 
 
 def _head_rows(mk: _Market) -> int:
@@ -316,8 +329,8 @@ def _outcomes(policy_id: str, mk: _Market, seed: int, start: int,
     first round reads ``_PREFIX`` columns of every trial; each later round
     reads the trials the last one did not settle at 8x the width, with the
     start of each one's tail, until a round covers the policy's whole
-    scan.  A read takes at most _BLOCK_BUDGET // width trials and is
-    evaluated in ``ws``."""
+    scan.  A read of at most _BLOCK_BUDGET // width trials is evaluated
+    in ``ws`` and writes its results in place, over an earlier round's."""
     mu, scan = mk.seller_strength_pos, _scan_width(policy_id, mk)
     head = block_draws(seed, mk, start, count, ws=ws)
     row = min(mu, _HEAD)  # the seller's head row
@@ -326,7 +339,7 @@ def _outcomes(policy_id: str, mk: _Market, seed: int, start: int,
         seller_t = _buffer(ws, "seller", (count,))
         np.copyto(seller_t, head[row])
         head[row] = np.inf
-    reads = []  # (rows, holders, weak) of each read, in round order
+    holders, weak = np.empty(count, dtype=np.int64), np.empty(count)
     rest, width = None, _PREFIX  # None: every trial, read by slices
     while rest is None or rest.size:
         width = min(width, scan)
@@ -345,17 +358,11 @@ def _outcomes(policy_id: str, mk: _Market, seed: int, start: int,
                 at = mu - _HEAD if inside else len(tails)
                 ts = np.concatenate((ts, tails[:at], hd[_HEAD:_HEAD + inside],
                                      tails[at:]))
-            holders, weak, settled = _evaluate(policy_id, mk, ts,
-                                               seller_t[rows], hd[-1], th, ws)
-            reads.append((rows, holders, weak))
+            holders[rows], weak[rows], settled = _evaluate(
+                policy_id, mk, ts, seller_t[rows], hd[-1], th, ws)
             stuck = np.flatnonzero(~settled)
             left.append(stuck + i if rest is None else rows[stuck])
         rest, width = np.concatenate(left), 8 * width
-    if len(reads) == 1:  # one read settled every trial
-        return reads[0][1:]
-    holders, weak = np.empty(count, dtype=np.int64), np.empty(count)
-    for rows, h, w in reads:  # later rounds overwrite the trials they read
-        holders[rows], weak[rows] = h, w
     return holders, weak
 
 
@@ -381,17 +388,6 @@ def _block_partials(policy_id: str, mk: _Market, seed: int, start: int,
         sums = np.array([welfare.sum(), (welfare * welfare).sum(), weak.sum(),
                          (weak * weak).sum(), (welfare * weak).sum()])
     return np.bincount(holders, minlength=n + 2), sums
-
-
-def _kahan_total(values):
-    total = 0.0
-    carry = 0.0
-    for v in values:
-        y = v - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
 
 
 @dataclass(frozen=True)
@@ -425,10 +421,10 @@ def simulate(policy_id: str, instance: Instance, trials: int,
     """Estimate holder frequencies, welfare, and competitive ratios.
 
     Deterministic given (seed, trials): the block layout and the place of
-    every uniform depend only on those, and per-block partials are reduced
+    every uniform depend only on those, and per-block partials are folded
     in block order, so ``workers`` cannot change any output bit.  At most
     min(workers, blocks, cores) threads run.  Raises ``NumericError`` when
-    a welfare sum overflows float64.
+    a price is beyond float64 or a welfare sum overflows it.
     """
     trials = check_size("simulate", "trials", trials)
     workers = check_size("simulate", "workers", workers)
@@ -444,32 +440,35 @@ def simulate(policy_id: str, instance: Instance, trials: int,
         raise ValueError("alg3 requires seller price 0")
     mk = _market(instance)
 
-    blocks = [(s, min(BLOCK, trials - s)) for s in range(0, trials, BLOCK)]
+    blocks = range(0, trials, BLOCK)
 
     local = threading.local()  # each thread's workspace, for this call
 
-    def work(args):
+    def work(start):
         if not hasattr(local, "ws"):
             local.ws = {}
-        start, count = args
-        return _block_partials(policy_id, mk, seed, start, count, thresholds,
+        return _block_partials(policy_id, mk, seed, start,
+                               min(BLOCK, trials - start), thresholds,
                                local.ws)
 
-    # fold the blocks in block order as they come, so that no block's
-    # holder counts outlive it; one thread runs without a pool
+    # fold the blocks in block order as they come, the sums by compensated
+    # addition, so that no block outlives its fold; one thread needs no pool
     threads = min(workers, len(blocks), os.cpu_count() or 1)
     counts = np.zeros(mk.n + 2, dtype=np.int64)
-    block_sums = []
+    total = carry = 0.0
     with (ThreadPoolExecutor(max_workers=threads) if threads > 1
           else nullcontext()) as pool:
         for block_counts, sums in (pool.map if pool else map)(work, blocks):
             counts += block_counts
-            block_sums.append(sums)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                y = sums - carry
+                t = total + y
+                carry = (t - total) - y
+                total = t
 
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        sums = _kahan_total(block_sums).tolist()
-    overflow = [key for key, total in zip(_MOMENTS, sums)
-                if not math.isfinite(total)]
+    sums = total.tolist()
+    overflow = [key for key, value in zip(_MOMENTS, sums)
+                if not math.isfinite(value)]
     if overflow:
         raise NumericError(f"{', '.join(overflow)} overflowed float64; the "
                            f"prices are too large for welfare moments")

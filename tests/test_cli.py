@@ -164,6 +164,24 @@ class TestSimulate:
         assert err.startswith("numeric failure:") and "sum_w" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("prices,name", [
+        ({"buyer_prices": [1, 10 ** 400], "seller_price": 0},
+         "buyer price #2"),
+        ({"buyer_prices": [1, 2], "seller_price": "1" + "0" * 400 + "/1"},
+         "seller price")])
+    def test_price_beyond_float64_is_named(self, capsys, tmp_path, prices,
+                                           name):
+        path = tmp_path / "report.json"
+        code, out, err = run_cli(
+            capsys, "simulate", "--policy", "alg2", "--instance",
+            json.dumps(prices), "--trials", "100", "--seed", "1",
+            "--out", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == (f"numeric failure: {name} '{'1' + '0' * 19}'... is "
+                       f"beyond float64\n")
+        assert not path.exists()
+
     def test_huge_finite_welfare_succeeds(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, _, err = run_cli(

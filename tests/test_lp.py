@@ -726,6 +726,22 @@ class TestWeakCertificate:
         assert (report.min_residual, report.argmin_j) == (
             report.min_residuals[1], j0)
 
+    def test_j_star_conventions(self):
+        # the strong j* is the first j with y_j > 0
+        strong = strong_dual_certificate(10)
+        assert strong.j_star == 4
+        assert strong.y_pos[2] == 0.0 < strong.y_pos[3]
+        # the weak j* and j** are the sweep's breaks, the largest j where
+        # beta (alpha) went negative, here one below the first positive
+        weak = weak_dual_certificate(10, W1, W2)
+        assert (weak.j_star, weak.j_double_star) == (9, 3)
+        assert weak.beta[8] == 0.0 < weak.beta[9]
+        assert weak.alpha[2] == 0.0 < weak.alpha[3]
+        # but not always: alpha_1 was zeroed, and alpha_2 came out 0
+        weak = weak_dual_certificate(5, 0.0, 1.0)
+        assert weak.j_double_star == 1
+        assert weak.alpha[1] == 0.0 < weak.alpha[2]
+
     def test_headline_objective(self):
         cert = weak_dual_certificate(2_000_000, W1, W2)
         assert abs(cert.objective - 0.567411) < 5e-4

@@ -722,6 +722,29 @@ class TestMemoryBound:
         assert blocks == [BLOCK] * 31
         assert peaks[1] - peaks[0] < 1 << 20
 
+    def test_no_per_block_state(self, monkeypatch):
+        # at n = 2 a block's partials are a few dozen bytes, so 20000 blocks
+        # may cost no more memory than one: no list of blocks or of their
+        # sums grows with the trial count
+        def fake_partials(policy_id, mk, seed, start, count, th, ws):
+            counts = np.zeros(4, dtype=np.int64)
+            counts[1] = count
+            return counts, np.ones(len(SIM._MOMENTS))
+
+        monkeypatch.setattr(SIM, "_block_partials", fake_partials)
+        inst = gen_instance("spike", n=2)
+        peaks = []
+        for trials in (BLOCK, 20_000 * BLOCK):
+            tracemalloc.start()
+            try:
+                rep = simulate("alg1", inst, trials, seed=1)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            assert rep.holder_freq == {1: 1.0}
+            assert rep.mean_alg_welfare == 1.0 / BLOCK  # one per block
+        assert peaks[1] - peaks[0] < 64 << 10
+
     def test_blocks_are_fixed(self, monkeypatch):
         # the partition of trials into blocks depends on trials alone
         partials = SIM._block_partials
@@ -855,6 +878,14 @@ def test_overflowing_sums_raise_numeric_error():
     rep = simulate("alg1", Instance((0, 0), 0), 100, seed=1)
     assert rep.mean_alg_welfare == 0.0
     assert rep.ratio_weak == rep.ratio_strong == math.inf
+
+
+def test_price_with_more_digits_than_python_prints():
+    # the CLI's JSON and price strings stop at 4300 digits, but a library
+    # caller can pass a longer int: the error still names the price
+    with pytest.raises(NumericError,
+                       match=r"^buyer price #2 is beyond float64$"):
+        simulate("alg1", Instance((1, 10 ** 5000), 0), 10, seed=1)
 
 
 def test_ratio_se_is_scale_free_for_huge_finite_prices():

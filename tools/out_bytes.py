@@ -159,6 +159,12 @@ COMMANDS = {
     "simulate_baseline_geometric1000_20k": (
         _simulate("secretary-baseline", "geometric:n=1000,r=0.99", 20000),
         ".json"),
+    # 13 blocks of non-dyadic moment sums on 2 threads: plain addition in
+    # place of the compensated fold across blocks moves the means and the
+    # standard errors here
+    "simulate_alg2_geometric10_200k_workers2": (
+        _simulate("alg2", "geometric:n=10,r=0.9", 200000, "--workers", "2"),
+        ".json"),
 }
 
 
