@@ -14,6 +14,7 @@ family instances and ``certify`` n > 1e7, ``oracle weakopt`` n > 7,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -196,7 +197,11 @@ def _cmd_report_constants(args) -> dict:
             for name, target, value in rows}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command, built once per process by the
+    first call (never at import); each ``parse_args`` starts a fresh
+    namespace, so no call sees another's values."""
     parser = argparse.ArgumentParser(
         prog="sectrade",
         description="Online-trading lab: policies, exact probabilities, "

@@ -2,9 +2,15 @@
 
 Two policies are fully determined by the arrival order alone (the weak
 offline optimum, and the coin-flip policy up to its single coin), so for
-small n we can enumerate all (n+1)! orders with ``fractions.Fraction``
-prices and obtain exact expectations.  These enumerations are the
-reference oracles for the closed forms elsewhere in the package.
+small n we can enumerate all (n+1)! orders and obtain exact expectations.
+These enumerations are the reference oracles for the closed forms
+elsewhere in the package.
+
+The prices are read as ``fractions.Fraction`` values and scaled to Python
+ints by L, the lcm of their n+1 denominators.  The scaled market has the
+same order and the same ties, so every order makes the same comparisons
+in int arithmetic, and each result, an int tally divided by L and the
+number of orders, is the same Fraction as an enumeration in Fractions.
 
 The weak optimum of each order is the per-order rule of
 :func:`sectrade.benchmarks.weak_opt_given_order`.  The coin-flip policy is
@@ -49,14 +55,23 @@ def _exact_instance(instance: Instance) -> Instance:
                     _as_fraction(instance.seller_price))
 
 
+def _int_instance(inst: Instance) -> tuple[Instance, int]:
+    """The Fraction instance ``inst`` times L, the lcm of the denominators
+    of its n+1 prices, as an instance of ints; and L."""
+    prices = (*inst.buyer_prices, inst.seller_price)
+    scale = math.lcm(*(p.denominator for p in prices))
+    ints = [p.numerator * (scale // p.denominator) for p in prices]
+    return Instance(ints[:-1], ints[-1]), scale
+
+
 def enumerate_weak_opt_exact(instance: Instance) -> Fraction:
     """Exact expected weak optimum: average the per-order optimum over all
     (n+1)! arrival orders."""
     n = check_size("weak-opt enumeration", "n", instance.n, cap=WEAK_OPT_CAP)
-    inst = _exact_instance(instance)
-    total = sum((_weak_opt_of_order(inst, order)
-                 for order in permutations(range(1, n + 2))), Fraction(0))
-    return total / math.factorial(n + 1)
+    inst, scale = _int_instance(_exact_instance(instance))
+    total = sum(_weak_opt_of_order(inst, order)
+                for order in permutations(range(1, n + 2)))
+    return Fraction(total, math.factorial(n + 1) * scale)
 
 
 @dataclass(frozen=True)
@@ -99,13 +114,15 @@ def enumerate_alg2_exact(instance: Instance) -> Alg2Distribution:
 
     Each order flips at most one coin (the seller arrives once); orders
     where the seller is best-so-far at arrival contribute both coin
-    branches with weight 1/2 each.
+    branches with weight 1/2 each.  The tallies count halves: 2 for an
+    order without a coin, 1 for each coin branch.
     """
     n = check_size("coin-flip enumeration", "n", instance.n, cap=ALG2_CAP)
-    inst = _exact_instance(instance)
+    exact_inst = _exact_instance(instance)
+    inst, scale = _int_instance(exact_inst)
     times = tuple((k + 1) / (n + 2) for k in range(n + 1))
-    holder_prob: dict[int, Fraction] = {}
-    welfare = Fraction(0)
+    halves: dict[int, int] = {}
+    welfare = 0  # in halves of 1/scale
     n_orders = 0
     for order in permutations(range(1, n + 2)):
         n_orders += 1
@@ -113,18 +130,16 @@ def enumerate_alg2_exact(instance: Instance) -> Alg2Distribution:
         buy_coin = _FixedCoin(0.0)   # coin says buy
         outcome_buy = run_episode("alg2", inst, sample, rng=buy_coin)
         if buy_coin.calls == 0:
-            branches = ((outcome_buy, Fraction(1)),)
+            branches = ((outcome_buy, 2),)
         else:
             skip_coin = _FixedCoin(1.0)  # coin says skip
             outcome_skip = run_episode("alg2", inst, sample, rng=skip_coin)
-            branches = ((outcome_buy, Fraction(1, 2)),
-                        (outcome_skip, Fraction(1, 2)))
+            branches = ((outcome_buy, 1), (outcome_skip, 1))
         for outcome, weight in branches:
-            holder_prob[outcome.holder] = holder_prob.get(
-                outcome.holder, Fraction(0)) + weight
+            halves[outcome.holder] = halves.get(outcome.holder, 0) + weight
             welfare += weight * outcome.welfare
-    total = Fraction(1, n_orders)
+    total = 2 * n_orders
     return Alg2Distribution(
-        instance=inst,
-        holder_prob={h: p * total for h, p in sorted(holder_prob.items())},
-        expected_welfare=welfare * total)
+        instance=exact_inst,
+        holder_prob={h: Fraction(k, total) for h, k in sorted(halves.items())},
+        expected_welfare=Fraction(welfare, total * scale))

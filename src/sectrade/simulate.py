@@ -84,6 +84,7 @@ import json
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -390,6 +391,23 @@ def _block_partials(policy_id: str, mk: _Market, seed: int, start: int,
     return np.bincount(holders, minlength=n + 2), sums
 
 
+def _windowed_map(pool, fn, items, window: int):
+    """``pool.map(fn, items)`` that submits each item only once fewer than
+    ``window`` calls wait to be read, so that memory does not grow with
+    the number of items; results come in the order of ``items``."""
+    pending = deque()
+    try:
+        for item in items:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 @dataclass(frozen=True)
 class SimulationReport:
     policy: str
@@ -458,7 +476,9 @@ def simulate(policy_id: str, instance: Instance, trials: int,
     total = carry = 0.0
     with (ThreadPoolExecutor(max_workers=threads) if threads > 1
           else nullcontext()) as pool:
-        for block_counts, sums in (pool.map if pool else map)(work, blocks):
+        for block_counts, sums in (_windowed_map(pool, work, blocks,
+                                                 2 * threads)
+                                   if pool else map(work, blocks)):
             counts += block_counts
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 y = sums - carry

@@ -463,6 +463,38 @@ class TestExitCodes:
         assert "simulate" in out
 
 
+class TestOneParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    @staticmethod
+    def _bytes(capsys, path, *argv):
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        return code, out, err, path.read_bytes()
+
+    def _alone(self, capsys, path, *argv):
+        build_parser.cache_clear()  # a new parser, as in a new process
+        return self._bytes(capsys, path, *argv)
+
+    def test_usage_error_leaves_no_state(self, capsys, tmp_path):
+        alone = self._alone(capsys, tmp_path / "alone.json",
+                            "exact", "delta", "--mu", "3")
+        code, out, err = run_cli(capsys, "exact", "delta", "--mu", "x")
+        assert code == 2 and out == "" and "invalid int value" in err
+        after = self._bytes(capsys, tmp_path / "after.json",
+                            "exact", "delta", "--mu", "3")
+        assert after == alone
+
+    def test_subcommand_keeps_no_values(self, capsys, tmp_path):
+        argv = ("certify", "strong", "--n", "10")
+        alone = self._alone(capsys, tmp_path / "alone.json", *argv)
+        assert run_cli(capsys, "certify", "weak", "--n", "10", "--w1",
+                       "0.970659", "--w2", "0.029341")[0] == 0
+        args = build_parser().parse_args(list(argv))
+        assert args.kind == "strong" and not hasattr(args, "w1")
+        assert self._bytes(capsys, tmp_path / "after.json", *argv) == alone
+
+
 class TestSizeCaps:
     @pytest.mark.parametrize("argv", [
         ["certify", "strong", "--n", str(CERT_CAP + 1)],

@@ -7,7 +7,8 @@ from sectrade.benchmarks import weak_opt_expected
 from sectrade.errors import SizeCapError
 from sectrade.exact import alg2_holder_prob
 from sectrade.model import Instance, canonicalize, gen_instance
-from sectrade.oracle import enumerate_alg2_exact, enumerate_weak_opt_exact
+from sectrade.oracle import (_exact_instance, _int_instance,
+                             enumerate_alg2_exact, enumerate_weak_opt_exact)
 
 
 def random_rational_instance(rng, max_n=6):
@@ -16,6 +17,22 @@ def random_rational_instance(rng, max_n=6):
                    for _ in range(n))
     seller = Fraction(int(rng.integers(0, 12)), int(rng.integers(1, 9)))
     return Instance(buyers, seller)
+
+
+# primes, so that prices over distinct ones have pairwise-coprime
+# denominators; five of them multiply past 2**63
+PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069)
+
+
+def coprime_tie_instance(rng):
+    """5 or 6 buyers over distinct prime denominators, and a seller tied
+    with one of them: the lcm of the denominators passes 2**63."""
+    n = int(rng.integers(5, 7))
+    buyers = []
+    for d in rng.choice(PRIMES, n, replace=False).tolist():
+        k = int(rng.integers(1, 3 * d))
+        buyers.append(Fraction(k + (k % d == 0), d))
+    return Instance(tuple(buyers), buyers[int(rng.integers(n))])
 
 
 class TestWeakOptEnumeration:
@@ -39,6 +56,29 @@ class TestWeakOptEnumeration:
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
             enumerate_weak_opt_exact(gen_instance("spike", n=8))
+
+
+class TestIntegerScaling:
+    def test_big_denominators_match_closed_forms(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            inst = coprime_tie_instance(rng)
+            scaled, scale = _int_instance(_exact_instance(inst))
+            assert scale > 2 ** 63 and scaled.buyer_array is None
+            assert enumerate_weak_opt_exact(inst) == weak_opt_expected(inst)
+            ranked = canonicalize(inst)
+            dist = enumerate_alg2_exact(inst)
+            for i in range(1, ranked.mu + 1):
+                assert dist.prob_of_rank(i) == alg2_holder_prob(i, ranked.mu).p
+            assert sum(dist.holder_prob.values()) == 1
+            assert dist.expected_welfare == sum(
+                p * inst.price_of(h) for h, p in dist.holder_prob.items() if h)
+
+    def test_distribution_keeps_the_given_prices(self):
+        inst = Instance((Fraction(1, 3), 2, 1.0, Fraction(5, 7)),
+                        Fraction(1, 3))
+        dist = enumerate_alg2_exact(inst)
+        assert dist.instance == _exact_instance(inst)
 
 
 class TestAlg2Enumeration:

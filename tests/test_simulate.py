@@ -5,7 +5,7 @@ import sys
 import threading
 import tracemalloc
 import types
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -157,8 +157,10 @@ class TestDeterminism:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, item):
+                future = Future()
+                future.set_result(fn(item))
+                return future
 
         inst = gen_instance("spike", n=4)
         serial = simulate("alg1", inst, trials, seed=5)
@@ -744,6 +746,46 @@ class TestMemoryBound:
             assert rep.holder_freq == {1: 1.0}
             assert rep.mean_alg_welfare == 1.0 / BLOCK  # one per block
         assert peaks[1] - peaks[0] < 64 << 10
+
+    def test_threads_keep_a_window_of_blocks(self, monkeypatch):
+        # the threaded path submits a block only when few enough wait to
+        # be folded: 20000 blocks on two threads may cost no more memory
+        # than one
+        def fake_partials(policy_id, mk, seed, start, count, th, ws):
+            counts = np.zeros(4, dtype=np.int64)
+            counts[1] = count
+            return counts, np.full(len(SIM._MOMENTS), float(start))
+
+        monkeypatch.setattr(SIM, "_block_partials", fake_partials)
+        inst = gen_instance("spike", n=2)
+        peaks = []
+        for trials in (BLOCK, 20_000 * BLOCK):
+            tracemalloc.start()
+            try:
+                rep = simulate("alg1", inst, trials, seed=1, workers=2)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            assert rep.holder_freq == {1: 1.0}
+        # every block folded once: the mean block start is 19999/2 blocks
+        assert rep.mean_alg_welfare == 19_999 / 2
+        assert peaks[1] - peaks[0] < 64 << 10
+
+    def test_windowed_map_keeps_order_and_window(self):
+        submitted, read = [], []
+
+        class Pool:
+            def submit(self, fn, item):
+                submitted.append(item)
+                assert len(submitted) - len(read) <= 3
+                future = Future()
+                future.set_result(fn(item))
+                return future
+
+        for value in SIM._windowed_map(Pool(), lambda x: x * x, range(10), 3):
+            read.append(value)
+        assert read == [x * x for x in range(10)]
+        assert submitted == list(range(10))
 
     def test_blocks_are_fixed(self, monkeypatch):
         # the partition of trials into blocks depends on trials alone

@@ -34,6 +34,14 @@ MIXED_TIE = json.dumps({"buyer_prices": [2, 1, 1.0, 2.0, 0.5],
 K8_N6 = json.dumps({"buyer_prices": ["3/8", "3/4", "1/8", "5/8", "1/4",
                                      "1/2"],
                     "seller_price": "9/16"})
+# non-dyadic prices with ties among the buyers and with the seller, at the
+# oracle caps: the enumerations' integer scaling (the lcm of 3, 5 and 7)
+NONDYADIC_N7 = json.dumps({"buyer_prices": ["1/3", "2/7", "3/5", "1/3", 2,
+                                            1.0, "5/7"],
+                           "seller_price": "1/3"})
+NONDYADIC_N6 = json.dumps({"buyer_prices": ["1/3", "2/7", "3/5", "1/3", 2,
+                                            "5/7"],
+                           "seller_price": "3/5"})
 # buyers priced 1000 down to 1, strongest first, and a seller at strength
 # position 5 (inside the first 33) or 40 (past them)
 PAID_1000 = {pos: json.dumps({"buyer_prices": list(range(1000, 0, -1)),
@@ -122,6 +130,10 @@ COMMANDS = {
     "oracle_alg2_rational_tie": (["oracle", "alg2", "--instance",
                                   RATIONAL_TIE], ".json"),
     "oracle_alg2_k8_n6": (["oracle", "alg2", "--instance", K8_N6], ".json"),
+    "oracle_weakopt_n7_nondyadic": (["oracle", "weakopt", "--instance",
+                                     NONDYADIC_N7], ".json"),
+    "oracle_alg2_n6_nondyadic": (["oracle", "alg2", "--instance",
+                                  NONDYADIC_N6], ".json"),
     "simulate_alg2_seller_spike_1e5": (
         _simulate("alg2", "seller_spike:n=100000", 256), ".json"),
     # float buyers and an int seller: the float64 price array at n = 1e5
