@@ -21,7 +21,8 @@ import sys
 
 from . import exact, lp, oracle
 from .model import Thresholds, load_instance
-from .simulate import POLICY_IDS, simulate as run_simulation
+from .policies import POLICIES
+from .simulate import simulate as run_simulation
 
 # the double thresholds of ``optimize thresholds --objective upper``
 _TUNED = Thresholds(0.296151, 0.805018)
@@ -47,7 +48,7 @@ def _write_out(path, payload: dict | None) -> None:
 
 def _cmd_simulate(args) -> dict:
     th = None
-    if args.policy == "alg3":
+    if POLICIES[args.policy].floors is None:  # floors from --t1/--t2
         th = Thresholds(args.t1 if args.t1 is not None else _TUNED.t1,
                         args.t2 if args.t2 is not None else _TUNED.t2)
     elif args.t1 is not None or args.t2 is not None:
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", parents=[out],
                            help="Monte Carlo estimate for a policy")
-    p_sim.add_argument("--policy", required=True, choices=POLICY_IDS)
+    p_sim.add_argument("--policy", required=True, choices=tuple(POLICIES))
     p_sim.add_argument("--instance", required=True,
                        help="JSON file or inline family:params spec")
     p_sim.add_argument("--trials", type=int, required=True)

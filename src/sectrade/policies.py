@@ -8,37 +8,21 @@ observing offline information.
 
 A policy makes two kinds of irrevocable decision: whether to buy when the
 seller arrives (declining stops the episode), and whether to sell the held
-item when a buyer arrives.  ``_step`` alone makes both, so each policy is
-just a buy test plus per-rank time floors: it keeps the keys of the best
-agents so far that it ranks against, one per floor, and sells to a buyer
-of relative rank r (r of the kept keys above it) that arrives after
-floor r.
-
-* ``alg1`` (random transaction).  Ranks every agent; floor 1/e.  Buy
-  unless the seller arrives after (e-1)/e holding the best price so far.
-  Sell to the first buyer after 1/e who beats every agent seen before it.
-
-* ``alg2`` (simple random transaction).  Ranks every agent; floor -inf.
-  Buy unless the seller is the best offer so far and a fair coin (at most
-  one per episode) says no.  Sell to the first buyer who beats every
-  agent seen so far.
-
-* ``alg3`` (double threshold, zero-price seller only; a paid seller raises
-  ``ValueError``).  Ranks the buyers; floors (t1, t2).  Always buy.  Sell
-  to the first buyer who is the best-so-far buyer after t1, or the
-  second-best-so-far buyer after t2.
-
-* ``secretary-baseline``: ranks the buyers; floor 1/e.  Always buy, then
-  the classical 1/e rule on the buyers; a comparison curve only.
-
-They share no code with :mod:`sectrade.simulate`, whose vectorized kernel
-they check.
+item when a buyer arrives.  Every policy is a skip test on a record seller
+plus per-rank time floors (the per-rank time-threshold form of Chan, Chen
+and Jiang, SODA 2015): it keeps the keys of the best agents so far that it
+ranks against, one per floor, and sells to a buyer of relative rank r (r
+of the kept keys above it) that arrives after floor r.  Each policy's rule
+is one row of ``POLICIES``, which :mod:`sectrade.simulate`'s vectorized
+kernel reads too; the two share the table but not the logic, so the state
+machines here check the kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Real
 
 from .errors import ProtocolError
@@ -50,6 +34,48 @@ SELL_CUTOFF = 1.0 / math.e
 SKIP_CUTOFF = (math.e - 1.0) / math.e
 
 NONE, HELD, SOLD = "none", "held", "sold"
+
+
+@dataclass(frozen=True)
+class Policy:
+    """One policy's rule.  A held item goes to the first buyer of relative
+    rank r arriving after ``floors[r]``; None reads them from the
+    thresholds, (t1, t2).  A record seller (above every kept key) arriving
+    after ``skip_after`` is skipped, with ``coin`` only if a fair coin,
+    drawn only then, lands >= 1/2.  ``ranks_seller``: the seller's key is
+    kept too.  ``zero_seller``: a paid seller raises ``ValueError``."""
+
+    floors: tuple | None
+    skip_after: float = math.inf
+    coin: bool = False
+    ranks_seller: bool = True
+    zero_seller: bool = False
+
+
+# alg1 (random transaction), alg2 (simple random transaction: its floor 0
+# passes every buyer, who arrives after the seller), alg3 (double
+# threshold) and the classical 1/e rule on the buyers, a comparison curve
+POLICIES = {
+    "alg1": Policy((SELL_CUTOFF,), skip_after=SKIP_CUTOFF),
+    "alg2": Policy((0.0,), skip_after=-math.inf, coin=True),
+    "alg3": Policy(None, ranks_seller=False, zero_seller=True),
+    "secretary-baseline": Policy((SELL_CUTOFF,), ranks_seller=False),
+}
+
+
+def policy_rule(policy_id: str, thresholds: Thresholds | None = None
+                ) -> tuple[Policy, tuple]:
+    """The row of ``policy_id`` and its floors; ``ValueError`` for an
+    unknown id, or a row whose floors are thresholds given no
+    ``Thresholds``."""
+    rule = POLICIES.get(policy_id) if isinstance(policy_id, str) else None
+    if rule is None:
+        raise ValueError(f"unknown policy id {policy_id!r}")
+    if rule.floors is not None:
+        return rule, rule.floors
+    if not isinstance(thresholds, Thresholds):
+        raise ValueError(f"{policy_id} needs Thresholds, got {thresholds!r}")
+    return rule, (thresholds.t1, thresholds.t2)
 
 
 @dataclass
@@ -72,22 +98,21 @@ class PolicyState:
     #: against, best first, at most as many as it has floors
     top: list = field(default_factory=list)
     stopped: bool = False
-    rng: object = None  # coin source, algorithm 2 only
+    rng: object = None  # coin source, coin policies only
     last_position: int = 0
     last_time: float = -1.0
 
 
-def _step(state: PolicyState, event: PolicyEvent, floors: tuple,
-          with_seller: bool, buys) -> str:
+def _step(rule: Policy, floors: tuple, state: PolicyState,
+          event: PolicyEvent) -> str:
     """The one deal/stop and sell rule; returns "deal" or "pass".
 
     The arriving key's relative rank r is the number of kept keys above
-    it.  ``buys(record=r == 0)`` decides a seller arrival: yes holds the
-    item, no stops the episode.  A buyer arriving while the item is held
-    is sold to iff r < len(floors) and its time is past ``floors[r]``.
-    Nothing is decided once the episode has stopped.  The key is then
-    kept, among the best len(floors), if it is a buyer's or
-    ``with_seller`` ranks the seller too.
+    it.  A seller arrival is skipped, which stops the episode, or else
+    bought, by ``rule``.  A buyer arriving while the item is held is sold
+    to iff r < len(floors) and its time is past ``floors[r]``.  Nothing is
+    decided once the episode has stopped.  The key is then kept, among the
+    best len(floors), if it is a buyer's or the rule ranks the seller.
     """
     if event.position != state.last_position + 1 or event.time <= state.last_time:
         raise ProtocolError(
@@ -100,17 +125,20 @@ def _step(state: PolicyState, event: PolicyEvent, floors: tuple,
     decision = "pass"
     if not state.stopped:
         if event.is_seller:
-            if buys(record=r == 0):
+            if rule.zero_seller and event.price != 0:
+                raise ValueError("policy requires seller price 0")
+            if (r == 0 and event.time > rule.skip_after
+                    and (not rule.coin or state.rng.random() >= 0.5)):
+                state.stopped = True
+            else:
                 state.inventory = HELD
                 decision = "deal"
-            else:
-                state.stopped = True
         elif (state.inventory == HELD and r < len(floors)
               and event.time > floors[r]):
             state.inventory = SOLD
             state.stopped = True
             decision = "deal"
-    if with_seller or not event.is_seller:
+    if rule.ranks_seller or not event.is_seller:
         top.insert(r, key)
         del top[len(floors):]
     state.last_position = event.position
@@ -118,50 +146,20 @@ def _step(state: PolicyState, event: PolicyEvent, floors: tuple,
     return decision
 
 
-def alg1_step(state: PolicyState, event: PolicyEvent) -> str:
-    """Random-transaction step; returns "deal" or "pass"."""
-    return _step(state, event, (SELL_CUTOFF,), True, lambda record: not (
-        event.time > SKIP_CUTOFF and record))
+def make_policy(policy_id: str, thresholds: Thresholds | None = None):
+    """Step function ``(state, event) -> "deal" | "pass"`` of a policy id,
+    with its floors bound; ``ValueError`` as :func:`policy_rule`."""
+    return partial(_step, *policy_rule(policy_id, thresholds))
 
 
-def alg2_step(state: PolicyState, event: PolicyEvent) -> str:
-    """Simple-random-transaction step; flips at most one coin per episode."""
-    return _step(state, event, (-math.inf,), True, lambda record: (
-        not record or state.rng.random() < 0.5))
+# the exported steps of the paper's three policies
+alg1_step = make_policy("alg1")
+alg2_step = make_policy("alg2")
 
 
 def alg3_step(state: PolicyState, event: PolicyEvent, th: Thresholds) -> str:
     """Double-threshold step for a zero-price seller."""
-    def buys(record: bool) -> bool:
-        if event.price != 0:
-            raise ValueError("double-threshold policy requires seller price 0")
-        return True
-
-    return _step(state, event, (th.t1, th.t2), False, buys)
-
-
-def secretary_baseline_step(state: PolicyState, event: PolicyEvent) -> str:
-    """Always buy; then run the classical 1/e rule over the buyers."""
-    return _step(state, event, (SELL_CUTOFF,), False, lambda record: True)
-
-
-_STEPS = {"alg1": alg1_step, "alg2": alg2_step,
-          "secretary-baseline": secretary_baseline_step}
-
-
-def make_policy(policy_id: str, thresholds: Thresholds | None = None):
-    """Step function ``(state, event) -> "deal" | "pass"`` of a policy id.
-
-    Ids: "alg1" | "alg2" | "alg3" | "secretary-baseline".  "alg3" requires
-    thresholds, which its step function binds.
-    """
-    if policy_id == "alg3":
-        if thresholds is None:
-            raise ValueError("alg3 needs thresholds")
-        return lambda state, event: alg3_step(state, event, thresholds)
-    if policy_id not in _STEPS:
-        raise ValueError(f"unknown policy id {policy_id!r}")
-    return _STEPS[policy_id]
+    return _step(*policy_rule("alg3", th), state, event)
 
 
 def run_episode(policy_id: str, instance: Instance,
@@ -170,19 +168,21 @@ def run_episode(policy_id: str, instance: Instance,
     """Replay one arrival sample through a policy and score the outcome.
 
     The sample's order must be a permutation of the agent ids 1..n+1, with
-    one arrival time in [0, 1] per agent, strictly increasing; "alg2" needs
-    an ``rng`` (its coin source) and "alg3" a zero-price seller, which its
-    step checks at the seller's arrival (no episode stops before it).
+    one arrival time in [0, 1] per agent, strictly increasing; a coin
+    policy ("alg2") needs an ``rng`` (its coin source) and "alg3" a
+    zero-price seller, which its step checks at the seller's arrival (no
+    episode stops before it).
     Returns the final holder: the seller if the intermediary never bought,
     0 if it bought and never resold, else the buyer it sold to.
     Deterministic given (policy, instance, sample, rng state).
     """
-    step = make_policy(policy_id, thresholds)
-    n = instance.n
-    if sample.size != n + 1:
-        raise ValueError(f"sample has {sample.size} arrivals, instance needs {n + 1}")
-    if sorted(sample.order) != list(range(1, n + 2)):
-        raise ValueError(f"sample order is not a permutation of 1..{n + 1}")
+    rule, floors = policy_rule(policy_id, thresholds)
+    prices = (0, *instance.buyer_prices, instance.seller_price)  # by id
+    seller = len(prices) - 1
+    if sample.size != seller:
+        raise ValueError(f"sample has {sample.size} arrivals, instance needs {seller}")
+    if sorted(sample.order) != list(range(1, seller + 1)):
+        raise ValueError(f"sample order is not a permutation of 1..{seller}")
     if len(sample.times) != sample.size:
         raise ValueError(f"sample has {len(sample.times)} times for "
                          f"{sample.size} arrivals")
@@ -197,21 +197,21 @@ def run_episode(policy_id: str, instance: Instance,
             raise ValueError(f"arrival times must strictly increase, "
                              f"got {t!r} after {last!r}")
         last = t
-    if policy_id == "alg2" and rng is None:
+    if rule.coin and rng is None:
         raise ValueError(f"policy {policy_id!r} needs an rng")
 
     state = PolicyState(rng=rng)
     sold_to = 0
     decisions = []
     for pos, agent in enumerate(sample.order):
-        price = instance.price_of(agent)
-        event = PolicyEvent(time=sample.times[pos],
-                            is_seller=agent == instance.seller_id, price=price,
-                            position=pos + 1, sort_key=tiebreak_key(price, agent))
-        deal = step(state, event) == "deal"
+        price = prices[agent]
+        event = PolicyEvent(time=sample.times[pos], is_seller=agent == seller,
+                            price=price, position=pos + 1,
+                            sort_key=tiebreak_key(price, agent))
+        deal = _step(rule, floors, state, event) == "deal"
         decisions.append(deal)
-        if deal and not event.is_seller:
+        if deal and agent != seller:
             sold_to = agent
-    holder = {NONE: instance.seller_id, HELD: 0, SOLD: sold_to}[state.inventory]
-    welfare = instance.price_of(holder) if holder else 0
-    return TradeOutcome(holder=holder, welfare=welfare, decisions=tuple(decisions))
+    holder = {NONE: seller, HELD: 0, SOLD: sold_to}[state.inventory]
+    return TradeOutcome(holder=holder, welfare=prices[holder],
+                        decisions=tuple(decisions))

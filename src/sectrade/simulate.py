@@ -28,24 +28,23 @@ state and its report is byte-identical for any worker count.
 
 Policy evaluation is vectorized over the trials of a block, on
 strength-major arrays: one C-order row per column of the canonical strength
-order (strongest agent first, the seller among the buyers), each row
-across the trials, so that every numpy call covers all the trials it
-reads.  Every policy reads a prefix of that one order.  alg1 and alg2
-rank the seller; alg3 and the baseline rank the buyers alone and read the
-seller's column as +inf, so that it never ranks and is never sold to.
-Every policy buys by its own test (alg3 and the baseline always buy) and
-then sells to the earliest buyer who is r-th best so far after
-max(seller, floor_r), for each of its time floors (one for alg1, alg2 and
-the baseline, two for alg3).  A column is r-th best so far when its time
-lies between the (r-1)-th and the r-th smallest time before it; those r-th
+order (strongest agent first, the seller among the buyers), each row across
+the trials, so that every numpy call covers all the trials it reads.  Every
+policy reads a prefix of that one order, and its rule from the table
+``sectrade.policies.POLICIES``.  A policy that does not rank the seller
+reads its column as +inf, so that it never ranks and is never sold to.
+Every policy skips a record seller by its row's test and then sells to the
+earliest buyer who is r-th best so far after max(seller, floor_r), for each
+of its row's time floors.  A column is r-th best so far when its time lies
+between the (r-1)-th and the r-th smallest time before it; those r-th
 smallest times are running minima, one ``minimum`` per row, so the
 qualifying times fall strictly along the strength order and the earliest
 qualifier past a cutoff is the last one.  Weak OPT reads the same array:
 buyer prices fall along the strength order, so the best buyer arriving
 after the seller is the first one in it, and a +inf seller column ends it
-at the seller's price, which no buyer after it exceeds.  The last
-qualifier and the first buyer after the seller are each one max down the
-rows of a mask times a small integer weight per row.
+at the seller's price, which no buyer after it exceeds.  The last qualifier
+and the first buyer after the seller are each one max down the rows of a
+mask times a small integer weight per row.
 
 The kernel reads only the first ``_PREFIX`` strength columns of each
 trial, which the head holds with the seller and the coin.  A column further
@@ -94,7 +93,7 @@ import numpy as np
 from .benchmarks import strong_opt
 from .errors import NumericError
 from .model import Instance, Thresholds, check_size, rank_buyers
-from .policies import SELL_CUTOFF, SKIP_CUTOFF
+from .policies import POLICIES, policy_rule
 
 BLOCK = 1 << 14  # trials per block: they fix the order of every sum
 _BLOCK_BUDGET = 1 << 17  # max doubles per draw array and kernel read
@@ -104,16 +103,6 @@ _PREFIX = 32  # strength columns the kernel reads in its first round
 _HEAD = 33  # strength positions in a trial's head
 _GROUP = 256  # trials per head group, a multiple of 4 (Philox's block)
 _TAIL = 1 << 128  # the Philox counter where the tails start
-
-# each policy's skip test on (seller time, coin), None for a policy that
-# ranks the buyers alone and always buys, and its time floors: it sells to
-# the earliest buyer who is r-th best so far after max(seller, floors[r-1])
-_POLICIES = {"alg1": (lambda seller_t, coin: seller_t > SKIP_CUTOFF,
-                      lambda th: (SELL_CUTOFF,)),
-             "alg2": (lambda seller_t, coin: coin >= 0.5, lambda th: (0.0,)),
-             "alg3": (None, lambda th: (th.t1, th.t2)),
-             "secretary-baseline": (None, lambda th: (SELL_CUTOFF,))}
-POLICY_IDS = tuple(_POLICIES)
 
 
 @dataclass(frozen=True)
@@ -212,7 +201,7 @@ def block_draws(seed: int, mk: _Market, start: int, count: int,
 def _scan_width(policy_id: str, mk: _Market) -> int:
     """Strength columns of a policy's whole scan: all n+1, but n for a
     policy that ranks the buyers alone when the seller is last."""
-    return mk.n + 1 - (_POLICIES[policy_id][0] is None
+    return mk.n + 1 - (not POLICIES[policy_id].ranks_seller
                        and mk.seller_strength_pos == mk.n)
 
 
@@ -253,11 +242,11 @@ def _evaluate(policy_id: str, mk: _Market, ts: np.ndarray,
     and whether the result is final, per trial, from its times ``ts`` at
     the first ts.shape[0] columns of the strength order (C order,
     strength-major: one row per column, strongest agent first, each row
-    across the trials), its seller time and its coin.  A policy without a
-    skip test reads the seller's column as +inf, which never ranks and ends
-    weak OPT at the seller's price.  The running minima live in the
+    across the trials), its seller time and its coin.  A policy that does
+    not rank the seller reads its column as +inf, which never ranks and
+    ends weak OPT at the seller's price.  The running minima live in the
     workspace ``ws`` when one is given."""
-    skip, floors = _POLICIES[policy_id]
+    rule, floors = policy_rule(policy_id, th)
     width, trials = ts.shape
     whole = width >= _scan_width(policy_id, mk)
     cols = mk.strength_cols[:width]
@@ -274,17 +263,19 @@ def _evaluate(policy_id: str, mk: _Market, ts: np.ndarray,
     weak = np.maximum(np.concatenate(([-np.inf], mk.prices[cols[::-1] + 1])),
                       mk.seller_price)[first]
 
-    # The buy test: alg1 skips a seller past (e-1)/e and alg2 one whose coin
-    # lands >= 1/2, each only when the seller is a record.  Wherever a skip
-    # holds the seller's time is the rank-1 cutoff (alg1 skips only past
+    # The buy test: a record seller past the rule's skip_after is skipped,
+    # with a coin only where it lands >= 1/2.  Wherever a skip holds the
+    # seller's time is the rank-1 cutoff (alg1 skips only past
     # (e-1)/e > 1/e), so in a settled trial some prefix time beats the
     # seller's, and a seller past the prefix is no record.
     # m_1: the least time before each row, and last the least of all
     bound = _buffer(ws, "bound", (width + 1, trials))
     _running_min(ts, bound)
     pos = mk.seller_strength_pos
-    if skip is not None and pos < width:
-        no_buy = skip(seller_t, coin) & (ts[pos] < bound[pos])
+    if rule.skip_after < math.inf and pos < width:
+        no_buy = (seller_t > rule.skip_after) & (ts[pos] < bound[pos])
+        if rule.coin:
+            no_buy &= coin >= 0.5
     else:
         no_buy = False
 
@@ -296,7 +287,7 @@ def _evaluate(policy_id: str, mk: _Market, ts: np.ndarray,
     # a time tie.
     # ts[k - 1, j] is flat[k * trials + off[j]] (k = 0 wraps to the last row)
     flat, off = ts.reshape(-1), np.arange(-trials, 0)
-    for r, floor in enumerate(floors(th)):
+    for r, floor in enumerate(floors):
         cut = np.maximum(seller_t, floor)
         if r:
             qual = bound[:-1] < ts
@@ -326,7 +317,7 @@ def _outcomes(policy_id: str, mk: _Market, seed: int, start: int,
 
     The heads are drawn once, into the workspace ``ws``.  Each read is a
     prefix of the strength order, the seller's head row in its place (+inf,
-    its times copied out first, for a policy without a skip test).  The
+    its times copied out first, for a policy that does not rank it).  The
     first round reads ``_PREFIX`` columns of every trial; each later round
     reads the trials the last one did not settle at 8x the width, with the
     start of each one's tail, until a round covers the policy's whole
@@ -336,7 +327,7 @@ def _outcomes(policy_id: str, mk: _Market, seed: int, start: int,
     head = block_draws(seed, mk, start, count, ws=ws)
     row = min(mu, _HEAD)  # the seller's head row
     seller_t = head[row]
-    if _POLICIES[policy_id][0] is None and mu < scan:  # read as +inf
+    if not POLICIES[policy_id].ranks_seller and mu < scan:  # read as +inf
         seller_t = _buffer(ws, "seller", (count,))
         np.copyto(seller_t, head[row])
         head[row] = np.inf
@@ -450,12 +441,9 @@ def simulate(policy_id: str, instance: Instance, trials: int,
             or not 0 <= seed < 2 ** 128):
         raise ValueError(f"need an integer seed in [0, 2**128), got {seed!r}")
     seed = int(seed)  # a numpy integer is not JSON-serialisable
-    if policy_id not in POLICY_IDS:
-        raise ValueError(f"unknown policy id {policy_id!r}")
-    if policy_id == "alg3" and thresholds is None:
-        raise ValueError("alg3 needs thresholds")
-    if policy_id == "alg3" and instance.seller_price != 0:
-        raise ValueError("alg3 requires seller price 0")
+    if (policy_rule(policy_id, thresholds)[0].zero_seller
+            and instance.seller_price != 0):
+        raise ValueError(f"{policy_id} requires seller price 0")
     mk = _market(instance)
 
     blocks = range(0, trials, BLOCK)

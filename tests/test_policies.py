@@ -11,8 +11,7 @@ from sectrade.model import (ArrivalSample, Instance, Thresholds,
                             gen_instance, sample_arrival, tiebreak_key)
 from sectrade.policies import (HELD, NONE, SELL_CUTOFF, SKIP_CUTOFF, SOLD,
                                PolicyEvent, PolicyState, alg1_step, alg2_step,
-                               alg3_step, make_policy, run_episode,
-                               secretary_baseline_step)
+                               alg3_step, make_policy, run_episode)
 
 
 def ev(time, price, position, *, seller=False, index=1):
@@ -256,6 +255,12 @@ class TestRunEpisode:
             make_policy("alg9")
         with pytest.raises(ValueError):
             make_policy("alg3")  # thresholds required
+        with pytest.raises(ValueError, match="needs Thresholds"):
+            make_policy("alg3", (0.3, 0.7))  # a tuple is no Thresholds
+        with pytest.raises(ValueError, match="needs Thresholds"):
+            run_episode("alg3", gen_instance("spike", n=2),
+                        ArrivalSample((3, 1, 2), (0.1, 0.5, 0.9)),
+                        thresholds=(0.3, 0.7))
 
     def test_alg3_requires_zero_seller(self):
         inst = Instance((1, 0.5), 0.2)
@@ -512,7 +517,7 @@ class TestMatchesReference:
         for value in (0.0, 0.9):  # coin says buy / skip
             yield "alg2", reference_alg2_step, alg2_step, value, None
         yield ("secretary-baseline", reference_secretary_baseline_step,
-               secretary_baseline_step, None, None)
+               make_policy("secretary-baseline"), None, None)
         if inst.seller_price == 0:
             for th in self.THRESHOLDS:
                 yield ("alg3", lambda s, e, th=th: reference_alg3_step(s, e, th),

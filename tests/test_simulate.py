@@ -14,11 +14,12 @@ from sectrade.benchmarks import weak_opt_expected
 from sectrade.errors import NumericError
 from sectrade.model import ArrivalSample, Instance, Thresholds, gen_instance
 from sectrade.oracle import enumerate_alg2_exact
-from sectrade.policies import SELL_CUTOFF, SKIP_CUTOFF, run_episode
+from sectrade.policies import POLICIES, SELL_CUTOFF, SKIP_CUTOFF, run_episode
 from sectrade.simulate import (_BLOCK_BUDGET, _GROUP, _HEAD, _PREFIX, BLOCK,
-                               POLICY_IDS, SimulationReport, _market,
-                               _outcomes, block_draws, simulate)
+                               SimulationReport, _market, _outcomes,
+                               block_draws, simulate)
 
+POLICY_IDS = tuple(POLICIES)
 TH = Thresholds(0.296151, 0.805018)
 # the module itself, whose globals the tests patch
 SIM = importlib.import_module("sectrade.simulate")
@@ -203,8 +204,7 @@ class TestDeterminism:
 
 
 class TestKernelAgainstStateMachines:
-    @pytest.mark.parametrize("policy_id", ["alg1", "alg2", "alg3",
-                                           "secretary-baseline"])
+    @pytest.mark.parametrize("policy_id", POLICY_IDS)
     def test_same_draws_same_outcomes(self, policy_id):
         instances = [
             gen_instance("spike", n=5),
@@ -214,7 +214,7 @@ class TestKernelAgainstStateMachines:
             Instance((1, 0.5, 0.25, 0.125), 0.15),  # seller mid-ranking
         ]
         for inst in instances:
-            if policy_id == "alg3" and inst.seller_price != 0:
+            if POLICIES[policy_id].zero_seller and inst.seller_price != 0:
                 continue
             n = inst.n
             mk = _market(inst)
@@ -865,6 +865,8 @@ class TestValidation:
             simulate("nope", inst, 10, seed=1)
         with pytest.raises(ValueError):
             simulate("alg3", inst, 10, seed=1)  # thresholds missing
+        with pytest.raises(ValueError, match="needs Thresholds"):
+            simulate("alg3", inst, 10, seed=1, thresholds=(0.3, 0.7))
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 128, True, 1.5, "7"])
     def test_bad_seed(self, seed):

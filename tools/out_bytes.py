@@ -158,6 +158,12 @@ COMMANDS = {
         _simulate("alg2", PAID_1000[40], 20000), ".json"),
     "simulate_alg3_spike300": (_simulate("alg3", "spike:n=300", 20000),
                                ".json"),
+    # both alg3 floors at an edge: at 0 each rank sells from the seller's
+    # arrival on, at 1/2 both ranks wait for the same time
+    **{f"simulate_alg3_spike100_floors_{name}": (
+        ["simulate", "--policy", "alg3", "--instance", "spike:n=100",
+         "--trials", "20000", "--seed", "1", "--t1", t, "--t2", t], ".json")
+       for name, t in (("zero", "0"), ("half", "0.5"))},
     # the baseline ranks the buyers alone past a paid seller inside the
     # head, past one after it, and at n = 10 with the seller mid-order
     "simulate_baseline_paid_head_1000": (
