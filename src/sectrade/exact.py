@@ -48,6 +48,11 @@ _ALG3_TOL = 1e-8
 #: rank (``alg3_pi_parts``) has no cap.
 ALG3_TABLE_CAP = 100_000
 
+#: Cells a grid scan evaluates at once (512 kB of doubles): the rank x
+#: node power table of the finite-n alg3 pieces and the row chunks of the
+#: threshold optimizer's (t1, t2) scans.
+_CELLS = 1 << 16
+
 
 def pow1m(t, m):
     """(1 - t)**m for t in [0, 1] and integer m >= 0, elementwise over the
@@ -309,11 +314,11 @@ def _alg3_pieces(ranks, n: int, th: Thresholds):
         wq1 = w * pow1m(t, n - 1)
         wq2 = w * pow1m(t, max(n - 2, 0))
         b2 = np.concatenate((wq1 @ (L - F), (n - 1) * (wq2 @ H)))
-        # rank parts: q^(i-1) for chunks of at most 2^16 (rank x node) cells
+        # rank parts: q^(i-1) for chunks of at most _CELLS (rank x node) cells
         W = np.column_stack((w[:, None] * F,
                              (w * t / (1.0 - t))[:, None] * F[:, 2:]))
         b1 = np.empty((ranks.size, 8))
-        step = max(1, (1 << 16) // max(t.size, 1))
+        step = max(1, _CELLS // max(t.size, 1))
         for first in range(0, ranks.size, step):
             rows = slice(first, first + step)
             b1[rows] = pow1m(t, i1[rows, None]) @ W
@@ -485,14 +490,38 @@ _GRID_STEP = 1e-3
 
 def _grid_argmin(objective: str, l1, l2) -> tuple[float, float, float]:
     """(t1, t2, value) minimising the objective over the grid l1 x l2
-    within t1 <= t2; the first minimum in row-major order on ties.  l1 is
-    broadcast as a column against l2 as a row, which gives the values of
-    a meshgrid without its two full-size coordinate arrays."""
-    col, row = l1[:, None], l2[None, :]
-    vals = _objective_arr(objective, col, row)
-    vals[col > row] = np.inf
-    i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    return float(l1[i]), float(l2[j]), float(vals[i, j])
+    within t1 <= t2: exactly the cell and value of one ``np.argmin`` over
+    the whole grid with every t1 > t2 cell set to +inf.
+
+    l1 and l2 must be non-decreasing (ValueError otherwise).  The grid is
+    scanned in chunks of max(1, _CELLS // len(l2)) rows, each evaluated
+    by broadcasting its t1 column against a t2 row.  A chunk starting at
+    row lo evaluates only the columns from the first l2 >= l1[lo] on, as
+    every cell left of it has t2 < t1; t1 > t2 cells inside the chunk
+    are set to +inf.  Ties go to the first cell in row-major order and a
+    NaN beats every number, as in ``np.argmin``: the chunks fold in row
+    order from cell (0, 0) at +inf, and a chunk's first minimum replaces
+    the best so far only if it is smaller, or the first NaN.  So a grid
+    with no cell below +inf gives (l1[0], l2[0], inf)."""
+    l1, l2 = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)
+    if np.any(np.diff(l1) < 0) or np.any(np.diff(l2) < 0):
+        raise ValueError("grid axes must be non-decreasing")
+    step = max(1, _CELLS // l2.size)
+    best = (0, 0, np.inf)
+    for lo in range(0, l1.size, step):
+        col = l1[lo:lo + step, None]
+        j0 = int(np.searchsorted(l2, l1[lo]))
+        if j0 == l2.size:
+            continue  # no cell of the chunk on or above the diagonal
+        row = l2[None, j0:]
+        vals = _objective_arr(objective, col, row)
+        vals[col > row] = np.inf
+        i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        val = vals[i, j]
+        if val < best[2] or (np.isnan(val) and not np.isnan(best[2])):
+            best = (lo + i, j0 + j, val)
+    i, j, val = best
+    return float(l1[i]), float(l2[j]), float(val)
 
 
 def optimize_thresholds(objective: str) -> tuple[Thresholds, float]:
@@ -502,6 +531,8 @@ def optimize_thresholds(objective: str) -> tuple[Thresholds, float]:
     against the all-ones instance; "lower_bound_family" balances the
     one-high-bid family against the two-high-bids family.  A coarse grid
     scan is followed by shrinking local grids down to a step of 1e-6.
+    Both scans evaluate at most _CELLS cells at once, so the tracemalloc
+    peak stays near 3 MiB.
     """
     ts = np.arange(0.0, 1.0 + _GRID_STEP / 2, _GRID_STEP)
     b1, b2, bval = _grid_argmin(objective, ts, ts)

@@ -330,13 +330,27 @@ class TestOptimizeThresholds:
         with pytest.raises(ValueError):
             optimize_thresholds("sideways")
 
+    @pytest.mark.parametrize("objective", ["upper_bound",
+                                           "lower_bound_family"])
+    def test_memory_is_bounded(self, objective):
+        # the coarse scan goes in _CELLS-sized row chunks; evaluating the
+        # whole 1001 x 1001 grid at once would peak near 39 MiB
+        tracemalloc.start()
+        try:
+            optimize_thresholds(objective)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
 
 class TestGridArgmin:
     @staticmethod
     def _meshgrid_argmin(objective, l1, l2):
         # the full-coordinate scan the broadcast helper replaced
         g1, g2 = np.meshgrid(l1, l2, indexing="ij")
-        vals = np.where(g1 <= g2, _objective_arr(objective, g1, g2), np.inf)
+        vals = np.where(g1 <= g2, exact._objective_arr(objective, g1, g2),
+                        np.inf)
         best = np.unravel_index(int(np.argmin(vals)), vals.shape)
         return float(g1[best]), float(g2[best]), float(vals[best])
 
@@ -353,6 +367,22 @@ class TestGridArgmin:
         assert (_grid_argmin(objective, l1, l2)
                 == self._meshgrid_argmin(objective, l1, l2))
 
+    @pytest.mark.parametrize("objective", ["upper_bound",
+                                           "lower_bound_family"])
+    def test_coarse_grid_matches_meshgrid_scan(self, objective):
+        # the optimizer's own 1001 x 1001 scan, 16 chunks of 65 rows
+        ts = np.arange(0.0, 1.0 + exact._GRID_STEP / 2, exact._GRID_STEP)
+        assert (_grid_argmin(objective, ts, ts)
+                == self._meshgrid_argmin(objective, ts, ts))
+
+    @pytest.mark.parametrize("cells", [1, 303, 1000])
+    def test_small_chunks_match_meshgrid_scan(self, monkeypatch, cells):
+        monkeypatch.setattr(exact, "_CELLS", cells)
+        ts = np.arange(0.0, 1.005, 0.01)
+        for objective in ("upper_bound", "lower_bound_family"):
+            assert (_grid_argmin(objective, ts, ts)
+                    == self._meshgrid_argmin(objective, ts, ts))
+
     def test_cells_above_diagonal_excluded_first_tie_wins(self, monkeypatch):
         # t2 - t1 is least where t1 > t2; within t1 <= t2 every diagonal
         # cell ties at 0 and the first in row-major order is (0, 0)
@@ -360,6 +390,71 @@ class TestGridArgmin:
                             lambda name, t1, t2: t2 - t1)
         ts = np.linspace(0.0, 1.0, 11)
         assert _grid_argmin("upper_bound", ts, ts) == (0.0, 0.0, 0.0)
+
+    @staticmethod
+    def _patch(monkeypatch, objective, cells=22):
+        # 22 cells over 11 columns: chunks of two rows, edges at 2, 4, ...
+        monkeypatch.setattr(exact, "_CELLS", cells)
+        monkeypatch.setattr(exact, "_objective_arr",
+                            lambda name, t1, t2: objective(t1 + 0.0 * t2,
+                                                           t2 + 0.0 * t1))
+
+    def test_tie_across_chunk_edge_first_wins(self, monkeypatch):
+        # rows 1 and 2 lie in chunks [0, 2) and [2, 4); both hold a 0 at
+        # t2 = 0.5, and the earlier chunk's cell wins
+        ts = np.linspace(0.0, 1.0, 11)
+        self._patch(monkeypatch, lambda t1, t2: np.where(
+            (np.abs(t2 - 0.5) < 1e-9) & (t1 > 0.05) & (t1 < 0.25), 0.0, 1.0))
+        got = _grid_argmin("upper_bound", ts, ts)
+        assert got == (ts[1], 0.5, 0.0)
+        assert got == self._meshgrid_argmin("upper_bound", ts, ts)
+
+    def test_first_nan_wins_across_chunks(self, monkeypatch):
+        # NaN at rows 3 and 5 (chunks [2, 4) and [4, 6)) and a -1 in an
+        # earlier chunk: np.argmin returns the first NaN
+        ts = np.linspace(0.0, 1.0, 11)
+        self._patch(monkeypatch, lambda t1, t2: np.where(
+            (np.abs(t2 - 0.9) < 1e-9) & (np.abs(t1 - 0.3) < 1e-9), np.nan,
+            np.where((np.abs(t2 - 0.9) < 1e-9) & (np.abs(t1 - 0.5) < 1e-9),
+                     np.nan, np.where(t1 == 0.0, -1.0, 1.0))))
+        for grid in (_grid_argmin, self._meshgrid_argmin):
+            t1, t2, val = grid("upper_bound", ts, ts)
+            assert (t1, t2) == (ts[3], ts[9]) and math.isnan(val)
+
+    def test_all_inf_objective_gives_first_cell(self, monkeypatch):
+        l1 = np.linspace(0.2, 1.0, 9)
+        l2 = np.linspace(0.0, 1.0, 11)
+        self._patch(monkeypatch, lambda t1, t2: np.full(t1.shape, np.inf))
+        assert _grid_argmin("upper_bound", l1, l2) == (0.2, 0.0, np.inf)
+        assert (self._meshgrid_argmin("upper_bound", l1, l2)
+                == (0.2, 0.0, np.inf))
+
+    def test_chunks_wholly_below_diagonal(self, monkeypatch):
+        # rows with t1 > 1 have every column below the diagonal: their
+        # chunks evaluate nothing, though -t1 - t2 would be least there
+        l1 = np.linspace(0.0, 2.0, 21)
+        l2 = np.linspace(0.0, 1.0, 11)
+        shapes = []
+
+        def objective(t1, t2):
+            shapes.append(t1.shape)
+            return -t1 - t2
+
+        self._patch(monkeypatch, objective)
+        assert _grid_argmin("upper_bound", l1, l2) == (1.0, 1.0, -2.0)
+        assert len(shapes) == 6 and min(map(min, shapes)) > 0
+        shapes.clear()
+        # and a grid with no cell on or above the diagonal at all
+        assert (_grid_argmin("upper_bound", l1[11:], l2)
+                == (float(l1[11]), 0.0, np.inf))
+        assert shapes == []
+
+    def test_axes_must_be_non_decreasing(self):
+        ts = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(ValueError):
+            _grid_argmin("upper_bound", ts[::-1], ts)
+        with pytest.raises(ValueError):
+            _grid_argmin("upper_bound", ts, ts[::-1])
 
 
 def test_pow1m_edge_cases():
