@@ -284,7 +284,7 @@ def alg3_ratio(th: Thresholds) -> Alg3Ratio:
 # + (1 - q^(n-i)) t (F_3 + F_4 + F_5)] splits, as q^(i-2) q^(n-i) = q^(n-2),
 # into those second-chance b_k1 / (i(i+1)) and (i-1) times a rank-free
 # integral.  So only q^(i-1) (and q^(i-2) = q^(i-1) / q) depends on the
-# rank: all ranks come from one (rank x node) power table and a product.
+# rank: all ranks come from one (node x rank) power table and a product.
 
 def _alg3_pieces(ranks, n: int, th: Thresholds):
     """(b_k1, b_k2, p_i2) at the given ranks: two (8, ranks) arrays and one
@@ -313,25 +313,27 @@ def _alg3_pieces(ranks, n: int, th: Thresholds):
         # rank-free parts; q^(n-2) enters only with the factor n - 1
         wq1 = w * pow1m(t, n - 1)
         wq2 = w * pow1m(t, max(n - 2, 0))
-        b2 = np.concatenate((wq1 @ (L - F), (n - 1) * (wq2 @ H)))
-        # rank parts: q^(i-1) for chunks of at most _CELLS (rank x node) cells
-        W = np.column_stack((w[:, None] * F,
-                             (w * t / (1.0 - t))[:, None] * F[:, 2:]))
-        b1 = np.empty((ranks.size, 8))
+        b2 = np.concatenate((np.einsum("i,ij", wq1, L - F),
+                             (n - 1) * np.einsum("i,ij", wq2, H)))
+        # rank parts, _CELLS cells a chunk; W is 0 off [:lo, :2] and [lo:, 2:]
+        W = np.c_[w[:, None] * F, (w * t / (1.0 - t))[:, None] * F[:, 2:]]
+        b1, lo = np.empty((8, ranks.size)), ta.size
         step = max(1, _CELLS // max(t.size, 1))
         for first in range(0, ranks.size, step):
             rows = slice(first, first + step)
-            b1[rows] = pow1m(t, i1[rows, None]) @ W
-        b1[:, 5:] *= i1[:, None]
-        p2 = b1[:, 5:].sum(axis=1) + i1 * (wq2 @ late)
-        # row 0: the rank-free b_k2; then per rank the b_k1 and p_i2
-        return np.vstack((np.append(b2, 0.0), np.column_stack((b1, p2))))
+            q = pow1m(t[:, None], i1[rows])
+            np.einsum("ji,jk->ki", q[:lo], W[:lo, :2], out=b1[:2, rows])
+            np.einsum("ji,jk->ki", q[lo:], W[lo:, 2:], out=b1[2:, rows])
+        b1[5:] *= i1
+        p2 = b1[5:].sum(axis=0) + i1 * np.einsum("i,i", wq2, late)
+        # column 0: the rank-free b_k2; then per rank the b_k1 and p_i2
+        return np.column_stack((np.append(b2, 0.0), np.vstack((b1, p2))))
 
     # refined on the p scale (pieces over i (i+1)), 16 pieces to a p_i
     table = integrate_graded(estimate, ((t1, t2), (t2, 1.0)), n,
                              _ALG3_TOL / 16.0)
     scale = ranks * (ranks + 1.0)
-    return scale * table[1:, :8].T, np.outer(table[0, :8], scale), table[1:, 8]
+    return scale * table[:8, 1:], np.outer(table[:8, 0], scale), table[8, 1:]
 
 
 def alg3_pi_finite(i: int, n: int, th: Thresholds) -> float:

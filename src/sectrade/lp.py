@@ -65,7 +65,7 @@ _CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max c @ v subject to A @ v <= b and v >= 0, for one of the primals.
+    """max c v subject to A v <= b and v >= 0, for one of the primals.
 
     Row r and column r belong to the r-th pair (i, j), i <= j, in
     row-major order (``np.triu_indices(n)``, 1-based).  The weak primal
@@ -130,7 +130,8 @@ class PrimalSolution:
     pivots: int = 0
 
     def max_violation(self, lp: LinearProgram) -> float:
-        return float(max(np.max(lp.A @ self.v - lp.b), np.max(-self.v), 0.0))
+        r = np.einsum("ij,j", lp.A, self.v) - lp.b
+        return float(max(np.max(r), np.max(-self.v), 0.0))
 
 
 def simplex_solve(lp: LinearProgram) -> PrimalSolution:
@@ -170,7 +171,7 @@ def _sweep(n, rhs):
     functions of the active families alone, on its own j and the one above
     it, so no n-long rhs is held.
     Returns the z arrays, each family's break (0 if none) and the objective
-    sum_j j sum_r z_{r,j}."""
+    sum_j j sum_r z_{r,j}, by ``np.einsum``: one order on every host."""
     j = np.arange(1.0, n + 1.0)
     z, breaks = [np.zeros(n) for _ in rhs], [0] * len(rhs)
     top, s_top = n, 0.0
@@ -213,7 +214,7 @@ def _sweep(n, rhs):
                 break
         else:                                 # no break down to j = 1
             break
-    return z, breaks, float(j @ sum(z[1:], z[0]))
+    return z, breaks, float(np.einsum("i,i", j, sum(z[1:], z[0])))
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ def whole_sweep(rhs):
         top = breaks[f - 1] = int(negative[-1]) + 1
         s_top = s[top - 1]
         z[f - 1][:top] = 0.0
-    return z, breaks, float(j @ sum(z[1:], z[0]))
+    return z, breaks, float(np.einsum("i,i", j, sum(z[1:], z[0])))
 
 
 def whole_verify(z, rhs):

@@ -1,6 +1,11 @@
+import filecmp
 import importlib.util
+import platform
 import re
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "out_bytes.py"
@@ -27,3 +32,37 @@ def test_readme_counts_the_commands():
     readme = (ROOT / "README.md").read_text()
     counts = re.findall(r"fixed list of (\d+)\s+commands", readme)
     assert counts == [str(len(load_out_bytes().COMMANDS))]
+
+
+def _openblas_x86_64():
+    try:  # numpy < 1.26 has no CONFIG
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    except (AttributeError, KeyError):
+        return False
+    return (platform.machine().lower() in ("x86_64", "amd64")
+            and "openblas" in blas.lower())
+
+
+@pytest.mark.skipif(not _openblas_x86_64(),
+                    reason="OPENBLAS_CORETYPE picks a kernel only in an "
+                           "x86-64 OpenBLAS build")
+def test_out_bytes_survive_the_blas_kernel(tmp_path, monkeypatch):
+    """The bytes of a certificate, an alg3 table, a delta quadrature and a
+    primal residual do not depend on the BLAS kernel OpenBLAS picks for
+    the host: as AVX2 (Haswell) and as SSE4 (Nehalem) they match the
+    default run."""
+    out_bytes = load_out_bytes()
+    names = ("certify_weak_n3_w2", "exact_delta_mu1000",
+             "exact_alg3_n50_family", "lp_weak_n30")
+    monkeypatch.setattr(out_bytes, "COMMANDS",
+                        {name: out_bytes.COMMANDS[name] for name in names})
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    assert out_bytes.main([str(tmp_path / "default")]) == 0
+    files = sorted(p.name for p in (tmp_path / "default").iterdir())
+    assert len(files) == 4 * len(names)
+    for core in ("Haswell", "Nehalem"):
+        monkeypatch.setenv("OPENBLAS_CORETYPE", core)
+        assert out_bytes.main([str(tmp_path / core)]) == 0
+        _, mismatch, errors = filecmp.cmpfiles(
+            tmp_path / "default", tmp_path / core, files, shallow=False)
+        assert (mismatch, errors) == ([], []), core
