@@ -317,10 +317,15 @@ def _alg3_pieces(ranks, n: int, th: Thresholds):
                              (n - 1) * np.einsum("i,ij", wq2, H)))
         # rank parts, _CELLS cells a chunk; W is 0 off [:lo, :2] and [lo:, 2:]
         W = np.c_[w[:, None] * F, (w * t / (1.0 - t))[:, None] * F[:, 2:]]
-        b1, lo = np.empty((8, ranks.size)), ta.size
+        # a chunk whose largest cell, at the least node and rank, is 0.0
+        # is 0.0 throughout (exp is monotone), and keeps b1's zeros
+        b1, lo = np.zeros((8, ranks.size)), ta.size
         step = max(1, _CELLS // max(t.size, 1))
+        t_min = t.min(initial=1.0)
         for first in range(0, ranks.size, step):
             rows = slice(first, first + step)
+            if pow1m(t_min, i1[rows].min()) == 0.0:
+                continue
             q = pow1m(t[:, None], i1[rows])
             np.einsum("ji,jk->ki", q[:lo], W[:lo, :2], out=b1[:2, rows])
             np.einsum("ji,jk->ki", q[lo:], W[lo:, 2:], out=b1[2:, rows])

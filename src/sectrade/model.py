@@ -25,9 +25,10 @@ seller carries the largest index, so it loses every price tie to a buyer.
 price alone; ``tiebreak_key`` is the key the policies compare, a tuple
 whose natural ordering is the same rule, with larger keys ranking higher.
 
-Randomness is pinned to numpy's Philox counter-based generator so that
-every sampled quantity is reproducible across platforms and worker counts;
-see :mod:`sectrade.simulate` for the stream-split rule.
+Randomness is pinned to numpy's PCG64DXSM generator, whose ``advance``
+jumps to any place in its stream, so that every sampled quantity is
+reproducible across platforms and worker counts; see
+:mod:`sectrade.simulate` for the stream layout.
 """
 
 from __future__ import annotations

@@ -1,23 +1,31 @@
 """Seeded, worker-count-invariant Monte Carlo for the trading policies.
 
-Stream layout (Monte Carlo contract v2)
+Stream layout (Monte Carlo contract v3)
 ---------------------------------------
-Every uniform is a double of numpy's Philox under the key ``seed``
-(Salmon et al., SC'11), at a place fixed by the seed, n, the strength order,
-the trial and the agent alone.  Take a trial's n+1 agents in the strength
-order (``_Market.strength_cols``, strongest first), let H = min(n+1, 33)
-and let the seller sit at strength position mu.
+Every uniform is a double of numpy's ``PCG64DXSM(seed)`` (O'Neill's PCG
+with the DXSM output function, seeded through numpy's ``SeedSequence``),
+at a place fixed by the seed, n, the strength order, the trial and the
+agent alone.  Take a trial's n+1 agents in the strength order
+(``_Market.strength_cols``, strongest first), let H = min(n+1, 33) and let
+the seller sit at strength position mu.
 
 * The head of a trial holds strength positions 0..H-1, then the seller
   when it ranks lower (mu >= H), then alg2's coin: h = H + 1 + [mu >= H]
   rows.  Trials form groups of G = 256, stored one row per agent across the
   group's trials: head row i of trial k is double (k // G) h G + i G + k % G
-  of ``Philox(key=seed)``.
+  of the stream.
 * The tail of a trial holds its other agents (strength positions H..n
-  without the seller, n + 2 - h of them) in strength order: the j-th is
-  double k L + j of ``Philox(key=seed, counter=2**128)``, where L is
-  n + 2 - h rounded up to a multiple of 4.  The two ranges of counters
-  never meet.
+  without the seller, L = n + 2 - h of them) in strength order: the j-th is
+  double 2**127 + k L + j of the stream.
+
+``advance`` reaches any of these places in one jump.  The stream has
+period 2**128, so the heads stay below the tails for the first
+2**127 / (h G) groups, about 2**127 / 35 = 4.9e36 trials since h <= 35,
+and the tails stay below 2**128 for the first 2**127 / L trials; only past
+those counts would the two ranges meet.  DXSM, not PCG64's default output
+function: numpy documents that one as correlating states a power of two (a
+distance of low Hamming weight) apart, and the tails start 2**127 after the
+heads.
 
 The layout does not depend on the policy, the worker count, the prefix
 width or the memory budget.  Trials are processed in blocks of ``BLOCK``
@@ -53,7 +61,7 @@ prefix times, so a trial is settled by its prefix when some prefix column
 arrived after the seller (weak OPT) and, for every rank r, r prefix times
 are within max(seller, floor_r).  The unsettled trials are evaluated again
 on a prefix 8x as wide, which adds the start of each one's tail (one
-Philox advance and one draw) and puts a seller past the head back in its
+advance and one draw) and puts a seller past the head back in its
 place, until it covers the policy's whole scan (at once for n < 32): all
 n+1 columns, but n when a policy that ranks the buyers alone has the
 seller last.  Each trial's result is exactly that of the whole scan, so
@@ -101,8 +109,8 @@ _BLOCK_BUDGET = 1 << 17  # max doubles per draw array and kernel read
 _MOMENTS = ("sum_w", "sum_w2", "sum_o", "sum_o2", "sum_wo")
 _PREFIX = 32  # strength columns the kernel reads in its first round
 _HEAD = 33  # strength positions in a trial's head
-_GROUP = 256  # trials per head group, a multiple of 4 (Philox's block)
-_TAIL = 1 << 128  # the Philox counter where the tails start
+_GROUP = 256  # trials per head group: one row of a group is G doubles
+_TAIL = 1 << 127  # the stream position where the tails start
 
 
 @dataclass(frozen=True)
@@ -174,27 +182,25 @@ def block_draws(seed: int, mk: _Market, start: int, count: int,
     (so the array lives until the workspace's next head draw) and fresh
     otherwise.  Else they are the first ``width`` tail uniforms of each
     trial start + rows (``rows`` ascending), shape (width, len(rows)): one
-    Philox advance and one draw per trial."""
+    advance and one draw per trial."""
     h = _head_rows(mk)
+    bitgen = np.random.PCG64DXSM(seed)
+    gen = np.random.Generator(bitgen)
     if rows is None:
         first, end = start // _GROUP, -(-(start + count) // _GROUP)
-        bitgen = np.random.Philox(key=seed)
-        bitgen.advance(first * h * _GROUP // 4)
-        u = np.random.Generator(bitgen).random(
-            out=_buffer(ws, "draw", (end - first, h, _GROUP)))
+        bitgen.advance(first * h * _GROUP)
+        u = gen.random(out=_buffer(ws, "draw", (end - first, h, _GROUP)))
         head = _buffer(ws, "head", (h, end - first, _GROUP))
         np.copyto(head, u.transpose(1, 0, 2))
         return head.reshape(h, -1)[:, start - first * _GROUP:][:, :count]
-    per = -(-(mk.n + 2 - h) // 4)  # Philox counters per tail
-    bitgen = np.random.Philox(key=seed, counter=_TAIL)
-    gen = np.random.Generator(bitgen)
+    per = mk.n + 2 - h  # doubles per tail
     out = np.empty((width, len(rows)))
-    at = 0  # the counter the next draw starts from
+    at = 0  # the position the next draw starts from
     for j, k in enumerate(rows.tolist()):
-        k += start
-        bitgen.advance(k * per - at)
+        pos = _TAIL + (start + k) * per
+        bitgen.advance(pos - at)
         out[:, j] = gen.random(width)
-        at = k * per + -(-width // 4)
+        at = pos + width
     return out
 
 

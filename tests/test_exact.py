@@ -467,6 +467,33 @@ def test_pow1m_edge_cases():
     assert big[0] == 0.0  # clean underflow, not garbage
 
 
+def test_alg3_rank_table_skips_only_zero_chunks(monkeypatch):
+    # the rank table skips a chunk whose largest cell (1 - t)^(i-1)
+    # underflows to 0.0; computing every chunk, as the loop did before,
+    # gives the same bits.  At t >= 1/2 the cells underflow past rank
+    # 1076, so most of the 5000 ranks are skipped.
+    scalars = []
+
+    def recording(t, m):
+        q = pow1m(t, m)
+        if np.ndim(q) == 0:  # the per-chunk test
+            scalars.append(float(q))
+        return q
+
+    def never_zero(t, m):
+        q = pow1m(t, m)
+        return q if np.ndim(q) else 1.0
+
+    args = (np.arange(1, 5001), 5000, Thresholds(0.5, 0.8))
+    monkeypatch.setattr(exact, "pow1m", recording)
+    skipped = exact._alg3_pieces(*args)
+    assert scalars.count(0.0) > len(scalars) // 2 > 0
+    monkeypatch.setattr(exact, "pow1m", never_zero)
+    full = exact._alg3_pieces(*args)
+    for a, b in zip(skipped, full):
+        assert a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # The 2D route that the 1D engine replaced, kept as an independent reference
 # ---------------------------------------------------------------------------

@@ -428,14 +428,14 @@ _PATH_CASES = [
 class TestCounterPath:
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64 + 5, 2**128 - 1])
     def test_same_bits_as_numpys_philox(self, seed):
-        # heads and tails at their places in numpy's streams: head row i of
-        # trial k is double (k // G) h G + i G + k % G of Philox(key=seed),
-        # and tail uniform j is double k L + j of Philox(key=seed,
-        # counter=2**128).  n = 9 has no tail; at n = 40 the seller sits at
+        # (named for the generator of contract v2; it now reads
+        # PCG64DXSM) heads and tails at their places in numpy's stream:
+        # head row i of trial k is double (k // G) h G + i G + k % G of
+        # PCG64DXSM(seed), and tail uniform j is double 2**127 + k L + j,
+        # L = n + 2 - h.  n = 9 has no tail; at n = 40 the seller sits at
         # strength position 3 (in the head) and 33 (just below it), and at
-        # n = 42, 43 and 1001 last; the tails' lengths (8, 7, 9, 10, 968)
-        # take every remainder mod 4.  Key words are seed mod 2**64 and
-        # seed >> 64.
+        # n = 42, 43 and 1001 last; the tails' lengths are 8, 7, 9, 10 and
+        # 968.  The seeds cross the 64-bit word of numpy's SeedSequence.
         rng = np.random.default_rng(seed % 997)
         prices = tuple(float(40 - i) for i in range(40))
         for inst in (gen_instance("spike", n=9), Instance(prices, 37.5),
@@ -446,7 +446,7 @@ class TestCounterPath:
             h = SIM._head_rows(mk)
             assert h == min(mk.n + 1, _HEAD) + 1 + (
                 mk.seller_strength_pos >= _HEAD)
-            stream = np.random.Generator(np.random.Philox(key=seed))
+            stream = np.random.Generator(np.random.PCG64DXSM(seed))
             flat = stream.random(3 * h * _GROUP)
             k, i = np.arange(10, 610), np.arange(h)[:, None]
             assert np.array_equal(
@@ -455,43 +455,50 @@ class TestCounterPath:
             tail = mk.n + 2 - h
             if not tail:
                 continue
-            per = 4 * -(-tail // 4)
-            stream = np.random.Generator(
-                np.random.Philox(key=seed, counter=2**128))
-            tails = stream.random(40 * per).reshape(40, per)
+            bitgen = np.random.PCG64DXSM(seed)
+            bitgen.advance(2**127)
+            tails = np.random.Generator(bitgen).random(40 * tail)
+            tails = tails.reshape(40, tail)
             rows = np.sort(rng.choice(30, size=9, replace=False))
             width = int(rng.integers(1, tail + 1))
             assert np.array_equal(block_draws(seed, mk, 10, 30, rows, width),
                                   tails[10 + rows, :width].T)
             assert np.array_equal(
                 block_draws(seed, mk, 10, 30, np.arange(30), tail),
-                tails[10:, :tail].T)
+                tails[10:].T)
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**128 - 1])
     def test_counter_carries_past_two_to_the_64(self, seed):
-        # a head group and tails whose counters straddle 2**64: the low
-        # word carries into the second counter word, as numpy's ``advance``
-        # does, and trial indices past int64 stay exact
+        # head groups and tails whose positions pass 2**64 (and a head
+        # group at a trial index past 2**70), each read through numpy's
+        # ``advance`` from the start of the stream: trial indices past
+        # int64 stay exact
         mk = _market(gen_instance("spike", n=40))
         h = SIM._head_rows(mk)  # 35 rows: the zero-price seller is last
-        per_group = h * _GROUP // 4
+
+        def stream_at(position):
+            bitgen = np.random.PCG64DXSM(seed)
+            bitgen.advance(position)
+            return np.random.Generator(bitgen)
+
+        per_group = h * _GROUP
         g = 2**64 // per_group
         assert g * per_group < 2**64 < (g + 1) * per_group
-        group = np.random.Generator(
-            np.random.Philox(key=seed, counter=g * per_group))
-        assert np.array_equal(block_draws(seed, mk, g * _GROUP, _GROUP),
-                              group.random((h, _GROUP)))
-        start = 2**63 - 2  # tails of 7 uniforms take 2 counters each
-        assert (start + 5) * 2 > 2**64 > start * 2
-        expect = np.stack([np.random.Generator(np.random.Philox(
-            key=seed, counter=2**128 + 2 * (start + r))).random(7)
-            for r in range(5)], axis=1)
+        for group in (g, 2**70 // _GROUP + 3):
+            assert np.array_equal(
+                block_draws(seed, mk, group * _GROUP, _GROUP),
+                stream_at(group * per_group).random((h, _GROUP)))
+        start = 2**64 // 7 - 2  # tails of 7 uniforms
+        assert start * 7 < 2**64 < (start + 5) * 7
+        expect = np.stack([stream_at(2**127 + 7 * (start + r)).random(7)
+                           for r in range(5)], axis=1)
         assert np.array_equal(block_draws(seed, mk, start, 5, np.arange(5), 7),
                               expect)
 
     @pytest.mark.parametrize("seed", [np.int64(9), np.uint64(2**64 - 1)])
     def test_numpy_integer_seed(self, seed):
-        # numpy's Philox(key=seed) takes the seed as the Python integer
+        # numpy's PCG64DXSM(seed) seeds its SeedSequence with the Python
+        # integer
         inst = gen_instance("spike", n=1000)
         assert (simulate("alg1", inst, 500, seed=seed).to_json()
                 == simulate("alg1", inst, 500, seed=int(seed)).to_json())

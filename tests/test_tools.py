@@ -1,5 +1,6 @@
 import filecmp
 import importlib.util
+import json
 import platform
 import re
 from pathlib import Path
@@ -11,11 +12,16 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "out_bytes.py"
 
 
-def load_out_bytes():
-    spec = importlib.util.spec_from_file_location("out_bytes", TOOL)
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_out_bytes():
+    return load_tool("out_bytes")
 
 
 def test_out_bytes_relative_dest(tmp_path, monkeypatch):
@@ -66,3 +72,32 @@ def test_out_bytes_survive_the_blas_kernel(tmp_path, monkeypatch):
         _, mismatch, errors = filecmp.cmpfiles(
             tmp_path / "default", tmp_path / core, files, shallow=False)
         assert (mismatch, errors) == ([], []), core
+
+
+def _report(mean_w, se_w, ratio=2.0, ratio_se=0.1):
+    return json.dumps({"mean_alg_welfare": mean_w, "se_alg": se_w,
+                       "mean_weak_opt": 2.0, "se_weak": 0.1,
+                       "ratio_weak": ratio, "ratio_weak_se": ratio_se})
+
+
+@pytest.mark.parametrize("before,after,code,distance", [
+    # moved by 3 and by 4.5 combined SE: hypot(0.3, 0.4) = 0.5
+    (_report(0.0, 0.3), _report(1.5, 0.4), 0, "3.000 SE (mean_alg_welfare)"),
+    (_report(1.0, 0.4, 2.0, 0.3), _report(1.0, 0.4, 4.25, 0.4), 1,
+     "4.500 SE (ratio_weak)"),
+    # zero standard errors and equal values, in another byte layout
+    (_report(1.0, 0.0, 2.0, 0.0), _report(1.0, 0.0, 2.0, 0.0) + "\n", 0,
+     "0.000 SE (mean_alg_welfare)"),
+])
+def test_se_distance(tmp_path, capsys, before, after, code, distance):
+    se_distance = load_tool("se_distance")
+    for side, report in (("before", before), ("after", after)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "simulate_a.out").write_text(report)
+        (tmp_path / side / "simulate_b.out").write_text(_report(1.0, 0.5))
+        (tmp_path / side / "exact_c.out").write_text(side)  # not simulate
+    assert se_distance.main([str(tmp_path / "before"),
+                             str(tmp_path / "after")]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [f"simulate_a: {distance}"]
+    assert lines[-1].startswith("1 simulate outputs moved")

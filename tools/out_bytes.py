@@ -72,6 +72,8 @@ COMMANDS = {
     "exact_delta_mu1000": (["exact", "delta", "--mu", "1000"], ".json"),
     "exact_limits": (["exact", "limits"], ".json"),
     "exact_alg3_n1000": (["exact", "alg3", "--n", "1000", *TH], ".json"),
+    # q^(i-1) underflows to 0.0 over most of the rank table
+    "exact_alg3_n100000": (["exact", "alg3", "--n", "100000", *TH], ".json"),
     "exact_alg3_n50_csv": (["exact", "alg3", "--n", "50", *TH], ".csv"),
     "exact_alg3_i3": (["exact", "alg3", "--n", "1000", "--i", "3", *TH],
                       ".json"),
