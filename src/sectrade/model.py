@@ -40,7 +40,9 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
 from numbers import Real
+from operator import mul
 
 import numpy as np
 
@@ -375,8 +377,8 @@ def gen_instance(family: str, **params) -> Instance:
     spike(n):        buyers (1, 0, ..., 0), seller 0
     flat_k(n, k):    top k buyers at 1, the rest and the seller at 0
     seller_spike(n): all buyers 0, seller 1
-    geometric(n, r): buyer i priced r**(i-1), seller 0; a Fraction r caps
-                     n where r**(n-1) outgrows GEOMETRIC_DIGITS_CAP digits
+    geometric(n, r): seller 0, buyers r**0 and then each the one before times
+                     r; a Fraction r caps r**(n-1) at GEOMETRIC_DIGITS_CAP digits
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; "
@@ -410,7 +412,7 @@ def gen_instance(family: str, **params) -> Instance:
         while q ** m >= top:
             m -= 1
         check_size(family, "n", n, cap=m + 1)
-    return Instance(tuple(r ** i for i in range(n)), 0)
+    return Instance(tuple(accumulate(repeat(r, n - 1), mul, initial=r ** 0)), 0)
 
 
 def parse_family_spec(spec: str) -> Instance:

@@ -114,7 +114,7 @@ def _step(rule: Policy, floors: tuple, state: PolicyState,
     decided once the episode has stopped.  The key is then kept, among the
     best len(floors), if it is a buyer's or the rule ranks the seller.
     """
-    if event.position != state.last_position + 1 or event.time <= state.last_time:
+    if event.position != state.last_position + 1 or not event.time > state.last_time:
         raise ProtocolError(
             f"event out of order: position {event.position} after "
             f"{state.last_position}, time {event.time} after {state.last_time}")

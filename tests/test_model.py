@@ -425,6 +425,16 @@ class TestGenerators:
     def test_geometric(self):
         inst = gen_instance("geometric", n=3, r=Fraction(1, 2))
         assert inst.buyer_prices == (1, Fraction(1, 2), Fraction(1, 4))
+        # a float ratio is one running product: each price is exactly the
+        # one before times r, one IEEE multiply, and no libm pow
+        prices = gen_instance("geometric", n=1000, r=0.99).buyer_prices
+        assert type(prices[0]) is float and prices[0] == 1.0
+        assert all(b == a * 0.99 for a, b in zip(prices, prices[1:]))
+        # a Fraction ratio gives the exact powers
+        r = Fraction(1, 3)
+        prices = gen_instance("geometric", n=50, r=r).buyer_prices
+        assert type(prices[0]) is Fraction and prices[0] == 1
+        assert prices == tuple(r ** i for i in range(50))
 
     def test_fraction_ratio_capped_by_denominator_digits(self):
         r = Fraction(1, 10 ** 100)

@@ -63,6 +63,12 @@ class TestAlg1Step:
             alg1_step(state, ev(0.4, 2, 2, index=2))
         with pytest.raises(ProtocolError):
             alg1_step(state, ev(0.9, 2, 5, index=2))
+        # a NaN time compares false both ways: it is out of order, and no
+        # later time is let through after it
+        with pytest.raises(ProtocolError):
+            alg1_step(state, ev(math.nan, 2, 2, index=2))
+        with pytest.raises(ProtocolError):
+            alg1_step(state, ev(0.1, 2, 2, index=2))
 
 
 class TestAlg2Step:

@@ -1,8 +1,11 @@
 import filecmp
 import importlib.util
 import json
+import os
 import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -49,29 +52,64 @@ def _openblas_x86_64():
             and "openblas" in blas.lower())
 
 
+# glibc's own selection of the routines of a host without FMA (masking
+# either feature alone already switches its scalar pow)
+NO_FMA = "glibc.cpu.hwcaps=-AVX2,-FMA"
+# host emulations whose --out bytes must match the default run's
+EMULATIONS = {"Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+              "Nehalem": {"OPENBLAS_CORETYPE": "Nehalem"},
+              "no-FMA glibc": {"GLIBC_TUNABLES": NO_FMA},
+              "Nehalem, no-FMA glibc": {"OPENBLAS_CORETYPE": "Nehalem",
+                                        "GLIBC_TUNABLES": NO_FMA}}
+
+
+def _no_fma_moves_pow():
+    """Whether ``GLIBC_TUNABLES=NO_FMA`` changes libm ``pow`` in a child
+    process: on an x86-64 glibc host with FMA, and nowhere else."""
+    probe = [sys.executable, "-c", "print([0.99 ** i for i in range(1000)])"]
+    env = {k: v for k, v in os.environ.items() if k != "GLIBC_TUNABLES"}
+    default, no_fma = (subprocess.run(probe, capture_output=True, check=True,
+                                      env={**env, **extra}).stdout
+                       for extra in ({}, {"GLIBC_TUNABLES": NO_FMA}))
+    return default != no_fma
+
+
 @pytest.mark.skipif(not _openblas_x86_64(),
                     reason="OPENBLAS_CORETYPE picks a kernel only in an "
                            "x86-64 OpenBLAS build")
 def test_out_bytes_survive_the_blas_kernel(tmp_path, monkeypatch):
-    """The bytes of a certificate, an alg3 table, a delta quadrature and a
-    primal residual do not depend on the BLAS kernel OpenBLAS picks for
-    the host: as AVX2 (Haswell) and as SSE4 (Nehalem) they match the
-    default run."""
+    """The bytes of a certificate, an alg3 table, a delta quadrature, a
+    primal residual and a simulate on float geometric prices do not depend
+    on the host: with OpenBLAS's AVX2 (Haswell) or SSE4 (Nehalem) kernel,
+    with glibc's no-FMA routines, and with both, they match the default
+    run.  Where the glibc setting does not change ``pow``, its cases would
+    pass without testing anything, so they are skipped."""
     out_bytes = load_out_bytes()
     names = ("certify_weak_n3_w2", "exact_delta_mu1000",
-             "exact_alg3_n50_family", "lp_weak_n30")
+             "exact_alg3_n50_family", "lp_weak_n30",
+             "simulate_baseline_geometric1000_20k")
     monkeypatch.setattr(out_bytes, "COMMANDS",
                         {name: out_bytes.COMMANDS[name] for name in names})
-    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    for var in ("OPENBLAS_CORETYPE", "GLIBC_TUNABLES"):
+        monkeypatch.delenv(var, raising=False)
+    glibc = _no_fma_moves_pow()
     assert out_bytes.main([str(tmp_path / "default")]) == 0
     files = sorted(p.name for p in (tmp_path / "default").iterdir())
     assert len(files) == 4 * len(names)
-    for core in ("Haswell", "Nehalem"):
-        monkeypatch.setenv("OPENBLAS_CORETYPE", core)
-        assert out_bytes.main([str(tmp_path / core)]) == 0
+    for host, env in EMULATIONS.items():
+        if "GLIBC_TUNABLES" in env and not glibc:
+            continue
+        with monkeypatch.context() as m:
+            for var, value in env.items():
+                m.setenv(var, value)
+            assert out_bytes.main([str(tmp_path / host)]) == 0
         _, mismatch, errors = filecmp.cmpfiles(
-            tmp_path / "default", tmp_path / core, files, shallow=False)
-        assert (mismatch, errors) == ([], []), core
+            tmp_path / "default", tmp_path / host, files, shallow=False)
+        assert (mismatch, errors) == ([], []), host
+    if not glibc:
+        pytest.skip(f"GLIBC_TUNABLES={NO_FMA} leaves libm pow as it is on "
+                    "this host (not x86-64 glibc, or no FMA), so only the "
+                    "OpenBLAS kernels were checked")
 
 
 def _report(mean_w, se_w, ratio=2.0, ratio_se=0.1):

@@ -180,11 +180,14 @@ COMMANDS = {
         _simulate("secretary-baseline", "geometric:n=1000,r=0.99", 20000),
         ".json"),
     # 13 blocks of non-dyadic moment sums on 2 threads: plain addition in
-    # place of the compensated fold across blocks moves the means and the
-    # standard errors here
+    # place of the compensated fold across blocks moves se_weak here
     "simulate_alg2_geometric10_200k_workers2": (
         _simulate("alg2", "geometric:n=10,r=0.9", 200000, "--workers", "2"),
         ".json"),
+    # exact Fraction prices r**0, ..., r**199 with r = 1/3, so the way the
+    # family builds its powers moves no byte
+    "simulate_alg1_geometric200_fraction": (
+        _simulate("alg1", "geometric:n=200,r=1/3", 2000), ".json"),
 }
 
 
