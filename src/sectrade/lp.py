@@ -33,10 +33,11 @@ the simplex returns, in that column order.
 Dual variables never depend on the seller position i, so certificates
 store one array over j per variable of a pair, and one O(n) verifier,
 a separate pass over the same chunks, checks either kind; that is what
-makes n = 2 * 10^6 routine.  No right-hand side is held whole: a
-certificate passes one function of j per family, called per chunk, only
-for the active families.  A constructor whose own point fails the
-verifier's check raises ``NumericError``.
+makes n = 2 * 10^6 routine.  Only z is n-long: a certificate passes one
+function of j per family, called per chunk on that chunk's own j, only
+for the active families, and the objective is summed in fixed blocks.  A
+constructor whose own point fails the verifier's check raises
+``NumericError``.
 """
 
 from __future__ import annotations
@@ -52,15 +53,17 @@ from .simplex import simplex_solve_arrays
 
 #: Largest n of either primal LP; the weak one's dense tableau has ~n^4 cells.
 SIZE_CAP = 60
-#: Largest n of either dual certificate; the weak one peaks near 32 B per n
-#: (tracemalloc at n = 2e6): alpha, beta, the sweep's j and the objective's
-#: sum; the strong one near 16 B per n, y and j.
+#: Largest n of either dual certificate; the weak one peaks near 16 B per n
+#: (tracemalloc at n = 2e6), alpha and beta; the strong one near 8, y.
 CERT_CAP = 10**7
 #: How far below 0 a certificate's slack may fall to roundoff before it fails.
 SLACK_TOL = 1e-12
 #: Elements per chunk of the certificate sweep and verifier: each of their
 #: per-chunk arrays is 128 KiB, so a chunk's steps stay in cache.
 _CHUNK = 1 << 14
+#: Entries per block of the certificate objective, from j = 1 up: its
+#: fixed summation order, whatever ``_CHUNK`` is.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -169,10 +172,10 @@ def _sweep(n, rhs):
     largest j where its last family goes negative.  That family is zero
     from there down, and the rest restart there.  Each chunk calls the
     functions of the active families alone, on its own j and the one above
-    it, so no n-long rhs is held.
+    it, so no n-long rhs or j is held.
     Returns the z arrays, each family's break (0 if none) and the objective
-    sum_j j sum_r z_{r,j}, by ``np.einsum``: one order on every host."""
-    j = np.arange(1.0, n + 1.0)
+    sum_j j sum_r z_{r,j}: one ``np.einsum`` per ``_BLOCK`` entries from
+    j = 1 up, added in block order, so one order on every host."""
     z, breaks = [np.zeros(n) for _ in rhs], [0] * len(rhs)
     top, s_top = n, 0.0
     for f in range(len(rhs), 0, -1):
@@ -180,12 +183,13 @@ def _sweep(n, rhs):
             # the chunk holds j = lo+1..hi, rows j = lo+1..end; r is R_{j+1}
             # for each j < top
             end = min(hi + 1, top)
-            rows = [fn(j[lo:end]) for fn in rhs[:f]]
+            j = np.arange(lo + 1.0, end + 1.0)
+            rows = [fn(j) for fn in rhs[:f]]
             r = sum((rk[1:] for rk in rows[1:]), rows[0][1:])
             s = np.empty(hi - lo)
             a = max(lo, f - 1)
             if a < hi:
-                m = ff = j[a:end]             # ff: (m)_f, m = a+1..end
+                m = ff = j[a - lo:]           # ff: (m)_f, m = a+1..end
                 for d in range(1, f):
                     ff = ff * (m - d)
                 t = s[a - lo:]                # s_m/(m)_f, then s_m
@@ -205,7 +209,7 @@ def _sweep(n, rhs):
             s_hi = s[0]
             for zk, rk in zip(z, rows):
                 np.subtract(rk[:hi - lo], s, out=zk[lo:hi])
-                zk[lo:hi] /= j[lo:hi]
+                zk[lo:hi] /= j[:hi - lo]
             negative = np.flatnonzero(z[f - 1][lo:hi] < 0.0)
             if negative.size:
                 top = breaks[f - 1] = lo + int(negative[-1]) + 1
@@ -214,7 +218,12 @@ def _sweep(n, rhs):
                 break
         else:                                 # no break down to j = 1
             break
-    return z, breaks, float(np.einsum("i,i", j, sum(z[1:], z[0])))
+    objective = 0.0
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        objective += np.einsum("i,i", np.arange(lo + 1.0, hi + 1.0),
+                               sum((zk[lo:hi] for zk in z[1:]), z[0][lo:hi]))
+    return z, breaks, float(objective)
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,17 @@ def plain_induction(rhs):
     return [np.array(zr) for zr in z], objective
 
 
+def block_objective(j, z):
+    """Reference for the objective of ``lp._sweep``: sum_j j sum_r z_{r,j},
+    one ``np.einsum`` per 2^14 entries from j = 1 up, added in block order."""
+    total = sum(z[1:], z[0])
+    objective = 0.0
+    for lo in range(0, total.size, 1 << 14):
+        objective += np.einsum("i,i", j[lo:lo + (1 << 14)],
+                               total[lo:lo + (1 << 14)])
+    return float(objective)
+
+
 def whole_sweep(rhs):
     """Reference for ``lp._sweep``: every stretch over the whole range
     [1, top], one suffix cumsum each, then cut at its break."""
@@ -112,7 +123,7 @@ def whole_sweep(rhs):
         top = breaks[f - 1] = int(negative[-1]) + 1
         s_top = s[top - 1]
         z[f - 1][:top] = 0.0
-    return z, breaks, float(np.einsum("i,i", j, sum(z[1:], z[0])))
+    return z, breaks, block_objective(j, z)
 
 
 def whole_verify(z, rhs):
@@ -525,6 +536,32 @@ class TestChunkedSweep:
         self.same_verdict(z, (rhs,))
 
 
+class TestObjectiveFold:
+    """The certificate objective is summed in fixed 2^14-entry blocks,
+    whatever the sweep's chunk size, and stays close to the exact sum."""
+
+    @pytest.mark.parametrize("n", [16385, 100003, 2 * 10**6])
+    def test_close_to_fsum(self, n):
+        # the per-block einsum reads up to 1.6e-15 off at the strong
+        # n = 100003, with or without the blocks
+        j = np.arange(1.0, n + 1.0)
+        strong = strong_dual_certificate(n)
+        weak = weak_dual_certificate(n, W1, W2)
+        for cert, z in ((strong, (strong.y_pos,)),
+                        (weak, (weak.alpha, weak.beta))):
+            exact = math.fsum(np.concatenate([j * zr for zr in z]).tolist())
+            assert abs(cert.objective - exact) <= 2e-15 * exact
+
+    def test_chunk_does_not_move_it(self, monkeypatch):
+        n = 40_001
+        objectives = []
+        for chunk in (7, lp._CHUNK):
+            monkeypatch.setattr(lp, "_CHUNK", chunk)
+            objectives += [_sweep(n, _strong_rhs(n))[2].hex(),
+                           _sweep(n, _weak_rhs(n, W1, W2))[2].hex()]
+        assert objectives[:2] == objectives[2:]
+
+
 def read_ranges(n):
     """Every ``lp._chunks`` range, then the one row past each chunk edge
     that the sweep reads for its shifted R_{j+1}."""
@@ -622,12 +659,12 @@ class TestActiveFamiliesOnly:
 
 
 class TestCertificateMemory:
-    """Neither certificate holds an n-long rhs: the traced peak is z, the
-    sweep's j, the objective's sum and cache-sized chunks."""
+    """Neither certificate holds an n-long rhs, j or sum: the traced peak is
+    z and cache-sized chunks."""
 
     @pytest.mark.parametrize("certificate,bytes_per_n", [
-        (lambda n: weak_dual_certificate(n, W1, W2), 40),
-        (strong_dual_certificate, 21)])
+        (lambda n: weak_dual_certificate(n, W1, W2), 24),
+        (strong_dual_certificate, 13)])
     def test_traced_peak(self, certificate, bytes_per_n):
         n = 300_000
         tracemalloc.start()

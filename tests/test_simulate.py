@@ -754,6 +754,21 @@ class TestMemoryBound:
             assert rep.mean_alg_welfare == 1.0 / BLOCK  # one per block
         assert peaks[1] - peaks[0] < 64 << 10
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_sums_fold_compensated(self, monkeypatch, workers):
+        # 1 + 2^-53 + 2^-53 rounds to 1 when added in turn; the compensated
+        # fold keeps the two halves of an ulp and lands on 1 + 2^-52
+        def fake_partials(policy_id, mk, seed, start, count, th, ws):
+            counts = np.zeros(4, dtype=np.int64)
+            counts[1] = count
+            return counts, np.full(len(SIM._MOMENTS),
+                                   1.0 if start == 0 else 2.0 ** -53)
+
+        monkeypatch.setattr(SIM, "_block_partials", fake_partials)
+        rep = simulate("alg1", gen_instance("spike", n=2), 3 * BLOCK, seed=1,
+                       workers=workers)
+        assert rep.mean_alg_welfare == (1 + 2 ** -52) / (3 * BLOCK)
+
     def test_threads_keep_a_window_of_blocks(self, monkeypatch):
         # the threaded path submits a block only when few enough wait to
         # be folded: 20000 blocks on two threads may cost no more memory

@@ -84,6 +84,8 @@ COMMANDS = {
     "certify_strong_n10": (["certify", "strong", "--n", "10"], ".json"),
     "certify_strong_1e6": (["certify", "strong", "--n", "1000000"], ".json"),
     "certify_weak_2e6": (["certify", "weak", "--n", "2000000", *W], ".json"),
+    # the largest n either certificate takes (lp.CERT_CAP)
+    "certify_weak_1e7": (["certify", "weak", "--n", "10000000", *W], ".json"),
     # several 16384-element sweep and verifier chunks, with n no whole
     # multiple of the chunk
     "certify_weak_100003": (["certify", "weak", "--n", "100003", *W],
