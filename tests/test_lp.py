@@ -658,22 +658,32 @@ class TestActiveFamiliesOnly:
         assert len(tops) == sum(hi >= j_star for _, hi in chunks) < len(chunks)
 
 
+def traced_peak(certificate, n):
+    tracemalloc.start()
+    try:
+        certificate(n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCertificateMemory:
     """Neither certificate holds an n-long rhs, j or sum: the traced peak is
     z and cache-sized chunks."""
 
     @pytest.mark.parametrize("certificate,bytes_per_n", [
+        (lambda n: weak_dual_certificate(n, W1, W2), 40),
+        (strong_dual_certificate, 21)])
+    def test_traced_peak(self, certificate, bytes_per_n):
+        # no n-long rhs: at most z, an n-long j and the objective's sum
+        assert traced_peak(certificate, 300_000) <= bytes_per_n * 300_000
+
+    @pytest.mark.parametrize("certificate,bytes_per_n", [
         (lambda n: weak_dual_certificate(n, W1, W2), 24),
         (strong_dual_certificate, 13)])
-    def test_traced_peak(self, certificate, bytes_per_n):
-        n = 300_000
-        tracemalloc.start()
-        try:
-            certificate(n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bytes_per_n * n
+    def test_traced_peak_z_only(self, certificate, bytes_per_n):
+        # nor an n-long j or sum: z (16 or 8 bytes a row) and the chunks
+        assert traced_peak(certificate, 300_000) <= bytes_per_n * 300_000
 
 
 class TestStrongCertificate:
