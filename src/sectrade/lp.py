@@ -9,8 +9,8 @@ to the j-th buyer, best-so-far, when the seller arrived i-th), is
 
 and the dual asks for y_{i,j} >= 0 with j y_{i,j} + sum_{k>j} y_{i,k} >=
 j/((n+1) n).  The *weak* pair adds second-best stopping variables y_{i,j}
-and a scalar A bounded by the two welfare expressions that drive the
-1.76239 bound; its dual has two families, alpha and beta.
+and a scalar A bounded by the two welfare rows behind the 1.76239 bound;
+its two dual families are alpha and beta.  ``_rank_rhs`` gives each chance.
 
 Both dual certificates come from one backward sweep, ``_sweep``, that
 holds each dual row with equality against the running suffix sum, one
@@ -101,20 +101,21 @@ def build_strong_primal(n: int) -> LinearProgram:
     """Stopping LP for the best-buyer objective; n(n+1)/2 variables."""
     n = check_size("build_strong_primal", "n", n, cap=SIZE_CAP)
     rows, j = _stopping_rows(n, 1)
-    return LinearProgram(n=n, c=j / (n * (n + 1)), A=rows, b=np.ones(j.size))
+    c = _rank_rhs(n, (1.0,))[0](j)
+    return LinearProgram(n=n, c=c, A=rows, b=np.ones(j.size))
 
 
 def build_weak_primal(n: int) -> LinearProgram:
-    """Max-min LP behind the weak lower bound; 2 n(n+1)/2 + 1 variables."""
+    """Max-min LP behind the weak lower bound; 2 n(n+1)/2 + 1 variables.
+    Welfare row k = 1, 2 is ``_rank_rhs(n, ((k+1)/k,) * k)`` on x and y."""
     n = check_size("build_weak_primal", "n", n, cap=SIZE_CAP)
     rows, j = _stopping_rows(n, 2)
     m = rows.shape[0]
     A = np.zeros((m + 2, m + 1))
     A[:m, :m] = rows
-    w = j / (n * n + n)
-    A[m, :m:2] = -2.0 * w
-    A[m + 1, :m:2] = -1.5 * w * (2 * n - j) / n
-    A[m + 1, 1:m:2] = -1.5 * w * (j - 1) / n
+    for k in (1, 2):
+        for r, fn in enumerate(_rank_rhs(n, ((k + 1) / k,) * k)):
+            A[m + k - 1, r:m:2] = -fn(j)
     A[m:, m] = 1.0
     c = np.zeros(m + 1)
     c[m] = 1.0
@@ -143,6 +144,23 @@ def simplex_solve(lp: LinearProgram) -> PrimalSolution:
     return PrimalSolution(v=result.values,
                           objective_value=float(result.objective),
                           pivots=result.iterations)
+
+
+def _rank_rhs(n: int, c) -> tuple:
+    """One function of j per relative rank r = 1..min(K, n), K = len(c):
+    rhs_{r,j} = sum_{m=r}^{min(K,n)} c_m C(m-1, r-1) (j)_r (n-j)_{m-r} /
+    ((n+1) (n)_m), c_m times the chance that the buyer at j, of relative
+    rank r, has overall rank m, at one multiply per m from j and (n+1) n."""
+    def rank(r, j):
+        num, den = j, (n + 1.0) * n
+        for d in range(1, r):                 # (j)_r and (n+1) (n)_r
+            num, den = num * (j - d), den * (n - d)
+        total = c[r - 1] * num / den
+        for m in range(r + 1, min(len(c), n) + 1):
+            num, den = num * (n + r + 1 - m - j), den * (n + 1 - m)
+            total += c[m - 1] * math.comb(m - 1, r - 1) * num / den
+        return total
+    return tuple(lambda j, r=r: rank(r, j) for r in range(1, min(len(c), n) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +260,10 @@ class StrongDualCertificate:
                 "min_residuals": {"dual": self.min_residual}}
 
 
-def _strong_rhs(n: int):
-    """The strong dual's one family: rhs_j = j/((n+1) n)."""
-    return (lambda j: j / ((n + 1.0) * n),)
-
-
 def strong_dual_certificate(n: int) -> StrongDualCertificate:
     """The sweep's one-family case, rhs_j = j/((n+1) n)."""
     n = check_size("strong_dual_certificate", "n", n, least=2, cap=CERT_CAP)
-    rhs = _strong_rhs(n)
+    rhs = _rank_rhs(n, (1.0,))
     (y,), _, objective = _sweep(n, rhs)
     return StrongDualCertificate(
         n=n, y_pos=y, j_star=int(np.argmax(y > 0.0)) + 1, objective=objective,
@@ -266,7 +279,7 @@ class WeakDualCertificate:
     beta: np.ndarray
     # the sweep's breaks: the largest j where beta (j*) or alpha (j**)
     # went negative and was zeroed, 0 if it never did.  Usually one below
-    # the first positive entry, but not always: at n = 5, w1 = 0, alpha_1
+    # the first positive entry, but not always: at n = 5, w1 = 0.2, alpha_1
     # was zeroed and alpha_2 came out 0, so j** = 1 while alpha_3 > 0
     j_star: int
     j_double_star: int
@@ -282,14 +295,6 @@ class WeakDualCertificate:
                                   "v": self.min_residual_v}}
 
 
-def _weak_rhs(n: int, w1: float, w2: float):
-    """The weak dual's two families, (ru, rv)."""
-    denom = n * n + n
-    return (lambda j: (2.0 * j / denom * w1
-                       + 3.0 * j * (2.0 * n - j) / (2.0 * n * denom) * w2),
-            lambda j: 3.0 * j * (j - 1.0) / (2.0 * n * denom) * w2)
-
-
 def weak_dual_certificate(n: int, w1: float, w2: float) -> WeakDualCertificate:
     """The sweep's two-family case, rhs (ru, rv).  j* and j** are its
     breaks: the largest j where beta (alpha) went negative and was zeroed,
@@ -301,7 +306,7 @@ def weak_dual_certificate(n: int, w1: float, w2: float) -> WeakDualCertificate:
     w2 = check_real("weak_dual_certificate", "w2", w2)
     if not (w1 >= 0 and w2 >= 0 and abs(w1 + w2 - 1.0) <= 1e-12):
         raise ValueError(f"need finite w1, w2 >= 0 with w1 + w2 = 1, got {w1}, {w2}")
-    rhs = _weak_rhs(n, w1, w2)
+    rhs = _rank_rhs(n, (2.0 * w1 + 1.5 * w2, 1.5 * w2))
     (alpha, beta), (j_double_star, j_star), objective = _sweep(n, rhs)
     res_u, res_v = _enforce(("u", "v"), (alpha, beta), rhs)
     return WeakDualCertificate(

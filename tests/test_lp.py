@@ -1,13 +1,14 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sectrade import lp, simplex
 from sectrade.errors import NumericError, SizeCapError, UnboundedProblem
-from sectrade.lp import (_strong_rhs, _sweep, _weak_rhs, build_strong_primal,
+from sectrade.lp import (_rank_rhs, _sweep, build_strong_primal,
                          build_weak_primal, simplex_solve, strong_dual_certificate,
                          verify_dual_feasibility, weak_dual_certificate)
 from sectrade.simplex import simplex_solve_arrays
@@ -20,12 +21,43 @@ def rows_of(arrays):
     return tuple(lambda j, a=a: a[j.astype(np.intp) - 1] for a in arrays)
 
 
+def strong_fns(n):
+    """The strong certificate's rhs functions."""
+    return _rank_rhs(n, (1.0,))
+
+
+def weak_fns(n, w1, w2):
+    """The weak certificate's rhs functions, (ru, rv)."""
+    return _rank_rhs(n, (2.0 * w1 + 1.5 * w2, 1.5 * w2))
+
+
 def whole_weak_rhs(n, w1, w2):
-    """Reference for ``lp._weak_rhs``: ru and rv as whole arrays."""
+    """``weak_fns`` on the whole j at once: ru and rv as whole arrays."""
     j = np.arange(1.0, n + 1.0)
-    denom = n * n + n
-    ru = 2.0 * j / denom * w1 + 3.0 * j * (2.0 * n - j) / (2.0 * n * denom) * w2
-    rv = 3.0 * j * (j - 1.0) / (2.0 * n * denom) * w2
+    return tuple(fn(j) for fn in weak_fns(n, w1, w2))
+
+
+def chance(n, j, r, m, exact=False):
+    """The chance that the buyer at j, of relative rank r among the first
+    j of n, has overall rank m: C(m-1, r-1) (j)_r (n-j)_{m-r} / (n)_m, from
+    exact int falling factorials, rounded once or (``exact``) a Fraction."""
+    top = math.comb(m - 1, r - 1) * math.perm(j, r) * math.perm(n - j, m - r)
+    return Fraction(top, math.perm(n, m)) if exact else top / math.perm(n, m)
+
+
+def comb_weak_rhs(n, w1, w2, exact=False):
+    """Reference weak rhs from the welfare rows as lists: 2 w1 P(rank 1) +
+    1.5 w2 P(rank <= 2) for relative rank 1 (ru), 1.5 w2 P(rank 2) for
+    relative rank 2 (rv), each over the n + 1 seller positions; in floats
+    or (``exact``) in Fractions."""
+    w1, w2, k = ((Fraction(w1), Fraction(w2), Fraction(3, 2)) if exact
+                 else (w1, w2, 1.5))
+    ru, rv = [], []
+    for j in range(1, n + 1):
+        p1, p2, q2 = (chance(n, j, r, m, exact)
+                      for r, m in ((1, 1), (1, 2), (2, 2)))
+        ru.append((2 * w1 * p1 + k * w2 * (p1 + p2)) / (n + 1))
+        rv.append(k * w2 * q2 / (n + 1))
     return ru, rv
 
 
@@ -38,13 +70,12 @@ def dense_pivot(T, basis, row, col):
     basis[row] = col
 
 
-def loop_sweep(n, w1, w2):
-    """Reference weak certificate: the two backward sweeps as scalar loops.
-    Returns alpha, beta, j*, j**."""
-    ru_arr, rv_arr = whole_weak_rhs(n, w1, w2)
-    ru, rv = ru_arr.tolist(), rv_arr.tolist()
-    alpha, beta = [0.0] * n, [0.0] * n
-    s = 0.0
+def loop_sweep(n, w1, w2, exact=False):
+    """Reference weak certificate: the two backward sweeps as scalar loops,
+    in floats or (``exact``) in Fractions.  Returns alpha, beta, j*, j**."""
+    ru, rv = comb_weak_rhs(n, w1, w2, exact)
+    alpha, beta = [0] * n, [0] * n
+    s = 0
     j_star = 0
     for j in range(n, 0, -1):
         aj = (ru[j - 1] - s) / j
@@ -171,7 +202,9 @@ def reference_strong(n):
 
 def reference_weak(n):
     """Weak primal c, A, b one coefficient at a time: x_p in column 2r,
-    y_p in 2r + 1, A last; the x and y rows of pair r are 2r and 2r + 1."""
+    y_p in 2r + 1, A last; the x and y rows of pair r are 2r and 2r + 1.
+    Welfare row k puts -(k+1)/k sum_{m<=k} P(rank m)/(n+1) on x and y, a
+    term per m summed in m order; y has none at n = 1, so it stays +0.0."""
     pairs = pair_list(n)
     m = len(pairs)
     col = {p: 2 * r for r, p in enumerate(pairs)}
@@ -182,10 +215,14 @@ def reference_weak(n):
                 A[2 * row + v, col[(i, k)]] = 1.0
                 A[2 * row + v, col[(i, k)] + 1] = 1.0
             A[2 * row + v, col[(i, j)] + v] = float(j)
-        w = j / (n * n + n)
-        A[-2, col[(i, j)]] = -2.0 * w
-        A[-1, col[(i, j)]] = -1.5 * w * (2 * n - j) / n
-        A[-1, col[(i, j)] + 1] = -1.5 * w * (j - 1) / n
+        for k in (1, 2):
+            for r in range(1, min(k, n) + 1):
+                terms = [(k + 1) / k * math.comb(m - 1, r - 1)
+                         * (math.perm(j, r) * math.perm(n - j, m - r))
+                         / ((n + 1) * math.perm(n, m))
+                         for m in range(r, min(k, n) + 1)]
+                # welfare row k is row k - 3 (-2 and -1)
+                A[k - 3, col[(i, j)] + r - 1] = -sum(terms[1:], terms[0])
     A[-2:, -1] = 1.0
     c = np.zeros(2 * m + 1)
     c[-1] = 1.0
@@ -424,7 +461,8 @@ class TestWeakPrimal:
                 elif j >= m:
                     x[(i, j)] = (m - 1) / ((j - 1) * j)
         p1 = sum(j / (n * (n + 1)) * v for (i, j), v in x.items())
-        p2 = sum(j * (n - j) / (n * n) / (n + 1) * v for (i, j), v in x.items())
+        p2 = sum(j * (n - j) / (n * (n - 1)) / (n + 1) * v
+                 for (i, j), v in x.items())
         A = min(2 * p1, 1.5 * (p1 + p2))
         # x_p in column 2r for the r-th pair p, y = 0, A last
         v = np.zeros(lp.c.size)
@@ -458,6 +496,62 @@ def strong_rhs(n):
     return (np.arange(1.0, n + 1.0) / ((n + 1.0) * n),)
 
 
+def exact_rank_rhs(n, c, r, j):
+    """sum_m c_m C(m-1, r-1) C(n-m, j-r) / C(n, j) / (n+1) in Fractions."""
+    if j < r:
+        return Fraction(0)
+    return sum((Fraction(c[m - 1]) * math.comb(m - 1, r - 1)
+                * Fraction(math.comb(n - m, j - r), math.comb(n, j))
+                for m in range(r, min(len(c), n) + 1)), Fraction(0)) / (n + 1)
+
+
+class TestRankRhs:
+    """``lp._rank_rhs``, the one chance rule of every certificate and
+    primal, against exact sums and its K = 1 and K = 2 cases."""
+
+    def test_matches_exact_fractions(self):
+        rng = np.random.default_rng(7)
+        for n in range(1, 41):
+            j = np.arange(1.0, n + 1.0)
+            for k in range(1, 7):
+                c = tuple(rng.uniform(0.0, 2.0, k).tolist())
+                fns = _rank_rhs(n, c)
+                assert len(fns) == min(k, n)
+                for r, fn in enumerate(fns, start=1):
+                    got = fn(j)
+                    for jj in range(1, n + 1):
+                        exact = exact_rank_rhs(n, c, r, jj)
+                        assert abs(Fraction(got[jj - 1]) - exact) <= (
+                            Fraction(1, 10**14) * exact), (n, c, r, jj)
+
+    @pytest.mark.parametrize("n", [2, 10, 16385])
+    def test_one_family_is_the_strong_chance(self, n):
+        j = np.arange(1.0, n + 1.0)
+        (fn,) = _rank_rhs(n, (1.0,))
+        assert fn(j).tobytes() == (j / ((n + 1.0) * n)).tobytes()
+
+    def test_no_rank_beyond_n(self):
+        # (n)_m is 0 for m > n: those terms and ranks are left out
+        c = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
+        for n in range(1, len(c)):
+            j = np.arange(1.0, n + 1.0)
+            fns = _rank_rhs(n, c)
+            assert len(fns) == n
+            assert all(np.isfinite(fn(j)).all() for fn in fns)
+        lp1 = build_weak_primal(1)
+        assert np.isfinite(lp1.A).all()
+        # welfare rows: 2 and 1.5 times the chance 1/2 of rank 1 on x, and
+        # no rank-2 term on y
+        assert lp1.A[-2:, :2].tolist() == [[-1.0, 0.0], [-0.75, 0.0]]
+
+    @pytest.mark.parametrize("n", [2, 10, 1000, 100003, 2 * 10**6])
+    def test_weak_at_w2_zero_is_twice_strong(self, n):
+        # c = (2, 0): ru is twice the strong rhs and rv is 0, so beta breaks
+        # at n - 1 and alpha is exactly twice y
+        assert (weak_dual_certificate(n, 1.0, 0.0).objective
+                == 2 * strong_dual_certificate(n).objective)
+
+
 class TestChunkedSweep:
     """``_sweep`` and ``verify_dual_feasibility`` run in ``lp._CHUNK``-element
     chunks, calling the rhs functions on each chunk's j as they go; every
@@ -488,7 +582,7 @@ class TestChunkedSweep:
 
     def test_strong_rhs(self, chunk):
         for n in range(2, 301):
-            self.same_as_whole(strong_rhs(n), _strong_rhs(n))
+            self.same_as_whole(strong_rhs(n), strong_fns(n))
 
     @pytest.mark.parametrize("n", [2, 3, 10, 300, 3000])
     def test_weak_rhs(self, chunk, n):
@@ -496,7 +590,7 @@ class TestChunkedSweep:
         # zero in rv and beta at j = n
         for w1 in (0.0, 0.3, 0.5, 0.970659, 1.0):
             self.same_as_whole(whole_weak_rhs(n, w1, 1.0 - w1),
-                               _weak_rhs(n, w1, 1.0 - w1))
+                               weak_fns(n, w1, 1.0 - w1))
 
     def test_zero_at_the_top(self, chunk):
         for n in (2, 3, 65, 300):
@@ -517,9 +611,9 @@ class TestChunkedSweep:
 
     def test_default_chunk_spans_several(self):
         for n in (lp._CHUNK + 1, 3 * lp._CHUNK, 40_001):
-            self.same_as_whole(strong_rhs(n), _strong_rhs(n))
+            self.same_as_whole(strong_rhs(n), strong_fns(n))
             self.same_as_whole(whole_weak_rhs(n, W1, W2),
-                               _weak_rhs(n, W1, W2))
+                               weak_fns(n, W1, W2))
 
     def test_verifier_tie_goes_to_the_lowest_j(self, chunk):
         # residual -1 at j = 3 and j = 8, in different chunks when the
@@ -557,8 +651,8 @@ class TestObjectiveFold:
         objectives = []
         for chunk in (7, lp._CHUNK):
             monkeypatch.setattr(lp, "_CHUNK", chunk)
-            objectives += [_sweep(n, _strong_rhs(n))[2].hex(),
-                           _sweep(n, _weak_rhs(n, W1, W2))[2].hex()]
+            objectives += [_sweep(n, strong_fns(n))[2].hex(),
+                           _sweep(n, weak_fns(n, W1, W2))[2].hex()]
         assert objectives[:2] == objectives[2:]
 
 
@@ -583,9 +677,9 @@ class TestRowsPerChunk:
         ranges = read_ranges(n)
         j = np.arange(1.0, n + 1.0)
         # w1 = 1 gives w2 = 0, where rv is exactly zero
-        cases = [(_weak_rhs(n, w1, 1.0 - w1), whole_weak_rhs(n, w1, 1.0 - w1))
+        cases = [(weak_fns(n, w1, 1.0 - w1), whole_weak_rhs(n, w1, 1.0 - w1))
                  for w1 in (0.0, 0.3, 0.5, 0.970659, 1.0)]
-        cases.append((_strong_rhs(n), strong_rhs(n)))
+        cases.append((strong_fns(n), strong_rhs(n)))
         for fns, whole in cases:
             got = [tuple(fn(j[lo:hi]) for fn in fns) for lo, hi in ranges]
             assert all(len(g) == len(whole) for g in got)
@@ -627,13 +721,13 @@ class TestVerifierShapes:
 
     def test_no_families(self):
         with pytest.raises(ValueError, match="got 1 for 0"):
-            verify_dual_feasibility((), lp._strong_rhs(2))
+            verify_dual_feasibility((), strong_fns(2))
         with pytest.raises(ValueError, match="got 0 for 0"):
             verify_dual_feasibility((), ())
 
     def test_dual_given_as_a_list(self):
         with pytest.raises(ValueError, match="numpy dual arrays"):
-            verify_dual_feasibility(([0.0, 1.0],), lp._strong_rhs(2))
+            verify_dual_feasibility(([0.0, 1.0],), strong_fns(2))
 
 
 class TestActiveFamiliesOnly:
@@ -644,7 +738,7 @@ class TestActiveFamiliesOnly:
     def test_rv_read_down_to_j_star(self, monkeypatch, n, chunk):
         if chunk:
             monkeypatch.setattr(lp, "_CHUNK", chunk)
-        ru, rv = _weak_rhs(n, W1, W2)
+        ru, rv = weak_fns(n, W1, W2)
         tops = []
 
         def spy(j):
@@ -765,7 +859,7 @@ class TestWeakCertificate:
         alpha[j0 - 1] += 1e-3
         beta[j0 - 1] -= 1e-3
         report = verify_dual_feasibility((alpha, beta),
-                                         _weak_rhs(500, W1, W2))
+                                         weak_fns(500, W1, W2))
         assert report.min_residuals[1] < 0
         assert report.argmins[1] == j0
         assert report.min_residuals[0] > report.min_residuals[1]
@@ -785,7 +879,7 @@ class TestWeakCertificate:
         assert weak.beta[8] == 0.0 < weak.beta[9]
         assert weak.alpha[2] == 0.0 < weak.alpha[3]
         # but not always: alpha_1 was zeroed, and alpha_2 came out 0
-        weak = weak_dual_certificate(5, 0.0, 1.0)
+        weak = weak_dual_certificate(5, 0.2, 0.8)
         assert weak.j_double_star == 1
         assert weak.alpha[1] == 0.0 < weak.alpha[2]
 
@@ -809,8 +903,7 @@ class TestWeakCertificate:
         suffix = np.zeros(n)
         suffix[:-1] = np.cumsum(combined[:0:-1])[::-1]
         j = np.arange(1.0, n + 1.0)
-        denom = n * n + n
-        ru = 2 * j / denom * W1 + 3 * j * (2 * n - j) / (2 * n * denom) * W2
+        ru = np.array(comb_weak_rhs(n, W1, W2)[0])
         res_u = j * cert.alpha + suffix - ru
         tight = res_u[cert.alpha > 0]
         assert np.max(np.abs(tight)) < 1e-15
@@ -856,7 +949,16 @@ class TestWeakCertificate:
         for n in list(range(2, 301)) + [10 ** 5]:
             alpha, beta, j_star, j_double_star = loop_sweep(n, w1, w2)
             cert = weak_dual_certificate(n, w1, w2)
-            assert (cert.j_star, cert.j_double_star) == (j_star, j_double_star)
+            got, ref = (cert.j_star, cert.j_double_star), (j_star, j_double_star)
+            if got != ref:
+                # beta (alpha) of the n-buyer LP is exactly 0 at some j, say
+                # j0, where rounding alone decides whether a float sweep
+                # breaks at j0 or one below it: each break is the exact
+                # induction's, or one above it where the exact z is 0
+                ex_alpha, ex_beta, *exact = loop_sweep(n, w1, w2, exact=True)
+                for breaks in (got, ref):
+                    for b, e, z in zip(breaks, exact, (ex_beta, ex_alpha)):
+                        assert b == e or (b == e + 1 and z[e] == 0), n
             for mine, ref in ((cert.alpha, alpha), (cert.beta, beta)):
                 scale = max(np.max(np.abs(ref)), 1e-300)
                 assert np.max(np.abs(mine - ref)) <= 1e-12 * scale, n

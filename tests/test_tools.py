@@ -85,7 +85,7 @@ def test_out_bytes_survive_the_blas_kernel(tmp_path, monkeypatch):
     run.  Where the glibc setting does not change ``pow``, its cases would
     pass without testing anything, so they are skipped."""
     out_bytes = load_out_bytes()
-    names = ("certify_weak_n3_w2", "exact_delta_mu1000",
+    names = ("certify_weak_n3_w2", "certify_weak_n10", "exact_delta_mu1000",
              "exact_alg3_n50_family", "lp_weak_n30",
              "simulate_baseline_geometric1000_20k")
     monkeypatch.setattr(out_bytes, "COMMANDS",

@@ -82,6 +82,8 @@ COMMANDS = {
                                "0.365883", "--t2", "0.978772"], ".json"),
     "certify_strong_2e6": (["certify", "strong", "--n", "2000000"], ".json"),
     "certify_strong_n10": (["certify", "strong", "--n", "10"], ".json"),
+    # the paper's weights at 10 buyers: 1/objective = 1.6882267
+    "certify_weak_n10": (["certify", "weak", "--n", "10", *W], ".json"),
     "certify_strong_1e6": (["certify", "strong", "--n", "1000000"], ".json"),
     "certify_weak_2e6": (["certify", "weak", "--n", "2000000", *W], ".json"),
     # the largest n either certificate takes (lp.CERT_CAP)
@@ -105,6 +107,8 @@ COMMANDS = {
     "certify_weak_49157_w1zero": (["certify", "weak", "--n", "49157",
                                    "--w1", "0", "--w2", "1"], ".json"),
     "lp_weak_n30": (["lp", "solve", "--which", "weak", "--n", "30"], ".json"),
+    # one buyer: no second buyer, so no rank-2 chance in the welfare rows
+    "lp_weak_n1": (["lp", "solve", "--which", "weak", "--n", "1"], ".json"),
     "lp_strong_n40": (["lp", "solve", "--which", "strong", "--n", "40"],
                       ".json"),
     "optimize_upper": (["optimize", "thresholds", "--objective", "upper"],
