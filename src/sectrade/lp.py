@@ -279,8 +279,8 @@ class WeakDualCertificate:
     beta: np.ndarray
     # the sweep's breaks: the largest j where beta (j*) or alpha (j**)
     # went negative and was zeroed, 0 if it never did.  Usually one below
-    # the first positive entry, but not always: at n = 5, w1 = 0.2, alpha_1
-    # was zeroed and alpha_2 came out 0, so j** = 1 while alpha_3 > 0
+    # the first positive entry, but not where the exact z is 0: at n = 5,
+    # w1 = 0.2, the exact alpha_2 is 0 and rounding gave j** = 1, not 2
     j_star: int
     j_double_star: int
     objective: float
