@@ -22,8 +22,7 @@ from .lp import (LinearProgram, PrimalSolution, StrongDualCertificate,
                  simplex_solve, strong_dual_certificate,
                  verify_dual_feasibility, weak_dual_certificate)
 from .model import (ArrivalSample, Instance, RankedInstance, Thresholds,
-                    TradeOutcome, canonicalize, gen_instance, load_instance,
-                    sample_arrival)
+                    TradeOutcome, canonicalize, gen_instance, load_instance)
 from .oracle import (Alg2Distribution, enumerate_alg2_exact,
                      enumerate_weak_opt_exact)
 from .policies import (PolicyEvent, PolicyState, alg1_step, alg2_step,
@@ -48,8 +47,7 @@ __all__ = [
     "delta_limit_quadrature", "delta_mu", "enumerate_alg2_exact",
     "enumerate_weak_opt_exact", "gen_instance", "load_instance",
     "make_policy", "mono_thresholds", "optimize_thresholds", "run_episode",
-    "sample_arrival", "simplex_solve", "strong_dual_certificate",
-    "strong_opt", "strong_ratio_limit", "unimodality_f",
-    "verify_dual_feasibility", "weak_dual_certificate", "weak_opt_expected",
-    "weak_opt_given_order",
+    "simplex_solve", "strong_dual_certificate", "strong_opt",
+    "strong_ratio_limit", "unimodality_f", "verify_dual_feasibility",
+    "weak_dual_certificate", "weak_opt_expected", "weak_opt_given_order",
 ]

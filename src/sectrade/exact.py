@@ -60,7 +60,7 @@ def pow1m(t, m):
     t = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.exp(m * np.log1p(-t))
-    return np.where(m == 0, 1.0, np.where(t >= 1.0, 0.0, out))
+    return np.where(m == 0, 1.0, out)
 
 
 # ---------------------------------------------------------------------------
@@ -434,34 +434,6 @@ def unimodality_f(n: int, th: Thresholds) -> UnimodalityReport:
         beta_k1=tuple(map(tuple, b1.tolist())),
         beta_k2=tuple(map(tuple, b2.tolist())),
         unimodal=unimodal)
-
-
-@dataclass(frozen=True)
-class RankComparisonConstants:
-    """The three numeric anchors behind the f(1) < f(2) > f(3) comparison.
-
-    ``gain_2_vs_1``  = sum_k b_k1(2) - sum_k b_k1(1)
-    ``drop_2_vs_3``  = sum_k b_k1(2) - sum_k b_k1(3)
-    ``tail_gain_3_vs_2_at_n2`` = sum_k (b_k2(3, 2) - b_k2(2, 2))
-
-    The comparison f(2, n) > f(3, n) reduces to drop_2_vs_3 >
-    tail_gain_3_vs_2_at_n2.  Note: the latter two are conventionally quoted
-    divided by 3, the arrival weight 1/(n+1) at the n = 2 reference point;
-    the raw values here are pinned by the identity f = sum_k (b_k1 + b_k2).
-    """
-
-    gain_2_vs_1: float
-    drop_2_vs_3: float
-    tail_gain_3_vs_2_at_n2: float
-
-
-def rank_comparison_constants(th: Thresholds) -> RankComparisonConstants:
-    b1, b2, _ = _alg3_pieces([1, 2, 3], 2, th)
-    f1, f2 = b1.sum(axis=0).tolist(), b2.sum(axis=0).tolist()
-    return RankComparisonConstants(
-        gain_2_vs_1=f1[1] - f1[0],
-        drop_2_vs_3=f1[1] - f1[2],
-        tail_gain_3_vs_2_at_n2=f2[2] - f2[1])
 
 
 # ---------------------------------------------------------------------------

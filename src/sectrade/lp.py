@@ -335,11 +335,13 @@ def verify_dual_feasibility(z, rhs) -> FeasibilityReport:
 
     the strong dual has one family (y), the weak dual two (alpha, beta).
     ``rhs`` holds one function of j per family, which returns rhs_{r,j}
-    elementwise.  A residual is LHS - RHS; feasibility means every
-    residual >= 0.  The slacks are computed in ``_CHUNK``-element chunks
-    from j = n down, each chunk calling every family's function on its own
-    j and carrying the suffix sum from one to the next; a family's lowest
-    j wins a tie for its smallest slack.  Raises ``ValueError`` unless z is
+    elementwise.  A row slack is LHS - RHS; feasibility means every row
+    slack and every j z_{r,j} is >= 0, so a family's residual at j is its
+    row slack, or j z_{r,j} where that is below 0 and smaller.  The
+    residuals are computed in ``_CHUNK``-element chunks from j = n down,
+    each chunk calling every family's function on its own j and carrying
+    the suffix sum from one to the next; a family's lowest j wins a tie
+    for its smallest residual.  Raises ``ValueError`` unless z is
     one or more numpy arrays of one length with one function each, and
     each function gives one entry per j."""
     if not len(z) or len(rhs) != len(z):
@@ -369,7 +371,10 @@ def verify_dual_feasibility(z, rhs) -> FeasibilityReport:
         np.cumsum(part[::-1], out=part[::-1])
         carry = suffix[0]
         for r, (zr, rr) in enumerate(zip(z, rows)):
-            residual = j * zr[lo:hi] + suffix - rr
+            jz = j * zr[lo:hi]
+            residual = jz + suffix - rr
+            # the sign row j z_{r,j} >= 0, only where it is violated
+            np.minimum(residual, jz, out=residual, where=jz < 0.0)
             arg = int(np.argmin(residual))
             value = float(residual[arg])
             if value <= found[r][0] or value != value:  # NaN as np.argmin

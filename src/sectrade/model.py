@@ -1,4 +1,4 @@
-"""Market instances, arrival sampling, and instance-family generators.
+"""Market instances, their canonical ranking, and instance-family generators.
 
 A market has n buyers (agent ids 1..n) and one seller (agent id n+1).
 Each agent carries a price: an int, a float, a ``fractions.Fraction``
@@ -24,11 +24,6 @@ seller carries the largest index, so it loses every price tie to a buyer.
 ``canonicalize`` realises the rule with a stable sort of the buyers by
 price alone; ``tiebreak_key`` is the key the policies compare, a tuple
 whose natural ordering is the same rule, with larger keys ranking higher.
-
-Randomness is pinned to numpy's PCG64DXSM generator, whose ``advance``
-jumps to any place in its stream, so that every sampled quantity is
-reproducible across platforms and worker counts; see
-:mod:`sectrade.simulate` for the stream layout.
 """
 
 from __future__ import annotations
@@ -138,12 +133,6 @@ class Instance:
     @property
     def seller_id(self) -> int:
         return self.n + 1
-
-    def price_of(self, agent_id: int) -> Price:
-        """Price of agent ``agent_id`` (buyers 1..n, seller n+1)."""
-        if agent_id == self.seller_id:
-            return self.seller_price
-        return self.buyer_prices[agent_id - 1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -299,7 +288,7 @@ def canonicalize(instance: Instance) -> RankedInstance:
 
 @dataclass(frozen=True)
 class ArrivalSample:
-    """One arrival draw: a uniform agent permutation with sorted times.
+    """One arrival order of the n+1 agents, with their arrival times.
 
     ``order[p]`` is the agent id arriving in slot p (0-based position),
     ``times`` are the matching strictly increasing arrival times in [0,1].
@@ -311,22 +300,6 @@ class ArrivalSample:
     @property
     def size(self) -> int:
         return len(self.order)
-
-
-def sample_arrival(n: int, rng: np.random.Generator) -> ArrivalSample:
-    """Draw n+1 iid uniform arrival times, one per agent, and sort.
-
-    The induced ranking is a uniform permutation of the n+1 agents and the
-    sorted draw gives their arrival times, so one set of uniforms yields
-    both pieces.  Identical generator state gives an identical sample.
-    """
-    n = check_size("sample_arrival", "n", n)
-    u = rng.random(n + 1)
-    perm = np.argsort(u, kind="stable")
-    return ArrivalSample(
-        order=tuple(int(a) + 1 for a in perm),
-        times=tuple(float(t) for t in u[perm]),
-    )
 
 
 @dataclass(frozen=True)

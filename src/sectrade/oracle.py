@@ -6,11 +6,13 @@ small n we can enumerate all (n+1)! orders and obtain exact expectations.
 These enumerations are the reference oracles for the closed forms
 elsewhere in the package.
 
-The prices are read as ``fractions.Fraction`` values and scaled to Python
-ints by L, the lcm of their n+1 denominators.  The scaled market has the
-same order and the same ties, so every order makes the same comparisons
-in int arithmetic, and each result, an int tally divided by L and the
-number of orders, is the same Fraction as an enumeration in Fractions.
+The oracle scales the given prices, each read as the
+``fractions.Fraction`` it equals (a float price must be integral), to
+Python ints by L, the lcm of their n+1 denominators.  The scaled market
+has the same order and the same ties, so every order makes the same
+comparisons in int arithmetic, and each result, an int tally divided by
+L and the number of orders, is the same Fraction as an enumeration in
+Fractions.
 
 The weak optimum of each order is the per-order rule of
 :func:`sectrade.benchmarks.weak_opt_given_order`.  The coin-flip policy is
@@ -36,29 +38,17 @@ WEAK_OPT_CAP = 7
 ALG2_CAP = 6
 
 
-def _as_fraction(p) -> Fraction:
-    if isinstance(p, Fraction):
-        return p
-    if isinstance(p, int):
-        return Fraction(p)
-    if isinstance(p, float):
-        if not p.is_integer():
+def _int_instance(instance: Instance) -> tuple[Instance, int]:
+    """The instance times L, the lcm of the denominators of its n+1 prices
+    read as Fractions, as an instance of ints; and L.  A float price must
+    be integral."""
+    prices = (*instance.buyer_prices, instance.seller_price)
+    for p in prices:
+        if isinstance(p, float) and not p.is_integer():
             raise ValueError(
                 f"exact enumeration needs rational prices, got float {p}; "
                 "pass Fraction values instead")
-        return Fraction(int(p))
-    raise ValueError(f"unsupported price type {type(p)}")
-
-
-def _exact_instance(instance: Instance) -> Instance:
-    return Instance(tuple(_as_fraction(p) for p in instance.buyer_prices),
-                    _as_fraction(instance.seller_price))
-
-
-def _int_instance(inst: Instance) -> tuple[Instance, int]:
-    """The Fraction instance ``inst`` times L, the lcm of the denominators
-    of its n+1 prices, as an instance of ints; and L."""
-    prices = (*inst.buyer_prices, inst.seller_price)
+    prices = [Fraction(p) for p in prices]
     scale = math.lcm(*(p.denominator for p in prices))
     ints = [p.numerator * (scale // p.denominator) for p in prices]
     return Instance(ints[:-1], ints[-1]), scale
@@ -68,7 +58,7 @@ def enumerate_weak_opt_exact(instance: Instance) -> Fraction:
     """Exact expected weak optimum: average the per-order optimum over all
     (n+1)! arrival orders."""
     n = check_size("weak-opt enumeration", "n", instance.n, cap=WEAK_OPT_CAP)
-    inst, scale = _int_instance(_exact_instance(instance))
+    inst, scale = _int_instance(instance)
     total = sum(_weak_opt_of_order(inst, order)
                 for order in permutations(range(1, n + 2)))
     return Fraction(total, math.factorial(n + 1) * scale)
@@ -118,8 +108,7 @@ def enumerate_alg2_exact(instance: Instance) -> Alg2Distribution:
     order without a coin, 1 for each coin branch.
     """
     n = check_size("coin-flip enumeration", "n", instance.n, cap=ALG2_CAP)
-    exact_inst = _exact_instance(instance)
-    inst, scale = _int_instance(exact_inst)
+    inst, scale = _int_instance(instance)
     times = tuple((k + 1) / (n + 2) for k in range(n + 1))
     halves: dict[int, int] = {}
     welfare = 0  # in halves of 1/scale
@@ -140,6 +129,6 @@ def enumerate_alg2_exact(instance: Instance) -> Alg2Distribution:
             welfare += weight * outcome.welfare
     total = 2 * n_orders
     return Alg2Distribution(
-        instance=exact_inst,
+        instance=instance,
         holder_prob={h: Fraction(k, total) for h, k in sorted(halves.items())},
         expected_welfare=Fraction(welfare, total * scale))

@@ -87,7 +87,6 @@ Competitive ratios divide the mean benchmark by the mean policy welfare
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
@@ -425,9 +424,6 @@ class SimulationReport:
         # string holder keys: sort_keys would order int keys numerically
         freq = {str(k): v for k, v in self.holder_freq.items()}
         return {**asdict(self), "holder_freq": freq}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def simulate(policy_id: str, instance: Instance, trials: int,

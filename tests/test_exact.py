@@ -10,10 +10,10 @@ from sectrade.exact import (alg2_holder_prob, alg3_p1_limit, alg3_p2_limit,
                             alg3_report, alg3_sale_prob, delta_gap_closed_form,
                             delta_limit, delta_limit_quadrature, delta_mu,
                             mono_thresholds, optimize_thresholds, pow1m,
-                            rank_comparison_constants, strong_ratio_limit,
-                            unimodality_f, _grid_argmin, _objective_arr,
-                            _p1_limit_arr, _p2_limit_arr, _ratio_branches,
-                            _sale_prob_arr, ALG3_TABLE_CAP)
+                            strong_ratio_limit, unimodality_f, _alg3_pieces,
+                            _grid_argmin, _objective_arr, _p1_limit_arr,
+                            _p2_limit_arr, _ratio_branches, _sale_prob_arr,
+                            ALG3_TABLE_CAP)
 import sectrade.exact as exact
 from sectrade.errors import NumericError, SizeCapError
 from sectrade.model import Thresholds
@@ -271,14 +271,19 @@ class TestUnimodality:
             assert abs(rep.f[i - 1] - expected) < 1e-7
 
     def test_comparison_constants(self):
-        consts = rank_comparison_constants(TUNED_TH)
-        assert abs(consts.gain_2_vs_1 - 0.459218) < 1e-4
+        # the anchors behind f(1) < f(2) > f(3) at n = 2, where f(i) =
+        # sum_k (b_k1(i) + b_k2(i))
+        b1, b2, _ = _alg3_pieces([1, 2, 3], 2, TUNED_TH)
+        f1, f2 = b1.sum(axis=0).tolist(), b2.sum(axis=0).tolist()
+        gain_2_vs_1, drop_2_vs_3 = f1[1] - f1[0], f1[1] - f1[2]
+        tail_gain_3_vs_2_at_n2 = f2[2] - f2[1]
+        assert abs(gain_2_vs_1 - 0.459218) < 1e-4
         # the published rank-2-vs-3 anchors carry the 1/(n+1) = 1/3 weight
         # of the n = 2 reference point
-        assert abs(consts.drop_2_vs_3 / 3 - 0.1186) < 5e-4
-        assert abs(consts.tail_gain_3_vs_2_at_n2 / 3 - 0.1049) < 5e-4
+        assert abs(drop_2_vs_3 / 3 - 0.1186) < 5e-4
+        assert abs(tail_gain_3_vs_2_at_n2 / 3 - 0.1049) < 5e-4
         # the substantive inequality behind f(2, n) > f(3, n)
-        assert consts.drop_2_vs_3 > consts.tail_gain_3_vs_2_at_n2
+        assert drop_2_vs_3 > tail_gain_3_vs_2_at_n2
 
 
 class TestMonoThresholds:

@@ -863,6 +863,49 @@ class TestRefusedCertificates:
             weak_dual_certificate(100, W1, W2)
 
 
+class TestSignRows:
+    """z >= 0 is part of dual feasibility: the verifier counts j z_{r,j}
+    where it is below 0 and below the row slack, so a point whose rows all
+    hold but which has a negative entry is refused."""
+
+    def test_negative_entry_under_slack_rows(self):
+        n = 50
+        y = strong_dual_certificate(n).y_pos.copy()
+        y[0] = -1e-6
+        # every row still holds, at j = 21 with equality, and the
+        # objective falls below the LP's value
+        rhs = np.arange(1.0, n + 1.0) / ((n + 1.0) * n)
+        assert whole_verify((y,), (rhs,)) == [(0.0, 21)]
+        report = verify_dual_feasibility((y,), strong_fns(n))
+        assert (report.min_residual, report.argmin_j) == (-1e-6, 1)
+
+    def test_sweep_with_three_families_refused(self):
+        # with c = (0, 0, 1) the sweep zeroes rank 3 at its break, but rank
+        # 1 goes negative while every row slack stays at roundoff
+        rhs = _rank_rhs(10, (0.0, 0.0, 1.0))
+        z, _, _ = _sweep(10, rhs)
+        assert z[0].min() < -1e-3
+        j = np.arange(1.0, 11.0)
+        assert min(whole_verify(z, [fn(j) for fn in rhs]))[0] > -1e-15
+        with pytest.raises(NumericError, match=r"r1 row at j=\d+"):
+            lp._enforce(("r1", "r2", "r3"), z, rhs)
+
+    def test_rank_lp_weights_keep_every_family_nonnegative(self):
+        # rank-LP weights w_k >= 0 on P(top k) give the non-increasing
+        # c_m = sum_{k>=m} w_k (k+1)/k; the sweep of such a c needs no
+        # sign row
+        rng = np.random.default_rng(45)
+        for n in range(2, 81):
+            for K in range(1, 8):
+                k = np.arange(1.0, K + 1.0)
+                w = rng.dirichlet(np.ones(K))
+                c = tuple(np.cumsum((w * (k + 1) / k)[::-1])[::-1].tolist())
+                rhs = _rank_rhs(n, c)
+                z, _, _ = _sweep(n, rhs)
+                assert all(zr.min() >= 0.0 for zr in z), (n, c)
+                lp._enforce(tuple(map(str, range(len(z)))), z, rhs)
+
+
 class TestWeakCertificate:
     def test_moved_mass_breaks_only_its_v_row(self):
         """Past j*, both rows at j0 are tight; moving delta from beta to

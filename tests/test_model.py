@@ -19,8 +19,7 @@ from sectrade.lp import (build_strong_primal, build_weak_primal,
                          strong_dual_certificate, weak_dual_certificate)
 from sectrade.model import (Instance, RankedInstance, Thresholds,
                             _check_price, canonicalize, gen_instance,
-                            load_instance, parse_family_spec, sample_arrival,
-                            tiebreak_key)
+                            load_instance, parse_family_spec, tiebreak_key)
 from sectrade.oracle import enumerate_alg2_exact, enumerate_weak_opt_exact
 from sectrade.simulate import _market, _Market, simulate
 
@@ -42,7 +41,6 @@ SIZED = {
     "build_weak_primal": lambda v: build_weak_primal(v),
     "strong_dual_certificate": lambda v: strong_dual_certificate(v),
     "weak_dual_certificate": lambda v: weak_dual_certificate(v, 0.97, 0.03),
-    "sample_arrival": lambda v: sample_arrival(v, np.random.default_rng(0)),
 }
 
 
@@ -365,21 +363,16 @@ class TestNumpyScalarPrices:
 
 
 class TestSampleArrival:
-    def test_deterministic_given_seed(self):
-        s1 = sample_arrival(1, np.random.default_rng(42))
-        s2 = sample_arrival(1, np.random.default_rng(42))
-        assert s1 == s2
+    """The arrival model: n+1 iid uniform times, one per agent, sorted."""
 
     def test_invariants(self):
-        sample = sample_arrival(2, np.random.default_rng(0))
-        assert len(sample.times) == 3
-        assert all(0.0 <= t <= 1.0 for t in sample.times)
-        assert list(sample.times) == sorted(sample.times)
-        assert sorted(sample.order) == [1, 2, 3]
-
-    def test_n_zero_rejected(self):
-        with pytest.raises(ValueError):
-            sample_arrival(0, np.random.default_rng(0))
+        u = np.random.default_rng(0).random(3)
+        order = np.argsort(u, kind="stable")
+        times = u[order].tolist()
+        assert len(times) == 3
+        assert all(0.0 <= t <= 1.0 for t in times)
+        assert times == sorted(times)
+        assert sorted((order + 1).tolist()) == [1, 2, 3]
 
     def test_seller_first_frequency(self):
         # P(seller arrives first) = 1/3 at n = 2; binomial 3-sigma band
@@ -452,6 +445,10 @@ class TestGenerators:
         with pytest.raises(ValueError):
             gen_instance("geometric", n=3, r=1.0)
 
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown family 'ring'; choose"):
+            gen_instance("ring", n=3)
+
     def test_family_spec_parsing(self):
         inst = parse_family_spec("flat_k:n=10,k=3")
         assert inst.buyer_prices == (1,) * 3 + (0,) * 7
@@ -512,7 +509,6 @@ class TestSizeArguments:
         ("build_weak_primal", 3.0),
         ("strong_dual_certificate", 10.5),
         ("weak_dual_certificate", 10.5),
-        ("sample_arrival", 2.5),
     ])
     def test_non_integer_rejected(self, entry, bad):
         with pytest.raises(ValueError, match="needs an integer"):
@@ -524,7 +520,9 @@ class TestSizeArguments:
         assert repr(SIZED[entry](np.int64(3))) == repr(SIZED[entry](3))
 
     def test_simulate_trials_written_as_int(self):
-        doc = json.loads(simulate("alg1", SPIKE3, np.int32(7), 1).to_json())
+        report = simulate("alg1", SPIKE3, np.int32(7), 1)
+        doc = json.loads(json.dumps(report.to_json_dict(), sort_keys=True,
+                                    indent=2))
         assert type(doc["trials"]) is int and doc["trials"] == 7
 
     @pytest.mark.parametrize("entry,low,least", [

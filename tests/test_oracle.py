@@ -7,8 +7,8 @@ from sectrade.benchmarks import weak_opt_expected
 from sectrade.errors import SizeCapError
 from sectrade.exact import alg2_holder_prob
 from sectrade.model import Instance, canonicalize, gen_instance
-from sectrade.oracle import (_exact_instance, _int_instance,
-                             enumerate_alg2_exact, enumerate_weak_opt_exact)
+from sectrade.oracle import (_int_instance, enumerate_alg2_exact,
+                             enumerate_weak_opt_exact)
 
 
 def random_rational_instance(rng, max_n=6):
@@ -63,7 +63,7 @@ class TestIntegerScaling:
         rng = np.random.default_rng(2024)
         for _ in range(30):
             inst = coprime_tie_instance(rng)
-            scaled, scale = _int_instance(_exact_instance(inst))
+            scaled, scale = _int_instance(inst)
             assert scale > 2 ** 63 and scaled.buyer_array is None
             assert enumerate_weak_opt_exact(inst) == weak_opt_expected(inst)
             ranked = canonicalize(inst)
@@ -71,14 +71,17 @@ class TestIntegerScaling:
             for i in range(1, ranked.mu + 1):
                 assert dist.prob_of_rank(i) == alg2_holder_prob(i, ranked.mu).p
             assert sum(dist.holder_prob.values()) == 1
+            price = (0, *inst.buyer_prices, inst.seller_price)
             assert dist.expected_welfare == sum(
-                p * inst.price_of(h) for h, p in dist.holder_prob.items() if h)
+                p * price[h] for h, p in dist.holder_prob.items() if h)
 
     def test_distribution_keeps_the_given_prices(self):
         inst = Instance((Fraction(1, 3), 2, 1.0, Fraction(5, 7)),
                         Fraction(1, 3))
         dist = enumerate_alg2_exact(inst)
-        assert dist.instance == _exact_instance(inst)
+        exact = Instance(tuple(map(Fraction, inst.buyer_prices)),
+                         Fraction(inst.seller_price))
+        assert dist.instance == exact
 
 
 class TestAlg2Enumeration:

@@ -8,7 +8,7 @@ import pytest
 
 from sectrade.errors import ProtocolError
 from sectrade.model import (ArrivalSample, Instance, Thresholds,
-                            gen_instance, sample_arrival, tiebreak_key)
+                            gen_instance, tiebreak_key)
 from sectrade.policies import (HELD, NONE, SELL_CUTOFF, SKIP_CUTOFF, SOLD,
                                PolicyEvent, PolicyState, alg1_step, alg2_step,
                                alg3_step, make_policy, run_episode)
@@ -17,6 +17,15 @@ from sectrade.policies import (HELD, NONE, SELL_CUTOFF, SKIP_CUTOFF, SOLD,
 def ev(time, price, position, *, seller=False, index=1):
     return PolicyEvent(time=time, is_seller=seller, price=price,
                       position=position, sort_key=tiebreak_key(price, index))
+
+
+def sample_arrival(n, rng):
+    """n+1 iid uniform arrival times, one per agent, sorted: a uniform
+    order of the agents and their times, from one set of uniforms."""
+    u = rng.random(n + 1)
+    perm = np.argsort(u, kind="stable")
+    return ArrivalSample(order=tuple(int(a) + 1 for a in perm),
+                         times=tuple(float(t) for t in u[perm]))
 
 
 class FixedCoin:
@@ -126,8 +135,9 @@ class TestAlg2Step:
             skip = run_episode("alg2", inst, sample, rng=FixedCoin(1.0))
             seller_pos = sample.order.index(inst.seller_id)
             seller_key = tiebreak_key(inst.seller_price, inst.seller_id)
+            price = (0, *inst.buyer_prices, inst.seller_price)
             best_before = all(
-                tiebreak_key(inst.price_of(a), a) < seller_key
+                tiebreak_key(price[a], a) < seller_key
                 for a in sample.order[:seller_pos])
             if buy != skip:
                 changed += 1
@@ -196,8 +206,9 @@ class TestAlg3Step:
             pos = sample.order.index(outcome.holder)
             earlier_buyers = [a for a in sample.order[:pos + 1]
                               if a != inst.seller_id]
+            price = (0, *inst.buyer_prices, inst.seller_price)
             better = sum(1 for a in earlier_buyers
-                         if inst.price_of(a) > inst.price_of(outcome.holder))
+                         if price[a] > price[outcome.holder])
             assert better <= 1
 
 
@@ -255,6 +266,12 @@ class TestRunEpisode:
                     first, second = deals
                     assert sample.order[first] == inst.seller_id
                     assert sample.order[second] != inst.seller_id
+
+    def test_coin_policy_needs_an_rng(self):
+        # the seller arrives first, so alg2 would flip its coin
+        sample = ArrivalSample(order=(3, 1, 2), times=(0.1, 0.5, 0.9))
+        with pytest.raises(ValueError, match="'alg2' needs an rng"):
+            run_episode("alg2", gen_instance("spike", n=2), sample)
 
     def test_policy_registry_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -469,9 +486,9 @@ def reference_secretary_baseline_step(state: RefState,
 
 def _replay(step, state, inst, order, times):
     """Feed one arrival order to a step function, as run_episode does."""
-    decisions = []
+    decisions, prices = [], (0, *inst.buyer_prices, inst.seller_price)
     for pos, agent in enumerate(order):
-        price = inst.price_of(agent)
+        price = prices[agent]
         decisions.append(step(state, PolicyEvent(
             time=times[pos], is_seller=agent == inst.seller_id, price=price,
             position=pos + 1, sort_key=tiebreak_key(price, agent))))
@@ -497,7 +514,7 @@ def _reference_outcome(inst, order, decisions):
     assert len(deals) <= 2 and all(a == inst.seller_id for a in deals[:1])
     holder = (inst.seller_id if not deals
               else deals[1] if len(deals) == 2 else 0)
-    return holder, inst.price_of(holder) if holder else 0
+    return holder, (0, *inst.buyer_prices, inst.seller_price)[holder]
 
 
 class TestMatchesReference:

@@ -25,6 +25,11 @@ TH = Thresholds(0.296151, 0.805018)
 SIM = importlib.import_module("sectrade.simulate")
 
 
+def _json(report):
+    """A report as the sorted-key JSON text ``--out`` writes for it."""
+    return json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
+
+
 class _FixedCoin:
     def __init__(self, value):
         self.value = value
@@ -110,7 +115,7 @@ class TestDeterminism:
         reports = [simulate("alg2", inst, 3 * BLOCK + 777, seed=42, workers=w)
                    for w in (1, 8)]
         assert reports[0] == reports[1]
-        assert reports[0].to_json() == reports[1].to_json()
+        assert _json(reports[0]) == _json(reports[1])
 
     def test_concurrent_calls_keep_their_workspaces(self):
         # two calls at once, each on two threads: every thread draws into
@@ -120,8 +125,8 @@ class TestDeterminism:
         seeds = (11, 12)
 
         def run(seed):
-            return simulate("alg2", inst, 3 * BLOCK + 777, seed=seed,
-                            workers=2).to_json()
+            return _json(simulate("alg2", inst, 3 * BLOCK + 777, seed=seed,
+                                  workers=2))
 
         alone = [run(seed) for seed in seeds]
         start = threading.Barrier(len(seeds))
@@ -169,7 +174,7 @@ class TestDeterminism:
         monkeypatch.setattr(SIM.os, "cpu_count", lambda: cpus)
         capped = simulate("alg1", inst, trials, seed=5, workers=workers)
         assert asked == ([] if threads is None else [threads])
-        assert capped.to_json() == serial.to_json()
+        assert _json(capped) == _json(serial)
 
     @pytest.mark.parametrize("policy_id", POLICY_IDS)
     def test_layout_is_invisible(self, monkeypatch, policy_id):
@@ -183,8 +188,8 @@ class TestDeterminism:
                   3000)]
         for inst, trials in cases:
             def run(workers=1):
-                return simulate(policy_id, inst, trials, seed=11,
-                                workers=workers, thresholds=TH).to_json()
+                return _json(simulate(policy_id, inst, trials, seed=11,
+                                      workers=workers, thresholds=TH))
 
             base = run()
             assert run(2) == run(8) == base
@@ -200,7 +205,7 @@ class TestDeterminism:
         inst = gen_instance("spike", n=5)
         a = simulate("alg1", inst, 20_000, seed=3)
         b = simulate("alg1", inst, 20_000, seed=3)
-        assert a.to_json() == b.to_json()
+        assert _json(a) == _json(b)
 
 
 class TestKernelAgainstStateMachines:
@@ -500,8 +505,8 @@ class TestCounterPath:
         # numpy's PCG64DXSM(seed) seeds its SeedSequence with the Python
         # integer
         inst = gen_instance("spike", n=1000)
-        assert (simulate("alg1", inst, 500, seed=seed).to_json()
-                == simulate("alg1", inst, 500, seed=int(seed)).to_json())
+        assert (_json(simulate("alg1", inst, 500, seed=seed))
+                == _json(simulate("alg1", inst, 500, seed=int(seed))))
 
     @pytest.mark.parametrize("policy_id,inst,trials", [
         pytest.param(policy_id, inst, trials, id=f"{policy_id}-{name}")
@@ -527,8 +532,8 @@ class TestCounterPath:
         for prefix, workers in [(_PREFIX, 1), (_PREFIX, 2), (mk.n + 1, 1)]:
             monkeypatch.setattr(SIM, "_PREFIX", prefix)
             tails.clear()
-            reports.append(simulate(policy_id, inst, trials, seed=2024,
-                                    workers=workers, thresholds=TH).to_json())
+            reports.append(_json(simulate(policy_id, inst, trials, seed=2024,
+                                          workers=workers, thresholds=TH)))
             read = np.unique(np.concatenate([np.empty(0, np.intp)]
                                             + [k for k, _ in tails]))
             if prefix > mk.n:
@@ -594,13 +599,13 @@ class TestMemoryBound:
             h = SIM._head_rows(mk)
             per_chunk = _GROUP * (budget // (h * _GROUP))
             trials = trials or 2 * per_chunk + 1  # two full sub-chunks + 1
-            expected = simulate("alg1", inst, trials, seed=3).to_json()
+            expected = _json(simulate("alg1", inst, trials, seed=3))
             monkeypatch.setattr(SIM, "_BLOCK_BUDGET", budget)
             for prefix in (_PREFIX, n + 1):
                 monkeypatch.setattr(SIM, "_PREFIX", prefix)
                 shapes.clear()
                 rep = simulate("alg1", inst, trials, seed=3)
-                assert rep.to_json() == expected
+                assert _json(rep) == expected
                 heads = [(start, shape[1]) for is_head, start, shape in shapes
                          if is_head]
                 if n == 100:  # one block, in head sub-chunks
@@ -697,13 +702,13 @@ class TestMemoryBound:
         # -> 1792 trials) and the whole-width reads (6 -> 3 trials)
         inst = gen_instance("spike", n=20_000)
         trials = BLOCK + 44
-        base = simulate(policy_id, inst, trials, seed=21,
-                        thresholds=TH).to_json()
+        base = _json(simulate(policy_id, inst, trials, seed=21,
+                              thresholds=TH))
         monkeypatch.setattr(SIM, "_BLOCK_BUDGET", 1 << 16)
         for workers in (1, 2):
             again = simulate(policy_id, inst, trials, seed=21,
                              workers=workers, thresholds=TH)
-            assert again.to_json() == base
+            assert _json(again) == base
 
     def test_blocks_fold_as_they_finish(self, monkeypatch):
         # each block's holder counts are n + 2 int64 (160 kB at n = 20000);
@@ -809,6 +814,27 @@ class TestMemoryBound:
         assert read == [x * x for x in range(10)]
         assert submitted == list(range(10))
 
+    def test_windowed_map_cancels_unread_calls_on_error(self):
+        # call 1 raises while calls 2..4 still wait in the pool: the error
+        # reaches the reader, those calls are cancelled, and no item past
+        # the window is submitted
+        futures = []
+
+        class Pool:
+            def submit(self, fn, item):
+                future = Future()
+                if item == 0:
+                    future.set_result(fn(item))
+                elif item == 1:
+                    future.set_exception(RuntimeError("block 1 failed"))
+                futures.append(future)
+                return future
+
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            list(SIM._windowed_map(Pool(), lambda x: x, range(8), 4))
+        assert len(futures) == 5
+        assert [f.cancelled() for f in futures] == [False] * 2 + [True] * 3
+
     def test_blocks_are_fixed(self, monkeypatch):
         # the partition of trials into blocks depends on trials alone
         partials = SIM._block_partials
@@ -898,7 +924,7 @@ class TestValidation:
     @pytest.mark.parametrize("seed", [0, np.int64(9), 2 ** 128 - 1])
     def test_seed_range_ends_accepted(self, seed):
         rep = simulate("alg1", gen_instance("spike", n=3), 10, seed=seed)
-        assert json.loads(rep.to_json())["seed"] == seed
+        assert json.loads(_json(rep))["seed"] == seed
 
     def test_alg3_rejects_paid_seller(self):
         inst = Instance((1, 0.5), 0.3)

@@ -39,6 +39,10 @@ K8_N6 = json.dumps({"buyer_prices": ["3/8", "3/4", "1/8", "5/8", "1/4",
 NONDYADIC_N7 = json.dumps({"buyer_prices": ["1/3", "2/7", "3/5", "1/3", 2,
                                             1.0, "5/7"],
                            "seller_price": "1/3"})
+# float prices, one of them the seller's: the oracle reads an integral
+# float as the Fraction it equals
+FLOAT_SELLER = json.dumps({"buyer_prices": [2.0, 1, "1/2"],
+                           "seller_price": 0.0})
 NONDYADIC_N6 = json.dumps({"buyer_prices": ["1/3", "2/7", "3/5", "1/3", 2,
                                             "5/7"],
                            "seller_price": "3/5"})
@@ -142,6 +146,8 @@ COMMANDS = {
                                      NONDYADIC_N7], ".json"),
     "oracle_alg2_n6_nondyadic": (["oracle", "alg2", "--instance",
                                   NONDYADIC_N6], ".json"),
+    "oracle_alg2_float_seller": (["oracle", "alg2", "--instance",
+                                  FLOAT_SELLER], ".json"),
     "simulate_alg2_seller_spike_1e5": (
         _simulate("alg2", "seller_spike:n=100000", 256), ".json"),
     # float buyers and an int seller: the float64 price array at n = 1e5
